@@ -44,41 +44,52 @@ def _emit(doc, fmt: str, csv_rows=None, csv_fields=None) -> None:
 
 
 def _load_network(args, parser):
+    """The network of ``--network`` or ``--tree``, plus the tree (or None)."""
     if args.network:
         with open(args.network) as fh:
             return network_from_json(json.load(fh)), None
     try:
         q_str, n_str = args.tree.split(",")
-        spec = TreeSpec(int(q_str), int(n_str))
+        tree = build_tree(TreeSpec(int(q_str), int(n_str)))
     except (ValueError, NetworkError) as exc:
         parser.error(f"bad --tree spec {args.tree!r}: {exc}")
-    return build_tree(spec).net, spec
+    return tree.net, tree
 
 
-def _parse_target_set(spec: str, tree_spec, parser):
+def _parse_ids(text: str, flag: str, parser) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        parser.error(f"bad {flag} {text!r}: expected comma-separated vertex ids")
+
+
+def _tree_level(tree, k, flag: str, parser) -> np.ndarray:
+    """Vertex ids of level ``k`` (an int or its text) of the ``--tree``."""
+    if tree is None:
+        parser.error(f"{flag} needs --tree")
+    try:
+        return level_slice(tree, int(k))
+    except (ValueError, NetworkError) as exc:
+        parser.error(f"bad {flag} {k!r}: {exc}")
+
+
+def _parse_target_set(spec: str, tree, parser):
     if spec.startswith("level:"):
-        if tree_spec is None:
-            parser.error("level: targets need --tree")
-        k = int(spec.split(":", 1)[1])
-        t = build_tree(tree_spec)
-        try:
-            return set(int(x) for x in level_slice(t, k))
-        except NetworkError as exc:
-            parser.error(str(exc))
-    return set(int(x) for x in spec.split(","))
+        return set(_tree_level(tree, spec.split(":", 1)[1], "--target-set", parser).tolist())
+    return set(_parse_ids(spec, "--target-set", parser))
 
 
 def _cmd_resist(args, parser) -> int:
-    net, tree_spec = _load_network(args, parser)
+    net, tree = _load_network(args, parser)
     if args.to_infinity:
-        if tree_spec is None:
+        if tree is None:
             parser.error("--to-infinity currently needs --tree")
         limit = resistance_to_infinity(
-            TreeGenerator(tree_spec.q), n_max=args.n_max, tol=args.tol
+            TreeGenerator(tree.spec.q), n_max=args.n_max, tol=args.tol
         )
         doc = {
             "command": "resist",
-            "inputs": {"tree": f"{tree_spec.q},{tree_spec.levels}", "mode": "to-infinity"},
+            "inputs": {"tree": f"{tree.spec.q},{tree.spec.levels}", "mode": "to-infinity"},
             "resistance": limit.value,
             "conductance": 1.0 / limit.value,
             "flag": "converged" if limit.converged else "not-converged",
@@ -88,7 +99,7 @@ def _cmd_resist(args, parser) -> int:
         _emit(doc, args.format, rows, ["resistance", "conductance", "flag", "n_used"])
         return 0 if limit.converged else 1
 
-    targets = _parse_target_set(args.target_set, tree_spec, parser)
+    targets = _parse_target_set(args.target_set, tree, parser)
     try:
         eq = effective(net, args.source, targets)
     except NetworkError as exc:
@@ -119,16 +130,14 @@ def _cmd_oracle(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
-    net, tree_spec = _load_network(args, parser)
+    net, tree = _load_network(args, parser)
     if args.walks < 1:
         parser.error("--walks must be >= 1")
     absorbing = ()
     if args.absorb_level is not None:
-        if tree_spec is None:
-            parser.error("--absorb-level needs --tree")
-        absorbing = tuple(int(x) for x in level_slice(build_tree(tree_spec), args.absorb_level))
+        absorbing = _tree_level(tree, args.absorb_level, "--absorb-level", parser)
     elif args.absorbing:
-        absorbing = tuple(int(x) for x in args.absorbing.split(","))
+        absorbing = tuple(_parse_ids(args.absorbing, "--absorbing", parser))
     cfg = WalkConfig(
         seed=args.seed,
         num_walks=args.walks,

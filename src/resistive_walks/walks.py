@@ -8,6 +8,14 @@ so tallies are bit-identical across runs and independent of any worker
 assignment; the engine itself steps all walks of a chunk in lockstep with
 numpy.
 
+A walk at ``x`` with variate ``u`` moves through the first CSR slot of row
+``x`` whose row-local prefix sum of conductances exceeds ``u * pi(x)`` (the
+row's last slot if round-off leaves none), found by bisection.  The prefix
+sums are added left to right, exactly as a linear scan of the row would, so
+the map from variate to neighbour is that of a scan.  Visits and directed
+transitions are tallied per slot in O(E) memory, whatever the number of
+walks or steps.
+
 Tally conventions (hitting time from step 0, return time from step 1):
 visits are counted at every time ``0..T`` inclusive, where ``T`` is the
 absorption or censoring time; transitions count the steps actually taken.
@@ -24,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidStart, NotAdjacent, VertexInTarget
+from .errors import InvalidStart, InvalidVertex, NotAdjacent, VertexInTarget
 from .network import Network
 
 __all__ = [
@@ -38,6 +46,7 @@ __all__ = [
 ]
 
 _CHUNK = 8192
+_FEW_ROWS = 16  # rows left over that _row_prefix_sums sums one by one
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -155,105 +164,143 @@ class WalkStats:
         }
 
 
+def _row_prefix_sums(net: Network) -> np.ndarray:
+    """Running sums of the conductances along each CSR row, left to right.
+
+    ``cum[s]`` is bit-equal to the accumulator a linear scan of the row
+    holds at slot ``s``.  Each pass adds one row position to every row
+    that long; once no more than ``_FEW_ROWS`` rows remain, each finishes
+    with one (equally sequential) ``np.cumsum``, so a hub of degree d does
+    not cost d passes.
+    """
+    indptr = net.adj_indptr
+    cum = net.edge_c[net.adj_edge]
+    deg = np.diff(indptr)
+    rows = np.flatnonzero(deg > 1)
+    k = 1  # positions < k of every row in ``rows`` are final
+    while len(rows) > _FEW_ROWS:
+        s = indptr[rows] + k
+        cum[s] += cum[s - 1]
+        k += 1
+        rows = rows[deg[rows] > k]
+    for x in rows:
+        seg = slice(indptr[x] + k - 1, indptr[x + 1])
+        cum[seg] = np.cumsum(cum[seg])
+    return cum
+
+
+def _pick_slots(cum: np.ndarray, first: np.ndarray, last: np.ndarray,
+                r: np.ndarray) -> np.ndarray:
+    """Per walk, the first slot s in ``[first, last]`` with ``r < cum[s]``,
+    or ``last`` when there is none (``r`` at or past the row sum by round-off).
+
+    Bisection in ceil(log2(longest row)) rounds.  Each round keeps the
+    answer in ``[first, last]``; a walk whose answer is ``last`` with
+    ``r >= cum[last]`` ends with ``first = last + 1``, so ``last`` is the
+    result either way.
+    """
+    for _ in range(int((last - first).max()).bit_length()):
+        mid = (first + last) >> 1
+        left = r < cum[mid]
+        last = np.where(left, mid, last)
+        first = np.where(left, first, mid + 1)
+    return last
+
+
+def _checked_ids(ids, n: int, what: str) -> np.ndarray:
+    arr = np.asarray(ids, dtype=np.int64)
+    bad = arr[(arr < 0) | (arr >= n)]
+    if bad.size:
+        raise InvalidVertex(f"{what} vertex {bad[0]} out of range 0..{n - 1}")
+    return arr
+
+
+def _edge_slot(indptr: np.ndarray, nbr: np.ndarray, x: int, y: int) -> int:
+    """CSR slot of the directed edge x -> y, or -1 when y is not adjacent."""
+    hit = np.flatnonzero(nbr[indptr[x] : indptr[x + 1]] == y)
+    return int(indptr[x] + hit[0]) if hit.size else -1
+
+
 def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
     """Simulate ``cfg.num_walks`` independent walks and tally them."""
-    if not 0 <= cfg.start < net.vertex_count:
+    n_vert = net.vertex_count
+    if not 0 <= cfg.start < n_vert:
         raise InvalidStart(f"start vertex {cfg.start} out of range")
+    absorb_mask = np.zeros(n_vert, dtype=bool)
+    absorb_mask[_checked_ids(cfg.absorbing, n_vert, "absorbing")] = True
+    watch_v = _checked_ids(cfg.watch_vertices, n_vert, "watched")
+    watch_e = _checked_ids(cfg.watch_edges, n_vert, "watched edge").reshape(-1, 2)
 
-    n_walks = cfg.num_walks
-    absorb_mask = np.zeros(net.vertex_count, dtype=bool)
-    if len(cfg.absorbing) > 0:
-        absorb_mask[np.asarray(list(cfg.absorbing), dtype=np.int64)] = True
-
-    adj_c = net.edge_c[net.adj_edge]
     indptr, nbr = net.adj_indptr, net.adj_neighbor
+    cum = _row_prefix_sums(net)
     pi = net.pi
     seed_u = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    watch_slot = [_edge_slot(indptr, nbr, x, y) for x, y in watch_e]
 
-    watch_v = np.asarray(cfg.watch_vertices, dtype=np.int64)
-    watch_e = np.asarray(cfg.watch_edges, dtype=np.int64).reshape(-1, 2)
-
+    n_walks = cfg.num_walks
     absorbed_at = np.full(n_walks, -1, dtype=np.int64)
     steps = np.zeros(n_walks, dtype=np.int64)
     wv_counts = np.zeros((n_walks, len(watch_v)), dtype=np.int64)
-    we_counts = np.zeros((n_walks, len(watch_e)), dtype=np.int64)
-    visits = np.zeros(net.vertex_count, dtype=np.int64) if cfg.track_visits else None
-    trans_chunks: list[np.ndarray] = []
+    we_counts = np.zeros((n_walks, len(watch_slot)), dtype=np.int64)
+    # steps taken per CSR slot; visits and transitions both derive from it
+    slot_counts = None
+    if cfg.track_visits or cfg.track_transitions:
+        slot_counts = np.zeros(len(nbr), dtype=np.int64)
 
     for lo in range(0, n_walks, _CHUNK):
         hi = min(lo + _CHUNK, n_walks)
-        size = hi - lo
         base = _mix(seed_u ^ (_PHI * (np.arange(lo, hi, dtype=np.uint64) + np.uint64(1))))
-        cur = np.full(size, cfg.start, dtype=np.int64)
-        slot = np.arange(lo, hi, dtype=np.int64)  # global walk index per row
-        raw_pairs: list[np.ndarray] = []
+        cur = np.full(hi - lo, cfg.start, dtype=np.int64)
+        walk = np.arange(lo, hi, dtype=np.int64)  # global walk index per row
 
         # time-0 tallies and possible immediate absorption
-        if visits is not None:
-            np.add.at(visits, cur, 1)
         for j, x in enumerate(watch_v):
-            wv_counts[slot[cur == x], j] += 1
+            wv_counts[walk[cur == x], j] += 1
         if cfg.min_absorb_step == 0:
             done = absorb_mask[cur]
-            absorbed_at[slot[done]] = cur[done]
+            absorbed_at[walk[done]] = cur[done]
             keep = ~done
-            cur, base, slot = cur[keep], base[keep], slot[keep]
+            cur, base, walk = cur[keep], base[keep], walk[keep]
 
         t = 0
         while len(cur) > 0 and t < cfg.max_steps:
-            u = _uniforms(base, t)
-            r = u * pi[cur]
-            ptr = indptr[cur].copy()
-            last = indptr[cur + 1] - 1
-            acc = adj_c[ptr]
-            unresolved = (r >= acc) & (ptr < last)
-            while np.any(unresolved):
-                ptr[unresolved] += 1
-                acc[unresolved] += adj_c[ptr[unresolved]]
-                unresolved = (r >= acc) & (ptr < last)
+            r = _uniforms(base, t) * pi[cur]
+            ptr = _pick_slots(cum, indptr[cur], indptr[cur + 1] - 1, r)
             nxt = nbr[ptr]
             t += 1
 
-            if len(watch_e) > 0:
-                for j, (x, y) in enumerate(watch_e):
-                    we_counts[slot[(cur == x) & (nxt == y)], j] += 1
-            if cfg.track_transitions:
-                raw_pairs.append(np.stack([cur, nxt], axis=1))
-            if visits is not None:
-                np.add.at(visits, nxt, 1)
+            for j, s in enumerate(watch_slot):
+                we_counts[walk[ptr == s], j] += 1
+            if slot_counts is not None:
+                np.add.at(slot_counts, ptr, 1)
             for j, x in enumerate(watch_v):
-                wv_counts[slot[nxt == x], j] += 1
+                wv_counts[walk[nxt == x], j] += 1
 
             cur = nxt
             if t >= cfg.min_absorb_step:
                 done = absorb_mask[cur]
                 if np.any(done):
-                    absorbed_at[slot[done]] = cur[done]
-                    steps[slot[done]] = t
+                    absorbed_at[walk[done]] = cur[done]
+                    steps[walk[done]] = t
                     keep = ~done
-                    cur, base, slot = cur[keep], base[keep], slot[keep]
+                    cur, base, walk = cur[keep], base[keep], walk[keep]
 
-        steps[slot] = cfg.max_steps  # censored walks took the full budget
-        if cfg.track_transitions and raw_pairs:
-            allp = np.concatenate(raw_pairs)
-            key = allp[:, 0] * net.vertex_count + allp[:, 1]
-            uniq, counts = np.unique(key, return_counts=True)
-            trans_chunks.append(np.stack(
-                [uniq // net.vertex_count, uniq % net.vertex_count, counts], axis=1
-            ))
+        steps[walk] = cfg.max_steps  # censored walks took the full budget
 
-    pairs = counts_out = None
-    if cfg.track_transitions:
-        if trans_chunks:
-            allc = np.concatenate(trans_chunks)
-            key = allc[:, 0] * net.vertex_count + allc[:, 1]
-            uniq, inv = np.unique(key, return_inverse=True)
-            tot = np.bincount(inv, weights=allc[:, 2]).astype(np.int64)
-            pairs = np.stack([uniq // net.vertex_count, uniq % net.vertex_count], axis=1)
-            counts_out = tot
-        else:
-            pairs = np.zeros((0, 2), dtype=np.int64)
-            counts_out = np.zeros(0, dtype=np.int64)
+    visits = pairs = counts_out = None
+    if slot_counts is not None:
+        taken = np.flatnonzero(slot_counts)
+        counts = slot_counts[taken]
+        src = np.searchsorted(indptr, taken, side="right") - 1
+        dst = nbr[taken]
+        if cfg.track_visits:
+            visits = np.zeros(n_vert, dtype=np.int64)
+            visits[cfg.start] = n_walks  # every walk is there at time 0
+            np.add.at(visits, dst, counts)
+        if cfg.track_transitions:
+            order = np.lexsort((dst, src))
+            pairs = np.stack([src[order], dst[order]], axis=1)
+            counts_out = counts[order]
 
     return WalkStats(
         config=cfg,

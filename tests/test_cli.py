@@ -48,6 +48,14 @@ class TestResist:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["1,x", "level:x", "level:3"])
+    def test_bad_target_set_exits_2(self, capsys, target):
+        code, _, err = run_cli(
+            capsys, "resist", "--tree", "2,2", "--source", "0", "--target-set", target
+        )
+        assert code == 2
+        assert "Traceback" not in err
+
     def test_bad_tree_spec_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "resist", "--tree", "nope", "--source", "0", "--target-set", "1"
@@ -122,6 +130,19 @@ class TestSimulate:
             capsys, "simulate", "--tree", "2,2", "--walks", "0", "--absorb-level", "2"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--absorbing", "999"),
+        ("--absorbing", "-1"),
+        ("--absorbing", "1,y"),
+        ("--absorb-level", "3"),
+    ])
+    def test_bad_absorbing_exits_2(self, capsys, flags):
+        code, _, err = run_cli(
+            capsys, "simulate", "--tree", "2,2", "--walks", "10", *flags
+        )
+        assert code == 2
+        assert "Traceback" not in err
 
 
 class TestVerify:

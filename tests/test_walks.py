@@ -1,3 +1,6 @@
+import functools
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,11 +15,13 @@ from resistive_walks import (
     estimate_green,
     estimate_hitting,
     estimate_transitions,
+    level_slice,
     markov_view,
     oracle_green_hitting,
     run_walks,
 )
-from resistive_walks.errors import InvalidStart, NotAdjacent, VertexInTarget
+from resistive_walks.errors import InvalidStart, InvalidVertex, NotAdjacent, VertexInTarget
+from resistive_walks.walks import _pick_slots, _row_prefix_sums
 from test_network import random_connected_net
 
 
@@ -106,6 +111,74 @@ class TestTrivialCases:
             estimate_escape(net, WalkConfig(seed=0, num_walks=1, start=0), 0, {0, 2})
         with pytest.raises(ValueError):
             WalkConfig(seed=0, num_walks=0, start=0)
+        for bad in (
+            dict(absorbing=(-1,)),
+            dict(absorbing=(999,)),
+            dict(absorbing=np.array([0, 3])),
+            dict(absorbing=(2,), watch_vertices=(3,)),
+            dict(absorbing=(2,), watch_vertices=(-1,)),
+            dict(absorbing=(2,), watch_edges=((1, 3),)),
+            dict(absorbing=(2,), watch_edges=((-1, 0),)),
+        ):
+            with pytest.raises(InvalidVertex):
+                run_walks(net, WalkConfig(seed=0, num_walks=1, start=0, **bad))
+
+
+def _scan(c, first, last, r):
+    """The linear neighbour scan: first slot whose running sum exceeds r."""
+    s, acc = first, c[first]
+    while r >= acc and s < last:
+        s += 1
+        acc += c[s]
+    return s
+
+
+def _hub_net(seed: int):
+    """Random tree plus 24 hubs of degree 20..300, conductances 10^U(-8, 8)."""
+    rng = np.random.default_rng(seed)
+    n = 400
+    ends = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    for h in range(24):
+        size = int(rng.integers(20, 300))
+        ends += [(h, int(x)) for x in rng.choice(np.arange(24, n), size=size, replace=False)]
+    c = 10.0 ** rng.uniform(-8.0, 8.0, size=len(ends))
+    return build_network([(a, b, float(w)) for (a, b), w in zip(ends, c)])
+
+
+class TestSlotSelection:
+    """Prefix sums and bisection against the linear scan, bit for bit."""
+
+    NETS = [
+        _hub_net(1),
+        build_tree(TreeSpec(2, 6, contract_boundary=True)).net,
+        build_network([(0, 1, 1.0)]),
+    ]
+
+    @pytest.mark.parametrize("net", NETS)
+    def test_prefix_sums_are_running_sums(self, net):
+        c = net.edge_c[net.adj_edge]
+        want = c.copy()
+        for x in range(net.vertex_count):
+            for s in range(net.adj_indptr[x] + 1, net.adj_indptr[x + 1]):
+                want[s] = want[s - 1] + c[s]
+        assert np.array_equal(_row_prefix_sums(net), want)
+
+    @pytest.mark.parametrize("net", NETS)
+    def test_pick_matches_scan(self, net):
+        rng = np.random.default_rng(5)
+        indptr, c = net.adj_indptr, net.edge_c[net.adj_edge]
+        cum = _row_prefix_sums(net)
+        x = rng.integers(0, net.vertex_count, size=3000)
+        first, last = indptr[x], indptr[x + 1] - 1
+        tie = cum[rng.integers(first, last + 1)]
+        # random variates, exact ties, and r at or past the row sum
+        r = np.concatenate([
+            rng.random(len(x)) * net.pi[x], tie, cum[last],
+            np.nextafter(cum[last], np.inf), net.pi[x],
+        ])
+        first, last = np.tile(first, 5), np.tile(last, 5)
+        want = [_scan(c, f, l, v) for f, l, v in zip(first, last, r)]
+        assert np.array_equal(_pick_slots(cum, first, last, r), want)
 
 
 class TestAccounting:
@@ -187,3 +260,97 @@ class TestStatisticalAgreement:
         est, se = estimate_green(t.net, cfg, 0)
         exact, _, _ = oracle_green_hitting(2, 0)
         assert abs(est - exact) < 4 * se + 1e-3
+
+
+@functools.cache
+def _golden_case(kind: str):
+    """(network, WalkConfig fields) of one golden-stream graph kind."""
+    if kind == "path":
+        c = np.random.default_rng(3).uniform(0.5, 2.0, size=11)
+        net = build_network([(i, i + 1, float(c[i])) for i in range(11)])
+        # escape-style: starts on an absorbing vertex, which counts only as a return
+        return net, dict(start=5, absorbing=(0, 5, 11), min_absorb_step=1,
+                         watch_vertices=(5, 6), watch_edges=((5, 6), (6, 5)))
+    if kind == "tree8":
+        t = build_tree(TreeSpec(2, 8))
+        return t.net, dict(start=0, absorbing=level_slice(t, 8),
+                           watch_vertices=(0, 1), watch_edges=((0, 1), (1, 0)))
+    if kind == "k200":
+        iu, iv = np.triu_indices(200, 1)
+        net = build_network(zip(iu.tolist(), iv.tolist(), [1.0] * len(iu)))
+        return net, dict(start=199, absorbing=tuple(range(10)), max_steps=60,
+                         watch_vertices=(199,), watch_edges=((199, 0), (0, 199)))
+    # conductances spanning 1e-8..1e8 exercise the round-off of the selection
+    rng = np.random.default_rng(2024)
+    n = 40
+    ends = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    ends += [(int(a), int(b)) for a, b in rng.integers(0, n, size=(2 * n, 2)) if a != b]
+    c = 10.0 ** rng.uniform(-8.0, 8.0, size=len(ends))
+    net = build_network([(a, b, float(w)) for (a, b), w in zip(ends, c)])
+    far = next(y for y in range(n) if y not in set(net.neighbors(0).tolist()) | {0})
+    return net, dict(start=0, absorbing=(n - 1,), max_steps=500,
+                     watch_vertices=(0, n - 1),
+                     watch_edges=((0, int(net.neighbors(0)[0])), (0, far)))
+
+
+def _golden_digest(kind: str, seed: int, walks: int) -> str:
+    net, fields = _golden_case(kind)
+    cfg = WalkConfig(seed=seed, num_walks=walks, track_visits=True,
+                     track_transitions=True, **fields)
+    stats = run_walks(net, cfg)
+    h = hashlib.sha256()
+    for arr in (stats.absorbed_at, stats.steps, stats.watch_visit_counts,
+                stats.watch_edge_counts, stats.visits, stats.transition_pairs,
+                stats.transition_counts):
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of every tally.  They pin the variate stream and the map from
+# variate to neighbour; 9000 walks cross the chunk boundary.  A change to
+# either is a new, versioned stream and re-records these.
+_GOLDEN = {
+    ("path", 1, 1): "51bafc793efbdc51103474933127ffdf5929f696816d486b7c45e99c937da1ab",
+    ("path", 1, 300): "97c2bc16940ffe86d36ebd8eca9cb42ef259da58ca10ded3a3c0dfefda8a69f9",
+    ("path", 1, 9000): "751071f677e7eef229c1b34e6a2193fa1c5e754ed0ccc6d7edf3877a0bba893b",
+    ("path", 7, 1): "38eb54daf1b1c7e76da128020838222bc5b6b24f31b59ba8e7b9f65b72a9c5b3",
+    ("path", 7, 300): "12ecbdfd91717354973d4abf605559073284622d6058cec601770f1f99b1e61a",
+    ("path", 7, 9000): "75cd1c40050ed8e7d6f91373abdbd96a759836aebc597399e5aa766532cb0cc0",
+    ("path", 12345, 1): "80d35dcdecc0736bb18226e4df2728630fc9b45c8fb0783241d8d9fb29631f18",
+    ("path", 12345, 300): "594aeb93fdf92c0fb4090e9089702bfe42b9a69d210cae028f3bd2d645667137",
+    ("path", 12345, 9000): "712615d15313076cf2fce03880ce0cd3a80fa622a02143731c22e17a5e3fc666",
+    ("tree8", 1, 1): "6c158e8f0f63dcf26cfd88e6607f164bd07545bf8c99622cd7f2d9bc54aaece1",
+    ("tree8", 1, 300): "604a922cb260bca64239310c062c3907bf0c11ab4e3eded65eb0b896fecd502d",
+    ("tree8", 1, 9000): "5887a4bf6ec43ce1fca17a30d3ec7c24e4b5560116372b5898914262d7317e94",
+    ("tree8", 7, 1): "25b38dc2b21a75f42bda3eff3301c972b73294d88af150f74cbfdcb60bb645bd",
+    ("tree8", 7, 300): "091642b2416b95833690ffcc9972a742dc7b65ceff1dee5c42a6063339fbd191",
+    ("tree8", 7, 9000): "da9aeb22a6e25945a29514ea7687be45676669766f580277d1fd642435788d94",
+    ("tree8", 12345, 1): "97dca8456cd4b097b3d55ef7c06154187e5dbd2d112a4ab9f8923fe1d9ebb7d1",
+    ("tree8", 12345, 300): "491d3c97fab7f5e647f54f48c03aace19fde280bd1b625a3fc2eb58a26329e29",
+    ("tree8", 12345, 9000): "922c4eb1639db6cb64d3946eb289b70b1288f33864ad227db15210863ffffe3c",
+    ("k200", 1, 1): "2e376164bb5b3177f2349b37c732c7f8a14462c83801fc8fa6d9406d7481fc9a",
+    ("k200", 1, 300): "c1176a33b8332d2e2bac151c65d63bde0216a0b31e3999e6de5ee3cb9a2e2d4d",
+    ("k200", 1, 9000): "66b2130fff461e7afe5e5e0670cf6271a6cd881e0627dc71153a88e47821430e",
+    ("k200", 7, 1): "fff44a368b642bf3e5f9a7c19c2edc6a90354813c1e46e50dc3496e6dd772716",
+    ("k200", 7, 300): "346ad43963ab97a9e0c7fb36881a2696416ec001dece61e245c3f926d4cf0816",
+    ("k200", 7, 9000): "979776689cfb1bfd5beee3ada8fae7618486944af5f6354677c9fb8a42cf7109",
+    ("k200", 12345, 1): "7645bdb8440d3d156be3fa5e2379253dbbbc58dfec456b2ef4e1d3840a74c246",
+    ("k200", 12345, 300): "37a07d76b1e1b479666cfd00b16e2518ad3ae7cb6f66c4d97e82590f442e7c52",
+    ("k200", 12345, 9000): "169746f82d49d180fdfc0ab5ec3dad6ece937832424c50f924a1c679dae8c45e",
+    ("random", 1, 1): "94517d91355e8d6d917772eefac219a242517839792bbcda03caab367a00f906",
+    ("random", 1, 300): "0763e6cb50dd5b4c930211670fd3541c476db9dddba2be418d0a34aa43d66360",
+    ("random", 1, 9000): "fb1a7b659356a92b380fa372f0e81355450c40e750380c7bad9e157effa59826",
+    ("random", 7, 1): "c11e731703b7a6626b77d77dda7a1e0c6cdc6ad2aa0e7690dd53682f55e7ba12",
+    ("random", 7, 300): "22bc06a02f7087e4b1ff710834a789c5d7773636fbb2439bbe3322b5f8099e27",
+    ("random", 7, 9000): "8ba22174b0fff7328ac5b25c450263871e8c9c87aec7a290ea37cb1106e9fdd2",
+    ("random", 12345, 1): "ad8388a76b7f639faf47e791cbfb4a9ffef74bfc7632b7f73919b53b2ddf565b",
+    ("random", 12345, 300): "c2b6434aa260508d3f62a83ac386c6b0515d601294927ce19dbd6fd97329c88f",
+    ("random", 12345, 9000): "e7530abd3cd303e3bcd75ac176d467793e69dd4a7950ca13bccba7748f236161",
+}
+
+
+class TestGoldenStream:
+    @pytest.mark.parametrize("kind, seed, walks", sorted(_GOLDEN))
+    def test_digest(self, kind, seed, walks):
+        assert _golden_digest(kind, seed, walks) == _GOLDEN[kind, seed, walks]
