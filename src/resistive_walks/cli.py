@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import NetworkError
+from .errors import NetworkError, SolverDivergence
 from .harmonic import effective, resistance_to_infinity
 from .network import network_from_json
 from .tree import TreeGenerator, TreeSpec, build_tree, level_slice, oracle_table
@@ -46,8 +46,13 @@ def _emit(doc, fmt: str, csv_rows=None, csv_fields=None) -> None:
 def _load_network(args, parser):
     """The network of ``--network`` or ``--tree``, plus the tree (or None)."""
     if args.network:
-        with open(args.network) as fh:
-            return network_from_json(json.load(fh)), None
+        # ValueError covers malformed JSON; KeyError, TypeError and
+        # OverflowError, records with a missing, mistyped or huge field
+        try:
+            with open(args.network) as fh:
+                return network_from_json(json.load(fh)), None
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, NetworkError) as exc:
+            parser.error(f"bad --network {args.network!r}: {exc}")
     try:
         q_str, n_str = args.tree.split(",")
         tree = build_tree(TreeSpec(int(q_str), int(n_str)))
@@ -102,6 +107,8 @@ def _cmd_resist(args, parser) -> int:
     targets = _parse_target_set(args.target_set, tree, parser)
     try:
         eq = effective(net, args.source, targets)
+    except SolverDivergence:
+        raise
     except NetworkError as exc:
         parser.error(str(exc))
     doc = {
@@ -164,6 +171,8 @@ def _cmd_verify(args, parser) -> int:
         report = run_battery(
             q=args.q, levels=args.levels, walks=args.walks, seed=args.seed, tol=args.tol
         )
+    except SolverDivergence:
+        raise
     except NetworkError as exc:
         parser.error(str(exc))
     if args.format == "json":

@@ -13,10 +13,6 @@ class NonpositiveConductance(NetworkError):
     pass
 
 
-class SelfLoop(NetworkError):
-    pass
-
-
 class DisconnectedGraph(NetworkError):
     pass
 

@@ -12,7 +12,7 @@ at build time are remapped and retained in ``Network.labels``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -133,36 +133,63 @@ def _assemble(u: np.ndarray, v: np.ndarray, c: np.ndarray, vertex_count: int,
     """Build a Network from dense-id endpoint arrays.
 
     Merges parallel edges (conductances add), drops self-loops, builds the
-    CSR adjacency and vertex weights.
+    CSR adjacency and vertex weights in a few O(E) numpy passes.  A
+    canonical edge list (``u < v`` everywhere, keys ``u * V + v`` strictly
+    increasing) is already the merged edge list and skips the sort-and-merge;
+    its ``u`` and ``v`` may then be kept as the network's edge arrays, so
+    callers pass arrays they do not reuse.
     """
-    keep = u != v
-    u, v, c = u[keep], v[keep], c[keep]
-    if len(u) == 0:
+    if np.all(u < v):
+        lo, hi = u, v
+    else:
+        keep = u != v
+        u, v, c = u[keep], v[keep], c[keep]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if len(lo) == 0:
         raise EmptyInput("no edges remain after dropping self-loops")
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    key = lo.astype(np.int64) * vertex_count + hi
-    uniq, inv = np.unique(key, return_inverse=True)
-    cm = np.bincount(inv, weights=c, minlength=len(uniq))
-    eu = (uniq // vertex_count).astype(np.int64)
-    ev = (uniq % vertex_count).astype(np.int64)
+    if vertex_count > 2 * len(lo):  # refused before allocating for every vertex
+        raise DisconnectedGraph(f"{len(lo)} edges cannot cover {vertex_count} vertices")
+    key = lo.astype(np.int64)
+    key *= vertex_count
+    key += hi
+    if np.all(key[1:] > key[:-1]):
+        del key
+        eu = np.ascontiguousarray(lo, dtype=np.int64)
+        ev = np.ascontiguousarray(hi, dtype=np.int64)
+        # a fresh array, as ``c`` may be another network's; + 0.0 turns -0.0
+        # into 0.0 as a bincount sum would
+        cm = np.asarray(c, dtype=np.float64) + 0.0
+    else:
+        uniq, inv = np.unique(key, return_inverse=True)
+        del key
+        cm = np.bincount(inv, weights=c, minlength=len(uniq))
+        del inv
+        eu, ev = np.divmod(uniq, vertex_count)
+        del uniq
+    del lo, hi, u, v, c
 
+    n_edges = len(eu)
     ends = np.concatenate([eu, ev])
-    other = np.concatenate([ev, eu])
-    eidx = np.tile(np.arange(len(eu), dtype=np.int64), 2)
-    order = np.argsort(ends, kind="stable")
     indptr = np.zeros(vertex_count + 1, dtype=np.int64)
-    np.add.at(indptr, ends + 1, 1)
-    indptr = np.cumsum(indptr)
-    pi = np.zeros(vertex_count)
-    np.add.at(pi, eu, cm)
-    np.add.at(pi, ev, cm)
+    np.cumsum(np.bincount(ends, minlength=vertex_count), out=indptr[1:])
+    # one bincount over both ends adds each vertex's terms in edge order,
+    # u-ends first, so pi is bit-equal to accumulating u-ends then v-ends
+    pi = np.bincount(ends, weights=np.concatenate([cm, cm]), minlength=vertex_count)
+    isolated = np.flatnonzero(pi == 0)
+    if len(isolated):
+        raise DisconnectedGraph(f"vertex {isolated[0]} has no edges (zero weight)")
 
-    if np.any(pi == 0):
-        raise DisconnectedGraph("isolated vertex (zero weight)")
+    # slot j holds end order[j] of edge order[j] % E; its neighbour is the
+    # edge's other end, ends[(order[j] + E) % 2E]
+    order = np.argsort(ends, kind="stable")
+    order += n_edges
+    neighbor = np.take(ends, order, mode="wrap")
+    del ends
+    np.remainder(order, n_edges, out=order)
+
     if check_connected:
         adj = sp.csr_matrix(
-            (np.ones(2 * len(eu)), (ends, other)), shape=(vertex_count, vertex_count)
+            (np.ones(len(neighbor)), neighbor, indptr), shape=(vertex_count, vertex_count)
         )
         ncomp, _ = connected_components(adj, directed=False)
         if ncomp != 1:
@@ -174,8 +201,8 @@ def _assemble(u: np.ndarray, v: np.ndarray, c: np.ndarray, vertex_count: int,
         edge_v=ev,
         edge_c=cm,
         adj_indptr=indptr,
-        adj_neighbor=other[order],
-        adj_edge=eidx[order],
+        adj_neighbor=neighbor,
+        adj_edge=order,
         pi=pi,
         labels=labels,
     )
@@ -261,7 +288,7 @@ def contract_vertices(net: Network, s: Iterable[int]) -> tuple[Network, int]:
             raise ComplementDisconnected("complement of contraction set is disconnected")
     try:
         out = _assemble(
-            mapping[net.edge_u], mapping[net.edge_v], net.edge_c.copy(), z + 1
+            mapping[net.edge_u], mapping[net.edge_v], net.edge_c, z + 1
         )
     except (EmptyInput, DisconnectedGraph) as exc:
         raise ComplementDisconnected(str(exc)) from exc
@@ -311,16 +338,7 @@ def series_parallel_reduce(net: Network, keep: Iterable[int]) -> Network:
         for y, c in conn[x].items()
         if x < y
     ]
-    reduced = build_network(triples)
-    return Network(
-        **{
-            **{f: getattr(reduced, f) for f in (
-                "vertex_count", "edge_u", "edge_v", "edge_c",
-                "adj_indptr", "adj_neighbor", "adj_edge", "pi",
-            )},
-            "labels": tuple(survivors),
-        }
-    )
+    return replace(build_network(triples), labels=tuple(survivors))
 
 
 def network_to_json(net: Network) -> dict:
@@ -337,28 +355,31 @@ def network_to_json(net: Network) -> dict:
     return doc
 
 
+def _field(edges, key: str, conv, dtype) -> np.ndarray:
+    """``conv(e[key])`` of every edge record, as one array."""
+    return np.fromiter((conv(e[key]) for e in edges), dtype=dtype, count=len(edges))
+
+
 def network_from_json(doc: dict) -> Network:
-    """Inverse of :func:`network_to_json`; rejects c <= 0 and bad ids."""
+    """Inverse of :func:`network_to_json`; rejects c <= 0, bad ids and
+    declared vertices without edges."""
     n = int(doc["vertices"])
-    triples = []
-    for e in doc["edges"]:
-        u, v, c = int(e["u"]), int(e["v"]), float(e["c"])
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidVertex(f"edge endpoint out of range: {e}")
-        triples.append((u, v, c))
-    net = build_network(triples)
-    if net.vertex_count != n:
-        raise DisconnectedGraph("edge list does not cover all declared vertices")
+    edges = doc["edges"]
+    try:
+        u = _field(edges, "u", int, np.int64)
+        v = _field(edges, "v", int, np.int64)
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    except OverflowError:  # an id beyond int64 is out of range too; find its edge
+        bad = np.array([not (0 <= int(e["u"]) < n and 0 <= int(e["v"]) < n) for e in edges])
+    if bad.any():
+        raise InvalidVertex(f"edge endpoint out of range: {edges[int(bad.argmax())]}")
+    if len(edges) == 0:
+        raise EmptyInput("empty edge list")
+    c = _field(edges, "c", float, np.float64)
+    if np.any(c <= 0) or not np.all(np.isfinite(c)):
+        raise NonpositiveConductance("conductances must be positive and finite")
+    net = _assemble(u, v, c, n)
     labels = doc.get("labels")
     if labels:
-        lab = tuple(labels[str(i)] for i in range(n))
-        net = Network(
-            **{
-                **{f: getattr(net, f) for f in (
-                    "vertex_count", "edge_u", "edge_v", "edge_c",
-                    "adj_indptr", "adj_neighbor", "adj_edge", "pi",
-                )},
-                "labels": lab,
-            }
-        )
+        net = replace(net, labels=tuple(labels[str(i)] for i in range(n)))
     return net

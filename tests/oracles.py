@@ -3,12 +3,24 @@
 Everything here deliberately avoids the package's own solution paths:
 absorbing-chain probabilities use dense transition-matrix algebra, and the
 star/cycle projection is computed from an explicit fundamental cycle basis
-via dense normal equations.
+via dense normal equations, and graph assembly is the plain sort-and-merge
+the package's own assembly must reproduce bit for bit.
 """
 
 from itertools import combinations
+from typing import Iterable
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+
+from resistive_walks.errors import (
+    DisconnectedGraph,
+    EmptyInput,
+    InvalidVertex,
+    NonpositiveConductance,
+)
+from resistive_walks.network import Network
 
 
 def dense_transition_matrix(net) -> np.ndarray:
@@ -132,3 +144,121 @@ def connected_unit_graphs(max_vertices: int):
                 continue
             if net.vertex_count == n:
                 yield net
+
+
+# Graph assembly by a plain sort-and-merge (np.unique, np.add.at) and a
+# per-edge JSON loop: the reference that ``network._assemble`` and
+# ``network.network_from_json`` must match bit for bit.
+
+
+def reference_assemble(u: np.ndarray, v: np.ndarray, c: np.ndarray, vertex_count: int,
+              labels: tuple = (), check_connected: bool = True) -> Network:
+    """Build a Network from dense-id endpoint arrays.
+
+    Merges parallel edges (conductances add), drops self-loops, builds the
+    CSR adjacency and vertex weights.
+    """
+    keep = u != v
+    u, v, c = u[keep], v[keep], c[keep]
+    if len(u) == 0:
+        raise EmptyInput("no edges remain after dropping self-loops")
+    lo = np.minimum(u, v)
+    hi = np.maximum(u, v)
+    key = lo.astype(np.int64) * vertex_count + hi
+    uniq, inv = np.unique(key, return_inverse=True)
+    cm = np.bincount(inv, weights=c, minlength=len(uniq))
+    eu = (uniq // vertex_count).astype(np.int64)
+    ev = (uniq % vertex_count).astype(np.int64)
+
+    ends = np.concatenate([eu, ev])
+    other = np.concatenate([ev, eu])
+    eidx = np.tile(np.arange(len(eu), dtype=np.int64), 2)
+    order = np.argsort(ends, kind="stable")
+    indptr = np.zeros(vertex_count + 1, dtype=np.int64)
+    np.add.at(indptr, ends + 1, 1)
+    indptr = np.cumsum(indptr)
+    pi = np.zeros(vertex_count)
+    np.add.at(pi, eu, cm)
+    np.add.at(pi, ev, cm)
+
+    if np.any(pi == 0):
+        raise DisconnectedGraph("isolated vertex (zero weight)")
+    if check_connected:
+        adj = sp.csr_matrix(
+            (np.ones(2 * len(eu)), (ends, other)), shape=(vertex_count, vertex_count)
+        )
+        ncomp, _ = connected_components(adj, directed=False)
+        if ncomp != 1:
+            raise DisconnectedGraph(f"{ncomp} components")
+
+    return Network(
+        vertex_count=vertex_count,
+        edge_u=eu,
+        edge_v=ev,
+        edge_c=cm,
+        adj_indptr=indptr,
+        adj_neighbor=other[order],
+        adj_edge=eidx[order],
+        pi=pi,
+        labels=labels,
+    )
+
+
+def reference_build_network(edge_list: Iterable[tuple], check_connected: bool = True) -> Network:
+    """Build a Network from ``(u, v, c)`` triples.
+
+    Labels may be arbitrary hashable values; they are remapped to dense ids
+    (sorted order for sortable labels) and kept in ``Network.labels``.
+    Parallel edges merge by summing conductances; self-loops are dropped.
+    """
+    triples = list(edge_list)
+    if not triples:
+        raise EmptyInput("empty edge list")
+    us = [t[0] for t in triples]
+    vs = [t[1] for t in triples]
+    cs = np.asarray([float(t[2]) for t in triples])
+    if np.any(cs <= 0) or not np.all(np.isfinite(cs)):
+        raise NonpositiveConductance("conductances must be positive and finite")
+
+    raw = us + vs
+    try:
+        uniq_labels = sorted(set(raw))
+    except TypeError:
+        uniq_labels = list(dict.fromkeys(raw))
+    remap = {lab: i for i, lab in enumerate(uniq_labels)}
+    u = np.asarray([remap[x] for x in us], dtype=np.int64)
+    v = np.asarray([remap[x] for x in vs], dtype=np.int64)
+
+    already_dense = all(
+        isinstance(lab, (int, np.integer)) and lab == i
+        for i, lab in enumerate(uniq_labels)
+    )
+    labels = () if already_dense else tuple(uniq_labels)
+    return reference_assemble(u, v, cs, len(uniq_labels), labels, check_connected)
+
+
+def reference_network_from_json(doc: dict) -> Network:
+    """Inverse of :func:`network_to_json`; rejects c <= 0 and bad ids."""
+    n = int(doc["vertices"])
+    triples = []
+    for e in doc["edges"]:
+        u, v, c = int(e["u"]), int(e["v"]), float(e["c"])
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidVertex(f"edge endpoint out of range: {e}")
+        triples.append((u, v, c))
+    net = reference_build_network(triples)
+    if net.vertex_count != n:
+        raise DisconnectedGraph("edge list does not cover all declared vertices")
+    labels = doc.get("labels")
+    if labels:
+        lab = tuple(labels[str(i)] for i in range(n))
+        net = Network(
+            **{
+                **{f: getattr(net, f) for f in (
+                    "vertex_count", "edge_u", "edge_v", "edge_c",
+                    "adj_indptr", "adj_neighbor", "adj_edge", "pi",
+                )},
+                "labels": lab,
+            }
+        )
+    return net

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from resistive_walks import build_network, network_to_json
+from resistive_walks import cli
 from resistive_walks.cli import main
+from resistive_walks.errors import SolverDivergence
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +74,61 @@ class TestResist:
         header, row = out.strip().splitlines()
         assert header == "conductance,resistance,escape_probability"
         assert abs(float(row.split(",")[1]) - 0.5) < 1e-9
+
+
+BAD_NETWORK_FILES = {
+    "not_json": "{",
+    "no_c": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1}]}),
+    "bad_id": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 5, "c": 1.0}]}),
+    "bad_c": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 0.0}]}),
+    "id_text": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": "one", "c": 1.0}]}),
+    "not_a_doc": json.dumps([1, 2]),
+    "uncovered": json.dumps({"vertices": 3, "edges": [{"u": 0, "v": 1, "c": 1.0}]}),
+    "huge_c": '{"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 1' + "0" * 400 + "}]}",
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["resist", "--source", "0", "--target-set", "1"],
+    ["simulate", "--walks", "10", "--absorbing", "1"],
+])
+class TestNetworkFileErrors:
+    def test_missing_file_exits_2(self, capsys, tmp_path, command):
+        code, _, err = run_cli(capsys, *command, "--network", str(tmp_path / "missing.json"))
+        assert code == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_NETWORK_FILES))
+    def test_malformed_file_exits_2(self, capsys, tmp_path, command, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(BAD_NETWORK_FILES[name])
+        code, _, err = run_cli(capsys, *command, "--network", str(path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "--network" in err
+
+
+class TestSolverDivergence:
+    def test_resist_exits_1(self, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise SolverDivergence("residual too large")
+
+        monkeypatch.setattr(cli, "effective", diverge)
+        code, out, err = run_cli(
+            capsys, "resist", "--tree", "2,2", "--source", "0", "--target-set", "level:2"
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: residual too large" in err
+
+    def test_verify_exits_1(self, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise SolverDivergence("residual too large")
+
+        monkeypatch.setattr(cli, "run_battery", diverge)
+        code, _, err = run_cli(capsys, "verify", "--levels", "2", "--walks", "10")
+        assert code == 1
+        assert "error: residual too large" in err
 
 
 class TestOracle:

@@ -27,6 +27,7 @@ from resistive_walks.errors import (
     EmptyBoundary,
     EmptyTarget,
     NotTransient,
+    SolverDivergence,
     VertexInTarget,
 )
 from test_network import random_connected_net
@@ -63,6 +64,13 @@ class TestSolveDirichlet:
         net = build_network([(0, 1, 1.0)])
         v = solve_dirichlet(net, BoundarySpec({0: 2.0, 1: 5.0}))
         assert list(v) == [2.0, 5.0]
+
+    @pytest.mark.parametrize("method", ["direct", "cg"])
+    def test_unreachable_tol_diverges(self, method):
+        # the residual reached is round-off, ~4e-17, far above this tol
+        t = contracted_tree(2, 4)
+        with pytest.raises(SolverDivergence, match="exceeds tol"):
+            solve_dirichlet(t.net, BoundarySpec({0: 1.0, t.z: 0.0}), tol=1e-300, method=method)
 
     def test_direct_and_cg_agree(self):
         rng = np.random.default_rng(7)

@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_assemble, reference_network_from_json
 from resistive_walks import (
     HalfLineGenerator,
     TreeGenerator,
@@ -29,6 +31,7 @@ from resistive_walks.errors import (
     InvalidVertex,
     NonpositiveConductance,
 )
+from resistive_walks.network import Network, _assemble
 
 
 def random_connected_net(rng, n):
@@ -136,6 +139,12 @@ class TestContraction:
         assert out.vertex_count == 2
         assert out.edge_c[0] == 3.0
 
+    def test_result_owns_its_conductances(self):
+        net = build_network([(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
+        out, z = contract_vertices(net, {3})
+        assert out.edge_c.tolist() == [1.0, 2.0, 3.0]
+        assert not np.shares_memory(out.edge_c, net.edge_c)
+
     def test_contract_everything_rejected(self):
         net = build_network([(0, 1, 1.0)])
         with pytest.raises(ComplementDisconnected):
@@ -239,3 +248,163 @@ class TestJsonFormat:
         doc = {"vertices": 2, "edges": [{"u": 0, "v": 5, "c": 1.0}]}
         with pytest.raises(InvalidVertex):
             network_from_json(doc)
+
+
+def assert_same_network(a, b):
+    """Every field equal, arrays byte for byte and in the same dtype."""
+    for f in fields(Network):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of ``fn``, or the class of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc)
+
+
+def assert_same_outcome(new, ref):
+    if isinstance(ref, type):
+        assert new is ref
+    else:
+        assert isinstance(new, Network)
+        assert_same_network(new, ref)
+
+
+def random_multigraph(seed, n, m, order, spanning):
+    """(u, v, c) with self-loops, parallel edges and c = 10^U(-8, 8).
+
+    ``order`` is "shuffled" (raw), "sorted" (u < v, sorted, parallel edges
+    kept) or "canonical" (u < v, sorted, no parallel edges).
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, size=m)
+    v = rng.integers(0, n, size=m)
+    if spanning:
+        kids = rng.permutation(n)
+        u = np.concatenate([u, kids[1:]])
+        v = np.concatenate([v, kids[rng.integers(0, np.arange(1, n))]])
+    u = np.concatenate([u, u[: m // 4]])  # parallel edges
+    v = np.concatenate([v, v[: m // 4]])
+    if order != "shuffled":
+        keep = u != v
+        lo, hi = np.minimum(u, v)[keep], np.maximum(u, v)[keep]
+        if order == "canonical":
+            lo, hi = np.divmod(np.unique(lo * n + hi), n)
+        else:
+            idx = np.lexsort((hi, lo))
+            lo, hi = lo[idx], hi[idx]
+        u, v = lo, hi
+    c = 10.0 ** rng.uniform(-8, 8, size=len(u))
+    return u, v, c
+
+
+class TestAssemblyReference:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(0, 40),
+        st.sampled_from(["shuffled", "sorted", "canonical"]),
+        st.sampled_from([np.int32, np.int64]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, seed, n, m, order, dtype, spanning, check):
+        u, v, c = random_multigraph(seed, n, m, order, spanning)
+        u, v = u.astype(dtype), v.astype(dtype)
+        ref = outcome(reference_assemble, u.copy(), v.copy(), c.copy(), n,
+                      check_connected=check)
+        new = outcome(_assemble, u.copy(), v.copy(), c.copy(), n, check_connected=check)
+        assert_same_outcome(new, ref)
+
+    @pytest.mark.parametrize("edges, n, check", [
+        ([(0, 0), (1, 1)], 2, True),  # all self-loops
+        ([(0, 1), (1, 2)], 4, False),  # isolated vertex
+        ([(0, 1), (2, 3)], 4, True),  # disconnected
+        ([(0, 1), (2, 3)], 4, False),  # disconnected, not checked
+        ([(0, 1), (0, 1), (1, 2)], 3, True),  # sorted with a parallel pair
+        ([(1, 0), (1, 2)], 3, True),  # sorted keys, one pair reversed
+    ])
+    def test_edge_cases_match_reference(self, edges, n, check):
+        u, v = (np.array(x, dtype=np.int64) for x in zip(*edges))
+        c = np.linspace(0.5, 2.0, len(u))
+        ref = outcome(reference_assemble, u.copy(), v.copy(), c.copy(), n,
+                      check_connected=check)
+        new = outcome(_assemble, u, v, c, n, check_connected=check)
+        assert_same_outcome(new, ref)
+
+    @pytest.mark.parametrize("spec", [
+        TreeSpec(2, 6), TreeSpec(3, 4), TreeSpec(2, 5, contract_boundary=True),
+        TreeSpec(3, 0, contract_boundary=True),
+    ])
+    def test_tree_matches_reference(self, spec, monkeypatch):
+        import resistive_walks.tree as tree_mod
+
+        new = build_tree(spec).net
+        monkeypatch.setattr(tree_mod, "_assemble", reference_assemble)
+        assert_same_network(new, build_tree(spec).net)
+
+
+def edge_doc(u, v, c, n, labels=None):
+    doc = {
+        "vertices": n,
+        "edges": [{"u": a, "v": b, "c": w} for a, b, w in zip(u.tolist(), v.tolist(), c.tolist())],
+    }
+    if labels is not None:
+        doc["labels"] = labels
+    return doc
+
+
+class TestJsonReference:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(0, 30),
+        st.sampled_from(["shuffled", "sorted", "canonical"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, seed, n, m, order, spanning, labelled):
+        u, v, c = random_multigraph(seed, n, m, order, spanning)
+        labels = {str(i): f"x{i}" for i in range(n)} if labelled else None
+        doc = json.loads(json.dumps(edge_doc(u, v, c, n, labels)))
+        assert_same_outcome(outcome(network_from_json, doc),
+                            outcome(reference_network_from_json, doc))
+
+    @pytest.mark.parametrize("doc", [
+        {"vertices": 3, "edges": [{"u": 0, "v": 1, "c": 1.0}, {"u": 1, "v": 3, "c": 1.0}]},
+        {"vertices": 3, "edges": [{"u": -1, "v": 1, "c": 1.0}, {"u": 1, "v": 2, "c": 1.0}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 10**30, "c": 1.0}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 0.0}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": -2.0}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": float("inf")}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": float("nan")}]},
+        {"vertices": 4, "edges": [{"u": 0, "v": 1, "c": 1.0}, {"u": 1, "v": 2, "c": 1.0}]},
+        {"vertices": 10**12, "edges": [{"u": 0, "v": 1, "c": 1.0}]},
+        {"vertices": 2, "edges": []},
+        {"vertices": 2, "edges": [{"u": 0, "v": 0, "c": 1.0}, {"u": 1, "v": 1, "c": 1.0}]},
+        {"vertices": 3, "edges": [{"u": 0, "v": 1, "c": 1.0}, {"u": 2, "v": 2, "c": 1.0}]},
+        {"vertices": 4, "edges": [{"u": 0, "v": 1, "c": 1.0}, {"u": 2, "v": 3, "c": 1.0}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": "x", "c": 1.0}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": None, "c": 1.0}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": "heavy"}]},
+        {"vertices": 2, "edges": [[0, 1, 1.0]]},
+        {"vertices": 2, "edges": None},
+        {"edges": [{"u": 0, "v": 1, "c": 1.0}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 1.0}], "labels": {"0": "a"}},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 1.0}], "labels": ["a", "b"]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 1.0}], "labels": {"0": "a", "1": "b"}},
+        {"vertices": "2", "edges": [{"u": "0", "v": 1.0, "c": "2.5"}, {"u": True, "v": 0, "c": 1}]},
+    ])
+    def test_documents_match_reference(self, doc):
+        assert_same_outcome(outcome(network_from_json, doc),
+                            outcome(reference_network_from_json, doc))

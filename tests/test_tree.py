@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -92,6 +95,19 @@ class TestBuild:
             TreeSpec(2, -1)
         with pytest.raises(InvalidSpec):
             build_tree(TreeSpec(2, 0))
+
+    def test_peak_memory_at_most_twice_the_result(self):
+        # assembly's temporaries must stay below the arrays it returns
+        tracemalloc.start()
+        try:
+            t = build_tree(TreeSpec(2, 14))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = [getattr(t.net, f.name) for f in fields(t.net)]
+        arrays += [t.depth_of, t.parent_of]
+        kept = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+        assert peak <= 2 * kept
 
     def test_distance(self):
         t = build_tree(TreeSpec(2, 3))
