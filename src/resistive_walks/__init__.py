@@ -30,7 +30,6 @@ from .harmonic import (
     classify_transience,
     effective,
     green_function,
-    harmonic_residual,
     hitting_probability,
     ohm_current,
     resistance_to_infinity,

@@ -86,11 +86,13 @@ def _parse_target_set(spec: str, tree, parser):
 
 def _cmd_resist(args, parser) -> int:
     net, tree = _load_network(args, parser)
+    if args.tol is not None and not args.tol > 0:
+        parser.error("--tol must be positive")
     if args.to_infinity:
         if tree is None:
             parser.error("--to-infinity currently needs --tree")
         limit = resistance_to_infinity(
-            TreeGenerator(tree.spec.q), n_max=args.n_max, tol=args.tol
+            TreeGenerator(tree.spec.q), n_max=args.n_max, tol=args.tol or 1e-6
         )
         doc = {
             "command": "resist",
@@ -106,7 +108,7 @@ def _cmd_resist(args, parser) -> int:
 
     targets = _parse_target_set(args.target_set, tree, parser)
     try:
-        eq = effective(net, args.source, targets)
+        eq = effective(net, args.source, targets, tol=args.tol or 1e-9)
     except SolverDivergence:
         raise
     except NetworkError as exc:
@@ -206,7 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--target-set", help="comma ids or level:k (trees)")
     mode.add_argument("--to-infinity", action="store_true")
     p.add_argument("--source", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument(
+        "--tol",
+        type=float,
+        help="with --to-infinity, the limit tolerance (default 1e-6); with "
+        "--target-set, the solver's residual tolerance (default 1e-9)",
+    )
     p.add_argument("--n-max", type=int, default=64)
     add_common(p)
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import NotAFlow, OverlappingSets
+from .harmonic import BoundarySpec, solve_dirichlet
 from .network import Network
 
 __all__ = [
@@ -87,37 +89,40 @@ class FlowReport:
     violations: list
 
 
+_VIOLATIONS = (
+    "source divergence not positive",
+    "sink divergence not negative",
+    "interior divergence nonzero",
+)
+
+
 def validate_flow(net: Network, theta, a, z, tol: float = 1e-12) -> FlowReport:
     """Check the flow sign conditions: d* > 0 on a, < 0 on z, = 0 elsewhere."""
-    a = frozenset(int(x) for x in a)
-    z = frozenset(int(x) for x in z)
-    if a & z:
-        raise OverlappingSets(f"source and sink overlap: {sorted(a & z)}")
+    kind = np.full(net.vertex_count, 2)
+    kind[net._check_ids(z)] = 1
+    in_a = net._check_ids(a)
+    overlap = kind[in_a] == 1
+    if overlap.any():
+        raise OverlappingSets(f"source and sink overlap: {sorted(set(in_a[overlap].tolist()))}")
+    kind[in_a] = 0
     div = apply_d_star(net, theta)
-    violations = []
-    for x in range(net.vertex_count):
-        if x in a:
-            if div[x] <= 0:
-                violations.append((x, "source divergence not positive", div[x]))
-        elif x in z:
-            if div[x] >= 0:
-                violations.append((x, "sink divergence not negative", div[x]))
-        elif abs(div[x]) > tol:
-            violations.append((x, "interior divergence nonzero", div[x]))
+    bad = np.where(kind == 0, div <= 0, np.where(kind == 1, div >= 0, np.abs(div) > tol))
+    where = np.flatnonzero(bad)
+    violations = [
+        (x, _VIOLATIONS[k], div[x]) for x, k in zip(where.tolist(), kind[where].tolist())
+    ]
     return FlowReport(ok=not violations, violations=violations)
 
 
-def _grounded_solve(net: Network, b: np.ndarray) -> np.ndarray:
-    """Solve L f = b with the gauge f(0) = 0 (b must sum to zero)."""
-    lap = net.laplacian().tocsc()
-    f = np.zeros(net.vertex_count)
-    f[1:] = spla.splu(lap[1:, 1:]).solve(b[1:])
-    return f
-
-
 def current_flow(net: Network, div: np.ndarray) -> np.ndarray:
-    """The unique current (star-space) flow with the prescribed divergence."""
-    f = _grounded_solve(net, np.asarray(div, dtype=float))
+    """The unique current (star-space) flow with the prescribed divergence.
+
+    ``div`` must sum to zero.  The potential solves ``L f = div`` grounded at
+    vertex 0 through :func:`~resistive_walks.harmonic.solve_dirichlet`, so it
+    carries the same residual check as every other solve; the current is
+    ``c df``.
+    """
+    f = solve_dirichlet(net, BoundarySpec({0: 0.0}), source=div)
     return net.edge_c * apply_d(net, f)
 
 
@@ -132,54 +137,31 @@ def decompose_star_cycle(net: Network, theta: np.ndarray) -> tuple[np.ndarray, n
     return star, np.asarray(theta, dtype=float) - star
 
 
-def _spanning_tree(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """(tree_mask over edges, parent_signed_path_sum helper order).
-
-    BFS from vertex 0; returns a boolean mask of tree edges and the BFS
-    order of vertices with their parent edge ids.
-    """
+def _tree_potential(net: Network, drops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tree-edge mask, S) for the BFS spanning tree from vertex 0, where
+    S(x) is the signed sum of ``drops`` along the tree path 0 -> x."""
     n = net.vertex_count
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    order = [0]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            lo, hi = net.adj_indptr[x], net.adj_indptr[x + 1]
-            for y, e in zip(net.adj_neighbor[lo:hi], net.adj_edge[lo:hi]):
-                if not seen[y]:
-                    seen[y] = True
-                    parent_edge[y] = e
-                    order.append(int(y))
-                    nxt.append(int(y))
-        frontier = nxt
+    graph = sp.csr_matrix(
+        (np.ones(len(net.adj_neighbor)), net.adj_neighbor, net.adj_indptr), shape=(n, n)
+    )
+    _, parent = breadth_first_order(graph, 0, directed=False, return_predecessors=True)
+    parent[parent < 0] = 0  # the root (and any vertex it cannot reach)
+    # the slot of each vertex's row that leads to its parent (edges are merged)
+    row = np.repeat(np.arange(n), np.diff(net.adj_indptr))
+    slot = np.flatnonzero(net.adj_neighbor == parent[row])
+    edge = net.adj_edge[slot]
     mask = np.zeros(net.edge_count, dtype=bool)
-    mask[parent_edge[parent_edge >= 0]] = True
-    return mask, parent_edge
-
-
-def _tree_path_sums(net: Network, weights: np.ndarray, parent_edge: np.ndarray) -> np.ndarray:
-    """S(x) = signed sum of ``weights`` along the tree path root -> x."""
-    n = net.vertex_count
-    s = np.full(n, np.nan)
-    s[0] = 0.0
-    pending = [x for x in range(n) if parent_edge[x] >= 0]
-    # resolve parents before children; repeat passes until settled
-    while pending:
-        rest = []
-        for x in pending:
-            e = parent_edge[x]
-            u, v = int(net.edge_u[e]), int(net.edge_v[e])
-            p = v if u == x else u
-            if np.isnan(s[p]):
-                rest.append(x)
-                continue
-            sign = 1.0 if u == p else -1.0  # forward orientation traversed p -> x
-            s[x] = s[p] + sign * weights[e]
-        pending = rest
-    return s
+    mask[edge] = True
+    # step(x): drop from parent(x) to x, the forward orientation when it is the tail
+    step = np.zeros(n)
+    child = row[slot]
+    step[child] = np.where(net.edge_u[edge] == parent[child], drops[edge], -drops[edge])
+    # pointer doubling: s(x) sums the steps from x up to (not including) up(x)
+    up, s = parent, step
+    while np.any(up != 0):
+        s = s + s[up]
+        up = up[up]
+    return mask, s
 
 
 @dataclass(frozen=True)
@@ -191,19 +173,15 @@ class KirchhoffReport:
 def verify_kirchhoff(net: Network, current: np.ndarray, exempt=()) -> KirchhoffReport:
     """Max node-law residual off the exempt (battery) vertices and max
     cycle-law residual over a fundamental cycle basis."""
-    exempt = frozenset(int(x) for x in exempt)
     div = apply_d_star(net, current)
-    free = [x for x in range(net.vertex_count) if x not in exempt]
-    node = float(np.max(np.abs(div[free]))) if free else 0.0
+    div[net._check_ids(exempt)] = 0.0
+    node = float(np.max(np.abs(div)))
 
-    mask, parent_edge = _spanning_tree(net)
     drops = np.asarray(current, dtype=float) / net.edge_c  # theta * r edgewise
-    s = _tree_path_sums(net, drops, parent_edge)
-    cycle = 0.0
-    for e in np.flatnonzero(~mask):
-        u, v = int(net.edge_u[e]), int(net.edge_v[e])
-        cycle = max(cycle, abs(drops[e] + s[u] - s[v]))
-    return KirchhoffReport(node_residual=node, cycle_residual=cycle)
+    mask, s = _tree_potential(net, drops)
+    off = ~mask
+    cycle = np.abs(drops[off] + s[net.edge_u[off]] - s[net.edge_v[off]])
+    return KirchhoffReport(node_residual=node, cycle_residual=float(cycle.max(initial=0.0)))
 
 
 def thomson_gap(net: Network, theta: np.ndarray, a, z, check: bool = True) -> float:

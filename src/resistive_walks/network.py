@@ -115,6 +115,20 @@ class Network:
         if not 0 <= x < self.vertex_count:
             raise InvalidVertex(f"vertex {x} out of range 0..{self.vertex_count - 1}")
 
+    def _check_ids(self, ids: Iterable[int]) -> np.ndarray:
+        """The vertex ids of an iterable (a set, list, dict or array) as an
+        int64 array; raises InvalidVertex naming the first one out of range."""
+        try:
+            arr = np.fromiter(ids, dtype=np.int64)
+        except OverflowError:  # an id beyond int64; the scan names it
+            for x in ids:
+                self._check_vertex(x)
+            raise
+        bad = (arr < 0) | (arr >= self.vertex_count)
+        if bad.any():
+            self._check_vertex(int(arr[bad.argmax()]))
+        return arr
+
 
 @dataclass(frozen=True)
 class MarkovView:
@@ -262,13 +276,13 @@ def contract_vertices(net: Network, s: Iterable[int]) -> tuple[Network, int]:
     relative order at ids ``0..k-1``; ``z`` gets id ``k``.  Returns the new
     network and the id of ``z``.
     """
-    s = frozenset(int(x) for x in s)
-    if not s:
+    s = net._check_ids(s)
+    if len(s) == 0:
         raise EmptyContractionSet("empty contraction set")
-    for x in s:
-        net._check_vertex(x)
-    kept = [x for x in range(net.vertex_count) if x not in s]
-    if not kept:
+    keep = np.ones(net.vertex_count, dtype=bool)
+    keep[s] = False
+    kept = np.flatnonzero(keep)
+    if len(kept) == 0:
         raise ComplementDisconnected("contraction set covers all vertices")
     z = len(kept)
     mapping = np.full(net.vertex_count, z, dtype=np.int64)

@@ -145,7 +145,7 @@ def run_battery(
     t = build_tree(TreeSpec(q, levels, contract_boundary=False))
     z_set = level_slice(t, levels)
     closed = tree.oracle_finite_escape("a", q, n=levels)
-    solver = effective(t.net, 0, set(int(x) for x in z_set), tol=stol).escape_probability
+    solver = effective(t.net, 0, z_set.tolist(), tol=stol).escape_probability
     rows.append(_row(f"escape/root_to_level_{levels}", closed, solver, tol=tol))
 
     # limits via exhaustion: green function and hitting probability

@@ -262,3 +262,74 @@ def reference_network_from_json(doc: dict) -> Network:
             }
         )
     return net
+
+
+def reference_validate_flow(net, theta, a, z, tol: float = 1e-12) -> list:
+    """Flow-condition violations by a per-vertex loop over 0..V-1."""
+    from resistive_walks.flows import apply_d_star
+
+    a = frozenset(int(x) for x in a)
+    z = frozenset(int(x) for x in z)
+    div = apply_d_star(net, theta)
+    violations = []
+    for x in range(net.vertex_count):
+        if x in a:
+            if div[x] <= 0:
+                violations.append((x, "source divergence not positive", div[x]))
+        elif x in z:
+            if div[x] >= 0:
+                violations.append((x, "sink divergence not negative", div[x]))
+        elif abs(div[x]) > tol:
+            violations.append((x, "interior divergence nonzero", div[x]))
+    return violations
+
+
+def reference_kirchhoff(net, current: np.ndarray, exempt=()) -> tuple[float, float]:
+    """(node residual, cycle residual) by a level-by-level BFS spanning tree
+    from vertex 0, its path sums settled one vertex at a time, and a loop
+    over the non-tree edges."""
+    from resistive_walks.flows import apply_d_star
+
+    exempt = frozenset(int(x) for x in exempt)
+    div = apply_d_star(net, current)
+    free = [x for x in range(net.vertex_count) if x not in exempt]
+    node = float(np.max(np.abs(div[free]))) if free else 0.0
+
+    n = net.vertex_count
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            lo, hi = net.adj_indptr[x], net.adj_indptr[x + 1]
+            for y, e in zip(net.adj_neighbor[lo:hi], net.adj_edge[lo:hi]):
+                if not seen[y]:
+                    seen[y] = True
+                    parent_edge[y] = e
+                    nxt.append(int(y))
+        frontier = nxt
+    tree = np.zeros(net.edge_count, dtype=bool)
+    tree[parent_edge[parent_edge >= 0]] = True
+
+    drops = np.asarray(current, dtype=float) / net.edge_c
+    s = np.full(n, np.nan)
+    s[0] = 0.0
+    pending = [x for x in range(n) if parent_edge[x] >= 0]
+    while pending:
+        rest = []
+        for x in pending:
+            e = parent_edge[x]
+            u, v = int(net.edge_u[e]), int(net.edge_v[e])
+            p = v if u == x else u
+            if np.isnan(s[p]):
+                rest.append(x)
+                continue
+            s[x] = s[p] + (drops[e] if u == p else -drops[e])
+        pending = rest
+    cycle = 0.0
+    for e in np.flatnonzero(~tree):
+        u, v = int(net.edge_u[e]), int(net.edge_v[e])
+        cycle = max(cycle, abs(drops[e] + s[u] - s[v]))
+    return node, cycle

@@ -44,6 +44,24 @@ class TestResist:
         assert code == 0
         assert abs(json.loads(out)["resistance"] - 2.0) < 1e-9
 
+    def test_target_set_honours_tol(self, capsys):
+        code, out, err = run_cli(
+            capsys, "resist", "--tree", "2,4", "--source", "0",
+            "--target-set", "level:4", "--tol", "1e-300",
+        )
+        assert code == 1
+        assert "exceeds tol" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", [("--target-set", "level:2"), ("--to-infinity",)])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_nonpositive_tol_exits_2(self, capsys, mode, tol):
+        code, _, err = run_cli(
+            capsys, "resist", "--tree", "2,2", "--source", "0", *mode, "--tol", tol
+        )
+        assert code == 2
+        assert "Traceback" not in err
+
     def test_missing_source_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "resist", "--tree", "2,2", "--target-set", "level:2"

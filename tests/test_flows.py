@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import project_cycle_space
+from oracles import project_cycle_space, reference_kirchhoff, reference_validate_flow
 from resistive_walks import (
     BoundarySpec,
     TreeSpec,
@@ -26,7 +26,7 @@ from resistive_walks import (
     validate_flow,
     verify_kirchhoff,
 )
-from resistive_walks.errors import NotAFlow, OverlappingSets
+from resistive_walks.errors import InvalidVertex, NotAFlow, OverlappingSets
 from test_network import random_connected_net
 
 
@@ -123,6 +123,28 @@ class TestFlows:
         net = build_network([(0, 1, 1.0)])
         with pytest.raises(OverlappingSets):
             validate_flow(net, chi(net, 0, 1), {0}, {0, 1})
+
+    def test_out_of_range_ids_rejected(self):
+        net = build_network([(0, 1, 1.0)])
+        with pytest.raises(InvalidVertex):
+            validate_flow(net, chi(net, 0, 1), {0}, {2})
+        with pytest.raises(InvalidVertex):
+            validate_flow(net, chi(net, 0, 1), {-1}, {1})
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_violations_match_vertex_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        net = random_connected_net(rng, n)
+        theta = rng.normal(size=net.edge_count)
+        theta[rng.random(net.edge_count) < 0.3] = 0.0  # some zero divergences
+        ids = rng.permutation(n)
+        k = int(rng.integers(0, n + 1))
+        a, z = set(ids[: k // 2].tolist()), set(ids[k // 2 : k].tolist())
+        tol = float(rng.choice([0.0, 1e-12, 0.5]))
+        report = validate_flow(net, theta, a, z, tol=tol)
+        assert report.violations == reference_validate_flow(net, theta, a, z, tol=tol)
+        assert report.ok == (not report.violations)
 
     def test_strength_unit_and_linear(self):
         net = build_network([(0, 1, 1.0)])
@@ -224,6 +246,37 @@ class TestKirchhoff:
         net = triangle()
         report = verify_kirchhoff(net, chi(net, 0, 1), exempt=set())
         assert report.node_residual == 1.0
+
+    def test_triangle_circulation_cycle_residual(self):
+        net = triangle()
+        report = verify_kirchhoff(net, triangle_cycle_flow(net), exempt=set())
+        assert report.node_residual == 0.0
+        assert report.cycle_residual == 3.0
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 14))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_vertex_by_vertex_reference(self, seed, n):
+        rng = np.random.default_rng(seed)
+        net = random_connected_net(rng, n)
+        theta = rng.normal(size=net.edge_count)
+        exempt = set(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+        report = verify_kirchhoff(net, theta, exempt=exempt)
+        node, cycle = reference_kirchhoff(net, theta, exempt=exempt)
+        assert report.node_residual == node
+        # path sums are added in another order: each differs by at most
+        # n rounding errors of the largest partial sum
+        bound = n * np.finfo(float).eps * float(np.sum(np.abs(theta / net.edge_c)))
+        assert abs(report.cycle_residual - cycle) <= bound
+
+    def test_long_path_cycle(self):
+        # a 1000-cycle: the one non-tree edge closes a path of depth 500
+        n = 1000
+        net = build_network([(i, (i + 1) % n, 1.0 + (i % 7)) for i in range(n)])
+        theta = np.zeros(net.edge_count)
+        for i in range(n):
+            theta += chi(net, i, (i + 1) % n)
+        report = verify_kirchhoff(net, theta)
+        assert abs(report.cycle_residual - float(np.sum(1.0 / net.edge_c))) < 1e-9
 
     def test_gradients_satisfy_cycle_law(self):
         rng = np.random.default_rng(5)
