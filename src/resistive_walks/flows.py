@@ -79,8 +79,8 @@ def energy(net: Network, theta: np.ndarray) -> float:
 
 def strength(net: Network, theta: np.ndarray, a) -> float:
     """Total divergence over the source set; equals minus the sink total."""
-    div = apply_d_star(net, theta)
-    return float(sum(div[int(x)] for x in a))
+    ids = net._check_ids(a)
+    return float(apply_d_star(net, theta)[ids].sum())
 
 
 @dataclass(frozen=True)

@@ -239,18 +239,27 @@ def build_network(edge_list: Iterable[tuple], check_connected: bool = True) -> N
         raise NonpositiveConductance("conductances must be positive and finite")
 
     raw = us + vs
-    try:
-        uniq_labels = sorted(set(raw))
-    except TypeError:
-        uniq_labels = list(dict.fromkeys(raw))
-    remap = {lab: i for i, lab in enumerate(uniq_labels)}
-    u = np.asarray([remap[x] for x in us], dtype=np.int64)
-    v = np.asarray([remap[x] for x in vs], dtype=np.int64)
-
-    already_dense = all(
-        isinstance(lab, (int, np.integer)) and lab == i
-        for i, lab in enumerate(uniq_labels)
-    )
+    ids = None
+    if all(t is int or issubclass(t, np.integer) for t in set(map(type, raw))):
+        ids = np.asarray(raw)  # float64 or object when no integer dtype holds them all
+    if ids is not None and ids.dtype.kind in "iu":
+        uniq, inv = np.unique(ids, return_inverse=True)
+        inv = inv.astype(np.int64, copy=False)
+        u, v = inv[: len(us)], inv[len(us) :]
+        already_dense = uniq[0] == 0 and uniq[-1] == len(uniq) - 1
+        uniq_labels = uniq.tolist()
+    else:
+        try:
+            uniq_labels = sorted(set(raw))
+        except TypeError:
+            uniq_labels = list(dict.fromkeys(raw))
+        remap = {lab: i for i, lab in enumerate(uniq_labels)}
+        u = np.asarray([remap[x] for x in us], dtype=np.int64)
+        v = np.asarray([remap[x] for x in vs], dtype=np.int64)
+        already_dense = all(
+            isinstance(lab, (int, np.integer)) and lab == i
+            for i, lab in enumerate(uniq_labels)
+        )
     labels = () if already_dense else tuple(uniq_labels)
     return _assemble(u, v, cs, len(uniq_labels), labels, check_connected)
 

@@ -5,8 +5,14 @@ absorbing vertex (at a step count >= ``min_absorb_step``) or run out of
 ``max_steps``.  The uniform variate consumed by walk ``w`` at step ``t``
 is a pure function of ``(seed, w, t)`` via a counter-based splitmix hash,
 so tallies are bit-identical across runs and independent of any worker
-assignment; the engine itself steps all walks of a chunk in lockstep with
-numpy.
+assignment.  The walks are split into balanced contiguous chunks of at most
+``_CHUNK`` walks, and each chunk steps its walks in lockstep with numpy.
+The chunks run on one worker per usable CPU, or one per chunk when there
+are fewer: the calling thread plus a thread pool created for the call (a
+run of one chunk stays on the calling thread).  numpy's gathers and ufuncs
+release the GIL, so the workers overlap.  Each worker writes per-walk
+results only at its own walk indices and keeps its own per-slot tally,
+summed exactly at the end, so no output depends on the number of cores.
 
 A walk at ``x`` with variate ``u`` moves through the first CSR slot of row
 ``x`` whose row-local prefix sum of conductances exceeds ``u * pi(x)`` (the
@@ -27,6 +33,9 @@ absorption at the start a *return*).
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -45,9 +54,16 @@ __all__ = [
     "estimate_escape",
 ]
 
-_CHUNK = 8192
+_CHUNK = 65536  # most walks stepped together; caps the per-chunk temporaries
 _FEW_ROWS = 16  # rows left over that _row_prefix_sums sums one by one
 _PHI = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _mix(x: np.ndarray) -> np.ndarray:
@@ -221,6 +237,89 @@ def _edge_slot(indptr: np.ndarray, nbr: np.ndarray, x: int, y: int) -> int:
     return int(indptr[x] + hit[0]) if hit.size else -1
 
 
+@dataclass(frozen=True)
+class _Run:
+    """One :func:`run_walks` call: what its chunks read, and the per-walk
+    arrays they write, each chunk at its own walk indices only."""
+
+    cfg: WalkConfig
+    cum: np.ndarray
+    indptr: np.ndarray
+    nbr: np.ndarray
+    pi: np.ndarray
+    absorb_mask: np.ndarray
+    watch_v: np.ndarray
+    watch_slot: list[int]
+    absorbed_at: np.ndarray
+    steps: np.ndarray
+    wv_counts: np.ndarray
+    we_counts: np.ndarray
+    stop: threading.Event = field(default_factory=threading.Event)
+
+
+def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> None:
+    """Step walks ``lo..hi-1`` in lockstep until all are absorbed or censored,
+    adding their steps per CSR slot to ``slot_counts``; returns early once
+    ``run.stop`` is set."""
+    cfg, cum, indptr, nbr, pi = run.cfg, run.cum, run.indptr, run.nbr, run.pi
+    seed_u = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
+    base = _mix(seed_u ^ (_PHI * (np.arange(lo, hi, dtype=np.uint64) + np.uint64(1))))
+    cur = np.full(hi - lo, cfg.start, dtype=np.int64)
+    walk = np.arange(lo, hi, dtype=np.int64)  # global walk index per row
+
+    # time-0 tallies and possible immediate absorption
+    for j, x in enumerate(run.watch_v):
+        run.wv_counts[walk[cur == x], j] += 1
+    if cfg.min_absorb_step == 0:
+        done = run.absorb_mask[cur]
+        run.absorbed_at[walk[done]] = cur[done]
+        keep = ~done
+        cur, base, walk = cur[keep], base[keep], walk[keep]
+
+    t = 0
+    while len(cur) > 0 and t < cfg.max_steps:
+        if run.stop.is_set():
+            return
+        r = _uniforms(base, t) * pi[cur]
+        ptr = _pick_slots(cum, indptr[cur], indptr[cur + 1] - 1, r)
+        nxt = nbr[ptr]
+        t += 1
+
+        for j, s in enumerate(run.watch_slot):
+            run.we_counts[walk[ptr == s], j] += 1
+        if slot_counts is not None:
+            np.add.at(slot_counts, ptr, 1)
+        for j, x in enumerate(run.watch_v):
+            run.wv_counts[walk[nxt == x], j] += 1
+
+        cur = nxt
+        if t >= cfg.min_absorb_step:
+            done = run.absorb_mask[cur]
+            if np.any(done):
+                run.absorbed_at[walk[done]] = cur[done]
+                run.steps[walk[done]] = t
+                keep = ~done
+                cur, base, walk = cur[keep], base[keep], walk[keep]
+
+    run.steps[walk] = cfg.max_steps  # censored walks took the full budget
+
+
+def _step_chunks(run: _Run, bounds: list[int], track: bool) -> np.ndarray | None:
+    """Step the chunks between consecutive ``bounds`` one after another.
+
+    Returns their steps per CSR slot (None when ``track`` is false).  A
+    failure sets ``run.stop``, so the other workers of the call stop too.
+    """
+    slot_counts = np.zeros(len(run.nbr), dtype=np.int64) if track else None
+    try:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            _step_chunk(run, lo, hi, slot_counts)
+    except BaseException:
+        run.stop.set()
+        raise
+    return slot_counts
+
+
 def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
     """Simulate ``cfg.num_walks`` independent walks and tally them."""
     n_vert = net.vertex_count
@@ -232,63 +331,48 @@ def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
     watch_e = _checked_ids(cfg.watch_edges, n_vert, "watched edge").reshape(-1, 2)
 
     indptr, nbr = net.adj_indptr, net.adj_neighbor
-    cum = _row_prefix_sums(net)
-    pi = net.pi
-    seed_u = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
-    watch_slot = [_edge_slot(indptr, nbr, x, y) for x, y in watch_e]
-
     n_walks = cfg.num_walks
-    absorbed_at = np.full(n_walks, -1, dtype=np.int64)
-    steps = np.zeros(n_walks, dtype=np.int64)
-    wv_counts = np.zeros((n_walks, len(watch_v)), dtype=np.int64)
-    we_counts = np.zeros((n_walks, len(watch_slot)), dtype=np.int64)
+    run = _Run(
+        cfg=cfg,
+        cum=_row_prefix_sums(net),
+        indptr=indptr,
+        nbr=nbr,
+        pi=net.pi,
+        absorb_mask=absorb_mask,
+        watch_v=watch_v,
+        watch_slot=[_edge_slot(indptr, nbr, x, y) for x, y in watch_e],
+        absorbed_at=np.full(n_walks, -1, dtype=np.int64),
+        steps=np.zeros(n_walks, dtype=np.int64),
+        wv_counts=np.zeros((n_walks, len(watch_v)), dtype=np.int64),
+        we_counts=np.zeros((n_walks, len(watch_e)), dtype=np.int64),
+    )
     # steps taken per CSR slot; visits and transitions both derive from it
-    slot_counts = None
-    if cfg.track_visits or cfg.track_transitions:
-        slot_counts = np.zeros(len(nbr), dtype=np.int64)
+    track = cfg.track_visits or cfg.track_transitions
 
-    for lo in range(0, n_walks, _CHUNK):
-        hi = min(lo + _CHUNK, n_walks)
-        base = _mix(seed_u ^ (_PHI * (np.arange(lo, hi, dtype=np.uint64) + np.uint64(1))))
-        cur = np.full(hi - lo, cfg.start, dtype=np.int64)
-        walk = np.arange(lo, hi, dtype=np.int64)  # global walk index per row
-
-        # time-0 tallies and possible immediate absorption
-        for j, x in enumerate(watch_v):
-            wv_counts[walk[cur == x], j] += 1
-        if cfg.min_absorb_step == 0:
-            done = absorb_mask[cur]
-            absorbed_at[walk[done]] = cur[done]
-            keep = ~done
-            cur, base, walk = cur[keep], base[keep], walk[keep]
-
-        t = 0
-        while len(cur) > 0 and t < cfg.max_steps:
-            r = _uniforms(base, t) * pi[cur]
-            ptr = _pick_slots(cum, indptr[cur], indptr[cur + 1] - 1, r)
-            nxt = nbr[ptr]
-            t += 1
-
-            for j, s in enumerate(watch_slot):
-                we_counts[walk[ptr == s], j] += 1
-            if slot_counts is not None:
-                np.add.at(slot_counts, ptr, 1)
-            for j, x in enumerate(watch_v):
-                wv_counts[walk[nxt == x], j] += 1
-
-            cur = nxt
-            if t >= cfg.min_absorb_step:
-                done = absorb_mask[cur]
-                if np.any(done):
-                    absorbed_at[walk[done]] = cur[done]
-                    steps[walk[done]] = t
-                    keep = ~done
-                    cur, base, walk = cur[keep], base[keep], walk[keep]
-
-        steps[walk] = cfg.max_steps  # censored walks took the full budget
+    # balanced contiguous chunks of at most _CHUNK walks, as many per worker
+    n_chunks = -(-n_walks // _CHUNK)
+    workers = min(_usable_cpus(), n_chunks)
+    n_chunks = -(-n_chunks // workers) * workers
+    bounds = [i * n_walks // n_chunks for i in range(n_chunks + 1)]
+    per = n_chunks // workers
+    shares = [bounds[j * per : (j + 1) * per + 1] for j in range(workers)]
+    if workers == 1:
+        tallies = [_step_chunks(run, bounds, track)]
+    else:  # the caller steps the first share itself
+        with ThreadPoolExecutor(workers - 1) as pool:
+            try:
+                futures = [pool.submit(_step_chunks, run, s, track) for s in shares[1:]]
+                tallies = [_step_chunks(run, shares[0], track)]
+                tallies += [f.result() for f in futures]
+            except BaseException:
+                run.stop.set()  # the pool's exit then waits at most a step
+                raise
 
     visits = pairs = counts_out = None
-    if slot_counts is not None:
+    if track:
+        slot_counts = tallies[0]
+        for extra in tallies[1:]:
+            slot_counts += extra
         taken = np.flatnonzero(slot_counts)
         counts = slot_counts[taken]
         src = np.searchsorted(indptr, taken, side="right") - 1
@@ -304,10 +388,10 @@ def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
 
     return WalkStats(
         config=cfg,
-        absorbed_at=absorbed_at,
-        steps=steps,
-        watch_visit_counts=wv_counts,
-        watch_edge_counts=we_counts,
+        absorbed_at=run.absorbed_at,
+        steps=run.steps,
+        watch_visit_counts=run.wv_counts,
+        watch_edge_counts=run.we_counts,
         visits=visits,
         transition_pairs=pairs,
         transition_counts=counts_out,

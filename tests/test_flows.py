@@ -151,6 +151,13 @@ class TestFlows:
         assert strength(net, chi(net, 0, 1), {0}) == 1.0
         assert strength(net, 2.5 * chi(net, 0, 1), {0}) == 2.5
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_strength_out_of_range_id(self, bad):
+        # -1 used to wrap to vertex 2's divergence
+        net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(InvalidVertex):
+            strength(net, chi(net, 0, 1), {bad})
+
     def test_strength_tree_current(self):
         t, i = unit_tree_current(2, 4)
         assert abs(strength(t.net, i, {0}) - 1.0) < 1e-9

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_assemble, reference_network_from_json
+from oracles import reference_assemble, reference_build_network, reference_network_from_json
 from resistive_walks import (
     HalfLineGenerator,
     TreeGenerator,
@@ -350,6 +350,48 @@ class TestAssemblyReference:
         new = build_tree(spec).net
         monkeypatch.setattr(tree_mod, "_assemble", reference_assemble)
         assert_same_network(new, build_tree(spec).net)
+
+
+# labels of vertex ids 0..n-1, by kind: the first four take build_network's
+# integer path, the rest (beyond int64, bools, mixed types) its general one
+_LABELS = {
+    "dense": lambda ids: ids.tolist(),
+    "sparse": lambda ids: (7 * ids - 20).tolist(),
+    "int32": lambda ids: list(ids.astype(np.int32)),
+    "uint64": lambda ids: list(ids.astype(np.uint64) + np.uint64(2**63)),
+    "huge": lambda ids: [x + 2**64 for x in ids.tolist()],
+    "wide": lambda ids: [x * 2**61 - 1 for x in ids.tolist()],
+    "bool": lambda ids: [bool(x) if x < 2 else x for x in ids.tolist()],
+    "mixed": lambda ids: [str(x) if x % 3 == 0 else x for x in ids.tolist()],
+}
+
+
+class TestBuildNetworkReference:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(0, 40),
+        st.sampled_from(["shuffled", "sorted", "canonical"]),
+        st.sampled_from(sorted(_LABELS)),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, seed, n, m, order, kind, spanning, check):
+        u, v, c = random_multigraph(seed, n, m, order, spanning)
+        label = _LABELS[kind](np.arange(n))
+        triples = [(label[a], label[b], w) for a, b, w in zip(u.tolist(), v.tolist(), c.tolist())]
+        ref = outcome(reference_build_network, triples, check_connected=check)
+        new = outcome(build_network, triples, check_connected=check)
+        assert_same_outcome(new, ref)
+
+    def test_integer_labels_keep_their_order(self):
+        net = build_network([(10, -3, 1.0), (np.int64(-3), 2**40, 2.0)])
+        assert net.labels == (-3, 10, 2**40)
+        assert (net.edge_u.tolist(), net.edge_v.tolist()) == ([0, 0], [1, 2])
+
+    def test_bool_labels_stay_bools(self):
+        assert [type(x) for x in build_network([(True, 5, 1.0)]).labels] == [bool, int]
 
 
 def edge_doc(u, v, c, n, labels=None):

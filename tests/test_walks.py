@@ -1,5 +1,10 @@
 import functools
 import hashlib
+import itertools
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from resistive_walks import (
     oracle_green_hitting,
     run_walks,
 )
+from resistive_walks import walks
 from resistive_walks.errors import InvalidStart, InvalidVertex, NotAdjacent, VertexInTarget
 from resistive_walks.walks import _pick_slots, _row_prefix_sums
 from test_network import random_connected_net
@@ -293,22 +299,27 @@ def _golden_case(kind: str):
                      watch_edges=((0, int(net.neighbors(0)[0])), (0, far)))
 
 
+def _tallies(stats):
+    return (stats.absorbed_at, stats.steps, stats.watch_visit_counts,
+            stats.watch_edge_counts, stats.visits, stats.transition_pairs,
+            stats.transition_counts)
+
+
 def _golden_digest(kind: str, seed: int, walks: int) -> str:
     net, fields = _golden_case(kind)
     cfg = WalkConfig(seed=seed, num_walks=walks, track_visits=True,
                      track_transitions=True, **fields)
     stats = run_walks(net, cfg)
     h = hashlib.sha256()
-    for arr in (stats.absorbed_at, stats.steps, stats.watch_visit_counts,
-                stats.watch_edge_counts, stats.visits, stats.transition_pairs,
-                stats.transition_counts):
+    for arr in _tallies(stats):
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
 
 
 # sha256 of every tally.  They pin the variate stream and the map from
-# variate to neighbour; 9000 walks cross the chunk boundary.  A change to
+# variate to neighbour; TestThreadedChunks checks those of seed 7 and 9000
+# walks on nine chunks and three workers.  A change to
 # either is a new, versioned stream and re-records these.
 _GOLDEN = {
     ("path", 1, 1): "51bafc793efbdc51103474933127ffdf5929f696816d486b7c45e99c937da1ab",
@@ -354,3 +365,116 @@ class TestGoldenStream:
     @pytest.mark.parametrize("kind, seed, walks", sorted(_GOLDEN))
     def test_digest(self, kind, seed, walks):
         assert _golden_digest(kind, seed, walks) == _GOLDEN[kind, seed, walks]
+
+
+def _assert_same_tallies(got, want):
+    for a, b in zip(_tallies(got), _tallies(want), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestThreadedChunks:
+    """Chunks stepped on a thread pool give the one-chunk tallies, bit for bit."""
+
+    def test_stress_matches_one_chunk(self, monkeypatch):
+        cases = []
+        for kind, seed in (("tree8", 5), ("k200", 6), ("random", 7), ("path", 8)):
+            net, fields = _golden_case(kind)
+            cfg = WalkConfig(seed=seed, num_walks=1000, track_visits=True,
+                             track_transitions=True, **{**fields, "max_steps": 60})
+            cases.append((net, cfg, run_walks(net, cfg)))  # one chunk, one thread
+        # 16 chunks of 62 or 63 walks on 8 workers, more than there are
+        # cores, with the GIL handed over as often as the interpreter can
+        monkeypatch.setattr(walks, "_CHUNK", 97)
+        monkeypatch.setattr(walks, "_usable_cpus", lambda: 8)
+        errors = []
+
+        def stress():
+            try:
+                deadline = time.monotonic() + 1.5
+                while True:
+                    for net, cfg, want in cases:
+                        _assert_same_tallies(run_walks(net, cfg), want)
+                    if time.monotonic() > deadline:
+                        return
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=stress, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "threaded run_walks did not finish"
+        if errors:
+            raise errors[0]
+
+    @pytest.mark.parametrize("key", [k for k in sorted(_GOLDEN) if k[1:] == (7, 9000)])
+    def test_golden_digest_on_three_workers(self, monkeypatch, key):
+        monkeypatch.setattr(walks, "_CHUNK", 1000)
+        monkeypatch.setattr(walks, "_usable_cpus", lambda: 3)
+        assert _golden_digest(*key) == _GOLDEN[key]
+
+    @pytest.mark.parametrize("where, exc", [
+        ("worker", RuntimeError), ("worker", KeyboardInterrupt), ("caller", KeyboardInterrupt),
+    ])
+    def test_error_stops_every_worker(self, monkeypatch, where, exc):
+        # no absorbing vertex: each of 4 workers steps 2 chunks for 20000 steps
+        cfg = WalkConfig(seed=3, num_walks=800, start=1, max_steps=20_000)
+        monkeypatch.setattr(walks, "_CHUNK", 100)
+        monkeypatch.setattr(walks, "_usable_cpus", lambda: 4)
+        calls = itertools.count()
+        fired = threading.Event()
+        uniforms = walks._uniforms
+
+        def failing(base, step):
+            next(calls)
+            in_caller = threading.current_thread() is threading.main_thread()
+            if step == 20 and in_caller == (where == "caller") and not fired.is_set():
+                fired.set()
+                raise exc("stepping failed")
+            return uniforms(base, step)
+
+        monkeypatch.setattr(walks, "_uniforms", failing)
+        before = threading.active_count()
+        with pytest.raises(exc, match="stepping failed"):
+            run_walks(path3(), cfg)
+        assert threading.active_count() == before
+        # a full run makes 160000 calls; the other workers stopped long before
+        assert next(calls) < 4000
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+    def test_interrupt_while_waiting_stops_every_worker(self, monkeypatch):
+        if signal.getsignal(signal.SIGINT) is not signal.default_int_handler:
+            pytest.skip("SIGINT does not raise KeyboardInterrupt here")
+        cfg = WalkConfig(seed=3, num_walks=800, start=1, max_steps=20_000)
+        monkeypatch.setattr(walks, "_CHUNK", 100)
+        monkeypatch.setattr(walks, "_usable_cpus", lambda: 4)
+        main = threading.main_thread()
+        waiting, sent = threading.Event(), threading.Event()
+        calls = itertools.count()
+        uniforms, step_chunks = walks._uniforms, walks._step_chunks
+
+        def interrupting(base, step):
+            next(calls)
+            if waiting.is_set() and not sent.is_set():
+                sent.set()
+                signal.pthread_kill(main.ident, signal.SIGINT)  # Ctrl-C
+            return uniforms(base, step)
+
+        def caller_share_done_at_once(run, bounds, track):
+            if threading.current_thread() is not main:
+                return step_chunks(run, bounds, track)
+            waiting.set()  # the caller goes on to wait for the workers
+            return None
+
+        monkeypatch.setattr(walks, "_uniforms", interrupting)
+        monkeypatch.setattr(walks, "_step_chunks", caller_share_done_at_once)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_walks(path3(), cfg)
+        assert sent.is_set()
+        assert threading.active_count() == before
+        assert next(calls) < 4000  # 120000 if the workers had run on
