@@ -36,7 +36,6 @@ from .harmonic import (
     solve_dirichlet,
 )
 from .network import (
-    Edge,
     MarkovView,
     Network,
     build_network,

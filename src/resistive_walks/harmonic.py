@@ -11,7 +11,8 @@ Limit quantities (resistance to infinity, Green function, hitting
 probabilities) are computed on exhaustions supplied by a
 :class:`~resistive_walks.generators.GraphGenerator`, stopping when two
 successive values agree within ``tol``.  Spherically symmetric generators
-dispatch to O(n) per-level ladder sums instead of linear solves.
+dispatch to O(n) per-level ladder sums instead of linear solves; the others
+are exhausted only while the ball has at most ``EXHAUSTION_LIMIT`` vertices.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ __all__ = [
 # raised the solve benchmark's peak memory from 170 to 252 MiB; on the
 # level-16 tree (98,301 free) CG takes 0.17 s and LU 0.23 s.
 DIRECT_LIMIT = 50_000
+
+# vertices up to which the ball of a non-symmetric generator is exhausted;
+# a limit that would need a larger ball takes its n_max exit instead of
+# running out of memory.  The binary tree's ball fits up to radius 20
+# (3.1M vertices); the limits benchmark goes to radius 17 (393k).
+EXHAUSTION_LIMIT = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -190,18 +197,31 @@ def _exhaustion_resistance(gen: GraphGenerator, n: int, tol: float) -> float:
     return effective(net, gen.root, {z}, tol=tol).resistance
 
 
+def _radius_budget(gen: GraphGenerator, n_max: int) -> int:
+    """``n_max``, lowered for a non-symmetric generator to the largest
+    radius whose ball has at most ``EXHAUSTION_LIMIT`` vertices."""
+    if gen.spherically_symmetric:
+        return n_max
+    n = 0
+    while n < n_max and gen.ball_size(n + 1) <= EXHAUSTION_LIMIT:
+        n += 1
+    return n
+
+
 def resistance_to_infinity(
     gen: GraphGenerator, n_max: int = 64, tol: float = 1e-6
 ) -> LimitResult:
     """Limit of R(root <-> z_n) over exhaustions of increasing radius.
 
     Declares convergence when two successive values differ by less than
-    ``tol``; otherwise returns the best estimate with ``converged=False``.
+    ``tol``; otherwise returns the best estimate with ``converged=False``,
+    also when the next ball would exceed ``EXHAUSTION_LIMIT`` vertices.
     R_n is nondecreasing in n (Rayleigh monotonicity), so a diverging
     sequence simply never converges.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    n_max = _radius_budget(gen, n_max)
     prev = None
     r = np.nan
     for n in range(n_max + 1):
@@ -228,7 +248,7 @@ def classify_transience(
     if eps <= 0:
         raise ValueError("eps must be positive")
     prev = None
-    for n in range(n_max + 1):
+    for n in range(_radius_budget(gen, n_max) + 1):
         try:
             c = 1.0 / _exhaustion_resistance(gen, n, tol=min(eps, 1e-6))
         except InvalidRadius:
@@ -262,14 +282,15 @@ def _limit(gen, x, n_max, tol, quantity, check_transient=True):
             raise NotTransient(f"transience verdict: {verdict.value}")
     prev = None
     start = gen.depth_of(x) + 1
-    for n in range(start, max(n_max, start) + 1):
+    last = _radius_budget(gen, max(n_max, start))
+    for n in range(start, last + 1):
         vx, va, pi_x = _unit_current_voltage(gen, x, n, tol)
         val = quantity(vx, va, pi_x)
         if prev is not None and abs(val - prev) < tol:
             return val
         prev = val
     raise BudgetExceededWithoutConvergence(
-        f"no convergence within n_max={n_max} (last value {prev})"
+        f"no convergence by radius {last} (n_max={n_max}, last value {prev})"
     )
 
 

@@ -13,7 +13,7 @@ at build time are remapped and retained in ``Network.labels``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Edge",
     "Network",
     "MarkovView",
     "build_network",
@@ -40,12 +39,6 @@ __all__ = [
     "network_to_json",
     "network_from_json",
 ]
-
-
-class Edge(NamedTuple):
-    u: int
-    v: int
-    c: float
 
 
 @dataclass(frozen=True)
@@ -72,13 +65,6 @@ class Network:
     @property
     def edge_count(self) -> int:
         return len(self.edge_c)
-
-    @property
-    def edges(self) -> list[Edge]:
-        return [
-            Edge(int(u), int(v), float(c))
-            for u, v, c in zip(self.edge_u, self.edge_v, self.edge_c)
-        ]
 
     def degree(self, x: int) -> int:
         self._check_vertex(x)

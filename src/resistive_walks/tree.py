@@ -9,17 +9,25 @@ probabilities and escape probabilities as pure arithmetic, and the O(n)
 level-ladder reduction that exploits spherical symmetry.
 
 Vertex labeling is breadth-first: root 0, then level 1 in parent order,
-and so on, so ids are stable as the truncation grows.
+and so on, so ids are stable as the truncation grows.  The labels are
+arithmetic: level ``k >= 1`` starts at ``start[k] = tree_vertex_count(q,
+k - 1)``, and since ``start[k] - 2 = q * start[k - 1]`` for ``k >= 2``,
+every ``x >= 1`` has parent ``max((x - 2) // q, 0)``.  A
+:class:`TreeNetwork` therefore keeps no per-vertex array: ``depth_of`` and
+``parent_of`` compute depths and parents of any ids from these closed
+forms.  The truncation contracted beyond level ``n`` is the radius-``n``
+:func:`exhaustion` of :class:`TreeGenerator`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCase, InvalidQ, InvalidSpec, SameVertex
-from .generators import GraphGenerator
+from .errors import InvalidCase, InvalidQ, InvalidSpec, InvalidVertex, SameVertex
+from .generators import GraphGenerator, exhaustion
 from .network import Network, _assemble
 
 __all__ = [
@@ -58,11 +66,21 @@ class TreeSpec:
 
 @dataclass(frozen=True)
 class TreeNetwork:
+    """A truncation in breadth-first labels, with ``z`` when contracted."""
+
     net: Network
     spec: TreeSpec
-    depth_of: np.ndarray
-    parent_of: np.ndarray
     z: int | None
+
+    def depth_of(self, x):
+        """Depths of the ids ``x`` (an int or an array); ``z`` is at ``levels + 1``."""
+        return _depth(self.spec.q, x, self.spec.levels)
+
+    def parent_of(self, x):
+        """Parents of the ids ``x`` (an int or an array); -1 at the root and at ``z``."""
+        x = np.asarray(x)
+        outside = (x == 0) | (self.depth_of(x) > self.spec.levels)
+        return np.where(outside, -1, _parent(self.spec.q, x))
 
 
 def tree_vertex_count(q: int, levels: int) -> int:
@@ -71,62 +89,44 @@ def tree_vertex_count(q: int, levels: int) -> int:
 
 
 def _level_starts(q: int, levels: int) -> np.ndarray:
-    """Index of the first vertex of each level 0..levels (BFS labeling)."""
-    sizes = [1] + [(q + 1) * q ** (k - 1) for k in range(1, levels + 1)]
-    return np.concatenate([[0], np.cumsum(sizes)])
+    """Index of the first vertex of each level 0..levels+1 (BFS labeling)."""
+    return np.array([0] + [tree_vertex_count(q, k) for k in range(levels + 1)], dtype=np.int64)
+
+
+def _depth(q: int, x, levels: int):
+    """Depths of the ids ``x``; every id past level ``levels`` reads ``levels + 1``."""
+    return np.searchsorted(_level_starts(q, levels), x, side="right") - 1
+
+
+def _parent(q: int, x):
+    """``max((x - 2) // q, 0)``: the parent of every id ``x >= 1``."""
+    return np.maximum((np.asarray(x, dtype=np.int64) - 2) // q, 0)
 
 
 def _tree_edges(q: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
     """(parent, child) arrays for all edges of the uncontracted tree."""
-    starts = _level_starts(q, levels)
-    parents = [np.zeros(0, dtype=np.int64)]
-    children = [np.zeros(0, dtype=np.int64)]
-    for k in range(1, levels + 1):
-        kids = np.arange(starts[k], starts[k + 1], dtype=np.int64)
-        if k == 1:
-            par = np.zeros(len(kids), dtype=np.int64)
-        else:
-            par = starts[k - 1] + (kids - starts[k]) // q
-        parents.append(par)
-        children.append(kids)
-    return np.concatenate(parents), np.concatenate(children)
+    kids = np.arange(1, tree_vertex_count(q, levels), dtype=np.int64)
+    return _parent(q, kids), kids
 
 
 def build_tree(spec: TreeSpec) -> TreeNetwork:
     """Materialize the truncation described by ``spec``.
 
     With ``contract_boundary`` the whole level-(levels+1)-and-beyond
-    structure is a single vertex ``z`` (last id); each deepest explicit
-    vertex then carries one merged edge of conductance q to ``z`` (the
-    root's q + 1 edges merge when levels == 0).
+    structure is a single vertex ``z`` (last id): the radius-``levels``
+    exhaustion of :class:`TreeGenerator`, where each deepest explicit
+    vertex carries one merged edge of conductance q to ``z`` (the root's
+    q + 1 edges merge when levels == 0).
     """
     q, n = spec.q, spec.levels
-    starts = _level_starts(q, n)
-    count = tree_vertex_count(q, n)
-    pu, pv = _tree_edges(q, n)
-    depth = np.zeros(count, dtype=np.int64)
-    for k in range(1, n + 1):
-        depth[starts[k] : starts[k + 1]] = k
-    parent = np.full(count, -1, dtype=np.int64)
-    parent[pv] = pu
-
     if spec.contract_boundary:
-        z = count
-        last = np.arange(starts[n], starts[n + 1], dtype=np.int64)
-        u = np.concatenate([pu, last])
-        v = np.concatenate([pv, np.full(len(last), z, dtype=np.int64)])
-        c = np.concatenate([np.ones(len(pu)), np.full(len(last), float(q))])
-        if n == 0:
-            u, v, c = np.array([0]), np.array([z]), np.array([float(q + 1)])
-        net = _assemble(u, v, c, count + 1, check_connected=False)
-        depth = np.append(depth, n + 1)
-        parent = np.append(parent, -1)
-        return TreeNetwork(net=net, spec=spec, depth_of=depth, parent_of=parent, z=z)
-
+        net, z = exhaustion(TreeGenerator(q), n)
+        return TreeNetwork(net=net, spec=spec, z=z)
     if n == 0:
         raise InvalidSpec("an uncontracted 0-level tree has no edges")
-    net = _assemble(pu, pv, np.ones(len(pu)), count, check_connected=False)
-    return TreeNetwork(net=net, spec=spec, depth_of=depth, parent_of=parent, z=None)
+    pu, pv = _tree_edges(q, n)
+    net = _assemble(pu, pv, np.ones(len(pu)), len(pu) + 1, check_connected=False)
+    return TreeNetwork(net=net, spec=spec, z=None)
 
 
 def level_slice(tree: TreeNetwork, k: int) -> np.ndarray:
@@ -143,16 +143,20 @@ def first_at_depth(q: int, d: int) -> int:
 
 
 def tree_distance(tree: TreeNetwork, a: int, x: int) -> int:
-    """Graph distance via the unique geodesic (lowest common ancestor)."""
-    da, dx = int(tree.depth_of[a]), int(tree.depth_of[x])
+    """Graph distance along the unique geodesic.
+
+    A parent's id is below its children's, so of two distinct vertices the
+    larger id is never their lowest common ancestor: lifting it is one step
+    of the geodesic.
+    """
+    count = tree_vertex_count(tree.spec.q, tree.spec.levels)  # z is not a tree vertex
+    for y in (a, x):
+        if not 0 <= y < count:
+            raise InvalidVertex(f"vertex {y} out of range 0..{count - 1}")
     dist = 0
-    while da > dx:
-        a, da, dist = int(tree.parent_of[a]), da - 1, dist + 1
-    while dx > da:
-        x, dx, dist = int(tree.parent_of[x]), dx - 1, dist + 1
     while a != x:
-        a, x = int(tree.parent_of[a]), int(tree.parent_of[x])
-        dist += 2
+        a, x = min(a, x), int(_parent(tree.spec.q, max(a, x)))
+        dist += 1
     return dist
 
 
@@ -177,12 +181,8 @@ class TreeGenerator(GraphGenerator):
         return pu, pv, np.ones(len(pu))
 
     def depth_of(self, x: int) -> int:
-        if x == 0:
-            return 0
-        d = 1
-        while tree_vertex_count(self.q, d) <= x:
-            d += 1
-        return d
+        # levels with q ** (levels + 1) > x, so that x is within depth levels + 1
+        return int(_depth(self.q, x, int(math.log(x + 1, self.q)) + 1))
 
     def shell_conductance(self, k: int) -> float:
         return float((self.q + 1) * self.q**k)

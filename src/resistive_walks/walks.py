@@ -161,15 +161,6 @@ class WalkStats:
         m = (self.transition_pairs[:, 0] == x) & (self.transition_pairs[:, 1] == y)
         return int(self.transition_counts[m].sum())
 
-    @property
-    def edge_transitions(self) -> dict[tuple[int, int], int]:
-        if self.transition_pairs is None:
-            raise ValueError("run with track_transitions=True")
-        return {
-            (int(x), int(y)): int(c)
-            for (x, y), c in zip(self.transition_pairs, self.transition_counts)
-        }
-
     def to_json(self) -> dict:
         return {
             "seed": self.config.seed,

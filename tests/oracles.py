@@ -4,9 +4,11 @@ Everything here deliberately avoids the package's own solution paths:
 absorbing-chain probabilities use dense transition-matrix algebra, and the
 star/cycle projection is computed from an explicit fundamental cycle basis
 via dense normal equations, and graph assembly is the plain sort-and-merge
-the package's own assembly must reproduce bit for bit.
+the package's own assembly must reproduce bit for bit, as must the tree's
+breadth-first labelling against its first, level-by-level form.
 """
 
+from dataclasses import fields
 from itertools import combinations
 from typing import Iterable
 
@@ -202,6 +204,74 @@ def reference_assemble(u: np.ndarray, v: np.ndarray, c: np.ndarray, vertex_count
         pi=pi,
         labels=labels,
     )
+
+
+# The breadth-first tree labelling as it was first written, one level at a
+# time with per-vertex depth and parent arrays: the reference that
+# ``tree._tree_edges``, ``TreeNetwork.depth_of``/``parent_of`` and the
+# contracted ``build_tree`` (an exhaustion) must match.
+
+
+def reference_level_starts(q: int, levels: int) -> np.ndarray:
+    """Index of the first vertex of each level 0..levels (BFS labeling)."""
+    sizes = [1] + [(q + 1) * q ** (k - 1) for k in range(1, levels + 1)]
+    return np.concatenate([[0], np.cumsum(sizes)])
+
+
+def reference_tree_edges(q: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, child) arrays for all edges of the uncontracted tree."""
+    starts = reference_level_starts(q, levels)
+    parents = [np.zeros(0, dtype=np.int64)]
+    children = [np.zeros(0, dtype=np.int64)]
+    for k in range(1, levels + 1):
+        kids = np.arange(starts[k], starts[k + 1], dtype=np.int64)
+        if k == 1:
+            par = np.zeros(len(kids), dtype=np.int64)
+        else:
+            par = starts[k - 1] + (kids - starts[k]) // q
+        parents.append(par)
+        children.append(kids)
+    return np.concatenate(parents), np.concatenate(children)
+
+
+def reference_build_tree(q: int, n: int, contract_boundary: bool):
+    """``(net, depth, parent, z)`` of the level-n truncation; z is None
+    unless contracted."""
+    starts = reference_level_starts(q, n)
+    count = 1 + (q + 1) * (q**n - 1) // (q - 1)
+    pu, pv = reference_tree_edges(q, n)
+    depth = np.zeros(count, dtype=np.int64)
+    for k in range(1, n + 1):
+        depth[starts[k] : starts[k + 1]] = k
+    parent = np.full(count, -1, dtype=np.int64)
+    parent[pv] = pu
+
+    if contract_boundary:
+        z = count
+        last = np.arange(starts[n], starts[n + 1], dtype=np.int64)
+        u = np.concatenate([pu, last])
+        v = np.concatenate([pv, np.full(len(last), z, dtype=np.int64)])
+        c = np.concatenate([np.ones(len(pu)), np.full(len(last), float(q))])
+        if n == 0:
+            u, v, c = np.array([0]), np.array([z]), np.array([float(q + 1)])
+        net = reference_assemble(u, v, c, count + 1, check_connected=False)
+        depth = np.append(depth, n + 1)
+        parent = np.append(parent, -1)
+        return net, depth, parent, z
+
+    net = reference_assemble(pu, pv, np.ones(len(pu)), count, check_connected=False)
+    return net, depth, parent, None
+
+
+def assert_same_network(a, b):
+    """Every field equal, arrays byte for byte and in the same dtype."""
+    for f in fields(Network):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+            assert x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
 
 
 def reference_build_network(edge_list: Iterable[tuple], check_connected: bool = True) -> Network:

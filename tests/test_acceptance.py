@@ -88,7 +88,7 @@ def test_03_unit_currents_exact():
     bc = BoundarySpec({0: 1.0, **{x: 0.0 for x in z}})
     v = solve_dirichlet(t.net, bc, tol=1e-12)
     i = ohm_current(t.net, v) * effective(t.net, 0, z).resistance
-    depth_top = np.minimum(t.depth_of[t.net.edge_u], t.depth_of[t.net.edge_v])
+    depth_top = np.minimum(t.depth_of(t.net.edge_u), t.depth_of(t.net.edge_v))
     expected = np.array([oracle_potential_current(q, int(d))[1] for d in depth_top])
     worst = float(np.max(np.abs(np.abs(i) - expected)))
     _report("3 unit currents on the 6-level tree", worst < 1e-9, f"worst={worst:.2e}")
@@ -144,8 +144,8 @@ def test_06_escape_probabilities():
     leaf = int(t.net.vertex_count - 1)
     x1 = first_at_depth(q, 1)
     for target, dist in [
-        (int(t.parent_of[leaf]), 1),
-        (int(t.parent_of[int(t.parent_of[leaf])]), 2),
+        (int(t.parent_of(leaf)), 1),
+        (int(t.parent_of(t.parent_of(leaf))), 2),
         (3, 3),
         (0, 4),
     ]:

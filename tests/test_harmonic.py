@@ -344,3 +344,23 @@ class TestLimits:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededWithoutConvergence):
             green_function(TreeGenerator(2), 0, n_max=3, tol=1e-12)
+
+    def test_ball_budget_stops_nonsymmetric_limits(self, monkeypatch):
+        # at the defaults this climbs to radius ~27 (4e8 vertices) unbudgeted
+        monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", 5_000)
+        built = []
+        exhaust = harmonic.exhaustion
+
+        def recording(gen, n):
+            built.append(gen.ball_size(n))
+            return exhaust(gen, n)
+
+        monkeypatch.setattr(harmonic, "exhaustion", recording)
+        gen = TreeGenerator(2, symmetric=False)
+        with pytest.raises(BudgetExceededWithoutConvergence):
+            green_function(gen, first_at_depth(2, 1))
+        # radius 10 (3,070 vertices) is the last ball within the budget
+        assert max(built) == 3_070
+        built.clear()
+        res = resistance_to_infinity(gen, tol=1e-12)
+        assert (res.converged, res.n_used, max(built)) == (False, 10, 3_070)

@@ -3,6 +3,10 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from oracles import assert_same_network, reference_build_tree, reference_tree_edges
+from scipy.sparse.csgraph import shortest_path
+
+import resistive_walks.tree as tree_mod
 
 from resistive_walks import (
     BoundarySpec,
@@ -25,13 +29,13 @@ from resistive_walks import (
     tree_vertex_count,
     vertex_weight,
 )
-from resistive_walks.errors import InvalidCase, InvalidQ, InvalidSpec, SameVertex
+from resistive_walks.errors import InvalidCase, InvalidQ, InvalidSpec, InvalidVertex, SameVertex
 
 
 def branch_root(tree, x):
     """Level-1 ancestor of x (x itself when at level 1)."""
-    while tree.depth_of[x] > 1:
-        x = int(tree.parent_of[x])
+    while tree.depth_of(x) > 1:
+        x = int(tree.parent_of(x))
     return x
 
 
@@ -40,7 +44,7 @@ def outside_branch(tree, a):
     b = branch_root(tree, a)
     out = {0}
     for x in range(tree.net.vertex_count):
-        if tree.depth_of[x] >= 1 and branch_root(tree, x) != b:
+        if tree.depth_of(x) >= 1 and branch_root(tree, x) != b:
             out.add(x)
     return out
 
@@ -76,10 +80,10 @@ class TestBuild:
 
     def test_depths_and_parents(self):
         t = build_tree(TreeSpec(2, 3))
-        assert t.depth_of[0] == 0
-        assert list(t.depth_of[1:4]) == [1, 1, 1]
+        assert t.depth_of(0) == 0
+        assert list(t.depth_of([1, 2, 3])) == [1, 1, 1]
         kid = first_at_depth(2, 2)
-        assert t.parent_of[kid] == 1
+        assert t.parent_of(kid) == 1
 
     def test_level_slice(self):
         t = build_tree(TreeSpec(2, 2))
@@ -105,7 +109,6 @@ class TestBuild:
         finally:
             tracemalloc.stop()
         arrays = [getattr(t.net, f.name) for f in fields(t.net)]
-        arrays += [t.depth_of, t.parent_of]
         kept = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
         assert peak <= 2 * kept
 
@@ -119,6 +122,55 @@ class TestBuild:
         # leftmost depth-3 leaf to a leaf under a different level-1 branch
         far = int(t.net.vertex_count - 1)
         assert tree_distance(t, a, far) == 6
+        tc = build_tree(TreeSpec(2, 3, contract_boundary=True))
+        for tree, bad in ((t, -1), (t, t.net.vertex_count), (tc, tc.z)):
+            with pytest.raises(InvalidVertex):
+                tree_distance(tree, 0, bad)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("levels", range(7))
+class TestLabelArithmetic:
+    """The closed-form labels against the level-by-level reference."""
+
+    def test_edges(self, q, levels):
+        for new, ref in zip(tree_mod._tree_edges(q, levels), reference_tree_edges(q, levels)):
+            assert new.dtype == ref.dtype
+            assert np.array_equal(new, ref)
+
+    @pytest.mark.parametrize("contract", [False, True])
+    def test_build_depth_parent(self, q, levels, contract):
+        if levels == 0 and not contract:
+            with pytest.raises(InvalidSpec):
+                build_tree(TreeSpec(q, 0))
+            return
+        net, depth, parent, z = reference_build_tree(q, levels, contract)
+        t = build_tree(TreeSpec(q, levels, contract_boundary=contract))
+        assert_same_network(t.net, net)
+        assert t.z == z
+        ids = np.arange(t.net.vertex_count)
+        assert np.array_equal(t.depth_of(ids), depth)
+        assert np.array_equal(t.parent_of(ids), parent)
+        for x in (0, ids[-1]):  # scalars: the root and the last id (z when contracted)
+            assert (t.depth_of(x), t.parent_of(x)) == (depth[x], parent[x])
+
+    def test_generator_depth(self, q, levels):
+        _, depth, _, _ = reference_build_tree(q, levels, True)  # z is level levels + 1
+        gen = TreeGenerator(q)
+        assert [gen.depth_of(x) for x in range(len(depth))] == depth.tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("levels", range(1, 7))
+def test_distance_is_bfs_distance(q, levels):
+    t = build_tree(TreeSpec(q, levels))
+    n = t.net.vertex_count
+    rng = np.random.default_rng(q * 10 + levels)
+    sources = np.unique(np.concatenate([[0, n - 1], rng.integers(0, n, 3)]))
+    bfs = shortest_path(t.net.conductance_matrix(), unweighted=True, indices=sources)
+    for a, row in zip(sources.tolist(), bfs):
+        for x in np.unique(np.concatenate([[0, n - 1], rng.integers(0, n, 30)])).tolist():
+            assert tree_distance(t, a, x) == row[x]
 
 
 class TestClosedForms:
@@ -207,7 +259,7 @@ class TestSolverAgreement:
             down = [
                 k
                 for k in t.net.incident_edges(x)
-                if t.depth_of[t.net.edge_u[k] + t.net.edge_v[k] - x] == d + 1
+                if t.depth_of(t.net.edge_u[k] + t.net.edge_v[k] - x) == d + 1
             ]
             for k in down:
                 assert abs(abs(i_unit[k]) - i_cf) < 1e-9
@@ -283,6 +335,13 @@ class TestGenerator:
         assert gen.depth_of(4) == 2
         assert gen.depth_of(9) == 2
         assert gen.depth_of(10) == 3
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_depth_of_deep_levels(self, q):
+        gen = TreeGenerator(q)
+        for d in range(1, 21):
+            first = first_at_depth(q, d)
+            assert (gen.depth_of(first - 1), gen.depth_of(first)) == (d - 1, d)
 
     def test_shell_conductance(self):
         gen = TreeGenerator(3)

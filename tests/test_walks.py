@@ -1,6 +1,6 @@
+import collections
 import functools
 import hashlib
-import itertools
 import signal
 import sys
 import threading
@@ -372,6 +372,33 @@ def _assert_same_tallies(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def _capture_stop(monkeypatch):
+    """Wrap ``walks._step_chunks`` to record its run's stop event; returns
+    the list it goes into and a per-thread tally for ``_count_after_stop``."""
+    stops, after_stop = [], collections.Counter()
+    step_chunks = walks._step_chunks
+
+    def capturing(run, bounds, track):
+        stops.append(run.stop)
+        return step_chunks(run, bounds, track)
+
+    monkeypatch.setattr(walks, "_step_chunks", capturing)
+    return stops, after_stop
+
+
+def _count_after_stop(stops, after_stop):
+    """Count a ``_uniforms`` call against its thread if the stop is set."""
+    if stops[0].is_set():
+        after_stop[threading.get_ident()] += 1
+
+
+def _assert_stopped_within_a_step(stops, after_stop):
+    # a worker checks the stop once per step, so it draws at most one more
+    # step's variates after the stop is set, however the threads are scheduled
+    assert stops and all(stop.is_set() for stop in stops)
+    assert max(after_stop.values(), default=0) <= 1, after_stop
+
+
 class TestThreadedChunks:
     """Chunks stepped on a thread pool give the one-chunk tallies, bit for bit."""
 
@@ -425,12 +452,12 @@ class TestThreadedChunks:
         cfg = WalkConfig(seed=3, num_walks=800, start=1, max_steps=20_000)
         monkeypatch.setattr(walks, "_CHUNK", 100)
         monkeypatch.setattr(walks, "_usable_cpus", lambda: 4)
-        calls = itertools.count()
         fired = threading.Event()
         uniforms = walks._uniforms
+        stops, after_stop = _capture_stop(monkeypatch)
 
         def failing(base, step):
-            next(calls)
+            _count_after_stop(stops, after_stop)
             in_caller = threading.current_thread() is threading.main_thread()
             if step == 20 and in_caller == (where == "caller") and not fired.is_set():
                 fired.set()
@@ -442,8 +469,7 @@ class TestThreadedChunks:
         with pytest.raises(exc, match="stepping failed"):
             run_walks(path3(), cfg)
         assert threading.active_count() == before
-        # a full run makes 160000 calls; the other workers stopped long before
-        assert next(calls) < 4000
+        _assert_stopped_within_a_step(stops, after_stop)
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
     def test_interrupt_while_waiting_stops_every_worker(self, monkeypatch):
@@ -454,11 +480,12 @@ class TestThreadedChunks:
         monkeypatch.setattr(walks, "_usable_cpus", lambda: 4)
         main = threading.main_thread()
         waiting, sent = threading.Event(), threading.Event()
-        calls = itertools.count()
-        uniforms, step_chunks = walks._uniforms, walks._step_chunks
+        uniforms = walks._uniforms
+        stops, after_stop = _capture_stop(monkeypatch)
+        step_chunks = walks._step_chunks  # the capturing wrapper
 
         def interrupting(base, step):
-            next(calls)
+            _count_after_stop(stops, after_stop)
             if waiting.is_set() and not sent.is_set():
                 sent.set()
                 signal.pthread_kill(main.ident, signal.SIGINT)  # Ctrl-C
@@ -477,4 +504,4 @@ class TestThreadedChunks:
             run_walks(path3(), cfg)
         assert sent.is_set()
         assert threading.active_count() == before
-        assert next(calls) < 4000  # 120000 if the workers had run on
+        _assert_stopped_within_a_step(stops, after_stop)
