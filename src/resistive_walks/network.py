@@ -12,7 +12,9 @@ at build time are remapped and retained in ``Network.labels``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -78,11 +80,26 @@ class Network:
         self._check_vertex(x)
         return self.adj_edge[self.adj_indptr[x] : self.adj_indptr[x + 1]]
 
+    @cached_property
+    def _label_ids(self) -> dict:
+        """Dense id of each label, the first where a label repeats."""
+        return {lab: i for i, lab in reversed(list(enumerate(self.labels)))}
+
     def index_of(self, label) -> int:
-        """Dense id of an original label (identity when no labels kept)."""
-        if not self.labels:
-            return int(label)
-        return self.labels.index(label)
+        """Dense id of an original label (the id itself when no labels are
+        kept); raises InvalidVertex for a label or id the network lacks."""
+        if self.labels:
+            ids = self._label_ids
+            try:
+                return ids[label]
+            except (KeyError, TypeError):  # TypeError: an unhashable label
+                raise InvalidVertex(f"no vertex labelled {label!r}") from None
+        try:
+            x = operator.index(label)
+        except TypeError:
+            raise InvalidVertex(f"vertex id {label!r} is not an integer") from None
+        self._check_vertex(x)
+        return x
 
     def conductance_matrix(self) -> sp.csr_matrix:
         """Symmetric sparse matrix C with C[x, y] = c(x, y)."""

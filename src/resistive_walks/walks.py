@@ -15,12 +15,16 @@ results only at its own walk indices and keeps its own per-slot tally,
 summed exactly at the end, so no output depends on the number of cores.
 
 A walk at ``x`` with variate ``u`` moves through the first CSR slot of row
-``x`` whose row-local prefix sum of conductances exceeds ``u * pi(x)`` (the
-row's last slot if round-off leaves none), found by bisection.  The prefix
-sums are added left to right, exactly as a linear scan of the row would, so
-the map from variate to neighbour is that of a scan.  Visits and directed
-transitions are tallied per slot in O(E) memory, whatever the number of
-walks or steps.
+``x`` whose row-local prefix sum of conductances exceeds ``r = u * pi(x)``
+(the row's last slot if round-off leaves none): the map from variate to
+neighbour of a linear scan of the row.  On a unit row, one whose
+conductances are all exactly 1 (every row of the paper's trees), the sums
+are exactly ``1, 2, ..., deg`` and ``pi(x) == deg``, so that slot is
+``first + floor(r)``, found in O(1).  A row with any other conductance is
+odd: its slot is found by bisection over prefix sums added left to right,
+exactly as the scan adds them.  The sums are built, over every row, only
+when the network has an odd row.  Visits and directed transitions are
+tallied per slot in O(E) memory, whatever the number of walks or steps.
 
 Tally conventions (hitting time from step 0, return time from step 1):
 visits are counted at every time ``0..T`` inclusive, where ``T`` is the
@@ -201,17 +205,28 @@ def _pick_slots(cum: np.ndarray, first: np.ndarray, last: np.ndarray,
     """Per walk, the first slot s in ``[first, last]`` with ``r < cum[s]``,
     or ``last`` when there is none (``r`` at or past the row sum by round-off).
 
-    Bisection in ceil(log2(longest row)) rounds.  Each round keeps the
-    answer in ``[first, last]``; a walk whose answer is ``last`` with
-    ``r >= cum[last]`` ends with ``first = last + 1``, so ``last`` is the
-    result either way.
+    Bisection in ceil(log2(longest row)) rounds, none for no walks.  Each
+    round keeps the answer in ``[first, last]``; a walk whose answer is
+    ``last`` with ``r >= cum[last]`` ends with ``first = last + 1``, so
+    ``last`` is the result either way.
     """
-    for _ in range(int((last - first).max()).bit_length()):
+    for _ in range(int((last - first).max(initial=0)).bit_length()):
         mid = (first + last) >> 1
         left = r < cum[mid]
         last = np.where(left, mid, last)
         first = np.where(left, first, mid + 1)
     return last
+
+
+def _unit_slots(first: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """:func:`_pick_slots` on unit rows, whose prefix sums are 1, 2, ..., deg.
+
+    The first slot with ``r < cum[s]`` is ``first + floor(r)``.  It always
+    lies in the row: with ``u <= 1 - 2**-53`` the exact ``u * deg`` is at
+    least ``deg * 2**-53`` below deg, more than half the spacing of doubles
+    just below deg, so ``r``, the product rounded to nearest, is below deg.
+    """
+    return first + r.astype(np.int64)
 
 
 def _checked_ids(ids, n: int, what: str) -> np.ndarray:
@@ -234,7 +249,8 @@ class _Run:
     arrays they write, each chunk at its own walk indices only."""
 
     cfg: WalkConfig
-    cum: np.ndarray
+    cum: np.ndarray | None  # row prefix sums; None when no row is odd
+    odd: np.ndarray | None  # per vertex: its row is odd; None when none is
     indptr: np.ndarray
     nbr: np.ndarray
     pi: np.ndarray
@@ -252,7 +268,7 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
     """Step walks ``lo..hi-1`` in lockstep until all are absorbed or censored,
     adding their steps per CSR slot to ``slot_counts``; returns early once
     ``run.stop`` is set."""
-    cfg, cum, indptr, nbr, pi = run.cfg, run.cum, run.indptr, run.nbr, run.pi
+    cfg, cum, odd, indptr, nbr, pi = run.cfg, run.cum, run.odd, run.indptr, run.nbr, run.pi
     seed_u = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     base = _mix(seed_u ^ (_PHI * (np.arange(lo, hi, dtype=np.uint64) + np.uint64(1))))
     cur = np.full(hi - lo, cfg.start, dtype=np.int64)
@@ -272,7 +288,13 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
         if run.stop.is_set():
             return
         r = _uniforms(base, t) * pi[cur]
-        ptr = _pick_slots(cum, indptr[cur], indptr[cur + 1] - 1, r)
+        first = indptr[cur]
+        if odd is None:
+            ptr = _unit_slots(first, r)
+        else:  # odd rows bisect; a zero r keeps their cast in range
+            o = odd[cur]
+            ptr = _unit_slots(first, np.where(o, 0.0, r))
+            ptr[o] = _pick_slots(cum, first[o], indptr[cur[o] + 1] - 1, r[o])
         nxt = nbr[ptr]
         t += 1
 
@@ -322,10 +344,18 @@ def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
     watch_e = _checked_ids(cfg.watch_edges, n_vert, "watched edge").reshape(-1, 2)
 
     indptr, nbr = net.adj_indptr, net.adj_neighbor
+    odd_edge = net.edge_c != 1.0
+    if odd_edge.any():
+        odd = np.zeros(n_vert, dtype=bool)
+        odd[net.edge_u[odd_edge]] = odd[net.edge_v[odd_edge]] = True
+        cum = _row_prefix_sums(net)
+    else:
+        odd = cum = None
     n_walks = cfg.num_walks
     run = _Run(
         cfg=cfg,
-        cum=_row_prefix_sums(net),
+        cum=cum,
+        odd=odd,
         indptr=indptr,
         nbr=nbr,
         pi=net.pi,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -189,6 +190,17 @@ class TestSimulate:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+    def test_seeded_stdout_digest(self, capsys):
+        # pins the walker's tallies together with the JSON formatting of hits
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--tree", "2,12", "--absorb-level", "12",
+            "--walks", "20000", "--seed", "42",
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "91ea72c0d7a1a11a83c93e3a802c08cae965a2224b1c110b3ccf56191d8200c5"
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("RESISTIVE_WALKS_SEED", "99")

@@ -27,7 +27,7 @@ from resistive_walks import (
 )
 from resistive_walks import walks
 from resistive_walks.errors import InvalidStart, InvalidVertex, NotAdjacent, VertexInTarget
-from resistive_walks.walks import _pick_slots, _row_prefix_sums
+from resistive_walks.walks import _pick_slots, _row_prefix_sums, _unit_slots
 from test_network import random_connected_net
 
 
@@ -186,6 +186,46 @@ class TestSlotSelection:
         want = [_scan(c, f, l, v) for f, l, v in zip(first, last, r)]
         assert np.array_equal(_pick_slots(cum, first, last, r), want)
 
+    @pytest.mark.parametrize("u", [0.0, 0.5, 1 - 2.0**-30, 1 - 2.0**-53])
+    def test_unit_shortcut_matches_bisection_and_scan(self, u):
+        # one unit row of every degree 1..199, laid end to end
+        deg = np.arange(1, 200)
+        first = np.concatenate([[0], np.cumsum(deg)[:-1]])
+        last = first + deg - 1
+        c = np.ones(int(deg.sum()))
+        cum = np.concatenate([np.arange(1.0, d + 1) for d in deg])
+        r = u * deg.astype(np.float64)  # u * pi(x)
+        got = _unit_slots(first, r)
+        assert np.array_equal(got, _pick_slots(cum, first, last, r))
+        assert np.array_equal(got, [_scan(c, f, l, v) for f, l, v in zip(first, last, r)])
+
+    def test_unit_slot_stays_in_row(self):
+        # the largest variate, 1 - 2**-53, times a degree rounds below the
+        # degree, so _unit_slots needs no clamp to the row's last slot
+        k = np.arange(1, 53, dtype=np.float64)
+        deg = np.concatenate([np.arange(1.0, 2.0**20), 2**k - 1, 2**k, 2**k + 1])
+        assert np.all(np.floor((1 - 2.0**-53) * deg) == deg - 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_conductance_casts_nothing_out_of_range(self):
+        # u * pi(1) reaches 1e300, far beyond int64; only bisection sees it
+        net = build_network([(0, 1, 1.0), (1, 2, 1e300), (2, 3, 1.0)])
+        stats = run_walks(net, WalkConfig(seed=3, num_walks=200, start=0,
+                                          absorbing=(3,), max_steps=50))
+        assert sum(stats.hits.values()) + stats.censored == 200
+
+    def test_unit_network_builds_no_prefix_sums(self, monkeypatch):
+        def refuse(net):
+            raise AssertionError("prefix sums built")
+
+        monkeypatch.setattr(walks, "_row_prefix_sums", refuse)
+        for kind in ("tree8", "k200"):
+            net, fields = _golden_case(kind)
+            run_walks(net, WalkConfig(seed=1, num_walks=300, **fields))
+        net, fields = _golden_case("mixed")  # its odd rows need the sums
+        with pytest.raises(AssertionError, match="prefix sums built"):
+            run_walks(net, WalkConfig(seed=1, num_walks=300, **fields))
+
 
 class TestAccounting:
     def test_hits_plus_censored(self):
@@ -281,6 +321,24 @@ def _golden_case(kind: str):
         t = build_tree(TreeSpec(2, 8))
         return t.net, dict(start=0, absorbing=level_slice(t, 8),
                            watch_vertices=(0, 1), watch_edges=((0, 1), (1, 0)))
+    if kind == "contracted":
+        # the deepest level's edges to z carry c = q, so those rows are not unit
+        t = build_tree(TreeSpec(2, 8, contract_boundary=True))
+        deep = int(t.net.neighbors(t.z)[0])
+        return t.net, dict(start=0, absorbing=(t.z,), watch_vertices=(0, deep),
+                           watch_edges=((0, 1), (deep, t.z)))
+    if kind == "mixed":
+        # a unit tree with about 5% of its conductances changed, plus one
+        # parallel edge merged into its twin
+        t = build_tree(TreeSpec(2, 8))
+        rng = np.random.default_rng(11)
+        c = np.ones(t.net.edge_count)
+        odd = rng.random(len(c)) < 0.05
+        c[odd] = rng.choice([0.5, 2.0, 3.0], size=int(odd.sum()))
+        u, v = t.net.edge_u.tolist(), t.net.edge_v.tolist()
+        net = build_network(list(zip(u, v, c.tolist())) + [(u[3], v[3], 1.0)])
+        return net, dict(start=0, absorbing=level_slice(t, 8),
+                         watch_vertices=(0, u[3]), watch_edges=((u[3], v[3]), (0, 1)))
     if kind == "k200":
         iu, iv = np.triu_indices(200, 1)
         net = build_network(zip(iu.tolist(), iv.tolist(), [1.0] * len(iu)))
@@ -340,6 +398,8 @@ _GOLDEN = {
     ("tree8", 12345, 1): "97dca8456cd4b097b3d55ef7c06154187e5dbd2d112a4ab9f8923fe1d9ebb7d1",
     ("tree8", 12345, 300): "491d3c97fab7f5e647f54f48c03aace19fde280bd1b625a3fc2eb58a26329e29",
     ("tree8", 12345, 9000): "922c4eb1639db6cb64d3946eb289b70b1288f33864ad227db15210863ffffe3c",
+    ("contracted", 7, 9000): "81106ac2a57c8cfcebcc5f83447c000ea007c51c0d3a4ac7dd3cec595e648c82",
+    ("mixed", 7, 9000): "a287a5a584c044dfd56fbf0064e81172209836bfd2bca428fa7c24083772792a",
     ("k200", 1, 1): "2e376164bb5b3177f2349b37c732c7f8a14462c83801fc8fa6d9406d7481fc9a",
     ("k200", 1, 300): "c1176a33b8332d2e2bac151c65d63bde0216a0b31e3999e6de5ee3cb9a2e2d4d",
     ("k200", 1, 9000): "66b2130fff461e7afe5e5e0670cf6271a6cd881e0627dc71153a88e47821430e",
