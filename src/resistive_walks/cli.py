@@ -1,9 +1,12 @@
 """Command-line surface: resist / oracle / simulate / verify.
 
 Exit codes are a stable contract: 0 pass, 1 check or solver failure,
-2 usage or input error.  Randomized commands echo their seed so every
-published number can be replayed; the ``RESISTIVE_WALKS_SEED`` environment
-variable is the fallback when ``--seed`` is omitted.
+2 usage or input error.  The library judges every input and raises a typed
+:class:`~resistive_walks.errors.NetworkError`; :func:`main` is the one
+place that maps an error to an exit code.  Randomized commands echo their
+seed so every published number can be replayed; the
+``RESISTIVE_WALKS_SEED`` environment variable is the fallback when
+``--seed`` is omitted.
 """
 
 from __future__ import annotations
@@ -17,7 +20,12 @@ import sys
 
 import numpy as np
 
-from .errors import NetworkError, SolverDivergence
+from .errors import (
+    BudgetExceededWithoutConvergence,
+    NetworkError,
+    NotTransient,
+    SolverDivergence,
+)
 from .harmonic import effective, resistance_to_infinity
 from .network import network_from_json
 from .tree import TreeGenerator, TreeSpec, build_tree, level_slice, oracle_table
@@ -86,13 +94,13 @@ def _parse_target_set(spec: str, tree, parser):
 
 def _cmd_resist(args, parser) -> int:
     net, tree = _load_network(args, parser)
-    if args.tol is not None and not args.tol > 0:
-        parser.error("--tol must be positive")
     if args.to_infinity:
         if tree is None:
             parser.error("--to-infinity currently needs --tree")
         limit = resistance_to_infinity(
-            TreeGenerator(tree.spec.q), n_max=args.n_max, tol=args.tol or 1e-6
+            TreeGenerator(tree.spec.q),
+            n_max=args.n_max,
+            tol=1e-6 if args.tol is None else args.tol,
         )
         doc = {
             "command": "resist",
@@ -107,12 +115,7 @@ def _cmd_resist(args, parser) -> int:
         return 0 if limit.converged else 1
 
     targets = _parse_target_set(args.target_set, tree, parser)
-    try:
-        eq = effective(net, args.source, targets, tol=args.tol or 1e-9)
-    except SolverDivergence:
-        raise
-    except NetworkError as exc:
-        parser.error(str(exc))
+    eq = effective(net, args.source, targets, tol=1e-9 if args.tol is None else args.tol)
     doc = {
         "command": "resist",
         "inputs": {
@@ -130,8 +133,6 @@ def _cmd_resist(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
-    if args.q < 2:
-        parser.error("--q must be >= 2")
     rows = oracle_table(args.q, args.max_depth)
     doc = {"command": "oracle", "inputs": {"q": args.q, "max_depth": args.max_depth}, "rows": rows}
     _emit(doc, args.format, rows, list(rows[0].keys()))
@@ -140,8 +141,6 @@ def _cmd_oracle(args, parser) -> int:
 
 def _cmd_simulate(args, parser) -> int:
     net, tree = _load_network(args, parser)
-    if args.walks < 1:
-        parser.error("--walks must be >= 1")
     absorbing = ()
     if args.absorb_level is not None:
         absorbing = _tree_level(tree, args.absorb_level, "--absorb-level", parser)
@@ -154,10 +153,7 @@ def _cmd_simulate(args, parser) -> int:
         absorbing=absorbing,
         max_steps=args.max_steps,
     )
-    try:
-        stats = run_walks(net, cfg)
-    except NetworkError as exc:
-        parser.error(str(exc))
+    stats = run_walks(net, cfg)
     doc = {"command": "simulate", **stats.to_json()}
     fields = ["seed", "num_walks", "start", "censored"]
     _emit(doc, args.format, [{k: doc[k] for k in fields}], fields)
@@ -165,18 +161,13 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    # run_battery reads 0 walks as "no Monte Carlo rows"; the command
+    # always runs them
     if args.walks < 1:
         parser.error("--walks must be >= 1")
-    if args.levels < 1:
-        parser.error("--levels must be >= 1")
-    try:
-        report = run_battery(
-            q=args.q, levels=args.levels, walks=args.walks, seed=args.seed, tol=args.tol
-        )
-    except SolverDivergence:
-        raise
-    except NetworkError as exc:
-        parser.error(str(exc))
+    report = run_battery(
+        q=args.q, levels=args.levels, walks=args.walks, seed=args.seed, tol=args.tol
+    )
     if args.format == "json":
         _emit(report.to_json(), "json")
     else:
@@ -256,8 +247,15 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.cmd](args, parser)
-    except NetworkError as exc:
+    except (SolverDivergence, BudgetExceededWithoutConvergence, NotTransient) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except NetworkError as exc:
+        parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``); point it at devnull so the
+        # interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

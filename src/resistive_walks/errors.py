@@ -66,8 +66,9 @@ class NotAFlow(NetworkError):
     pass
 
 
-class InvalidSpec(NetworkError):
-    pass
+class InvalidSpec(NetworkError, ValueError):
+    """An argument outside its domain (a count, tolerance or size); also a
+    ValueError, so callers that catch ValueError keep working."""
 
 
 class InvalidQ(NetworkError):

@@ -28,6 +28,7 @@ from .errors import (
     BudgetExceededWithoutConvergence,
     EmptyBoundary,
     EmptyTarget,
+    InvalidSpec,
     NotTransient,
     SolverDivergence,
     VertexInTarget,
@@ -69,13 +70,6 @@ class BoundarySpec:
 
     clamped: dict[int, float]
 
-    def to_json(self) -> dict:
-        return {"clamped": {str(k): float(v) for k, v in self.clamped.items()}}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BoundarySpec":
-        return cls({int(k): float(v) for k, v in doc["clamped"].items()})
-
 
 @dataclass(frozen=True)
 class EffectiveQuantities:
@@ -97,6 +91,11 @@ class Transience(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0:  # also refuses NaN
+        raise InvalidSpec(f"{name} must be positive, got {value}")
+
+
 def solve_dirichlet(
     net: Network, bc: BoundarySpec, tol: float = 1e-9, source: np.ndarray | None = None
 ) -> np.ndarray:
@@ -111,8 +110,7 @@ def solve_dirichlet(
     ``max |(L v)(x) - source(x)| / pi(x) <= tol * max(1, max |v|)`` over the
     free vertices, else :class:`SolverDivergence` is raised.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_positive("tol", tol)
     if not bc.clamped:
         raise EmptyBoundary("no clamped vertices")
     clamped = net._check_ids(bc.clamped)
@@ -185,18 +183,6 @@ def effective(net: Network, a: int, z, tol: float = 1e-9) -> EffectiveQuantities
     )
 
 
-def _shell_resistances(gen: GraphGenerator, n: int) -> np.ndarray:
-    return np.array([1.0 / gen.shell_conductance(k) for k in range(n + 1)])
-
-
-def _exhaustion_resistance(gen: GraphGenerator, n: int, tol: float) -> float:
-    """R(root <-> z_n) on the radius-n exhaustion."""
-    if gen.spherically_symmetric:
-        return float(np.sum(_shell_resistances(gen, n)))
-    net, z = exhaustion(gen, n)
-    return effective(net, gen.root, {z}, tol=tol).resistance
-
-
 def _radius_budget(gen: GraphGenerator, n_max: int) -> int:
     """``n_max``, lowered for a non-symmetric generator to the largest
     radius whose ball has at most ``EXHAUSTION_LIMIT`` vertices."""
@@ -220,13 +206,14 @@ def resistance_to_infinity(
     sequence simply never converges.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidSpec(f"n_max must be >= 1, got {n_max}")
+    _check_positive("tol", tol)
     n_max = _radius_budget(gen, n_max)
     prev = None
     r = np.nan
     for n in range(n_max + 1):
         try:
-            r = _exhaustion_resistance(gen, n, tol)
+            r = _unit_current_voltage(gen, gen.root, n, tol)[1]
         except InvalidRadius:
             # finite graph fully exhausted; no further change possible
             return LimitResult(value=prev if prev is not None else r, converged=False, n_used=n)
@@ -245,12 +232,11 @@ def classify_transience(
     (heuristically -- finite data cannot certify a zero limit) when C_n
     drops below ``eps``; inconclusive otherwise.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_positive("eps", eps)
     prev = None
     for n in range(_radius_budget(gen, n_max) + 1):
         try:
-            c = 1.0 / _exhaustion_resistance(gen, n, tol=min(eps, 1e-6))
+            c = 1.0 / _unit_current_voltage(gen, gen.root, n, min(eps, 1e-6))[1]
         except InvalidRadius:
             break
         if c < eps:
@@ -264,9 +250,13 @@ def classify_transience(
 def _unit_current_voltage(
     gen: GraphGenerator, x: int, n: int, tol: float
 ) -> tuple[float, float, float]:
-    """(v_n(x), v_n(root), pi(x)) for the unit current flow on exhaustion n."""
+    """(v_n(x), R_n, pi(x)) for the unit current flow on exhaustion n.
+
+    The flow enters at the root and leaves at the contracted boundary
+    ``z_n``, so ``R_n = v_n(root)`` is the resistance R(root <-> z_n).
+    """
     if gen.spherically_symmetric:
-        rs = _shell_resistances(gen, n)
+        rs = np.array([1.0 / gen.shell_conductance(k) for k in range(n + 1)])
         d = gen.depth_of(x)
         return float(rs[d:].sum()), float(rs.sum()), gen.depth_weight(d)
     net, z = exhaustion(gen, n)
@@ -275,11 +265,11 @@ def _unit_current_voltage(
     return float(values[x]) * r_eff, r_eff, float(net.pi[x])
 
 
-def _limit(gen, x, n_max, tol, quantity, check_transient=True):
-    if check_transient:
-        verdict = classify_transience(gen, n_max=max(n_max, 32))
-        if verdict is not Transience.TRANSIENT:
-            raise NotTransient(f"transience verdict: {verdict.value}")
+def _limit(gen, x, n_max, tol, quantity):
+    _check_positive("tol", tol)
+    verdict = classify_transience(gen, n_max=max(n_max, 32))
+    if verdict is not Transience.TRANSIENT:
+        raise NotTransient(f"transience verdict: {verdict.value}")
     prev = None
     start = gen.depth_of(x) + 1
     last = _radius_budget(gen, max(n_max, start))

@@ -120,13 +120,17 @@ class Network:
 
     def _check_ids(self, ids: Iterable[int]) -> np.ndarray:
         """The vertex ids of an iterable (a set, list, dict or array) as an
-        int64 array; raises InvalidVertex naming the first one out of range."""
-        try:
-            arr = np.fromiter(ids, dtype=np.int64)
-        except OverflowError:  # an id beyond int64; the scan names it
-            for x in ids:
-                self._check_vertex(x)
-            raise
+        int64 array; raises InvalidVertex naming the first one out of range.
+        A 1-D int64 array is checked in place, with no per-element pass."""
+        if isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1:
+            arr = ids
+        else:
+            try:
+                arr = np.fromiter(ids, dtype=np.int64)
+            except OverflowError:  # an id beyond int64; the scan names it
+                for x in ids:
+                    self._check_vertex(x)
+                raise
         bad = (arr < 0) | (arr >= self.vertex_count)
         if bad.any():
             self._check_vertex(int(arr[bad.argmax()]))

@@ -291,6 +291,8 @@ def finite_tree_pair_resistance(tree: TreeNetwork, a: int, x: int) -> float:
 
 def oracle_table(q: int, max_depth: int) -> list[dict]:
     """Closed-form rows (depth, v, i_down, green, hitting, transitions)."""
+    if max_depth < 0:
+        raise InvalidSpec(f"max_depth must be >= 0, got {max_depth}")
     rows = []
     for d in range(max_depth + 1):
         v, i_down = oracle_potential_current(q, d)

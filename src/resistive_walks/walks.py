@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidStart, InvalidVertex, NotAdjacent, VertexInTarget
+from .errors import InvalidSpec, InvalidStart, NotAdjacent, VertexInTarget
 from .network import Network
 
 __all__ = [
@@ -99,11 +99,11 @@ class WalkConfig:
 
     def __post_init__(self):
         if self.num_walks < 1:
-            raise ValueError("num_walks must be >= 1")
+            raise InvalidSpec(f"num_walks must be >= 1, got {self.num_walks}")
         if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+            raise InvalidSpec(f"max_steps must be >= 1, got {self.max_steps}")
         if len(self.absorbing) == 0 and self.max_steps > 10_000_000:
-            raise ValueError("absorbing may be empty only with a finite step budget")
+            raise InvalidSpec("absorbing may be empty only with a finite step budget")
 
 
 @dataclass
@@ -158,12 +158,6 @@ class WalkStats:
     def transition_estimate(self, x: int, y: int) -> tuple[float, float]:
         j = self.config.watch_edges.index((x, y))
         return self._watched_mean(self.watch_edge_counts[:, j])
-
-    def transition_count(self, x: int, y: int) -> int:
-        if self.transition_pairs is None:
-            raise ValueError("run with track_transitions=True")
-        m = (self.transition_pairs[:, 0] == x) & (self.transition_pairs[:, 1] == y)
-        return int(self.transition_counts[m].sum())
 
     def to_json(self) -> dict:
         return {
@@ -227,14 +221,6 @@ def _unit_slots(first: np.ndarray, r: np.ndarray) -> np.ndarray:
     just below deg, so ``r``, the product rounded to nearest, is below deg.
     """
     return first + r.astype(np.int64)
-
-
-def _checked_ids(ids, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(ids, dtype=np.int64)
-    bad = arr[(arr < 0) | (arr >= n)]
-    if bad.size:
-        raise InvalidVertex(f"{what} vertex {bad[0]} out of range 0..{n - 1}")
-    return arr
 
 
 def _edge_slot(indptr: np.ndarray, nbr: np.ndarray, x: int, y: int) -> int:
@@ -339,9 +325,9 @@ def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
     if not 0 <= cfg.start < n_vert:
         raise InvalidStart(f"start vertex {cfg.start} out of range")
     absorb_mask = np.zeros(n_vert, dtype=bool)
-    absorb_mask[_checked_ids(cfg.absorbing, n_vert, "absorbing")] = True
-    watch_v = _checked_ids(cfg.watch_vertices, n_vert, "watched")
-    watch_e = _checked_ids(cfg.watch_edges, n_vert, "watched edge").reshape(-1, 2)
+    absorb_mask[net._check_ids(cfg.absorbing)] = True
+    watch_v = net._check_ids(cfg.watch_vertices)
+    watch_e = net._check_ids([x for e in cfg.watch_edges for x in e]).reshape(-1, 2)
 
     indptr, nbr = net.adj_indptr, net.adj_neighbor
     odd_edge = net.edge_c != 1.0

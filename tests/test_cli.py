@@ -1,12 +1,21 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import resistive_walks
 from resistive_walks import build_network, network_to_json
 from resistive_walks import cli
 from resistive_walks.cli import main
-from resistive_walks.errors import SolverDivergence
+from resistive_walks.errors import (
+    BudgetExceededWithoutConvergence,
+    NotTransient,
+    SolverDivergence,
+)
 
 
 def run_cli(capsys, *argv):
@@ -263,3 +272,89 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[0].startswith("quantity,closed_form")
         assert len(lines) > 5
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc("stubbed failure")
+
+    return fail
+
+
+_RESIST_MODES = {"target": ("--target-set", "level:2"), "infinity": ("--to-infinity",)}
+
+# (argv, (cli attribute, error it raises) or None, exit code)
+EXIT_CODES = {
+    "simulate-max-steps-0": (
+        ["simulate", "--tree", "2,2", "--absorb-level", "2", "--max-steps", "0"], None, 2
+    ),
+    "simulate-no-absorbing-huge-budget": (
+        ["simulate", "--tree", "2,2", "--max-steps", "20000000"], None, 2
+    ),
+    "simulate-absorbing-beyond-int64": (
+        ["simulate", "--tree", "2,2", "--absorbing", "99999999999999999999999"], None, 2
+    ),
+    "resist-n-max-0": (["resist", "--tree", "2,4", "--to-infinity", "--n-max", "0"], None, 2),
+    "oracle-negative-depth": (["oracle", "--q", "2", "--max-depth", "-1"], None, 2),
+    **{
+        f"resist-{mode}-tol-{tol}": (
+            ["resist", "--tree", "2,2", "--source", "0", *flags, "--tol", tol], None, 2
+        )
+        for mode, flags in _RESIST_MODES.items()
+        for tol in ("0", "-1", "nan")
+    },
+    "verify-tol-nan": (["verify", "--levels", "2", "--walks", "10", "--tol", "nan"], None, 2),
+    "solver-divergence": (
+        ["resist", "--tree", "2,2", "--source", "0", "--target-set", "level:2"],
+        ("effective", SolverDivergence),
+        1,
+    ),
+    "budget-exceeded": (
+        ["verify", "--levels", "2", "--walks", "10"],
+        ("run_battery", BudgetExceededWithoutConvergence),
+        1,
+    ),
+    "not-transient": (
+        ["resist", "--tree", "2,2", "--to-infinity"],
+        ("resistance_to_infinity", NotTransient),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_exit_code(capsys, monkeypatch, case):
+    """Each bad input or failure ends in its exit code, never a traceback."""
+    argv, stub, want = EXIT_CODES[case]
+    if stub is not None:
+        monkeypatch.setattr(cli, stub[0], _raising(stub[1]))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == want
+    assert "Traceback" not in err
+    if want == 1:
+        assert out == ""
+        assert err.startswith("error: stubbed failure")
+
+
+def test_closed_stdout_exits_quietly():
+    # about 91 KB of output, more than a pipe holds, so a write really fails
+    src = str(Path(resistive_walks.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "resistive_walks.cli", "simulate", "--tree", "2,12",
+         "--absorb-level", "12", "--walks", "20000", "--seed", "42"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert len(proc.stdout.read(300)) == 300
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""

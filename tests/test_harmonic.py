@@ -30,6 +30,7 @@ from resistive_walks.errors import (
     BudgetExceededWithoutConvergence,
     EmptyBoundary,
     EmptyTarget,
+    InvalidSpec,
     InvalidVertex,
     NotTransient,
     SolverDivergence,
@@ -301,9 +302,9 @@ class TestLimits:
 
     def test_monotone_in_radius(self):
         gen = TreeGenerator(2, symmetric=False)
-        from resistive_walks.harmonic import _exhaustion_resistance
+        from resistive_walks.harmonic import _unit_current_voltage
 
-        rs = [_exhaustion_resistance(gen, n, 1e-9) for n in range(6)]
+        rs = [_unit_current_voltage(gen, gen.root, n, 1e-9)[1] for n in range(6)]
         assert all(b >= a - 1e-12 for a, b in zip(rs, rs[1:]))
 
     def test_classify_tree_transient(self):
@@ -340,6 +341,19 @@ class TestLimits:
         ladder = green_function(TreeGenerator(2), x, tol=1e-4)
         generic = green_function(TreeGenerator(2, symmetric=False), x, tol=1e-4)
         assert abs(ladder - generic) < 1e-3
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("call", [
+        lambda bad: solve_dirichlet(build_network([(0, 1, 1.0)]), BoundarySpec({0: 1.0}), tol=bad),
+        lambda bad: resistance_to_infinity(TreeGenerator(2), tol=bad),
+        lambda bad: classify_transience(TreeGenerator(2), eps=bad),
+        lambda bad: green_function(TreeGenerator(2), 1, tol=bad),
+    ], ids=["solve_dirichlet", "resistance_to_infinity", "classify_transience", "green_function"])
+    def test_nonpositive_tolerance_refused(self, call, bad):
+        # InvalidSpec is also a ValueError, which callers may still catch
+        with pytest.raises(InvalidSpec, match="must be positive") as info:
+            call(bad)
+        assert isinstance(info.value, ValueError)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededWithoutConvergence):

@@ -125,9 +125,26 @@ class TestTrivialCases:
             dict(absorbing=(2,), watch_vertices=(-1,)),
             dict(absorbing=(2,), watch_edges=((1, 3),)),
             dict(absorbing=(2,), watch_edges=((-1, 0),)),
+            # ids beyond int64
+            dict(absorbing=(2**70,)),
+            dict(absorbing=(2,), watch_vertices=(2**70,)),
+            dict(absorbing=(2,), watch_edges=((0, 2**70),)),
         ):
             with pytest.raises(InvalidVertex):
                 run_walks(net, WalkConfig(seed=0, num_walks=1, start=0, **bad))
+
+    def test_int64_ids_checked_without_fromiter(self, monkeypatch):
+        # a per-element pass over a deep level's ids costs more than the walks
+        fromiter = np.fromiter
+
+        def no_arrays(it, *args, **kwargs):
+            assert not isinstance(it, np.ndarray), "fromiter over an id array"
+            return fromiter(it, *args, **kwargs)
+
+        monkeypatch.setattr(np, "fromiter", no_arrays)
+        tree = build_tree(TreeSpec(2, 6))
+        cfg = WalkConfig(seed=3, num_walks=200, start=0, absorbing=level_slice(tree, 6))
+        assert sum(run_walks(tree.net, cfg).hits.values()) == 200
 
 
 def _scan(c, first, last, r):
