@@ -7,12 +7,24 @@ the voltage scale.  Uniqueness of that solution is what lets one solve
 path, :func:`solve_dirichlet`, back voltages, limits and (with a source
 term) the currents of :mod:`~resistive_walks.flows`.
 
+The free block of a connected network's grounded Laplacian is symmetric
+positive definite, so sparse LU factorizes it with diagonal pivots in
+SuperLU's symmetric mode, under a multiple-minimum-degree ordering of
+``A + A^T`` (Liu 1985).
+
 Limit quantities (resistance to infinity, Green function, hitting
 probabilities) are computed on exhaustions supplied by a
-:class:`~resistive_walks.generators.GraphGenerator`, stopping when two
-successive values agree within ``tol``.  Spherically symmetric generators
-dispatch to O(n) per-level ladder sums instead of linear solves; the others
-are exhausted only while the ball has at most ``EXHAUSTION_LIMIT`` vertices.
+:class:`~resistive_walks.generators.GraphGenerator`.  These sequences
+converge geometrically on transient trees, so each step's estimate is
+Aitken's delta-squared value of the last three raw terms (Aitken 1926),
+``v2 - d2**2 / (d2 - d1)`` with ``d1 = v1 - v0`` and ``d2 = v2 - v1``.  The
+raw ``v2`` stands in when the differences do not shrink (``d1 == 0``,
+``d2 == d1`` or ``|d2 / d1| >= 1``), as on the half-line's ``R_n = n + 1``.
+A limit stops when two successive estimates agree within ``tol``.  The
+Green function and hitting probabilities take their transience verdict
+from the same exhaustions.  Spherically symmetric generators dispatch to
+O(n) per-level ladder sums instead of linear solves; the others are
+exhausted only while the ball has at most ``EXHAUSTION_LIMIT`` vertices.
 """
 
 from __future__ import annotations
@@ -23,9 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BudgetExceededWithoutConvergence,
+    DisconnectedGraph,
     EmptyBoundary,
     EmptyTarget,
     InvalidSpec,
@@ -52,16 +66,21 @@ __all__ = [
 
 # free-vertex count up to which the free block is factorized by sparse LU;
 # beyond it Jacobi-preconditioned CG takes over.  Measured on a 2-vCPU host:
-# LU on the 300x300 grid (89,998 free) is faster than CG, but its fill-in
-# raised the solve benchmark's peak memory from 170 to 252 MiB; on the
-# level-16 tree (98,301 free) CG takes 0.17 s and LU 0.23 s.
+# LU on the 300x300 grid (89,998 free) takes 0.46 s against CG's 2.1 s, but
+# even under the minimum-degree ordering its L + U holds 5.0M nonzeros
+# (8.9M under COLAMD), and it raised the solve benchmark's peak memory from
+# 176 to 203 MiB; on the level-16 tree (98,301 free) CG takes 0.08 s and
+# LU 0.10 s.
 DIRECT_LIMIT = 50_000
 
 # vertices up to which the ball of a non-symmetric generator is exhausted;
 # a limit that would need a larger ball takes its n_max exit instead of
 # running out of memory.  The binary tree's ball fits up to radius 20
-# (3.1M vertices); the limits benchmark goes to radius 17 (393k).
+# (3.1M vertices); the limits benchmark goes to radius 9 (1,534).
 EXHAUSTION_LIMIT = 4_000_000
+
+# conductance-to-infinity threshold of the transience verdict
+TRANSIENCE_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -83,6 +102,8 @@ class LimitResult:
     value: float
     converged: bool
     n_used: int
+    #: True when ``value`` is an Aitken estimate rather than a raw term
+    accelerated: bool
 
 
 class Transience(enum.Enum):
@@ -108,7 +129,12 @@ def solve_dirichlet(
     ``DIRECT_LIMIT`` free vertices and solved by Jacobi-preconditioned CG
     beyond.  Either way the result must satisfy
     ``max |(L v)(x) - source(x)| / pi(x) <= tol * max(1, max |v|)`` over the
-    free vertices, else :class:`SolverDivergence` is raised.
+    free vertices, else :class:`SolverDivergence` is raised.  A clamped
+    value or source entry that is NaN or infinite raises
+    :class:`InvalidSpec`.  A free block that LU finds singular raises
+    :class:`DisconnectedGraph` when a component has no clamped vertex, and
+    :class:`SolverDivergence` otherwise (conductance ratios beyond float64
+    resolution).
     """
     _check_positive("tol", tol)
     if not bc.clamped:
@@ -116,6 +142,12 @@ def solve_dirichlet(
     clamped = net._check_ids(bc.clamped)
     values = np.zeros(net.vertex_count)
     values[clamped] = np.fromiter(bc.clamped.values(), dtype=float, count=len(clamped))
+    if not np.all(np.isfinite(values)):
+        raise InvalidSpec("clamped voltages must be finite")
+    if source is not None:
+        source = np.asarray(source, dtype=float)
+        if not np.all(np.isfinite(source)):
+            raise InvalidSpec("source entries must be finite")
     mask = np.ones(net.vertex_count, dtype=bool)
     mask[clamped] = False
     free = np.flatnonzero(mask)
@@ -124,11 +156,35 @@ def solve_dirichlet(
 
     rows = net.laplacian()[free]
     l_ff = rows[:, free]
-    source_f = np.zeros(len(free)) if source is None else np.asarray(source, dtype=float)[free]
+    source_f = np.zeros(len(free)) if source is None else source[free]
     rhs = source_f - rows @ values
     pi_f = net.pi[free]
     if len(free) <= DIRECT_LIMIT:
-        values[free] = spla.splu(l_ff.tocsc()).solve(rhs)
+        # l_ff is symmetric positive definite when every component holds a
+        # clamped vertex, so diagonal pivots are stable.  Measured on a
+        # 2-vCPU host over the 79 balls of an 80x80 grid (up to 6,398 free):
+        # L + U of the largest holds 230k nonzeros against 396k under the
+        # default COLAMD, and the 79 factorizations take 0.53 s against
+        # 1.02 s; panel_size=1 accounts for 0.53 s against 0.71 s at the
+        # default panel size.
+        try:
+            lu = spla.splu(
+                l_ff.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                panel_size=1,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            _, comp = connected_components(net.conductance_matrix(), directed=False)
+            if np.setdiff1d(comp, comp[clamped]).size:
+                raise DisconnectedGraph(
+                    f"free block is singular ({exc}): a component has no clamped vertex"
+                ) from None
+            # connected, yet singular in float64: some pi(x) has absorbed a
+            # conductance below its rounding unit
+            raise SolverDivergence(f"free block is numerically singular ({exc})") from None
+        values[free] = lu.solve(rhs)
     else:
         # ||r||_2 <= atol bounds every |r(x)| / pi(x) by the residual target;
         # the clamped values only bound max |v| from below, so the target
@@ -145,7 +201,7 @@ def solve_dirichlet(
 
     resid = float(np.max(np.abs(rows @ values - source_f) / pi_f))
     target = tol * max(1.0, float(np.max(np.abs(values))))
-    if resid > target:
+    if not resid <= target:  # also refuses a NaN residual
         raise SolverDivergence(f"harmonic residual {resid:.3e} exceeds tol {target:.3e}")
     return values
 
@@ -194,37 +250,77 @@ def _radius_budget(gen: GraphGenerator, n_max: int) -> int:
     return n
 
 
+class _Estimates:
+    """Raw terms of an exhaustion sequence and the estimate after each.
+
+    The estimate is Aitken's delta-squared value of the last three raw
+    terms, or the last raw term when their differences do not shrink
+    geometrically.  ``converged`` holds once two successive estimates
+    agree within ``tol``.
+    """
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.raw: list[float] = []
+        self.value = np.nan
+        self.accelerated = False
+        self.converged = False
+
+    def push(self, v2: float) -> None:
+        prev = self.value
+        self.value, self.accelerated = v2, False
+        if len(self.raw) >= 2:
+            v0, v1 = self.raw[-2:]
+            d1, d2 = v1 - v0, v2 - v1
+            if d1 != 0 and abs(d2 / d1) < 1:  # so also d2 != d1
+                self.value, self.accelerated = v2 - d2 * d2 / (d2 - d1), True
+        self.converged = abs(self.value - prev) < self.tol  # False after NaN
+        self.raw.append(v2)
+
+
 def resistance_to_infinity(
     gen: GraphGenerator, n_max: int = 64, tol: float = 1e-6
 ) -> LimitResult:
     """Limit of R(root <-> z_n) over exhaustions of increasing radius.
 
-    Declares convergence when two successive values differ by less than
-    ``tol``; otherwise returns the best estimate with ``converged=False``,
-    also when the next ball would exceed ``EXHAUSTION_LIMIT`` vertices.
-    R_n is nondecreasing in n (Rayleigh monotonicity), so a diverging
-    sequence simply never converges.
+    Declares convergence when two successive estimates (Aitken-accelerated
+    where the differences shrink, see the module docstring) differ by less
+    than ``tol``; otherwise returns the last estimate with
+    ``converged=False``, also when the next ball would exceed
+    ``EXHAUSTION_LIMIT`` vertices.  On a finite graph, once the ball covers
+    it, the value is the last raw term: the exact resistance to the farthest
+    vertices.  R_n is nondecreasing in n (Rayleigh monotonicity), so a
+    diverging sequence simply never converges.
     """
     if n_max < 1:
         raise InvalidSpec(f"n_max must be >= 1, got {n_max}")
     _check_positive("tol", tol)
     n_max = _radius_budget(gen, n_max)
-    prev = None
-    r = np.nan
+    est = _Estimates(tol)
     for n in range(n_max + 1):
         try:
             r = _unit_current_voltage(gen, gen.root, n, tol)[1]
         except InvalidRadius:
             # finite graph fully exhausted; no further change possible
-            return LimitResult(value=prev if prev is not None else r, converged=False, n_used=n)
-        if prev is not None and abs(r - prev) < tol:
-            return LimitResult(value=r, converged=True, n_used=n)
-        prev = r
-    return LimitResult(value=r, converged=False, n_used=n_max)
+            value = est.raw[-1] if est.raw else np.nan
+            return LimitResult(value=value, converged=False, n_used=n, accelerated=False)
+        est.push(r)
+        if est.converged:
+            return LimitResult(est.value, converged=True, n_used=n, accelerated=est.accelerated)
+    return LimitResult(est.value, converged=False, n_used=n_max, accelerated=est.accelerated)
+
+
+def _verdict(c: float, prev: float | None, eps: float) -> Transience:
+    """Transience verdict from successive conductances to infinity."""
+    if c < eps:
+        return Transience.RECURRENT_HEURISTIC
+    if prev is not None and abs(c - prev) < eps * c:
+        return Transience.TRANSIENT
+    return Transience.INCONCLUSIVE
 
 
 def classify_transience(
-    gen: GraphGenerator, n_max: int = 64, eps: float = 1e-3
+    gen: GraphGenerator, n_max: int = 64, eps: float = TRANSIENCE_EPS
 ) -> Transience:
     """Heuristic transience verdict from the conductance-to-infinity trend.
 
@@ -239,10 +335,9 @@ def classify_transience(
             c = 1.0 / _unit_current_voltage(gen, gen.root, n, min(eps, 1e-6))[1]
         except InvalidRadius:
             break
-        if c < eps:
-            return Transience.RECURRENT_HEURISTIC
-        if prev is not None and abs(c - prev) < eps * c:
-            return Transience.TRANSIENT
+        verdict = _verdict(c, prev, eps)
+        if verdict is not Transience.INCONCLUSIVE:
+            return verdict
         prev = c
     return Transience.INCONCLUSIVE
 
@@ -266,22 +361,43 @@ def _unit_current_voltage(
 
 
 def _limit(gen, x, n_max, tol, quantity):
+    """Limit of ``quantity(v_n(x), R_n, pi(x))`` over radii from depth(x) + 1
+    to ``n_max``; the same exhaustions' R_n give the transience verdict
+    (:func:`classify_transience`'s rule at ``TRANSIENCE_EPS``), which may
+    look on to radius max(32, depth(x) + 2) when ``n_max`` is smaller.  A
+    verdict needs two radii; when the ball budget allows fewer, the budget
+    error is raised, not :class:`NotTransient`."""
     _check_positive("tol", tol)
-    verdict = classify_transience(gen, n_max=max(n_max, 32))
-    if verdict is not Transience.TRANSIENT:
-        raise NotTransient(f"transience verdict: {verdict.value}")
-    prev = None
     start = gen.depth_of(x) + 1
     last = _radius_budget(gen, max(n_max, start))
-    for n in range(start, last + 1):
-        vx, va, pi_x = _unit_current_voltage(gen, x, n, tol)
-        val = quantity(vx, va, pi_x)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-    raise BudgetExceededWithoutConvergence(
-        f"no convergence by radius {last} (n_max={n_max}, last value {prev})"
-    )
+    est = _Estimates(tol)
+    verdict, prev_c = Transience.INCONCLUSIVE, None
+    end = max(last, _radius_budget(gen, max(32, start + 1)))
+    for n in range(start, end + 1):
+        try:
+            vx, r, pi_x = _unit_current_voltage(gen, x, n, tol)
+        except InvalidRadius:
+            break
+        if verdict is Transience.INCONCLUSIVE:
+            verdict, prev_c = _verdict(1.0 / r, prev_c, TRANSIENCE_EPS), 1.0 / r
+        if verdict is Transience.RECURRENT_HEURISTIC:
+            break
+        if n <= last:
+            est.push(quantity(vx, r, pi_x))
+        if verdict is Transience.TRANSIENT and (est.converged or n >= last):
+            break
+    if verdict is Transience.INCONCLUSIVE and end <= start:
+        raise BudgetExceededWithoutConvergence(
+            f"no transience verdict: the ball budget stops at radius {end}, "
+            f"and a verdict needs radii {start} and {start + 1}"
+        )
+    if verdict is not Transience.TRANSIENT:
+        raise NotTransient(f"transience verdict: {verdict.value}")
+    if not est.converged:
+        raise BudgetExceededWithoutConvergence(
+            f"no convergence by radius {last} (n_max={n_max}, last value {est.value})"
+        )
+    return est.value
 
 
 def green_function(

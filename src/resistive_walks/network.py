@@ -120,13 +120,19 @@ class Network:
 
     def _check_ids(self, ids: Iterable[int]) -> np.ndarray:
         """The vertex ids of an iterable (a set, list, dict or array) as an
-        int64 array; raises InvalidVertex naming the first one out of range.
-        A 1-D int64 array is checked in place, with no per-element pass."""
+        int64 array; raises InvalidVertex naming the first one that is not
+        an integer or is out of range.  A 1-D int64 array is checked in
+        place, with no per-element pass."""
         if isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1:
             arr = ids
         else:
             try:
-                arr = np.fromiter(ids, dtype=np.int64)
+                arr = np.fromiter(map(operator.index, ids), dtype=np.int64)
+            except TypeError:  # a float or other non-integer id; the scan names it
+                for x in ids:
+                    if not hasattr(type(x), "__index__"):
+                        raise InvalidVertex(f"vertex id {x!r} is not an integer") from None
+                raise InvalidVertex("vertex ids must be integers") from None
             except OverflowError:  # an id beyond int64; the scan names it
                 for x in ids:
                     self._check_vertex(x)

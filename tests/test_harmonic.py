@@ -8,6 +8,7 @@ from oracles import absorbing_hit_probability
 from resistive_walks import harmonic
 from resistive_walks import (
     BoundarySpec,
+    FiniteBallGenerator,
     HalfLineGenerator,
     Network,
     Transience,
@@ -22,12 +23,14 @@ from resistive_walks import (
     green_function,
     hitting_probability,
     ohm_current,
+    oracle_green_hitting,
     oracle_resistance,
     resistance_to_infinity,
     solve_dirichlet,
 )
 from resistive_walks.errors import (
     BudgetExceededWithoutConvergence,
+    DisconnectedGraph,
     EmptyBoundary,
     EmptyTarget,
     InvalidSpec,
@@ -125,12 +128,47 @@ class TestSolveDirichlet:
             solve_dirichlet(t.net, BoundarySpec({0: scale, t.z: 0.0}))
         assert iters[0] == iters[1] > 0
 
-    @pytest.mark.parametrize("x", [-1, "V"])
+    @pytest.mark.parametrize("x", [-1, "V", 1.5])
     def test_clamped_id_out_of_range(self, x):
+        # 1.5 is not an id at all, where int64 conversion would make it 1
         net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
         x = net.vertex_count if x == "V" else x
         with pytest.raises(InvalidVertex):
             solve_dirichlet(net, BoundarySpec({0: 1.0, x: 0.0}))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["clamped", "source"])
+    def test_nonfinite_input_refused(self, where, bad):
+        # a NaN boundary value used to come back as NaN voltages
+        net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
+        bc = BoundarySpec({0: bad if where == "clamped" else 1.0, 2: 0.0})
+        source = np.array([0.0, bad, 0.0]) if where == "source" else None
+        with pytest.raises(InvalidSpec, match="finite"):
+            solve_dirichlet(net, bc, source=source)
+
+    def test_nan_residual_raises(self, monkeypatch):
+        class NanLU:
+            def solve(self, rhs):
+                return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: NanLU())
+        net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(SolverDivergence):
+            solve_dirichlet(net, BoundarySpec({0: 1.0, 2: 0.0}))
+
+    def test_unclamped_component_is_disconnected(self):
+        # the free block of {1} + {2, 3} is singular; SuperLU says so with
+        # a bare RuntimeError
+        net = build_network([(0, 1, 1.0), (2, 3, 1.0)], check_connected=False)
+        with pytest.raises(DisconnectedGraph, match="singular"):
+            solve_dirichlet(net, BoundarySpec({0: 1.0}))
+
+    def test_numerically_singular_block_diverges(self):
+        # pi(1) = 1e9 + 1e-8 rounds to 1e9, so the connected network's free
+        # block {1, 2} is singular in float64
+        net = build_network([(0, 1, 1e-8), (1, 2, 1e9)])
+        with pytest.raises(SolverDivergence, match="numerically singular"):
+            solve_dirichlet(net, BoundarySpec({0: 1.0}))
 
     def test_one_laplacian_per_solve(self, monkeypatch):
         calls = []
@@ -173,16 +211,19 @@ class TestSolveDirichlet:
 
 
 @st.composite
-def dirichlet_problems(draw):
+def dirichlet_problems(draw, decades=3):
     """A connected graph of at most 12 vertices with conductances
-    10^U(-3, 3), a proper clamped subset and boundary values up to 1e9."""
+    10^U(-decades, decades), a proper clamped subset and boundary values up
+    to 1e9."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(2, 12))
     pairs = [(i, int(rng.integers(0, i))) for i in range(1, n)]
     extra = rng.integers(0, n, size=(draw(st.integers(0, 2 * n)), 2))
     pairs += [(int(a), int(b)) for a, b in extra if a != b]
-    net = build_network([(a, b, float(10.0 ** rng.uniform(-3, 3))) for a, b in pairs])
+    net = build_network(
+        [(a, b, float(10.0 ** rng.uniform(-decades, decades))) for a, b in pairs]
+    )
     k = draw(st.integers(1, n - 1))
     clamped = rng.choice(n, size=k, replace=False)
     scale = 10.0 ** draw(st.floats(0, 9))
@@ -190,24 +231,77 @@ def dirichlet_problems(draw):
     return net, bc
 
 
-def dense_dirichlet(net, bc):
-    """The Dirichlet solution by numpy.linalg.solve on a dense Laplacian
-    built from the edge list."""
+def dense_laplacian(net):
+    """The Laplacian as a dense array, built from the edge list."""
     n = net.vertex_count
     lap = np.zeros((n, n))
     np.add.at(lap, (net.edge_u, net.edge_v), -net.edge_c)
     np.add.at(lap, (net.edge_v, net.edge_u), -net.edge_c)
     lap[np.diag_indices(n)] = -lap.sum(axis=1)
-    values = np.zeros(n)
+    return lap
+
+
+def dense_dirichlet(net, bc):
+    """The Dirichlet solution by numpy.linalg.solve on a dense Laplacian."""
+    lap = dense_laplacian(net)
+    values = np.zeros(net.vertex_count)
     clamped = list(bc.clamped)
     values[clamped] = list(bc.clamped.values())
-    free = np.setdiff1d(np.arange(n), clamped)
+    free = np.setdiff1d(np.arange(net.vertex_count), clamped)
     rhs = -lap[np.ix_(free, clamped)] @ values[clamped]
     values[free] = np.linalg.solve(lap[np.ix_(free, free)], rhs)
     return values
 
 
+def escape_problem(net, bc):
+    """(a, z, unit): escape from the first free vertex a to the clamped set
+    z, and the boundary values v(a) = 1, v|z = 0 that give it."""
+    z = sorted(bc.clamped)
+    a = int(np.setdiff1d(np.arange(net.vertex_count), z)[0])
+    return a, z, BoundarySpec({a: 1.0, **dict.fromkeys(z, 0.0)})
+
+
+def dense_escape(net, a, unit):
+    """1 - sum_y p(a, y) v(y) for the dense unit voltage v; an error of at
+    most max |v error| in v moves it by at most as much."""
+    lap = dense_laplacian(net)
+    return lap[a] @ dense_dirichlet(net, unit) / lap[a, a]
+
+
+def condition_number(net, bc):
+    """Condition number of the free block of the dense Laplacian."""
+    lap = dense_laplacian(net)
+    free = np.setdiff1d(np.arange(net.vertex_count), list(bc.clamped))
+    if not len(free):
+        return 1.0
+    eig = np.linalg.eigvalsh(lap[np.ix_(free, free)])
+    # eigvalsh errs by about eps * eig[-1]
+    return eig[-1] / max(eig[0], np.finfo(float).eps * eig[-1])
+
+
+def lu_error_bound(net, bc):
+    """Bound on max |solved - dense| / max(1, max |v|) for the LU solve.
+
+    LU with diagonal pivots on a symmetric positive definite block and the
+    dense oracle are both backward stable, so each errs by a few eps times
+    the condition number of the free block (worst seen in 40000 draws at
+    10^U(-8, 8): 0.17 of this bound).
+    """
+    return 16 * net.vertex_count * np.finfo(float).eps * condition_number(net, bc)
+
+
+# a free block that float64 barely resolves may be refused with
+# SolverDivergence instead of solved (seen only at condition numbers near
+# 4.5e15); below this condition number a refusal is a fault
+REFUSABLE_CONDITION = 1e10
+
+
 class TestDenseOracle:
+    # conductances 10^U(-3, 3): the residual is at most 1e-9 * scale and the
+    # error may exceed it by the free block's condition number (worst seen in
+    # 20000 draws: 2.5e-10 * scale by LU, 9.0e-10 * scale by CG)
+    NARROW = 1e-7
+
     @pytest.mark.parametrize("method", ["direct", "cg"])
     @given(problem=dirichlet_problems())
     @settings(max_examples=60, deadline=None)
@@ -218,10 +312,64 @@ class TestDenseOracle:
             got = solve_dirichlet(net, bc)
         want = dense_dirichlet(net, bc)
         scale = max(1.0, float(np.max(np.abs(want))))
-        # the residual is at most 1e-9 * scale; the error may exceed it by
-        # the free block's condition number (worst seen in 3000 draws:
-        # 1.1e-10 * scale by LU, 5.5e-10 * scale by CG)
-        assert np.max(np.abs(got - want)) <= 1e-7 * scale
+        assert np.max(np.abs(got - want)) <= self.NARROW * scale
+
+    @pytest.mark.parametrize("method", ["direct", "cg"])
+    @given(problem=dirichlet_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_escape_matches_dense_solve(self, method, problem):
+        net, bc = problem
+        a, z, unit = escape_problem(net, bc)
+        with pytest.MonkeyPatch.context() as m:
+            use_solver(m, method)
+            got = effective(net, a, z).escape_probability
+        assert abs(got - dense_escape(net, a, unit)) <= self.NARROW
+
+    @given(problem=dirichlet_problems(decades=8))
+    @settings(max_examples=60, deadline=None)
+    def test_lu_matches_dense_solve_wide_range(self, problem):
+        # conductances 10^U(-8, 8) make free blocks with condition numbers
+        # up to 1/eps, where no fixed bound holds
+        net, bc = problem
+        try:
+            got = solve_dirichlet(net, bc)
+        except SolverDivergence:
+            assert condition_number(net, bc) > REFUSABLE_CONDITION
+            return
+        want = dense_dirichlet(net, bc)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= lu_error_bound(net, bc) * scale
+
+    @given(problem=dirichlet_problems(decades=8))
+    @settings(max_examples=60, deadline=None)
+    def test_lu_escape_wide_range(self, problem):
+        net, bc = problem
+        a, z, unit = escape_problem(net, bc)
+        try:
+            got = effective(net, a, z).escape_probability
+        except SolverDivergence:
+            assert condition_number(net, unit) > REFUSABLE_CONDITION
+            return
+        assert abs(got - dense_escape(net, a, unit)) <= lu_error_bound(net, unit)
+
+    @pytest.mark.parametrize("method", [
+        "direct",
+        pytest.param("cg", marks=pytest.mark.xfail(
+            strict=True,
+            raises=AssertionError,
+            reason="CG stops on |r(x)| / pi(x), which does not bound the error "
+            "at a vertex weakly tied to the boundary",
+        )),
+    ])
+    def test_weakly_tied_vertex(self, monkeypatch, method):
+        # the answer is 1 everywhere; vertex 1 reaches the boundary only
+        # through c = 1e-3 against pi(1) = 1e8, so CG's starting guess 0
+        # already has a residual of 1e-11 * pi and is returned as is
+        use_solver(monkeypatch, method)
+        net = build_network([(0, 1, 1e-3), (1, 2, 1e8)])
+        bc = BoundarySpec({0: 1.0})
+        got = solve_dirichlet(net, bc)
+        assert np.max(np.abs(got - dense_dirichlet(net, bc))) <= lu_error_bound(net, bc)
 
 
 class TestOhmCurrent:
@@ -287,9 +435,12 @@ class TestEffective:
 
 class TestLimits:
     def test_tree_resistance_to_infinity(self):
-        res = resistance_to_infinity(TreeGenerator(2), tol=1e-6)
-        assert res.converged
-        assert abs(res.value - 2.0 / 3.0) < 1e-5
+        # R_n = (2/3)(1 - 2^-(n+1)) is geometric, so Aitken's value is exact
+        for symmetric in (True, False):
+            res = resistance_to_infinity(TreeGenerator(2, symmetric=symmetric), tol=1e-6)
+            assert res.converged and res.accelerated
+            assert abs(res.value - 2.0 / 3.0) < 1e-12
+            assert res.n_used == 3
 
     def test_tree_q3(self):
         res = resistance_to_infinity(TreeGenerator(3), tol=1e-6)
@@ -297,8 +448,40 @@ class TestLimits:
         assert abs(res.value - 3.0 / 8.0) < 1e-5
 
     def test_half_line_diverges(self):
+        # R_n = n + 1: equal differences, so no Aitken estimate is formed
         res = resistance_to_infinity(HalfLineGenerator(), n_max=50, tol=1e-6)
-        assert not res.converged
+        assert (res.converged, res.accelerated, res.value) == (False, False, 51.0)
+
+    def test_finite_grid_exhausts_without_false_convergence(self):
+        # the grid's R_n grows like log n; successive Aitken estimates stay
+        # far apart, so the loop runs until the ball covers the grid and
+        # returns the last raw term, R(centre <-> corner 0)
+        n = 80
+        idx = np.arange(n * n).reshape(n, n)
+        u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+        v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+        c = np.random.default_rng(31).uniform(0.5, 2.0, size=len(u))
+        net = build_network(zip(u.tolist(), v.tolist(), c.tolist()))
+        centre = (n // 2) * n + n // 2
+        res = resistance_to_infinity(FiniteBallGenerator(net, centre), n_max=400, tol=1e-9)
+        assert (res.converged, res.n_used, res.accelerated) == (False, n, False)
+        want = effective(net, centre, {0}).resistance
+        assert abs(res.value - want) <= 1e-9 * want
+
+    def test_nonsymmetric_green_at_defaults(self, monkeypatch):
+        # the raw sequence cannot meet tol=1e-8 within the ball budget;
+        # the transience verdict sets the largest radius built
+        radii = []
+        exhaust = harmonic.exhaustion
+
+        def recording(gen, n):
+            radii.append(n)
+            return exhaust(gen, n)
+
+        monkeypatch.setattr(harmonic, "exhaustion", recording)
+        got = green_function(TreeGenerator(2, symmetric=False), first_at_depth(2, 1))
+        assert abs(got - oracle_green_hitting(2, 1)[0]) <= 1e-12
+        assert max(radii) <= 10
 
     def test_monotone_in_radius(self):
         gen = TreeGenerator(2, symmetric=False)
@@ -359,8 +542,22 @@ class TestLimits:
         with pytest.raises(BudgetExceededWithoutConvergence):
             green_function(TreeGenerator(2), 0, n_max=3, tol=1e-12)
 
+    def test_deep_vertex_budget_is_not_a_verdict(self, monkeypatch):
+        # the transience verdict needs radii depth(x) + 1 and depth(x) + 2;
+        # a budget that runs out first raises the budget error, which a
+        # caller may retry with a larger budget, not NotTransient
+        with pytest.raises(BudgetExceededWithoutConvergence):
+            green_function(TreeGenerator(2), first_at_depth(2, 40), n_max=10)
+        monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", 5_000)
+        gen = TreeGenerator(2, symmetric=False)
+        for depth in (9, 10):  # radius 10 is the last ball within the budget
+            with pytest.raises(BudgetExceededWithoutConvergence, match="transience verdict"):
+                green_function(gen, first_at_depth(2, depth))
+
     def test_ball_budget_stops_nonsymmetric_limits(self, monkeypatch):
-        # at the defaults this climbs to radius ~27 (4e8 vertices) unbudgeted
+        # the raw sequence would climb to radius ~27 (4e8 vertices) at the
+        # defaults; two Aitken estimates need four radii, so budgets that
+        # allow fewer must take the n_max exit
         monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", 5_000)
         built = []
         exhaust = harmonic.exhaustion
@@ -371,10 +568,13 @@ class TestLimits:
 
         monkeypatch.setattr(harmonic, "exhaustion", recording)
         gen = TreeGenerator(2, symmetric=False)
+        # depth 8 leaves radii 9 and 10, enough for the transience verdict
         with pytest.raises(BudgetExceededWithoutConvergence):
-            green_function(gen, first_at_depth(2, 1))
+            green_function(gen, first_at_depth(2, 8))
         # radius 10 (3,070 vertices) is the last ball within the budget
         assert max(built) == 3_070
         built.clear()
+        monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", 20)
         res = resistance_to_infinity(gen, tol=1e-12)
-        assert (res.converged, res.n_used, max(built)) == (False, 10, 3_070)
+        # radius 2 (10 vertices) is the last ball within the budget
+        assert (res.converged, res.n_used, max(built)) == (False, 2, 10)

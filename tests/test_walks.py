@@ -129,6 +129,8 @@ class TestTrivialCases:
             dict(absorbing=(2**70,)),
             dict(absorbing=(2,), watch_vertices=(2**70,)),
             dict(absorbing=(2,), watch_edges=((0, 2**70),)),
+            # a float id, which int64 conversion would truncate to 1
+            dict(absorbing=(1.7,)),
         ):
             with pytest.raises(InvalidVertex):
                 run_walks(net, WalkConfig(seed=0, num_walks=1, start=0, **bad))
