@@ -61,12 +61,17 @@ def _load_network(args, parser):
                 return network_from_json(json.load(fh)), None
         except (OSError, ValueError, KeyError, TypeError, OverflowError, NetworkError) as exc:
             parser.error(f"bad --network {args.network!r}: {exc}")
+    tree = build_tree(_tree_spec(args, parser))
+    return tree.net, tree
+
+
+def _tree_spec(args, parser) -> TreeSpec:
+    """The validated TreeSpec of ``--tree q,n``; nothing is built."""
     try:
         q_str, n_str = args.tree.split(",")
-        tree = build_tree(TreeSpec(int(q_str), int(n_str)))
+        return TreeSpec(int(q_str), int(n_str))
     except (ValueError, NetworkError) as exc:
         parser.error(f"bad --tree spec {args.tree!r}: {exc}")
-    return tree.net, tree
 
 
 def _parse_ids(text: str, flag: str, parser) -> list[int]:
@@ -93,18 +98,18 @@ def _parse_target_set(spec: str, tree, parser):
 
 
 def _cmd_resist(args, parser) -> int:
-    net, tree = _load_network(args, parser)
-    if args.to_infinity:
-        if tree is None:
+    if args.to_infinity:  # needs only the tree's q
+        if args.network:
             parser.error("--to-infinity currently needs --tree")
+        spec = _tree_spec(args, parser)
         limit = resistance_to_infinity(
-            TreeGenerator(tree.spec.q),
+            TreeGenerator(spec.q),
             n_max=args.n_max,
             tol=1e-6 if args.tol is None else args.tol,
         )
         doc = {
             "command": "resist",
-            "inputs": {"tree": f"{tree.spec.q},{tree.spec.levels}", "mode": "to-infinity"},
+            "inputs": {"tree": f"{spec.q},{spec.levels}", "mode": "to-infinity"},
             "resistance": limit.value,
             "conductance": 1.0 / limit.value,
             "flag": "converged" if limit.converged else "not-converged",
@@ -114,6 +119,7 @@ def _cmd_resist(args, parser) -> int:
         _emit(doc, args.format, rows, ["resistance", "conductance", "flag", "n_used"])
         return 0 if limit.converged else 1
 
+    net, tree = _load_network(args, parser)
     targets = _parse_target_set(args.target_set, tree, parser)
     eq = effective(net, args.source, targets, tol=1e-9 if args.tol is None else args.tol)
     doc = {

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each subclass of :class:`NetworkError` stands for one input or failure
+rule, checked in one place.
+"""
 
 
 class NetworkError(Exception):
@@ -6,86 +10,54 @@ class NetworkError(Exception):
 
 
 class EmptyInput(NetworkError):
-    pass
+    """An edge list, boundary, target set or contracted network is empty."""
 
 
 class NonpositiveConductance(NetworkError):
-    pass
+    """A conductance is zero, negative, NaN or infinite."""
 
 
 class DisconnectedGraph(NetworkError):
-    pass
+    """A network, a contraction's complement or a solve's component is cut off."""
 
 
 class InvalidVertex(NetworkError):
-    pass
-
-
-class EmptyContractionSet(NetworkError):
-    pass
-
-
-class ComplementDisconnected(NetworkError):
-    pass
+    """A vertex id is not an integer in 0 .. V-1, or a label is unknown."""
 
 
 class InvalidRadius(NetworkError):
-    pass
-
-
-class EmptyBoundary(NetworkError):
-    pass
-
-
-class EmptyTarget(NetworkError):
-    pass
+    """An exhaustion radius is negative or already covers a finite graph."""
 
 
 class VertexInTarget(NetworkError):
-    pass
+    """A source lies in its target or sink set, or a vertex pair repeats one."""
 
 
 class SolverDivergence(NetworkError):
-    pass
+    """A solve misses its residual tolerance or its free block is singular."""
 
 
 class NotTransient(NetworkError):
-    pass
+    """A transient-only limit was asked of a recurrent or inconclusive graph."""
 
 
 class BudgetExceededWithoutConvergence(NetworkError):
-    """Raised only when the caller asked for a hard failure; the limit
-    routines normally return a best estimate plus a convergence flag."""
+    """A limit did not converge within its radius or ball budget.
 
-
-class OverlappingSets(NetworkError):
-    pass
+    ``green_function`` and ``hitting_probability`` always raise it;
+    ``resistance_to_infinity`` instead returns its last estimate with
+    ``converged=False``."""
 
 
 class NotAFlow(NetworkError):
-    pass
+    """An edge function breaks the sign conditions of a flow from a to z."""
 
 
 class InvalidSpec(NetworkError, ValueError):
-    """An argument outside its domain (a count, tolerance or size); also a
-    ValueError, so callers that catch ValueError keep working."""
-
-
-class InvalidQ(NetworkError):
-    pass
-
-
-class InvalidCase(NetworkError):
-    pass
-
-
-class SameVertex(NetworkError):
-    pass
-
-
-class InvalidStart(NetworkError):
-    pass
+    """An argument outside its domain (a count, distance, tolerance, size,
+    tree degree q or escape case); also a ValueError, so callers that catch
+    ValueError keep working."""
 
 
 class NotAdjacent(NetworkError):
-    pass
+    """A directed edge x -> y is asked of two vertices that are not neighbours."""

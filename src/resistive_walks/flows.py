@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
-from .errors import NotAFlow, OverlappingSets
+from .errors import NotAFlow, VertexInTarget
 from .harmonic import BoundarySpec, solve_dirichlet
 from .network import Network
 
@@ -54,17 +54,10 @@ def apply_d_star(net: Network, theta: np.ndarray) -> np.ndarray:
 
 def chi(net: Network, x: int, y: int) -> np.ndarray:
     """Unit flow along the oriented edge x -> y."""
+    k = net.adj_edge[net.edge_slot(x, y)]
     theta = np.zeros(net.edge_count)
-    for k in net.incident_edges(x):
-        if net.edge_u[k] == x and net.edge_v[k] == y:
-            theta[k] = 1.0
-            return theta
-        if net.edge_v[k] == x and net.edge_u[k] == y:
-            theta[k] = -1.0
-            return theta
-    from .errors import NotAdjacent
-
-    raise NotAdjacent(f"{x} and {y} are not neighbors")
+    theta[k] = 1.0 if net.edge_u[k] == x else -1.0
+    return theta
 
 
 def inner_r(net: Network, theta1: np.ndarray, theta2: np.ndarray) -> float:
@@ -103,7 +96,7 @@ def validate_flow(net: Network, theta, a, z, tol: float = 1e-12) -> FlowReport:
     in_a = net._check_ids(a)
     overlap = kind[in_a] == 1
     if overlap.any():
-        raise OverlappingSets(f"source and sink overlap: {sorted(set(in_a[overlap].tolist()))}")
+        raise VertexInTarget(f"source and sink overlap: {sorted(set(in_a[overlap].tolist()))}")
     kind[in_a] = 0
     div = apply_d_star(net, theta)
     bad = np.where(kind == 0, div <= 0, np.where(kind == 1, div >= 0, np.abs(div) > tol))

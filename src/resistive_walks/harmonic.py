@@ -40,8 +40,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import (
     BudgetExceededWithoutConvergence,
     DisconnectedGraph,
-    EmptyBoundary,
-    EmptyTarget,
+    EmptyInput,
     InvalidSpec,
     NotTransient,
     SolverDivergence,
@@ -138,7 +137,7 @@ def solve_dirichlet(
     """
     _check_positive("tol", tol)
     if not bc.clamped:
-        raise EmptyBoundary("no clamped vertices")
+        raise EmptyInput("no clamped vertices")
     clamped = net._check_ids(bc.clamped)
     values = np.zeros(net.vertex_count)
     values[clamped] = np.fromiter(bc.clamped.values(), dtype=float, count=len(clamped))
@@ -215,7 +214,7 @@ def _unit_voltage(net: Network, a: int, z, tol: float) -> tuple[np.ndarray, floa
     """Voltages with v(a) = 1 and v = 0 on z, and the current leaving a."""
     clamped = dict.fromkeys(z, 0.0)
     if not clamped:
-        raise EmptyTarget("empty target set")
+        raise EmptyInput("empty target set")
     if a in clamped:
         raise VertexInTarget(f"source {a} lies in the target set")
     clamped[a] = 1.0

@@ -22,12 +22,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
-    ComplementDisconnected,
     DisconnectedGraph,
-    EmptyContractionSet,
     EmptyInput,
     InvalidVertex,
     NonpositiveConductance,
+    NotAdjacent,
 )
 
 __all__ = [
@@ -69,16 +68,26 @@ class Network:
         return len(self.edge_c)
 
     def degree(self, x: int) -> int:
-        self._check_vertex(x)
+        x = self._check_vertex(x)
         return int(self.adj_indptr[x + 1] - self.adj_indptr[x])
 
     def neighbors(self, x: int) -> np.ndarray:
-        self._check_vertex(x)
+        x = self._check_vertex(x)
         return self.adj_neighbor[self.adj_indptr[x] : self.adj_indptr[x + 1]]
 
     def incident_edges(self, x: int) -> np.ndarray:
-        self._check_vertex(x)
+        x = self._check_vertex(x)
         return self.adj_edge[self.adj_indptr[x] : self.adj_indptr[x + 1]]
+
+    def edge_slot(self, x: int, y: int) -> int:
+        """CSR slot of the directed edge x -> y; raises NotAdjacent when
+        y is not a neighbour of x."""
+        x, y = self._check_vertex(x), self._check_vertex(y)
+        first = self.adj_indptr[x]
+        hit = np.flatnonzero(self.adj_neighbor[first : self.adj_indptr[x + 1]] == y)
+        if not hit.size:
+            raise NotAdjacent(f"{x} and {y} are not neighbors")
+        return int(first + hit[0])
 
     @cached_property
     def _label_ids(self) -> dict:
@@ -94,29 +103,34 @@ class Network:
                 return ids[label]
             except (KeyError, TypeError):  # TypeError: an unhashable label
                 raise InvalidVertex(f"no vertex labelled {label!r}") from None
-        try:
-            x = operator.index(label)
-        except TypeError:
-            raise InvalidVertex(f"vertex id {label!r} is not an integer") from None
-        self._check_vertex(x)
-        return x
+        return self._check_vertex(label)
 
     def conductance_matrix(self) -> sp.csr_matrix:
-        """Symmetric sparse matrix C with C[x, y] = c(x, y)."""
+        """Symmetric sparse matrix C with C[x, y] = c(x, y), built from the
+        CSR adjacency (the indices copied, as sorting them is in place)."""
         n = self.vertex_count
-        data = np.concatenate([self.edge_c, self.edge_c])
-        rows = np.concatenate([self.edge_u, self.edge_v])
-        cols = np.concatenate([self.edge_v, self.edge_u])
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        c = sp.csr_matrix(
+            (self.edge_c[self.adj_edge], self.adj_neighbor.copy(), self.adj_indptr),
+            shape=(n, n),
+        )
+        c.sort_indices()
+        return c
 
     def laplacian(self) -> sp.csr_matrix:
         """Weighted graph Laplacian L = diag(pi) - C."""
         c = self.conductance_matrix()
         return sp.diags(self.pi) - c
 
-    def _check_vertex(self, x: int) -> None:
+    def _check_vertex(self, x) -> int:
+        """``x`` as an int id; raises InvalidVertex unless it is an integer
+        in ``0 .. V-1``.  The one check of a single vertex argument."""
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise InvalidVertex(f"vertex id {x!r} is not an integer") from None
         if not 0 <= x < self.vertex_count:
             raise InvalidVertex(f"vertex {x} out of range 0..{self.vertex_count - 1}")
+        return x
 
     def _check_ids(self, ids: Iterable[int]) -> np.ndarray:
         """The vertex ids of an iterable (a set, list, dict or array) as an
@@ -128,15 +142,10 @@ class Network:
         else:
             try:
                 arr = np.fromiter(map(operator.index, ids), dtype=np.int64)
-            except TypeError:  # a float or other non-integer id; the scan names it
-                for x in ids:
-                    if not hasattr(type(x), "__index__"):
-                        raise InvalidVertex(f"vertex id {x!r} is not an integer") from None
-                raise InvalidVertex("vertex ids must be integers") from None
-            except OverflowError:  # an id beyond int64; the scan names it
-                for x in ids:
+            except (TypeError, OverflowError):  # a non-integer or an id beyond int64
+                for x in ids:  # names the first such id
                     self._check_vertex(x)
-                raise
+                raise InvalidVertex("vertex ids must be integers") from None
         bad = (arr < 0) | (arr >= self.vertex_count)
         if bad.any():
             self._check_vertex(int(arr[bad.argmax()]))
@@ -173,7 +182,7 @@ def _assemble(u: np.ndarray, v: np.ndarray, c: np.ndarray, vertex_count: int,
         u, v, c = u[keep], v[keep], c[keep]
         lo, hi = np.minimum(u, v), np.maximum(u, v)
     if len(lo) == 0:
-        raise EmptyInput("no edges remain after dropping self-loops")
+        raise EmptyInput("no edges, or only self-loops")
     if vertex_count > 2 * len(lo):  # refused before allocating for every vertex
         raise DisconnectedGraph(f"{len(lo)} edges cannot cover {vertex_count} vertices")
     key = lo.astype(np.int64)
@@ -214,15 +223,7 @@ def _assemble(u: np.ndarray, v: np.ndarray, c: np.ndarray, vertex_count: int,
     del ends
     np.remainder(order, n_edges, out=order)
 
-    if check_connected:
-        adj = sp.csr_matrix(
-            (np.ones(len(neighbor)), neighbor, indptr), shape=(vertex_count, vertex_count)
-        )
-        ncomp, _ = connected_components(adj, directed=False)
-        if ncomp != 1:
-            raise DisconnectedGraph(f"{ncomp} components")
-
-    return Network(
+    net = Network(
         vertex_count=vertex_count,
         edge_u=eu,
         edge_v=ev,
@@ -233,6 +234,11 @@ def _assemble(u: np.ndarray, v: np.ndarray, c: np.ndarray, vertex_count: int,
         pi=pi,
         labels=labels,
     )
+    if check_connected:
+        ncomp, _ = connected_components(net.conductance_matrix(), directed=False)
+        if ncomp != 1:
+            raise DisconnectedGraph(f"{ncomp} components")
+    return net
 
 
 def build_network(edge_list: Iterable[tuple], check_connected: bool = True) -> Network:
@@ -243,8 +249,6 @@ def build_network(edge_list: Iterable[tuple], check_connected: bool = True) -> N
     Parallel edges merge by summing conductances; self-loops are dropped.
     """
     triples = list(edge_list)
-    if not triples:
-        raise EmptyInput("empty edge list")
     us = [t[0] for t in triples]
     vs = [t[1] for t in triples]
     cs = np.asarray([float(t[2]) for t in triples])
@@ -279,7 +283,7 @@ def build_network(edge_list: Iterable[tuple], check_connected: bool = True) -> N
 
 def vertex_weight(net: Network, x: int) -> float:
     """pi(x): sum of conductances incident to x."""
-    net._check_vertex(x)
+    x = net._check_vertex(x)
     return float(net.pi[x])
 
 
@@ -296,39 +300,24 @@ def contract_vertices(net: Network, s: Iterable[int]) -> tuple[Network, int]:
     Edges internal to ``s`` become self-loops and are thrown away; parallel
     edges to ``z`` merge by summing conductances.  The complement keeps its
     relative order at ids ``0..k-1``; ``z`` gets id ``k``.  Returns the new
-    network and the id of ``z``.
+    network and the id of ``z``.  A disconnected complement, or an empty
+    ``s`` (``z`` without edges), raises DisconnectedGraph; an ``s`` covering
+    every vertex leaves no edge and raises EmptyInput.
     """
-    s = net._check_ids(s)
-    if len(s) == 0:
-        raise EmptyContractionSet("empty contraction set")
     keep = np.ones(net.vertex_count, dtype=bool)
-    keep[s] = False
+    keep[net._check_ids(s)] = False
     kept = np.flatnonzero(keep)
-    if len(kept) == 0:
-        raise ComplementDisconnected("contraction set covers all vertices")
     z = len(kept)
+    if z > 1:
+        c = net.conductance_matrix()
+        ncomp, _ = connected_components(c[kept][:, kept], directed=False)
+        if ncomp != 1:
+            raise DisconnectedGraph("complement of contraction set is disconnected")
     mapping = np.full(net.vertex_count, z, dtype=np.int64)
     mapping[kept] = np.arange(z)
-    if z > 1:
-        inner = mapping[net.edge_u] < z
-        inner &= mapping[net.edge_v] < z
-        sub = sp.csr_matrix(
-            (
-                np.ones(int(inner.sum())),
-                (mapping[net.edge_u[inner]], mapping[net.edge_v[inner]]),
-            ),
-            shape=(z, z),
-        )
-        ncomp, _ = connected_components(sub, directed=False)
-        if ncomp != 1:
-            raise ComplementDisconnected("complement of contraction set is disconnected")
-    try:
-        out = _assemble(
-            mapping[net.edge_u], mapping[net.edge_v], net.edge_c, z + 1
-        )
-    except (EmptyInput, DisconnectedGraph) as exc:
-        raise ComplementDisconnected(str(exc)) from exc
-    return out, z
+    # connected as the complement is, once _assemble finds that z has an edge
+    u, v = mapping[net.edge_u], mapping[net.edge_v]
+    return _assemble(u, v, net.edge_c, z + 1, check_connected=False), z
 
 
 def series_parallel_reduce(net: Network, keep: Iterable[int]) -> Network:
@@ -340,9 +329,7 @@ def series_parallel_reduce(net: Network, keep: Iterable[int]) -> Network:
     returned as-is.  ``Network.labels`` of the result holds the surviving
     original ids.
     """
-    keep = frozenset(int(x) for x in keep)
-    for x in keep:
-        net._check_vertex(x)
+    keep = frozenset(net._check_ids(keep).tolist())
     # dict-of-dicts conductance map; parallel edges already merged at build
     conn: dict[int, dict[int, float]] = {x: {} for x in range(net.vertex_count)}
     for u, v, c in zip(net.edge_u, net.edge_v, net.edge_c):
@@ -356,8 +343,6 @@ def series_parallel_reduce(net: Network, keep: Iterable[int]) -> Network:
             if x in keep or len(conn[x]) != 2:
                 continue
             (a, ca), (b, cb) = conn[x].items()
-            if a == b:  # parallel pair collapsed into a loop at a
-                continue
             c_new = 1.0 / (1.0 / ca + 1.0 / cb)
             del conn[a][x]
             del conn[b][x]
@@ -409,8 +394,6 @@ def network_from_json(doc: dict) -> Network:
         bad = np.array([not (0 <= int(e["u"]) < n and 0 <= int(e["v"]) < n) for e in edges])
     if bad.any():
         raise InvalidVertex(f"edge endpoint out of range: {edges[int(bad.argmax())]}")
-    if len(edges) == 0:
-        raise EmptyInput("empty edge list")
     c = _field(edges, "c", float, np.float64)
     if np.any(c <= 0) or not np.all(np.isfinite(c)):
         raise NonpositiveConductance("conductances must be positive and finite")

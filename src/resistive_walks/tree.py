@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidCase, InvalidQ, InvalidSpec, InvalidVertex, SameVertex
+from .errors import InvalidSpec, InvalidVertex, VertexInTarget
 from .generators import GraphGenerator, exhaustion
 from .network import Network, _assemble
 
@@ -58,10 +59,9 @@ class TreeSpec:
     contract_boundary: bool = False
 
     def __post_init__(self):
-        if self.q < 2:
-            raise InvalidSpec(f"q must be >= 2, got {self.q}")
-        if self.levels < 0:
-            raise InvalidSpec(f"levels must be >= 0, got {self.levels}")
+        _check_tree_args(self.q, levels=self.levels)
+        if self.levels == 0 and not self.contract_boundary:
+            raise InvalidSpec("an uncontracted 0-level tree has no edges")
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,19 @@ class TreeNetwork:
         return np.where(outside, -1, _parent(self.spec.q, x))
 
 
+def _check_tree_args(q: int, least: int = 0, **counts) -> None:
+    """The domain of every tree quantity: an integer q >= 2, and each count
+    or distance in ``counts`` an integer >= ``least``; raises InvalidSpec."""
+    if not isinstance(q, Integral) or q < 2:
+        raise InvalidSpec(f"q must be an integer >= 2, got {q!r}")
+    for name, value in counts.items():
+        if not isinstance(value, Integral) or value < least:
+            raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def tree_vertex_count(q: int, levels: int) -> int:
     """1 + (q+1)(q^levels - 1)/(q - 1) vertices in the uncontracted tree."""
+    _check_tree_args(q, levels=levels)
     return 1 + (q + 1) * (q**levels - 1) // (q - 1)
 
 
@@ -122,8 +133,6 @@ def build_tree(spec: TreeSpec) -> TreeNetwork:
     if spec.contract_boundary:
         net, z = exhaustion(TreeGenerator(q), n)
         return TreeNetwork(net=net, spec=spec, z=z)
-    if n == 0:
-        raise InvalidSpec("an uncontracted 0-level tree has no edges")
     pu, pv = _tree_edges(q, n)
     net = _assemble(pu, pv, np.ones(len(pu)), len(pu) + 1, check_connected=False)
     return TreeNetwork(net=net, spec=spec, z=None)
@@ -132,13 +141,14 @@ def build_tree(spec: TreeSpec) -> TreeNetwork:
 def level_slice(tree: TreeNetwork, k: int) -> np.ndarray:
     """Vertex ids of level k of the truncation."""
     starts = _level_starts(tree.spec.q, tree.spec.levels)
-    if not 0 <= k <= tree.spec.levels:
+    if not isinstance(k, Integral) or not 0 <= k <= tree.spec.levels:
         raise InvalidSpec(f"level {k} outside 0..{tree.spec.levels}")
     return np.arange(starts[k], starts[k + 1], dtype=np.int64)
 
 
 def first_at_depth(q: int, d: int) -> int:
     """Smallest BFS id at depth d (a leftmost-branch vertex)."""
+    _check_tree_args(q, d=d)
     return 0 if d == 0 else int(_level_starts(q, d)[d])
 
 
@@ -149,10 +159,9 @@ def tree_distance(tree: TreeNetwork, a: int, x: int) -> int:
     larger id is never their lowest common ancestor: lifting it is one step
     of the geodesic.
     """
-    count = tree_vertex_count(tree.spec.q, tree.spec.levels)  # z is not a tree vertex
-    for y in (a, x):
-        if not 0 <= y < count:
-            raise InvalidVertex(f"vertex {y} out of range 0..{count - 1}")
+    a, x = tree.net._check_vertex(a), tree.net._check_vertex(x)
+    if tree.z in (a, x):
+        raise InvalidVertex(f"the contracted vertex {tree.z} is not a tree vertex")
     dist = 0
     while a != x:
         a, x = min(a, x), int(_parent(tree.spec.q, max(a, x)))
@@ -168,8 +177,7 @@ class TreeGenerator(GraphGenerator):
     """
 
     def __init__(self, q: int, symmetric: bool = True):
-        if q < 2:
-            raise InvalidQ(f"q must be >= 2, got {q}")
+        _check_tree_args(q)
         self.q = q
         self.spherically_symmetric = symmetric
 
@@ -196,12 +204,10 @@ def oracle_resistance(q: int, n=None) -> float:
 
     Finite n gives (1/(q+1)) (1 - q^-n)/(1 - 1/q); the limit is q/(q^2-1).
     """
-    if q < 2:
-        raise InvalidQ(f"q must be >= 2, got {q}")
     if n is None or n == float("inf"):
+        _check_tree_args(q)
         return q / (q**2 - 1)
-    if n < 1:
-        raise InvalidQ(f"n must be >= 1, got {n}")
+    _check_tree_args(q, 1, n=n)
     return (1.0 / (q + 1)) * (1.0 - q ** (-float(n))) / (1.0 - 1.0 / q)
 
 
@@ -211,8 +217,7 @@ def oracle_potential_current(q: int, depth: int) -> tuple[float, float]:
     v(x) = (q/(q^2-1)) q^-|x|; the current toward any single child is
     (1/(q+1)) q^-|x| (toward the parent it is the negation one level up).
     """
-    if q < 2:
-        raise InvalidQ(f"q must be >= 2, got {q}")
+    _check_tree_args(q, depth=depth)
     v = q / (q**2 - 1) * q ** (-float(depth))
     i_down = 1.0 / (q + 1) * q ** (-float(depth))
     return v, i_down
@@ -225,8 +230,7 @@ def oracle_green_hitting(q: int, d: int) -> tuple[float, float, float]:
     transitions of an oriented edge (x, y) with d = d(start, x):
     (q/(q^2-1)) q^-d.
     """
-    if q < 2:
-        raise InvalidQ(f"q must be >= 2, got {q}")
+    _check_tree_args(q, d=d)
     green = q / (q - 1) * q ** (-float(d))
     hitting = q ** (-float(d))
     transitions = q / (q**2 - 1) * q ** (-float(d))
@@ -242,8 +246,12 @@ def oracle_finite_escape(case: str, q: int, n: int | None = None, dist: int | No
     d: terminal vertex a to a single vertex at distance dist: 1/dist
     e: non-terminal a to a single vertex at distance dist: 1/(dist(q+1))
     """
-    if q < 2:
-        raise InvalidQ(f"q must be >= 2, got {q}")
+    if case in ("a", "b", "c"):
+        _check_tree_args(q, 1, n=n)
+    elif case in ("d", "e"):
+        _check_tree_args(q, 1, dist=dist)
+    else:
+        raise InvalidSpec(f"case must be one of a..e, got {case!r}")
     if case == "a":
         return q ** (n - 1) * (q - 1) / (q**n - 1)
     if case == "b":
@@ -252,9 +260,7 @@ def oracle_finite_escape(case: str, q: int, n: int | None = None, dist: int | No
         return 1.0 / (n * (q + 1))
     if case == "d":
         return 1.0 / dist
-    if case == "e":
-        return 1.0 / (dist * (q + 1))
-    raise InvalidCase(f"case must be one of a..e, got {case!r}")
+    return 1.0 / (dist * (q + 1))
 
 
 def ladder_resistance(q: int, n: int) -> float:
@@ -264,10 +270,7 @@ def ladder_resistance(q: int, n: int) -> float:
     q+1, q(q+1), q^2(q+1), ...; the series sum of their reciprocals is the
     resistance.  O(n) arithmetic; agrees with :func:`oracle_resistance`.
     """
-    if q < 2:
-        raise InvalidQ(f"q must be >= 2, got {q}")
-    if n < 1:
-        raise InvalidQ(f"n must be >= 1, got {n}")
+    _check_tree_args(q, 1, n=n)
     total = 0.0
     shell = float(q + 1)
     for _ in range(n):
@@ -285,14 +288,13 @@ def finite_tree_pair_resistance(tree: TreeNetwork, a: int, x: int) -> float:
     if tree.z is not None:
         raise InvalidSpec("pair resistance oracle needs an uncontracted tree")
     if a == x:
-        raise SameVertex(f"identical vertices {a}")
+        raise VertexInTarget(f"identical vertices {a}")
     return float(tree_distance(tree, a, x))
 
 
 def oracle_table(q: int, max_depth: int) -> list[dict]:
     """Closed-form rows (depth, v, i_down, green, hitting, transitions)."""
-    if max_depth < 0:
-        raise InvalidSpec(f"max_depth must be >= 0, got {max_depth}")
+    _check_tree_args(q, max_depth=max_depth)
     rows = []
     for d in range(max_depth + 1):
         v, i_down = oracle_potential_current(q, d)

@@ -123,7 +123,6 @@ def run_battery(
     walks: int = 100_000,
     seed: int = 42,
     tol: float = 1e-9,
-    shell: int | None = None,
 ) -> RunReport:
     """Full concordance battery at the given scale."""
     rows: list[CheckRow] = []
@@ -167,7 +166,7 @@ def run_battery(
 
     # Monte Carlo concordance on the shell-truncated tree
     if walks > 0:
-        L = shell if shell is not None else (20 if q == 2 else 12)
+        L = 20 if q == 2 else 12
         big = build_tree(TreeSpec(q, L, contract_boundary=False))
         shell_ids = level_slice(big, L)
         bias = float(q) ** (-L)

@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidSpec, InvalidStart, NotAdjacent, VertexInTarget
+from .errors import InvalidSpec, VertexInTarget
 from .network import Network
 
 __all__ = [
@@ -134,10 +134,10 @@ class WalkStats:
         """Absorption counts per absorbing vertex actually reached."""
         done = self.absorbed_at[self.absorbed_at >= 0]
         uniq, counts = np.unique(done, return_counts=True)
-        return {int(u): int(c) for u, c in zip(uniq, counts)}
+        return dict(zip(uniq.tolist(), counts.tolist()))
 
     def hit_count(self, target: int) -> int:
-        return self.hits.get(int(target), 0)
+        return self.hits.get(target, 0)
 
     def hit_fraction(self, target: int) -> tuple[float, float]:
         """(estimate, std_err) of the probability of being absorbed at target."""
@@ -165,7 +165,7 @@ class WalkStats:
             "num_walks": self.config.num_walks,
             "start": self.config.start,
             "censored": self.censored,
-            "hits": {str(k): v for k, v in sorted(self.hits.items())},
+            "hits": {str(k): v for k, v in self.hits.items()},
         }
 
 
@@ -221,12 +221,6 @@ def _unit_slots(first: np.ndarray, r: np.ndarray) -> np.ndarray:
     just below deg, so ``r``, the product rounded to nearest, is below deg.
     """
     return first + r.astype(np.int64)
-
-
-def _edge_slot(indptr: np.ndarray, nbr: np.ndarray, x: int, y: int) -> int:
-    """CSR slot of the directed edge x -> y, or -1 when y is not adjacent."""
-    hit = np.flatnonzero(nbr[indptr[x] : indptr[x + 1]] == y)
-    return int(indptr[x] + hit[0]) if hit.size else -1
 
 
 @dataclass(frozen=True)
@@ -320,14 +314,16 @@ def _step_chunks(run: _Run, bounds: list[int], track: bool) -> np.ndarray | None
 
 
 def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
-    """Simulate ``cfg.num_walks`` independent walks and tally them."""
+    """Simulate ``cfg.num_walks`` independent walks and tally them.
+
+    Every vertex of ``cfg`` must be a vertex of ``net`` (else InvalidVertex)
+    and every watched edge an edge of it (else NotAdjacent)."""
     n_vert = net.vertex_count
-    if not 0 <= cfg.start < n_vert:
-        raise InvalidStart(f"start vertex {cfg.start} out of range")
+    net._check_vertex(cfg.start)
     absorb_mask = np.zeros(n_vert, dtype=bool)
     absorb_mask[net._check_ids(cfg.absorbing)] = True
     watch_v = net._check_ids(cfg.watch_vertices)
-    watch_e = net._check_ids([x for e in cfg.watch_edges for x in e]).reshape(-1, 2)
+    watch_slot = [net.edge_slot(x, y) for x, y in cfg.watch_edges]
 
     indptr, nbr = net.adj_indptr, net.adj_neighbor
     odd_edge = net.edge_c != 1.0
@@ -347,11 +343,11 @@ def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
         pi=net.pi,
         absorb_mask=absorb_mask,
         watch_v=watch_v,
-        watch_slot=[_edge_slot(indptr, nbr, x, y) for x, y in watch_e],
+        watch_slot=watch_slot,
         absorbed_at=np.full(n_walks, -1, dtype=np.int64),
         steps=np.zeros(n_walks, dtype=np.int64),
         wv_counts=np.zeros((n_walks, len(watch_v)), dtype=np.int64),
-        we_counts=np.zeros((n_walks, len(watch_e)), dtype=np.int64),
+        we_counts=np.zeros((n_walks, len(watch_slot)), dtype=np.int64),
     )
     # steps taken per CSR slot; visits and transitions both derive from it
     track = cfg.track_visits or cfg.track_transitions
@@ -423,8 +419,6 @@ def estimate_green(net: Network, cfg: WalkConfig, x: int) -> tuple[float, float]
 
 def estimate_transitions(net: Network, cfg: WalkConfig, x: int, y: int) -> tuple[float, float]:
     """Mean count of directed steps x -> y per walk, with standard error."""
-    if int(y) not in net.neighbors(x):
-        raise NotAdjacent(f"{x} and {y} are not neighbors")
     if (x, y) not in cfg.watch_edges:
         cfg = replace(cfg, watch_edges=tuple(cfg.watch_edges) + ((x, y),))
     stats = run_walks(net, cfg)
@@ -433,13 +427,13 @@ def estimate_transitions(net: Network, cfg: WalkConfig, x: int, y: int) -> tuple
 
 def estimate_escape(net: Network, cfg: WalkConfig, a: int, z) -> tuple[float, float]:
     """P(reach z strictly before returning to a), walk started at a."""
-    z = frozenset(int(x) for x in z)
+    a, z = net._check_vertex(a), frozenset(net._check_ids(z).tolist())
     if a in z:
         raise VertexInTarget(f"source {a} lies in the target set")
     cfg = replace(
         cfg,
-        start=int(a),
-        absorbing=tuple(sorted(z | {int(a)})),
+        start=a,
+        absorbing=tuple(sorted(z | {a})),
         min_absorb_step=1,
     )
     stats = run_walks(net, cfg)

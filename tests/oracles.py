@@ -206,6 +206,16 @@ def reference_assemble(u: np.ndarray, v: np.ndarray, c: np.ndarray, vertex_count
     )
 
 
+def reference_conductance_matrix(net) -> sp.csr_matrix:
+    """C[x, y] = c(x, y) from both orientations of every edge, through COO;
+    ``Network.conductance_matrix`` must match it bit for bit."""
+    n = net.vertex_count
+    data = np.concatenate([net.edge_c, net.edge_c])
+    rows = np.concatenate([net.edge_u, net.edge_v])
+    cols = np.concatenate([net.edge_v, net.edge_u])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
 # The breadth-first tree labelling as it was first written, one level at a
 # time with per-vertex depth and parent arrays: the reference that
 # ``tree._tree_edges``, ``TreeNetwork.depth_of``/``parent_of`` and the

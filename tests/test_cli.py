@@ -44,6 +44,28 @@ class TestResist:
         assert doc["flag"] == "converged"
         assert abs(doc["resistance"] - 2.0 / 3.0) < 1e-3
 
+    def test_to_infinity_builds_no_tree(self, capsys, monkeypatch):
+        argv = ["resist", "--tree", "2,8", "--to-infinity"]
+        _, want, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "build_tree", _raising(AssertionError))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == want
+
+    @pytest.mark.parametrize("tree", ["1,8", "2,-1", "2,0", "2"])
+    def test_to_infinity_validates_tree_spec(self, capsys, tree):
+        code, out, err = run_cli(capsys, "resist", "--tree", tree, "--to-infinity")
+        assert code == 2
+        assert out == ""
+        assert "bad --tree spec" in err
+
+    def test_to_infinity_refuses_network_unread(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "resist", "--network", str(tmp_path / "missing.json"), "--to-infinity"
+        )
+        assert code == 2
+        assert "--to-infinity currently needs --tree" in err
+
     def test_network_file(self, capsys, tmp_path):
         net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
         path = tmp_path / "net.json"

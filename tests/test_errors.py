@@ -1,0 +1,133 @@
+"""The error contract: every NetworkError subclass is raised by some public
+call, and each input rule refuses what it should with its one class."""
+
+import numpy as np
+import pytest
+
+from resistive_walks import (
+    BoundarySpec,
+    HalfLineGenerator,
+    TreeGenerator,
+    TreeSpec,
+    WalkConfig,
+    build_network,
+    build_tree,
+    chi,
+    effective,
+    estimate_escape,
+    exhaustion,
+    first_at_depth,
+    green_function,
+    oracle_finite_escape,
+    oracle_green_hitting,
+    oracle_potential_current,
+    run_walks,
+    series_parallel_reduce,
+    solve_dirichlet,
+    thomson_gap,
+    tree_distance,
+    vertex_weight,
+)
+from resistive_walks.errors import (
+    BudgetExceededWithoutConvergence,
+    DisconnectedGraph,
+    EmptyInput,
+    InvalidRadius,
+    InvalidSpec,
+    InvalidVertex,
+    NetworkError,
+    NonpositiveConductance,
+    NotAdjacent,
+    NotAFlow,
+    NotTransient,
+    SolverDivergence,
+    VertexInTarget,
+)
+
+
+def path3():
+    return build_network([(0, 1, 1.0), (1, 2, 1.0)])
+
+
+def walk(start=0, **fields):
+    return WalkConfig(seed=0, num_walks=1, start=start, absorbing=(2,), **fields)
+
+
+# one public call per class that raises it
+TRIGGERS = {
+    EmptyInput: lambda: build_network([]),
+    NonpositiveConductance: lambda: build_network([(0, 1, 0.0)]),
+    DisconnectedGraph: lambda: build_network([(0, 1, 1.0), (2, 3, 1.0)]),
+    InvalidVertex: lambda: path3().degree(3),
+    InvalidRadius: lambda: exhaustion(HalfLineGenerator(), -1),
+    VertexInTarget: lambda: effective(path3(), 0, {0, 2}),
+    # a connected network whose pi(1) rounds away the conductance 1e-8
+    SolverDivergence: lambda: solve_dirichlet(
+        build_network([(0, 1, 1e-8), (1, 2, 1e9)]), BoundarySpec({0: 1.0})
+    ),
+    NotTransient: lambda: green_function(HalfLineGenerator(), 1),
+    # the budget leaves radii 41 and 42: a verdict, but too few for a limit
+    BudgetExceededWithoutConvergence: lambda: green_function(
+        TreeGenerator(2), first_at_depth(2, 40), n_max=10
+    ),
+    NotAFlow: lambda: thomson_gap(path3(), np.zeros(2), {0}, {2}),
+    InvalidSpec: lambda: TreeSpec(1, 2),
+    NotAdjacent: lambda: chi(path3(), 0, 2),
+}
+
+
+def test_every_error_class_has_a_trigger():
+    assert set(TRIGGERS) == set(NetworkError.__subclasses__())
+
+
+@pytest.mark.parametrize("cls", sorted(TRIGGERS, key=lambda c: c.__name__))
+def test_trigger_raises_its_class(cls):
+    with pytest.raises(cls) as info:
+        TRIGGERS[cls]()
+    assert type(info.value) is cls
+
+
+def _tree3():
+    return build_tree(TreeSpec(2, 3))
+
+
+# inputs each rule used to let through, to a wrong value or another exception
+REFUSED = {
+    "run_walks-start-float": (InvalidVertex, lambda: run_walks(path3(), walk(start=1.7))),
+    "run_walks-start-text": (InvalidVertex, lambda: run_walks(path3(), walk(start="1"))),
+    "degree-float": (InvalidVertex, lambda: path3().degree(1.5)),
+    "vertex_weight-float": (InvalidVertex, lambda: vertex_weight(path3(), 1.5)),
+    "tree_distance-float": (InvalidVertex, lambda: tree_distance(_tree3(), 1.5, 0)),
+    "series_parallel_reduce-float": (
+        InvalidVertex, lambda: series_parallel_reduce(path3(), {0, 2.7})
+    ),
+    "estimate_escape-float": (
+        InvalidVertex, lambda: estimate_escape(path3(), walk(), 0, {1.5})
+    ),
+    "run_walks-watch-non-edge": (
+        NotAdjacent,
+        lambda: run_walks(_tree3().net, WalkConfig(
+            seed=0, num_walks=1, start=0, absorbing=(1,), watch_edges=((0, 7),)
+        )),
+    ),
+    "green_hitting-negative-d": (InvalidSpec, lambda: oracle_green_hitting(2, -3)),
+    "potential_current-negative-depth": (
+        InvalidSpec, lambda: oracle_potential_current(2, -1)
+    ),
+    "finite_escape-a-n0": (InvalidSpec, lambda: oracle_finite_escape("a", 2, n=0)),
+    "finite_escape-a-no-n": (InvalidSpec, lambda: oracle_finite_escape("a", 2)),
+    "finite_escape-d-dist0": (InvalidSpec, lambda: oracle_finite_escape("d", 2, dist=0)),
+    "finite_escape-e-negative-dist": (
+        InvalidSpec, lambda: oracle_finite_escape("e", 2, dist=-1)
+    ),
+    "first_at_depth-negative-d": (InvalidSpec, lambda: first_at_depth(2, -1)),
+    "first_at_depth-q1": (InvalidSpec, lambda: first_at_depth(1, 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refused_input(case):
+    cls, call = REFUSED[case]
+    with pytest.raises(cls) as info:
+        call()
+    assert type(info.value) is cls

@@ -26,7 +26,7 @@ from resistive_walks import (
     validate_flow,
     verify_kirchhoff,
 )
-from resistive_walks.errors import InvalidVertex, NotAFlow, OverlappingSets
+from resistive_walks.errors import InvalidVertex, NotAFlow, VertexInTarget
 from test_network import random_connected_net
 
 
@@ -121,7 +121,7 @@ class TestFlows:
 
     def test_overlap_rejected(self):
         net = build_network([(0, 1, 1.0)])
-        with pytest.raises(OverlappingSets):
+        with pytest.raises(VertexInTarget):
             validate_flow(net, chi(net, 0, 1), {0}, {0, 1})
 
     def test_out_of_range_ids_rejected(self):

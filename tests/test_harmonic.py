@@ -31,8 +31,7 @@ from resistive_walks import (
 from resistive_walks.errors import (
     BudgetExceededWithoutConvergence,
     DisconnectedGraph,
-    EmptyBoundary,
-    EmptyTarget,
+    EmptyInput,
     InvalidSpec,
     InvalidVertex,
     NotTransient,
@@ -72,7 +71,7 @@ class TestSolveDirichlet:
 
     def test_empty_boundary(self):
         net = build_network([(0, 1, 1.0)])
-        with pytest.raises(EmptyBoundary):
+        with pytest.raises(EmptyInput):
             solve_dirichlet(net, BoundarySpec({}))
 
     def test_all_clamped(self):
@@ -416,7 +415,7 @@ class TestEffective:
 
     def test_errors(self):
         net = build_network([(0, 1, 1.0)])
-        with pytest.raises(EmptyTarget):
+        with pytest.raises(EmptyInput):
             effective(net, 0, set())
         with pytest.raises(VertexInTarget):
             effective(net, 0, {0, 1})

@@ -10,6 +10,7 @@ from oracles import (
     assert_same_network,
     reference_assemble,
     reference_build_network,
+    reference_conductance_matrix,
     reference_network_from_json,
 )
 from resistive_walks import (
@@ -28,9 +29,7 @@ from resistive_walks import (
     vertex_weight,
 )
 from resistive_walks.errors import (
-    ComplementDisconnected,
     DisconnectedGraph,
-    EmptyContractionSet,
     EmptyInput,
     InvalidRadius,
     InvalidVertex,
@@ -120,6 +119,23 @@ class TestBuildNetwork:
             vertex_weight(net, 7)
 
 
+class TestConductanceMatrix:
+    @pytest.mark.parametrize("make", [
+        lambda: random_connected_net(np.random.default_rng(5), 40),
+        lambda: build_tree(TreeSpec(3, 4)).net,
+        lambda: build_tree(TreeSpec(2, 5, contract_boundary=True)).net,
+    ])
+    def test_matches_reference_and_keeps_adjacency(self, make):
+        net = make()
+        nbr = net.adj_neighbor.copy()
+        got, want = net.conductance_matrix(), reference_conductance_matrix(net)
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # sorting the matrix's indices must not reorder the walker's slots
+        assert np.array_equal(net.adj_neighbor, nbr)
+
+
 class TestMarkovView:
     def test_single_edge_sole_neighbor(self):
         mv = markov_view(build_network([(0, 1, 3.0)]))
@@ -178,17 +194,18 @@ class TestContraction:
 
     def test_contract_everything_rejected(self):
         net = build_network([(0, 1, 1.0)])
-        with pytest.raises(ComplementDisconnected):
+        with pytest.raises(EmptyInput):
             contract_vertices(net, {0, 1})
 
     def test_empty_set_rejected(self):
+        # z would have no edges
         net = build_network([(0, 1, 1.0)])
-        with pytest.raises(EmptyContractionSet):
+        with pytest.raises(DisconnectedGraph):
             contract_vertices(net, set())
 
     def test_disconnected_complement_rejected(self):
         net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
-        with pytest.raises(ComplementDisconnected):
+        with pytest.raises(DisconnectedGraph):
             contract_vertices(net, {1})
 
     def test_dead_end_contraction_preserves_resistance(self):

@@ -29,7 +29,7 @@ from resistive_walks import (
     tree_vertex_count,
     vertex_weight,
 )
-from resistive_walks.errors import InvalidCase, InvalidQ, InvalidSpec, InvalidVertex, SameVertex
+from resistive_walks.errors import InvalidSpec, InvalidVertex, VertexInTarget
 
 
 def branch_root(tree, x):
@@ -217,13 +217,13 @@ class TestClosedForms:
         assert abs(oracle_finite_escape("e", 2, dist=3) - 1.0 / 9.0) < 1e-15
 
     def test_errors(self):
-        with pytest.raises(InvalidQ):
+        with pytest.raises(InvalidSpec):
             oracle_resistance(1, 2)
-        with pytest.raises(InvalidQ):
+        with pytest.raises(InvalidSpec):
             oracle_resistance(2, 0)
-        with pytest.raises(InvalidQ):
+        with pytest.raises(InvalidSpec):
             ladder_resistance(2, 0)
-        with pytest.raises(InvalidCase):
+        with pytest.raises(InvalidSpec):
             oracle_finite_escape("f", 2, n=2)
 
     def test_table_rows(self):
@@ -278,7 +278,7 @@ class TestSolverAgreement:
         assert finite_tree_pair_resistance(t, a, 0) == 3.0
         assert abs(effective(t.net, a, {0}).resistance - 3.0) < 1e-9
         assert abs(effective(t.net, a, {far}).resistance - 6.0) < 1e-9
-        with pytest.raises(SameVertex):
+        with pytest.raises(VertexInTarget):
             finite_tree_pair_resistance(t, a, a)
         tc = build_tree(TreeSpec(2, 2, contract_boundary=True))
         with pytest.raises(InvalidSpec):
@@ -349,5 +349,5 @@ class TestGenerator:
         assert gen.shell_conductance(2) == 36.0
 
     def test_invalid_q(self):
-        with pytest.raises(InvalidQ):
+        with pytest.raises(InvalidSpec):
             TreeGenerator(1)

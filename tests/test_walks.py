@@ -26,7 +26,7 @@ from resistive_walks import (
     run_walks,
 )
 from resistive_walks import walks
-from resistive_walks.errors import InvalidStart, InvalidVertex, NotAdjacent, VertexInTarget
+from resistive_walks.errors import InvalidVertex, NotAdjacent, VertexInTarget
 from resistive_walks.walks import _pick_slots, _row_prefix_sums, _unit_slots
 from test_network import random_connected_net
 
@@ -107,7 +107,7 @@ class TestTrivialCases:
 
     def test_errors(self):
         net = path3()
-        with pytest.raises(InvalidStart):
+        with pytest.raises(InvalidVertex):
             run_walks(net, WalkConfig(seed=0, num_walks=1, start=9, absorbing=(0,)))
         with pytest.raises(NotAdjacent):
             estimate_transitions(
@@ -370,10 +370,11 @@ def _golden_case(kind: str):
     ends += [(int(a), int(b)) for a, b in rng.integers(0, n, size=(2 * n, 2)) if a != b]
     c = 10.0 ** rng.uniform(-8.0, 8.0, size=len(ends))
     net = build_network([(a, b, float(w)) for (a, b), w in zip(ends, c)])
-    far = next(y for y in range(n) if y not in set(net.neighbors(0).tolist()) | {0})
+    # no walk leaves the absorbing vertex, so its edge's column stays zero
+    out = int(net.neighbors(n - 1)[0])
     return net, dict(start=0, absorbing=(n - 1,), max_steps=500,
                      watch_vertices=(0, n - 1),
-                     watch_edges=((0, int(net.neighbors(0)[0])), (0, far)))
+                     watch_edges=((0, int(net.neighbors(0)[0])), (n - 1, out)))
 
 
 def _tallies(stats):
