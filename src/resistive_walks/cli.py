@@ -146,7 +146,10 @@ def _cmd_oracle(args, parser) -> int:
 
 
 def _cmd_simulate(args, parser) -> int:
-    net, tree = _load_network(args, parser)
+    if args.network:
+        net, tree = _load_network(args, parser)
+    else:  # a --tree is walked by arithmetic, never built
+        net = tree = _tree_spec(args, parser)
     absorbing = ()
     if args.absorb_level is not None:
         absorbing = _tree_level(tree, args.absorb_level, "--absorb-level", parser)

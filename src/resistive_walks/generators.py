@@ -20,15 +20,17 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import InvalidRadius
-from .network import Network, _assemble
+from .network import Network, _assemble, _VertexIds
 
 __all__ = ["GraphGenerator", "HalfLineGenerator", "FiniteBallGenerator", "exhaustion"]
 
 
-class GraphGenerator(ABC):
+class GraphGenerator(_VertexIds, ABC):
     """Supplies a locally finite graph by radius around a fixed root (id 0)."""
 
     root: int = 0
+    #: ids are int64, so an infinite graph's usable ids stop below 2**63
+    vertex_count: int = 2**63
     #: True when every vertex at the same depth is equivalent under a
     #: root-fixing automorphism; enables the ladder fast path.
     spherically_symmetric: bool = False
@@ -115,7 +117,7 @@ class FiniteBallGenerator(GraphGenerator):
         self._v = self._new_id[net.edge_v]
         self._c = net.edge_c
         self._edge_depth = np.minimum(self._depth[self._u], self._depth[self._v])
-        self._net = net
+        self.vertex_count = net.vertex_count
 
     def ball_size(self, n: int) -> int:
         return int(np.searchsorted(self._depth, n, side="right"))

@@ -365,8 +365,10 @@ def _limit(gen, x, n_max, tol, quantity):
     (:func:`classify_transience`'s rule at ``TRANSIENCE_EPS``), which may
     look on to radius max(32, depth(x) + 2) when ``n_max`` is smaller.  A
     verdict needs two radii; when the ball budget allows fewer, the budget
-    error is raised, not :class:`NotTransient`."""
+    error is raised, not :class:`NotTransient`.  ``x`` must be a vertex id
+    of ``gen`` (else InvalidVertex)."""
     _check_positive("tol", tol)
+    x = gen._check_vertex(x)
     start = gen.depth_of(x) + 1
     last = _radius_budget(gen, max(n_max, start))
     est = _Estimates(tol)
@@ -410,6 +412,6 @@ def hitting_probability(
     gen: GraphGenerator, x: int, n_max: int = 80, tol: float = 1e-8
 ) -> float:
     """P_x(hit the root eventually) = lim v_n(x) / v_n(root); 1 when x is the root."""
-    if x == gen.root:
+    if gen._check_vertex(x) == gen.root:
         return 1.0
     return _limit(gen, x, n_max, tol, lambda vx, va, pi_x: vx / va)

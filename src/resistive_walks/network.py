@@ -42,8 +42,43 @@ __all__ = [
 ]
 
 
+class _VertexIds:
+    """Vertex ids ``0 .. vertex_count - 1`` and the one check of a vertex
+    argument, for a network or any other vertex set with a ``vertex_count``."""
+
+    def _check_vertex(self, x) -> int:
+        """``x`` as an int id; raises InvalidVertex unless it is an integer
+        in ``0 .. V-1``.  The one check of a single vertex argument."""
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise InvalidVertex(f"vertex id {x!r} is not an integer") from None
+        if not 0 <= x < self.vertex_count:
+            raise InvalidVertex(f"vertex {x} out of range 0..{self.vertex_count - 1}")
+        return x
+
+    def _check_ids(self, ids: Iterable[int]) -> np.ndarray:
+        """The vertex ids of an iterable (a set, list, dict or array) as an
+        int64 array; raises InvalidVertex naming the first one that is not
+        an integer or is out of range.  A 1-D int64 array is checked in
+        place, with no per-element pass."""
+        if isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1:
+            arr = ids
+        else:
+            try:
+                arr = np.fromiter(map(operator.index, ids), dtype=np.int64)
+            except (TypeError, OverflowError):  # a non-integer or an id beyond int64
+                for x in ids:  # names the first such id
+                    self._check_vertex(x)
+                raise InvalidVertex("vertex ids must be integers") from None
+        bad = (arr < 0) | (arr >= self.vertex_count)
+        if bad.any():
+            self._check_vertex(int(arr[bad.argmax()]))
+        return arr
+
+
 @dataclass(frozen=True)
-class Network:
+class Network(_VertexIds):
     """Finite connected weighted graph with merged parallel edges.
 
     Edges are stored once per undirected pair with ``u < v``; the forward
@@ -120,36 +155,6 @@ class Network:
         """Weighted graph Laplacian L = diag(pi) - C."""
         c = self.conductance_matrix()
         return sp.diags(self.pi) - c
-
-    def _check_vertex(self, x) -> int:
-        """``x`` as an int id; raises InvalidVertex unless it is an integer
-        in ``0 .. V-1``.  The one check of a single vertex argument."""
-        try:
-            x = operator.index(x)
-        except TypeError:
-            raise InvalidVertex(f"vertex id {x!r} is not an integer") from None
-        if not 0 <= x < self.vertex_count:
-            raise InvalidVertex(f"vertex {x} out of range 0..{self.vertex_count - 1}")
-        return x
-
-    def _check_ids(self, ids: Iterable[int]) -> np.ndarray:
-        """The vertex ids of an iterable (a set, list, dict or array) as an
-        int64 array; raises InvalidVertex naming the first one that is not
-        an integer or is out of range.  A 1-D int64 array is checked in
-        place, with no per-element pass."""
-        if isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1:
-            arr = ids
-        else:
-            try:
-                arr = np.fromiter(map(operator.index, ids), dtype=np.int64)
-            except (TypeError, OverflowError):  # a non-integer or an id beyond int64
-                for x in ids:  # names the first such id
-                    self._check_vertex(x)
-                raise InvalidVertex("vertex ids must be integers") from None
-        bad = (arr < 0) | (arr >= self.vertex_count)
-        if bad.any():
-            self._check_vertex(int(arr[bad.argmax()]))
-        return arr
 
 
 @dataclass(frozen=True)
@@ -376,9 +381,15 @@ def network_to_json(net: Network) -> dict:
     return doc
 
 
-def _field(edges, key: str, conv, dtype) -> np.ndarray:
-    """``conv(e[key])`` of every edge record, as one array."""
-    return np.fromiter((conv(e[key]) for e in edges), dtype=dtype, count=len(edges))
+def _endpoints(edges, key: str) -> list:
+    """``e[key]`` of every edge record; raises InvalidVertex for one that
+    is not an integer (a float, string or boolean is not an id)."""
+    ids = [e[key] for e in edges]
+    odd = {t for t in set(map(type, ids)) if t is not int and not issubclass(t, np.integer)}
+    if odd:
+        bad = next(x for x in ids if type(x) in odd)
+        raise InvalidVertex(f"vertex id {bad!r} is not an integer")
+    return ids
 
 
 def network_from_json(doc: dict) -> Network:
@@ -386,15 +397,16 @@ def network_from_json(doc: dict) -> Network:
     declared vertices without edges."""
     n = int(doc["vertices"])
     edges = doc["edges"]
+    us, vs = _endpoints(edges, "u"), _endpoints(edges, "v")
     try:
-        u = _field(edges, "u", int, np.int64)
-        v = _field(edges, "v", int, np.int64)
+        u = np.array(us, dtype=np.int64)
+        v = np.array(vs, dtype=np.int64)
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     except OverflowError:  # an id beyond int64 is out of range too; find its edge
-        bad = np.array([not (0 <= int(e["u"]) < n and 0 <= int(e["v"]) < n) for e in edges])
+        bad = np.array([not (0 <= a < n and 0 <= b < n) for a, b in zip(us, vs)])
     if bad.any():
         raise InvalidVertex(f"edge endpoint out of range: {edges[int(bad.argmax())]}")
-    c = _field(edges, "c", float, np.float64)
+    c = np.fromiter((float(e["c"]) for e in edges), dtype=np.float64, count=len(edges))
     if np.any(c <= 0) or not np.all(np.isfinite(c)):
         raise NonpositiveConductance("conductances must be positive and finite")
     net = _assemble(u, v, c, n)

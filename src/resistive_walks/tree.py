@@ -138,11 +138,12 @@ def build_tree(spec: TreeSpec) -> TreeNetwork:
     return TreeNetwork(net=net, spec=spec, z=None)
 
 
-def level_slice(tree: TreeNetwork, k: int) -> np.ndarray:
-    """Vertex ids of level k of the truncation."""
-    starts = _level_starts(tree.spec.q, tree.spec.levels)
-    if not isinstance(k, Integral) or not 0 <= k <= tree.spec.levels:
-        raise InvalidSpec(f"level {k} outside 0..{tree.spec.levels}")
+def level_slice(tree: TreeNetwork | TreeSpec, k: int) -> np.ndarray:
+    """Vertex ids of level k of the truncation (built or not)."""
+    spec = tree if isinstance(tree, TreeSpec) else tree.spec
+    starts = _level_starts(spec.q, spec.levels)
+    if not isinstance(k, Integral) or not 0 <= k <= spec.levels:
+        raise InvalidSpec(f"level {k} outside 0..{spec.levels}")
     return np.arange(starts[k], starts[k + 1], dtype=np.int64)
 
 

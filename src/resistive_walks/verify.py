@@ -167,7 +167,7 @@ def run_battery(
     # Monte Carlo concordance on the shell-truncated tree
     if walks > 0:
         L = 20 if q == 2 else 12
-        big = build_tree(TreeSpec(q, L, contract_boundary=False))
+        big = TreeSpec(q, L)  # walked by arithmetic, never built
         shell_ids = level_slice(big, L)
         bias = float(q) ** (-L)
 
@@ -180,7 +180,7 @@ def run_battery(
             watch_vertices=(0,),
             watch_edges=((0, x1),),
         )
-        stats = run_walks(big.net, cfg)
+        stats = run_walks(big, cfg)
         g_closed, _, _ = tree.oracle_green_hitting(q, 0)
         est, se = stats.visit_estimate(0)
         rows.append(_row("mc/green_d0", g_closed, mc=est, se=se, bias=bias))
@@ -194,7 +194,7 @@ def run_battery(
             start=x1,
             absorbing=np.concatenate([[0], shell_ids]),
         )
-        stats_hit = run_walks(big.net, cfg_hit)
+        stats_hit = run_walks(big, cfg_hit)
         _, h_closed, _ = tree.oracle_green_hitting(q, 1)
         est, se = stats_hit.hit_fraction(0)
         rows.append(_row("mc/hitting_d1", h_closed, mc=est, se=se, bias=bias))

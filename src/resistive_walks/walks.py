@@ -26,6 +26,11 @@ exactly as the scan adds them.  The sums are built, over every row, only
 when the network has an odd row.  Visits and directed transitions are
 tallied per slot in O(E) memory, whatever the number of walks or steps.
 
+The rows come from one of two neighbour sources, stepped by the one loop
+of :func:`_step_chunk`: a :class:`Network`'s CSR arrays, or closed forms
+of an uncontracted tree's breadth-first labels (:class:`_TreeRows`), which
+list each row in its CSR order, so both take the same neighbours bit for bit.
+
 Tally conventions (hitting time from step 0, return time from step 1):
 visits are counted at every time ``0..T`` inclusive, where ``T`` is the
 absorption or censoring time; transitions count the steps actually taken.
@@ -45,8 +50,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidSpec, VertexInTarget
-from .network import Network
+from .errors import InvalidSpec, NotAdjacent, VertexInTarget
+from .network import Network, _VertexIds
+from .tree import TreeSpec, _parent, tree_vertex_count
 
 __all__ = [
     "WalkConfig",
@@ -224,16 +230,60 @@ def _unit_slots(first: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _TreeRows(_VertexIds):
+    """The CSR rows of an uncontracted tree, by arithmetic on its labels.
+
+    Row x lists x's children ascending, then its parent: the root's slot k is
+    child ``k + 1``, an inner vertex's slot ``k < q`` child ``q x + 2 + k`` and
+    slot q its parent; a leaf (``x >= leaf``) has only its parent.  All are
+    unit rows, ``pi = q + 1`` or 1.  Slot k of row x is numbered ``(q + 1) x + k``.
+    """
+
+    vertex_count: int
+    q: int
+    leaf: int  # first id of the deepest level
+
+    @classmethod
+    def of(cls, spec: TreeSpec) -> "_TreeRows":
+        if spec.contract_boundary:
+            raise InvalidSpec("a TreeSpec walked without a network must be uncontracted")
+        n = tree_vertex_count(spec.q, spec.levels)
+        if (spec.q + 1) * n > np.iinfo(np.int64).max:
+            raise InvalidSpec(f"the slots of a {spec} do not fit int64")
+        return cls(n, spec.q, tree_vertex_count(spec.q, spec.levels - 1))
+
+    def edge_slot(self, x: int, y: int) -> int:
+        """Slot of the directed edge x -> y; raises NotAdjacent when y is
+        not a neighbour of x."""
+        x, y = self._check_vertex(x), self._check_vertex(y)
+        q, inner = self.q, x < self.leaf
+        first = 1 if x == 0 else q * x + 2  # first child
+        if inner and first <= y <= q * x + q + 1:
+            return (q + 1) * x + y - first
+        if x > 0 and y == max((x - 2) // q, 0):
+            return (q + 1) * x + (q if inner else 0)
+        raise NotAdjacent(f"{x} and {y} are not neighbors")
+
+    def step(self, cur: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, neighbour) of a step from each ``cur`` with variate ``u``."""
+        q = self.q
+        inner = cur < self.leaf
+        root = cur == 0
+        k = (u * np.where(inner, q + 1.0, 1.0)).astype(np.int64)  # = u * pi(cur)
+        slot = (q + 1) * cur + k
+        up = k >= np.where(inner, q + root, 0)  # past the children
+        return slot, np.where(up, _parent(q, cur), slot - cur + 2 - root)
+
+
+@dataclass(frozen=True)
 class _Run:
     """One :func:`run_walks` call: what its chunks read, and the per-walk
     arrays they write, each chunk at its own walk indices only."""
 
     cfg: WalkConfig
+    net: Network | _TreeRows  # CSR rows, or a tree's rows by arithmetic
     cum: np.ndarray | None  # row prefix sums; None when no row is odd
     odd: np.ndarray | None  # per vertex: its row is odd; None when none is
-    indptr: np.ndarray
-    nbr: np.ndarray
-    pi: np.ndarray
     absorb_mask: np.ndarray
     watch_v: np.ndarray
     watch_slot: list[int]
@@ -248,7 +298,10 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
     """Step walks ``lo..hi-1`` in lockstep until all are absorbed or censored,
     adding their steps per CSR slot to ``slot_counts``; returns early once
     ``run.stop`` is set."""
-    cfg, cum, odd, indptr, nbr, pi = run.cfg, run.cum, run.odd, run.indptr, run.nbr, run.pi
+    cfg, net, cum, odd = run.cfg, run.net, run.cum, run.odd
+    tree = net if isinstance(net, _TreeRows) else None
+    if tree is None:
+        indptr, nbr, pi = net.adj_indptr, net.adj_neighbor, net.pi
     seed_u = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     base = _mix(seed_u ^ (_PHI * (np.arange(lo, hi, dtype=np.uint64) + np.uint64(1))))
     cur = np.full(hi - lo, cfg.start, dtype=np.int64)
@@ -267,15 +320,18 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
     while len(cur) > 0 and t < cfg.max_steps:
         if run.stop.is_set():
             return
-        r = _uniforms(base, t) * pi[cur]
-        first = indptr[cur]
-        if odd is None:
-            ptr = _unit_slots(first, r)
-        else:  # odd rows bisect; a zero r keeps their cast in range
-            o = odd[cur]
-            ptr = _unit_slots(first, np.where(o, 0.0, r))
-            ptr[o] = _pick_slots(cum, first[o], indptr[cur[o] + 1] - 1, r[o])
-        nxt = nbr[ptr]
+        if tree is not None:
+            ptr, nxt = tree.step(cur, _uniforms(base, t))
+        else:
+            r = _uniforms(base, t) * pi[cur]
+            first = indptr[cur]
+            if odd is None:
+                ptr = _unit_slots(first, r)
+            else:  # odd rows bisect; a zero r keeps their cast in range
+                o = odd[cur]
+                ptr = _unit_slots(first, np.where(o, 0.0, r))
+                ptr[o] = _pick_slots(cum, first[o], indptr[cur[o] + 1] - 1, r[o])
+            nxt = nbr[ptr]
         t += 1
 
         for j, s in enumerate(run.watch_slot):
@@ -303,7 +359,7 @@ def _step_chunks(run: _Run, bounds: list[int], track: bool) -> np.ndarray | None
     Returns their steps per CSR slot (None when ``track`` is false).  A
     failure sets ``run.stop``, so the other workers of the call stop too.
     """
-    slot_counts = np.zeros(len(run.nbr), dtype=np.int64) if track else None
+    slot_counts = np.zeros(len(run.net.adj_neighbor), dtype=np.int64) if track else None
     try:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             _step_chunk(run, lo, hi, slot_counts)
@@ -313,11 +369,19 @@ def _step_chunks(run: _Run, bounds: list[int], track: bool) -> np.ndarray | None
     return slot_counts
 
 
-def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
+def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
     """Simulate ``cfg.num_walks`` independent walks and tally them.
 
-    Every vertex of ``cfg`` must be a vertex of ``net`` (else InvalidVertex)
-    and every watched edge an edge of it (else NotAdjacent)."""
+    ``net`` is a Network, or the TreeSpec of an uncontracted tree, walked
+    by its arithmetic rows with no network built.  Every vertex of ``cfg``
+    must be a vertex of ``net`` (else InvalidVertex) and every watched edge
+    an edge of it (else NotAdjacent).  A TreeSpec refuses, with InvalidSpec,
+    a contracted tree, visit or transition tallies, and slots beyond int64."""
+    odd = cum = None
+    if isinstance(net, TreeSpec):
+        if cfg.track_visits or cfg.track_transitions:
+            raise InvalidSpec("visit and transition tallies need a Network")
+        net = _TreeRows.of(net)
     n_vert = net.vertex_count
     net._check_vertex(cfg.start)
     absorb_mask = np.zeros(n_vert, dtype=bool)
@@ -325,22 +389,18 @@ def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
     watch_v = net._check_ids(cfg.watch_vertices)
     watch_slot = [net.edge_slot(x, y) for x, y in cfg.watch_edges]
 
-    indptr, nbr = net.adj_indptr, net.adj_neighbor
-    odd_edge = net.edge_c != 1.0
-    if odd_edge.any():
-        odd = np.zeros(n_vert, dtype=bool)
-        odd[net.edge_u[odd_edge]] = odd[net.edge_v[odd_edge]] = True
-        cum = _row_prefix_sums(net)
-    else:
-        odd = cum = None
+    if isinstance(net, Network):
+        odd_edge = net.edge_c != 1.0
+        if odd_edge.any():
+            odd = np.zeros(n_vert, dtype=bool)
+            odd[net.edge_u[odd_edge]] = odd[net.edge_v[odd_edge]] = True
+            cum = _row_prefix_sums(net)
     n_walks = cfg.num_walks
     run = _Run(
         cfg=cfg,
+        net=net,
         cum=cum,
         odd=odd,
-        indptr=indptr,
-        nbr=nbr,
-        pi=net.pi,
         absorb_mask=absorb_mask,
         watch_v=watch_v,
         watch_slot=watch_slot,
@@ -378,8 +438,8 @@ def run_walks(net: Network, cfg: WalkConfig) -> WalkStats:
             slot_counts += extra
         taken = np.flatnonzero(slot_counts)
         counts = slot_counts[taken]
-        src = np.searchsorted(indptr, taken, side="right") - 1
-        dst = nbr[taken]
+        src = np.searchsorted(net.adj_indptr, taken, side="right") - 1
+        dst = net.adj_neighbor[taken]
         if cfg.track_visits:
             visits = np.zeros(n_vert, dtype=np.int64)
             visits[cfg.start] = n_walks  # every walk is there at time 0

@@ -322,6 +322,9 @@ def reference_network_from_json(doc: dict) -> Network:
     n = int(doc["vertices"])
     triples = []
     for e in doc["edges"]:
+        for x in (e["u"], e["v"]):  # a float, string or boolean is not an id
+            if type(x) is not int and not isinstance(x, np.integer):
+                raise InvalidVertex(f"vertex id {x!r} is not an integer")
         u, v, c = int(e["u"]), int(e["v"]), float(e["c"])
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidVertex(f"edge endpoint out of range: {e}")

@@ -8,8 +8,16 @@ from pathlib import Path
 import pytest
 
 import resistive_walks
-from resistive_walks import build_network, network_to_json
-from resistive_walks import cli
+from resistive_walks import (
+    TreeSpec,
+    build_network,
+    build_tree,
+    level_slice,
+    network_to_json,
+    run_battery,
+    tree_vertex_count,
+)
+from resistive_walks import cli, generators, network, tree
 from resistive_walks.cli import main
 from resistive_walks.errors import (
     BudgetExceededWithoutConvergence,
@@ -132,6 +140,8 @@ BAD_NETWORK_FILES = {
     "bad_id": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 5, "c": 1.0}]}),
     "bad_c": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 0.0}]}),
     "id_text": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": "one", "c": 1.0}]}),
+    "id_float": json.dumps({"vertices": 2, "edges": [{"u": 0.7, "v": 1, "c": 1.0}]}),
+    "id_bool": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": True, "c": 1.0}]}),
     "not_a_doc": json.dumps([1, 2]),
     "uncovered": json.dumps({"vertices": 3, "edges": [{"u": 0, "v": 1, "c": 1.0}]}),
     "huge_c": '{"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 1' + "0" * 400 + "}]}",
@@ -233,6 +243,31 @@ class TestSimulate:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "91ea72c0d7a1a11a83c93e3a802c08cae965a2224b1c110b3ccf56191d8200c5"
 
+    def test_tree_builds_no_network(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_tree", _raising(AssertionError))
+        code, out, _ = run_cli(
+            capsys, "simulate", "--tree", "2,3", "--absorbing", "0,14", "--start", "7",
+            "--walks", "300", "--seed", "5",
+        )
+        assert code == 0
+        assert sum(json.loads(out)["hits"].values()) == 300
+
+    def test_tree_equals_its_network_file(self, capsys, tmp_path):
+        # the document names no network, so the arithmetic tree walk and the
+        # CSR walk of the same tree written to a file print the same bytes
+        t = build_tree(TreeSpec(2, 12))
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(network_to_json(t.net)))
+        level = ",".join(map(str, level_slice(t, 12).tolist()))
+        common = ("--walks", "20000", "--seed", "42")
+        _, by_file, _ = run_cli(
+            capsys, "simulate", "--network", str(path), "--absorbing", level, *common
+        )
+        _, by_tree, _ = run_cli(
+            capsys, "simulate", "--tree", "2,12", "--absorb-level", "12", *common
+        )
+        assert by_file == by_tree and json.loads(by_tree)["censored"] == 0
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("RESISTIVE_WALKS_SEED", "99")
         code, out, _ = run_cli(
@@ -272,6 +307,29 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["exit_status"] == "pass"
         assert all(r["verdict"] == "pass" for r in doc["results"])
+
+    def test_default_stdout_digest(self, capsys):
+        # pins every row at the default scale, both Monte Carlo batches on
+        # the level-20 tree included
+        code, out, _ = run_cli(capsys, "verify", "--seed", "42")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "aaef0f8dcd7345951d1208abf5446c95e45e1e9131c365c2c3426336905aa923"
+
+    def test_default_battery_assembles_no_big_network(self, monkeypatch):
+        # the level-20 walks need no network; the largest one assembled is
+        # the level-8 escape tree
+        sizes = []
+
+        def recording(u, v, c, vertex_count, *args, **kwargs):
+            sizes.append(vertex_count)
+            return assemble(u, v, c, vertex_count, *args, **kwargs)
+
+        assemble = network._assemble
+        for module in (network, tree, generators):
+            monkeypatch.setattr(module, "_assemble", recording)
+        assert run_battery().exit_status == "pass"
+        assert sizes and max(sizes) <= tree_vertex_count(2, 8)
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, err = run_cli(

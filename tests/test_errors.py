@@ -6,6 +6,7 @@ import pytest
 
 from resistive_walks import (
     BoundarySpec,
+    FiniteBallGenerator,
     HalfLineGenerator,
     TreeGenerator,
     TreeSpec,
@@ -18,6 +19,8 @@ from resistive_walks import (
     exhaustion,
     first_at_depth,
     green_function,
+    hitting_probability,
+    network_from_json,
     oracle_finite_escape,
     oracle_green_hitting,
     oracle_potential_current,
@@ -87,6 +90,10 @@ def test_trigger_raises_its_class(cls):
     assert type(info.value) is cls
 
 
+def _json_edge(u, v):
+    return {"vertices": 2, "edges": [{"u": u, "v": v, "c": 1.0}]}
+
+
 def _tree3():
     return build_tree(TreeSpec(2, 3))
 
@@ -122,6 +129,22 @@ REFUSED = {
     ),
     "first_at_depth-negative-d": (InvalidSpec, lambda: first_at_depth(2, -1)),
     "first_at_depth-q1": (InvalidSpec, lambda: first_at_depth(1, 2)),
+    # green_function returned vertex 1's value, or died in math.log
+    "green_function-float": (InvalidVertex, lambda: green_function(TreeGenerator(2), 1.5)),
+    "green_function-negative": (InvalidVertex, lambda: green_function(TreeGenerator(2), -1)),
+    "green_function-half-line-float": (
+        InvalidVertex, lambda: green_function(HalfLineGenerator(), 0.5)
+    ),
+    "hitting_probability-float-root": (
+        InvalidVertex, lambda: hitting_probability(TreeGenerator(2), 0.0)
+    ),
+    "hitting_probability-beyond-finite-ball": (
+        InvalidVertex, lambda: hitting_probability(FiniteBallGenerator(path3()), 3)
+    ),
+    # network_from_json read a float id through int() and took strings and booleans
+    "network_from_json-float-id": (InvalidVertex, lambda: network_from_json(_json_edge(0.7, 1))),
+    "network_from_json-text-id": (InvalidVertex, lambda: network_from_json(_json_edge("0", 1))),
+    "network_from_json-bool-id": (InvalidVertex, lambda: network_from_json(_json_edge(0, True))),
 }
 
 

@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import itertools
 import signal
 import sys
 import threading
@@ -11,6 +12,8 @@ import pytest
 
 from oracles import absorbing_hit_probability, expected_visits
 from resistive_walks import (
+    GraphGenerator,
+    Network,
     TreeSpec,
     WalkConfig,
     build_network,
@@ -24,9 +27,10 @@ from resistive_walks import (
     markov_view,
     oracle_green_hitting,
     run_walks,
+    tree_vertex_count,
 )
 from resistive_walks import walks
-from resistive_walks.errors import InvalidVertex, NotAdjacent, VertexInTarget
+from resistive_walks.errors import InvalidSpec, InvalidVertex, NotAdjacent, VertexInTarget
 from resistive_walks.walks import _pick_slots, _row_prefix_sums, _unit_slots
 from test_network import random_connected_net
 
@@ -585,3 +589,94 @@ class TestThreadedChunks:
         assert sent.is_set()
         assert threading.active_count() == before
         _assert_stopped_within_a_step(stops, after_stop)
+
+
+def _tree_cases(q: int, levels: int):
+    """(network, WalkConfig fields) of walks on the uncontracted (q, levels)
+    tree: from the root, an inner vertex and a leaf; absorbed at the deepest
+    level, at it and the root, at a few arbitrary ids, or nowhere (censored);
+    watching vertices and edges in both directions."""
+    t = build_tree(TreeSpec(q, levels))
+    shell = level_slice(t, levels)
+    leaf = t.net.vertex_count - 1
+    inner = int(t.parent_of(leaf))  # the root when levels == 1
+    arbitrary = np.random.default_rng(levels).integers(0, leaf + 1, size=3).tolist()
+    absorbing = [(shell, 10**6), (np.concatenate([[0], shell]), 10**6),
+                 (tuple(arbitrary), 30), ((), 30)]
+    edges = [(0, 1), (1, 0), (leaf, inner), (inner, leaf)]
+    if inner:
+        edges.append((inner, int(t.parent_of(inner))))
+    for start in sorted({0, inner, leaf}):
+        for (ids, max_steps), min_absorb_step in itertools.product(absorbing, (0, 1)):
+            yield t.net, dict(start=start, absorbing=ids, max_steps=max_steps,
+                              min_absorb_step=min_absorb_step,
+                              watch_vertices=(0, inner, leaf), watch_edges=tuple(edges))
+
+
+class TestTreeSource:
+    """A TreeSpec walked by arithmetic equals its built network, bit for bit."""
+
+    @pytest.mark.parametrize("q, levels", itertools.product((2, 3, 5), range(1, 8)))
+    @pytest.mark.parametrize("chunks", (1, 3))
+    def test_matches_csr(self, monkeypatch, q, levels, chunks):
+        walks_ = 150
+        if chunks > 1:
+            monkeypatch.setattr(walks, "_CHUNK", -(-walks_ // chunks))
+            monkeypatch.setattr(walks, "_usable_cpus", lambda: 1)  # one after another
+        for net, fields in _tree_cases(q, levels):
+            cfg = WalkConfig(seed=q * levels, num_walks=walks_, **fields)
+            got, want = run_walks(TreeSpec(q, levels), cfg), run_walks(net, cfg)
+            for a, b in zip(_tallies(got)[:4], _tallies(want)[:4], strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b), fields
+
+    # the (2, 3) tree: root 0, levels 1..3 at ids 1-3, 4-9 and 10-21
+    @pytest.mark.parametrize("fields, error", [
+        (dict(start=22), InvalidVertex), (dict(start=-1), InvalidVertex),
+        (dict(start=1.5), InvalidVertex), (dict(absorbing=(22,)), InvalidVertex),
+        (dict(absorbing=(21, -1)), InvalidVertex), (dict(watch_vertices=(22,)), InvalidVertex),
+        (dict(watch_edges=((0, 22),)), InvalidVertex), (dict(watch_edges=((0, 4),)), NotAdjacent),
+        (dict(watch_edges=((7, 7),)), NotAdjacent), (dict(watch_edges=((7, 1),)), NotAdjacent),
+        (dict(watch_edges=((21, 20),)), NotAdjacent), (dict(watch_edges=((3, 10),)), NotAdjacent),
+        (dict(watch_edges=((0, 3), (3, 0), (9, 20), (9, 21), (21, 9))), None),
+    ])
+    def test_refuses_what_csr_refuses(self, fields, error):
+        spec = TreeSpec(2, 3)
+        cfg = WalkConfig(seed=0, num_walks=5, **{"start": 0, "absorbing": (21,), **fields})
+        for net in (build_tree(spec).net, spec):
+            if error is None:
+                run_walks(net, cfg)
+            else:
+                with pytest.raises(error):
+                    run_walks(net, cfg)
+
+    def test_one_vertex_check(self):
+        for cls in (walks._TreeRows, GraphGenerator):
+            assert cls._check_vertex is Network._check_vertex
+            assert cls._check_ids is Network._check_ids
+
+    @pytest.mark.parametrize("spec, fields", [
+        (TreeSpec(2, 3, contract_boundary=True), {}),
+        (TreeSpec(2, 3), dict(track_visits=True)),
+        (TreeSpec(2, 3), dict(track_transitions=True)),
+        (TreeSpec(2, 60), {}),  # (q + 1) * vertex_count exceeds int64
+        (TreeSpec(10**6, 4), {}),
+    ])
+    def test_invalid_spec(self, monkeypatch, spec, fields):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("allocated before the spec was refused")
+
+        for name in ("zeros", "full", "empty"):
+            monkeypatch.setattr(np, name, no_arrays)
+        cfg = WalkConfig(seed=0, num_walks=5, start=0, absorbing=(1,), **fields)
+        with pytest.raises(InvalidSpec):
+            run_walks(spec, cfg)
+
+    def test_step_at_the_int64_edge(self):
+        # the largest binary tree whose slots fit int64: its last inner
+        # vertex and its last leaf step with no overflow
+        rows = walks._TreeRows.of(TreeSpec(2, 59))
+        n, x = rows.vertex_count, rows.leaf - 1
+        assert 3 * n > 2**62
+        slot, nxt = rows.step(np.array([x, x, x, n - 1]), np.array([0.0, 0.5, 0.99, 0.7]))
+        assert nxt.tolist() == [n - 2, n - 1, (x - 2) // 2, (n - 3) // 2]
+        assert slot.tolist() == [3 * x, 3 * x + 1, 3 * x + 2, 3 * (n - 1)]
