@@ -61,16 +61,18 @@ def exhaustion(gen: GraphGenerator, n: int) -> tuple[Network, int]:
     """Ball of radius n with everything outside contracted to z.
 
     Returns ``(net, z)``; the generator's ids ``0 .. ball_size(n)-1`` carry
-    over unchanged and ``z = ball_size(n)``.
+    over unchanged and ``z = ball_size(n)``.  Raises InvalidRadius for a
+    negative n, and for a ball that already covers the graph
+    (``ball_size(n + 1) == ball_size(n)``), which leaves no boundary.
     """
     if n < 0:
         raise InvalidRadius(f"radius must be >= 0, got {n}")
     interior = gen.ball_size(n)
+    if gen.ball_size(n + 1) == interior:
+        raise InvalidRadius(f"ball of radius {n} already covers the whole graph")
     u, v, c = gen.ball_edges(n)
     u = np.minimum(u, interior)
     v = np.minimum(v, interior)
-    if not np.any((u == interior) | (v == interior)):
-        raise InvalidRadius(f"ball of radius {n} already covers the whole graph")
     return _assemble(u, v, np.asarray(c, dtype=float), interior + 1), interior
 
 

@@ -25,14 +25,36 @@ Green function and hitting probabilities take their transience verdict
 from the same exhaustions.  Spherically symmetric generators dispatch to
 O(n) per-level ladder sums instead of linear solves; the others are
 exhausted only while the ball has at most ``EXHAUSTION_LIMIT`` vertices.
+
+Such a generator gets every radius from one sweep over the shells, a
+Schur recursion (Kron reduction, Kron 1939, applied one shell at a time).
+Shell k holds the ids ``ball_size(k-1) .. ball_size(k)-1``; with ``A_kk``
+its block of the Laplacian (the full pi(x) on the diagonal) and ``B_k`` its
+block against shell k - 1, the exhaustion of radius n grounds everything
+past shell n, so its matrix is the leading part of the next one's and has
+the block LDL^T factorization ``S_0 = A_00``,
+``S_k = A_kk - B_k S_{k-1}^-1 B_k^T``.  The forward vectors
+``z_k = e_k - B_k S_{k-1}^-1 z_{k-1}`` of the unit vectors at the root and
+at x then give every radius by running sums,
+``R_n = sum_{k<=n} z0_k^T S_k^-1 z0_k`` and
+``v_n(x) = sum_{k<=n} z0_k^T S_k^-1 zx_k``; only the last shell's dense
+Cholesky factor and the two ``z`` are kept.  Once a shell has more than
+``DENSE_SHELL_LIMIT`` vertices, the remaining radii are solved one
+exhaustion at a time by :func:`solve_dirichlet`.  A limit that stops on a
+term of the recursion solves that radius once more, with the residual
+check, and raises :class:`SolverDivergence` when the two disagree by more
+than ``tol * max(1, |R_n|)``, as it does for a Schur complement that is
+not positive definite.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
@@ -46,7 +68,7 @@ from .errors import (
     SolverDivergence,
     VertexInTarget,
 )
-from .generators import GraphGenerator, InvalidRadius, exhaustion
+from .generators import GraphGenerator, exhaustion
 from .network import Network
 
 __all__ = [
@@ -77,6 +99,17 @@ DIRECT_LIMIT = 50_000
 # running out of memory.  The binary tree's ball fits up to radius 20
 # (3.1M vertices); the limits benchmark goes to radius 9 (1,534).
 EXHAUSTION_LIMIT = 4_000_000
+
+# vertices per shell up to which an exhaustion limit runs the shell
+# recursion (dense blocks and a Cholesky factor per shell); from the first
+# larger shell on, each radius is a fresh exhaustion and sparse LU.
+# Measured on a 2-vCPU host with BLAS on one thread, over the limits
+# benchmark's two calls (the 80x80 grid's shells reach 156 vertices, the
+# binary tree's double from 3): 0.11 s and a 76 MiB process peak at 256,
+# against 0.97 s and 80 MiB with every radius solved; at 128 the grid falls
+# back to LU (0.85 s), at 512 the peak is 79 MiB, and with every tree shell
+# in the recursion 99 MiB.
+DENSE_SHELL_LIMIT = 256
 
 # conductance-to-infinity threshold of the transience verdict
 TRANSIENCE_EPS = 1e-3
@@ -296,16 +329,19 @@ def resistance_to_infinity(
     _check_positive("tol", tol)
     n_max = _radius_budget(gen, n_max)
     est = _Estimates(tol)
-    for n in range(n_max + 1):
-        try:
-            r = _unit_current_voltage(gen, gen.root, n, tol)[1]
-        except InvalidRadius:
-            # finite graph fully exhausted; no further change possible
-            value = est.raw[-1] if est.raw else np.nan
-            return LimitResult(value=value, converged=False, n_used=n, accelerated=False)
-        est.push(r)
+    term = None
+    for term in _terms(gen, gen.root, 0, n_max, tol):
+        est.push(term.r)
         if est.converged:
-            return LimitResult(est.value, converged=True, n_used=n, accelerated=est.accelerated)
+            break
+    _confirm(gen, gen.root, term, tol)
+    if est.converged:
+        return LimitResult(est.value, converged=True, n_used=term.n, accelerated=est.accelerated)
+    if term is None or term.n < n_max:
+        # finite graph fully exhausted at the next radius; no further change possible
+        value = term.r if term else np.nan
+        n_used = term.n + 1 if term else 0
+        return LimitResult(value=value, converged=False, n_used=n_used, accelerated=False)
     return LimitResult(est.value, converged=False, n_used=n_max, accelerated=est.accelerated)
 
 
@@ -328,17 +364,16 @@ def classify_transience(
     drops below ``eps``; inconclusive otherwise.
     """
     _check_positive("eps", eps)
-    prev = None
-    for n in range(_radius_budget(gen, n_max) + 1):
-        try:
-            c = 1.0 / _unit_current_voltage(gen, gen.root, n, min(eps, 1e-6))[1]
-        except InvalidRadius:
-            break
+    tol = min(eps, 1e-6)
+    verdict, prev, term = Transience.INCONCLUSIVE, None, None
+    for term in _terms(gen, gen.root, 0, _radius_budget(gen, n_max), tol):
+        c = 1.0 / term.r
         verdict = _verdict(c, prev, eps)
         if verdict is not Transience.INCONCLUSIVE:
-            return verdict
+            break
         prev = c
-    return Transience.INCONCLUSIVE
+    _confirm(gen, gen.root, term, tol)
+    return verdict
 
 
 def _unit_current_voltage(
@@ -359,6 +394,111 @@ def _unit_current_voltage(
     return float(values[x]) * r_eff, r_eff, float(net.pi[x])
 
 
+class _Term(NamedTuple):
+    """The unit current flow on exhaustion ``n``: ``(n, v_n(x), R_n, pi(x))``."""
+
+    n: int
+    vx: float
+    r: float
+    pi_x: float
+    #: True when the shell recursion gave it, False for a ladder sum or a
+    #: residual-checked solve
+    by_shells: bool
+
+
+def _shell_blocks(gen: GraphGenerator, k: int, prev_lo: int, lo: int, hi: int):
+    """(A_kk, B_k) of shell k, the ids ``lo .. hi-1``, as dense arrays.
+
+    ``A_kk`` is the shell's block of the Laplacian with the full pi(x) on
+    its diagonal (edges into shell k + 1 are in ``ball_edges(k)`` too), and
+    ``B_k`` its block against shell k - 1, the ids ``prev_lo .. lo-1``.
+    """
+    u, v, c = gen.ball_edges(k)
+    c = np.asarray(c, dtype=float)
+    in_u, in_v = (u >= lo) & (u < hi), (v >= lo) & (v < hi)
+    # each edge from its end in the shell, so an edge inside it appears
+    # twice, and a self-loop's diagonal entries cancel as in the Laplacian
+    a = np.concatenate([u[in_u], v[in_v]]) - lo
+    b = np.concatenate([v[in_u], u[in_v]]) - lo
+    w = np.concatenate([c[in_u], c[in_v]])
+    m = hi - lo
+    a_kk = np.diag(np.bincount(a, w, minlength=m))
+    inner, back = (b >= 0) & (b < m), b < 0
+    np.subtract.at(a_kk, (a[inner], b[inner]), w[inner])
+    b_k = np.zeros((m, lo - prev_lo))
+    np.subtract.at(b_k, (a[back], b[back] + lo - prev_lo), w[back])
+    return a_kk, b_k
+
+
+def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
+    """The :class:`_Term` of each radius ``n = start .. end``, up to the
+    first radius whose ball covers the graph, ``ball_size(n + 1) ==
+    ball_size(n)``, where :func:`exhaustion` has no boundary.  ``x`` must
+    lie within depth ``start``.
+
+    A spherically symmetric generator gives each radius by its ladder sums.
+    Any other runs the shell recursion of the module docstring while every
+    shell so far has at most ``DENSE_SHELL_LIMIT`` vertices, and from the
+    first larger shell on solves each radius's exhaustion afresh.
+    """
+    dense = not gen.spherically_symmetric
+    prev_lo = lo = 0
+    chol = y0 = yx = None
+    r_sum = v_sum = 0.0
+    pi_x = np.nan
+    for n in range(end + 1):
+        hi = gen.ball_size(n)
+        if gen.ball_size(n + 1) == hi:
+            return
+        dense = dense and hi - lo <= DENSE_SHELL_LIMIT
+        if dense:
+            a_kk, b_k = _shell_blocks(gen, n, prev_lo, lo, hi)
+            s_k, z0, zx = a_kk, np.zeros(hi - lo), None
+            if n == 0:
+                z0[gen.root] = 1.0
+            else:  # with S = L L^T of shell n - 1, y = L^-1 z and w = L^-1 B^T:
+                # B S^-1 B^T = w^T w and B S^-1 z = w^T y
+                w = sla.solve_triangular(chol, b_k.T, lower=True)
+                s_k = a_kk - w.T @ w
+                z0 = -(w.T @ y0)
+                zx = None if yx is None else -(w.T @ yx)
+            if lo <= x < hi:  # the first shell with a nonzero zx
+                pi_x = float(a_kk[x - lo, x - lo])
+                zx = np.zeros(hi - lo)
+                zx[x - lo] = 1.0
+            try:
+                chol = sla.cholesky(s_k, lower=True)
+            except (sla.LinAlgError, ValueError) as exc:  # not positive definite, or not finite
+                raise SolverDivergence(f"Schur complement of shell {n}: {exc}") from None
+            y0 = sla.solve_triangular(chol, z0, lower=True)
+            r_sum += float(y0 @ y0)
+            if zx is not None:
+                yx = sla.solve_triangular(chol, zx, lower=True)
+                v_sum += float(y0 @ yx)
+        prev_lo, lo = lo, hi
+        if n < start:
+            continue
+        if dense:
+            yield _Term(n, v_sum, r_sum, pi_x, True)
+        else:
+            yield _Term(n, *_unit_current_voltage(gen, x, n, tol), False)
+
+
+def _confirm(gen: GraphGenerator, x: int, term: _Term | None, tol: float) -> None:
+    """Recompute a term of the shell recursion by one residual-checked
+    solve of its exhaustion; raises SolverDivergence when R_n or v_n(x)
+    differ by more than ``tol * max(1, |R_n|)``."""
+    if term is None or not term.by_shells:
+        return
+    vx, r, _ = _unit_current_voltage(gen, x, term.n, tol)
+    bound = tol * max(1.0, abs(r))
+    if not (abs(r - term.r) <= bound and abs(vx - term.vx) <= bound):  # also refuses NaN
+        raise SolverDivergence(
+            f"shell recursion at radius {term.n} gives R_n={term.r!r}, v_n(x)={term.vx!r}; "
+            f"a solve gives {r!r}, {vx!r}"
+        )
+
+
 def _limit(gen, x, n_max, tol, quantity):
     """Limit of ``quantity(v_n(x), R_n, pi(x))`` over radii from depth(x) + 1
     to ``n_max``; the same exhaustions' R_n give the transience verdict
@@ -372,21 +512,18 @@ def _limit(gen, x, n_max, tol, quantity):
     start = gen.depth_of(x) + 1
     last = _radius_budget(gen, max(n_max, start))
     est = _Estimates(tol)
-    verdict, prev_c = Transience.INCONCLUSIVE, None
+    verdict, prev_c, term = Transience.INCONCLUSIVE, None, None
     end = max(last, _radius_budget(gen, max(32, start + 1)))
-    for n in range(start, end + 1):
-        try:
-            vx, r, pi_x = _unit_current_voltage(gen, x, n, tol)
-        except InvalidRadius:
-            break
+    for term in _terms(gen, x, start, end, tol):
         if verdict is Transience.INCONCLUSIVE:
-            verdict, prev_c = _verdict(1.0 / r, prev_c, TRANSIENCE_EPS), 1.0 / r
+            verdict, prev_c = _verdict(1.0 / term.r, prev_c, TRANSIENCE_EPS), 1.0 / term.r
         if verdict is Transience.RECURRENT_HEURISTIC:
             break
-        if n <= last:
-            est.push(quantity(vx, r, pi_x))
-        if verdict is Transience.TRANSIENT and (est.converged or n >= last):
+        if term.n <= last:
+            est.push(quantity(term.vx, term.r, term.pi_x))
+        if verdict is Transience.TRANSIENT and (est.converged or term.n >= last):
             break
+    _confirm(gen, x, term, tol)
     if verdict is Transience.INCONCLUSIVE and end <= start:
         raise BudgetExceededWithoutConvergence(
             f"no transience verdict: the ball budget stops at radius {end}, "

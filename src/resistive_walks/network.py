@@ -42,14 +42,21 @@ __all__ = [
 ]
 
 
+# bool is an int subclass, and numpy's bool may index as one; no vertex id is either
+_BOOLS = (bool, np.bool_)
+
+
 class _VertexIds:
     """Vertex ids ``0 .. vertex_count - 1`` and the one check of a vertex
     argument, for a network or any other vertex set with a ``vertex_count``."""
 
     def _check_vertex(self, x) -> int:
         """``x`` as an int id; raises InvalidVertex unless it is an integer
-        in ``0 .. V-1``.  The one check of a single vertex argument."""
+        in ``0 .. V-1``, a bool not counting as one.  The one check of a
+        single vertex argument."""
         try:
+            if isinstance(x, _BOOLS):
+                raise TypeError
             x = operator.index(x)
         except TypeError:
             raise InvalidVertex(f"vertex id {x!r} is not an integer") from None
@@ -65,7 +72,11 @@ class _VertexIds:
         if isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1:
             arr = ids
         else:
+            if iter(ids) is ids:  # a one-pass iterator
+                ids = list(ids)
             try:
+                if not set(map(type, ids)).isdisjoint(_BOOLS):
+                    raise TypeError
                 arr = np.fromiter(map(operator.index, ids), dtype=np.int64)
             except (TypeError, OverflowError):  # a non-integer or an id beyond int64
                 for x in ids:  # names the first such id

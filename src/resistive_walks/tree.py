@@ -21,7 +21,6 @@ forms.  The truncation contracted beyond level ``n`` is the radius-``n``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -190,8 +189,12 @@ class TreeGenerator(GraphGenerator):
         return pu, pv, np.ones(len(pu))
 
     def depth_of(self, x: int) -> int:
-        # levels with q ** (levels + 1) > x, so that x is within depth levels + 1
-        return int(_depth(self.q, x, int(math.log(x + 1, self.q)) + 1))
+        # level d + 1 starts at tree_vertex_count(q, d), in Python ints: the
+        # levels of an id near 2**63 start beyond int64
+        d = 0
+        while tree_vertex_count(self.q, d) <= x:
+            d += 1
+        return d
 
     def shell_conductance(self, k: int) -> float:
         return float((self.q + 1) * self.q**k)

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import InvalidSpec, NotAdjacent, VertexInTarget
 from .network import Network, _VertexIds
-from .tree import TreeSpec, _parent, tree_vertex_count
+from .tree import TreeSpec, _depth, _parent, tree_vertex_count
 
 __all__ = [
     "WalkConfig",
@@ -376,16 +376,30 @@ def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
     by its arithmetic rows with no network built.  Every vertex of ``cfg``
     must be a vertex of ``net`` (else InvalidVertex) and every watched edge
     an edge of it (else NotAdjacent).  A TreeSpec refuses, with InvalidSpec,
-    a contracted tree, visit or transition tallies, and slots beyond int64."""
+    a contracted tree, visit or transition tallies, and slots beyond int64;
+    its absorption flags cover only the levels a walk can reach, to
+    ``depth(start) + max_steps``.  Flags that cannot be allocated raise
+    InvalidSpec."""
     odd = cum = None
-    if isinstance(net, TreeSpec):
+    spec = net if isinstance(net, TreeSpec) else None
+    if spec is not None:
         if cfg.track_visits or cfg.track_transitions:
             raise InvalidSpec("visit and transition tallies need a Network")
-        net = _TreeRows.of(net)
+        net = _TreeRows.of(spec)
     n_vert = net.vertex_count
-    net._check_vertex(cfg.start)
-    absorb_mask = np.zeros(n_vert, dtype=bool)
-    absorb_mask[net._check_ids(cfg.absorbing)] = True
+    start = net._check_vertex(cfg.start)
+    absorbing = net._check_ids(cfg.absorbing)
+    reach = n_vert  # flags for the ids a walk can reach
+    if spec is not None:  # no walk leaves depth(start) + max_steps
+        deepest = int(_depth(spec.q, start, spec.levels)) + cfg.max_steps
+        reach = tree_vertex_count(spec.q, min(spec.levels, deepest))
+    if reach < n_vert:
+        absorbing = absorbing[absorbing < reach]
+    try:
+        absorb_mask = np.zeros(reach, dtype=bool)
+    except MemoryError:
+        raise InvalidSpec(f"no memory for the absorption flags of {reach} vertices") from None
+    absorb_mask[absorbing] = True
     watch_v = net._check_ids(cfg.watch_vertices)
     watch_slot = [net.edge_slot(x, y) for x, y in cfg.watch_edges]
 

@@ -284,6 +284,24 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_deep_tree_short_walks(self, capsys):
+        # ten steps from the root reach level 10 of the level-40 tree, so its
+        # absorption flags cover 3,070 ids, not 3.3e12
+        code, out, err = run_cli(
+            capsys, "simulate", "--tree", "2,40", "--absorbing", "1", "--max-steps", "10",
+            "--walks", "10",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["num_walks"] == 10
+
+    def test_unallocatable_tree_flags_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "simulate", "--tree", "2,59", "--absorbing", "1", "--max-steps", "100",
+            "--walks", "10",
+        )
+        assert code == 2
+        assert "absorption flags" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flags", [
         ("--absorbing", "999"),
         ("--absorbing", "-1"),

@@ -141,6 +141,30 @@ REFUSED = {
     "hitting_probability-beyond-finite-ball": (
         InvalidVertex, lambda: hitting_probability(FiniteBallGenerator(path3()), 3)
     ),
+    # a bool passed as vertex 1 (or 0), as operator.index allows
+    "degree-bool": (InvalidVertex, lambda: path3().degree(True)),
+    "degree-numpy-bool": (InvalidVertex, lambda: path3().degree(np.True_)),
+    "run_walks-start-bool": (InvalidVertex, lambda: run_walks(path3(), walk(start=True))),
+    "run_walks-absorbing-bool": (
+        InvalidVertex,
+        lambda: run_walks(path3(), WalkConfig(seed=0, num_walks=1, start=0, absorbing=(2, True))),
+    ),
+    "run_walks-absorbing-numpy-bool": (
+        InvalidVertex,
+        lambda: run_walks(path3(), WalkConfig(seed=0, num_walks=1, start=0,
+                                              absorbing=np.array([False, True]))),
+    ),
+    "solve_dirichlet-bool-clamped": (
+        InvalidVertex, lambda: solve_dirichlet(path3(), BoundarySpec({True: 1.0}))
+    ),
+    "green_function-bool": (InvalidVertex, lambda: green_function(TreeGenerator(2), True)),
+    # the flags of every vertex a walk on the level-59 tree can reach (1.7e18)
+    # fit no address space
+    "run_walks-tree-flags-unallocatable": (
+        InvalidSpec,
+        lambda: run_walks(TreeSpec(2, 59), WalkConfig(
+            seed=0, num_walks=1, start=0, absorbing=(1,), max_steps=100)),
+    ),
     # network_from_json read a float id through int() and took strings and booleans
     "network_from_json-float-id": (InvalidVertex, lambda: network_from_json(_json_edge(0.7, 1))),
     "network_from_json-text-id": (InvalidVertex, lambda: network_from_json(_json_edge("0", 1))),

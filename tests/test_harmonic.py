@@ -34,6 +34,7 @@ from resistive_walks.errors import (
     EmptyInput,
     InvalidSpec,
     InvalidVertex,
+    NetworkError,
     NotTransient,
     SolverDivergence,
     VertexInTarget,
@@ -45,6 +46,29 @@ def use_solver(monkeypatch, method):
     """Route solves of any size to LU ("direct") or to CG ("cg")."""
     if method == "cg":
         monkeypatch.setattr(harmonic, "DIRECT_LIMIT", 0)
+
+
+def record_radii(monkeypatch, gen):
+    """The radii whose edges ``gen`` is asked for, by an exhaustion or by
+    the shell recursion, in a list that grows as they are asked for."""
+    radii = []
+    ball_edges = gen.ball_edges
+
+    def recording(n):
+        radii.append(n)
+        return ball_edges(n)
+
+    monkeypatch.setattr(gen, "ball_edges", recording)
+    return radii
+
+
+def grid_net(n, seed):
+    """An n x n grid with conductances U(0.5, 2) drawn from ``seed``."""
+    idx = np.arange(n * n).reshape(n, n)
+    u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    c = np.random.default_rng(seed).uniform(0.5, 2.0, size=len(u))
+    return build_network(zip(u.tolist(), v.tolist(), c.tolist()))
 
 
 def contracted_tree(q, n):
@@ -456,11 +480,7 @@ class TestLimits:
         # far apart, so the loop runs until the ball covers the grid and
         # returns the last raw term, R(centre <-> corner 0)
         n = 80
-        idx = np.arange(n * n).reshape(n, n)
-        u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
-        v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
-        c = np.random.default_rng(31).uniform(0.5, 2.0, size=len(u))
-        net = build_network(zip(u.tolist(), v.tolist(), c.tolist()))
+        net = grid_net(n, 31)
         centre = (n // 2) * n + n // 2
         res = resistance_to_infinity(FiniteBallGenerator(net, centre), n_max=400, tol=1e-9)
         assert (res.converged, res.n_used, res.accelerated) == (False, n, False)
@@ -470,15 +490,9 @@ class TestLimits:
     def test_nonsymmetric_green_at_defaults(self, monkeypatch):
         # the raw sequence cannot meet tol=1e-8 within the ball budget;
         # the transience verdict sets the largest radius built
-        radii = []
-        exhaust = harmonic.exhaustion
-
-        def recording(gen, n):
-            radii.append(n)
-            return exhaust(gen, n)
-
-        monkeypatch.setattr(harmonic, "exhaustion", recording)
-        got = green_function(TreeGenerator(2, symmetric=False), first_at_depth(2, 1))
+        gen = TreeGenerator(2, symmetric=False)
+        radii = record_radii(monkeypatch, gen)
+        got = green_function(gen, first_at_depth(2, 1))
         assert abs(got - oracle_green_hitting(2, 1)[0]) <= 1e-12
         assert max(radii) <= 10
 
@@ -506,6 +520,13 @@ class TestLimits:
         assert abs(green_function(gen, x2) - 0.5) < 1e-6
         gen3 = TreeGenerator(3)
         assert abs(green_function(gen3, first_at_depth(3, 1)) - 0.5) < 1e-6
+
+    def test_green_at_the_last_id(self):
+        # the levels around id 2**63 - 1 (depth 62) start beyond int64
+        x = 2**63 - 1
+        assert TreeGenerator(2).depth_of(x) == 62
+        got = green_function(TreeGenerator(2), x)
+        assert abs(got - oracle_green_hitting(2, 62)[0]) <= 1e-8
 
     def test_green_requires_transience(self):
         with pytest.raises(NotTransient):
@@ -558,22 +579,193 @@ class TestLimits:
         # defaults; two Aitken estimates need four radii, so budgets that
         # allow fewer must take the n_max exit
         monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", 5_000)
-        built = []
-        exhaust = harmonic.exhaustion
-
-        def recording(gen, n):
-            built.append(gen.ball_size(n))
-            return exhaust(gen, n)
-
-        monkeypatch.setattr(harmonic, "exhaustion", recording)
         gen = TreeGenerator(2, symmetric=False)
+        radii = record_radii(monkeypatch, gen)
         # depth 8 leaves radii 9 and 10, enough for the transience verdict
         with pytest.raises(BudgetExceededWithoutConvergence):
             green_function(gen, first_at_depth(2, 8))
         # radius 10 (3,070 vertices) is the last ball within the budget
-        assert max(built) == 3_070
-        built.clear()
+        assert gen.ball_size(max(radii)) == 3_070
+        radii.clear()
         monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", 20)
         res = resistance_to_infinity(gen, tol=1e-12)
         # radius 2 (10 vertices) is the last ball within the budget
-        assert (res.converged, res.n_used, max(built)) == (False, 2, 10)
+        assert (res.converged, res.n_used, gen.ball_size(max(radii))) == (False, 2, 10)
+
+
+@pytest.fixture(params=[0, 10**6], ids=["solves", "shells"])
+def shell_limit(request, monkeypatch):
+    """Every radius by a fresh exhaustion solve, or every shell in the recursion."""
+    monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", request.param)
+    return request.param
+
+
+@pytest.mark.usefixtures("shell_limit")
+class TestLimitsEitherWay(TestLimits):
+    """Every TestLimits case on both sides of ``DENSE_SHELL_LIMIT``."""
+
+
+@st.composite
+def ball_problems(draw):
+    """A FiniteBallGenerator on a connected graph of at most 30 vertices
+    with conductances 10^U(-3, 3), rooted at a drawn vertex, and a drawn
+    vertex x (a generator id)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 30))
+    pairs = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    extra = rng.integers(0, n, size=(draw(st.integers(0, 2 * n)), 2))
+    pairs += [(int(a), int(b)) for a, b in extra if a != b]
+    net = build_network([(a, b, float(10.0 ** rng.uniform(-3, 3))) for a, b in pairs])
+    return FiniteBallGenerator(net, draw(st.integers(0, n - 1))), draw(st.integers(0, n - 1))
+
+
+def terms_and_solves(gen, x, end=10**6):
+    """Each term of ``_terms`` from radius depth(x) on, with the
+    ``(v_n(x), R_n, pi(x))`` of a fresh exhaustion solve at its radius."""
+    start = gen.depth_of(x)
+    terms = list(harmonic._terms(gen, x, start, end, 1e-12))
+    assert [t.n for t in terms] == list(range(start, start + len(terms)))
+    return [(t, harmonic._unit_current_voltage(gen, x, t.n, 1e-12)) for t in terms]
+
+
+class NegativePath(HalfLineGenerator):
+    """The half-line with conductance -1, off the ladder: no Schur
+    complement of it is positive definite."""
+
+    spherically_symmetric = False
+
+    def ball_edges(self, n):
+        u, v, c = super().ball_edges(n)
+        return u, v, -c
+
+
+class TestShellRecursion:
+    def assert_matches_solves(self, pairs, rel):
+        # v_n(x) <= R_n by the maximum principle, so both compare to R_n
+        for term, (vx, r, pi_x) in pairs:
+            assert term.by_shells
+            assert abs(term.r - r) <= rel * r
+            assert abs(term.vx - vx) <= rel * r
+            assert abs(term.pi_x - pi_x) <= 1e-15 * pi_x
+
+    def test_grid_matches_solves(self):
+        net = grid_net(30, 7)
+        gen = FiniteBallGenerator(net, 15 * 30 + 15)
+        for x in (gen.root, gen.ball_size(2), gen.ball_size(20) - 1):
+            pairs = terms_and_solves(gen, x)
+            # the farthest corner is at distance 30, where the ball covers the grid
+            assert pairs[-1][0].n == 29
+            self.assert_matches_solves(pairs, 1e-12)
+
+    @pytest.mark.parametrize("q, depth, end", [(2, 2, 8), (3, 1, 5)])
+    def test_tree_matches_solves(self, monkeypatch, q, depth, end):
+        monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", 10**6)
+        gen = TreeGenerator(q, symmetric=False)
+        for x in (gen.root, first_at_depth(q, depth)):
+            pairs = terms_and_solves(gen, x, end)
+            assert pairs[-1][0].n == end
+            self.assert_matches_solves(pairs, 1e-12)
+
+    @given(problem=ball_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_random_nets_match_solves(self, problem):
+        # both sides are backward stable, so on these badly scaled graphs
+        # each errs by up to a few eps times the condition number of the
+        # exhaustion's grounded Laplacian (up to 4e-10 relative seen against
+        # exact rational solves, by either side)
+        gen, x = problem
+        for term, solved in terms_and_solves(gen, x):
+            net, z = harmonic.exhaustion(gen, term.n)
+            rel = max(1e-12, lu_error_bound(net, BoundarySpec({z: 0.0})))
+            self.assert_matches_solves([(term, solved)], rel)
+
+    @pytest.mark.parametrize("limit", [0, 10])
+    def test_recursion_is_not_resumed(self, monkeypatch, limit):
+        # from a corner of the 30x30 grid shell k has min(k, 58 - k) + 1
+        # vertices: above 10 from radius 10 to 48, then at most 10 again
+        monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", limit)
+        gen = FiniteBallGenerator(grid_net(30, 7), 0)
+        terms = list(harmonic._terms(gen, gen.root, 0, 10**6, 1e-12))
+        assert [t.by_shells for t in terms] == [n < limit for n in range(58)]
+        for t in terms:
+            vx, r, _ = harmonic._unit_current_voltage(gen, gen.root, t.n, 1e-12)
+            assert abs(t.r - r) <= 1e-12 * r and t.vx == t.r
+
+    @pytest.mark.parametrize("gen", [
+        TreeGenerator(2, symmetric=False),
+        TreeGenerator(3, symmetric=False),
+        FiniteBallGenerator(grid_net(30, 7), 15 * 30 + 15),
+    ], ids=["tree2", "tree3", "grid"])
+    def test_same_limit_result_either_way(self, monkeypatch, gen):
+        # a ball budget of 3,000 vertices keeps every dense shell small
+        # (768 vertices at most); some tree limits exhaust it
+        monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", 3_000)
+
+        def outcome(call, *args, **kwargs):
+            try:
+                return call(gen, *args, **kwargs)
+            except NetworkError as exc:
+                return type(exc)
+
+        def limits():
+            x = gen.ball_size(0)  # a neighbour of the root
+            return [outcome(resistance_to_infinity, n_max=100, tol=1e-9),
+                    outcome(resistance_to_infinity, n_max=4, tol=1e-12),
+                    outcome(classify_transience)] + [
+                outcome(call, x, tol=tol)
+                for call in (green_function, hitting_probability)
+                for tol in (1e-5, 1e-8)
+                if isinstance(gen, TreeGenerator)
+            ]
+
+        monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", 0)
+        solved = limits()
+        monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", 10**6)
+        by_shells = limits()
+        for a, b in zip(solved, by_shells):
+            if isinstance(a, harmonic.LimitResult):
+                assert (a.converged, a.n_used, a.accelerated) == (
+                    b.converged, b.n_used, b.accelerated)
+                a, b = a.value, b.value
+            if isinstance(a, float):
+                assert abs(a - b) <= 1e-12 * abs(a)
+            else:
+                assert a is b
+
+    def test_one_confirming_solve(self, monkeypatch):
+        # every radius comes from the recursion; the limit's last term,
+        # radius 29, is solved once more
+        calls = []
+        unit = harmonic._unit_current_voltage
+
+        def counted(gen, x, n, tol):
+            calls.append(n)
+            return unit(gen, x, n, tol)
+
+        monkeypatch.setattr(harmonic, "_unit_current_voltage", counted)
+        gen = FiniteBallGenerator(grid_net(30, 7), 15 * 30 + 15)
+        res = resistance_to_infinity(gen, n_max=100, tol=1e-9)
+        assert (res.converged, res.n_used, calls) == (False, 30, [29])
+
+    @pytest.mark.parametrize("call", [
+        lambda gen: resistance_to_infinity(gen, n_max=100, tol=1e-9),
+        lambda gen: classify_transience(gen),
+        lambda gen: green_function(gen, 1, tol=1e-5),
+        lambda gen: hitting_probability(gen, 1, tol=1e-5),
+    ], ids=["resistance_to_infinity", "classify_transience", "green_function",
+            "hitting_probability"])
+    def test_disagreeing_confirmation_diverges(self, monkeypatch, call):
+        monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", 10**6)
+        unit = harmonic._unit_current_voltage
+
+        def off(gen, x, n, tol):
+            vx, r, pi_x = unit(gen, x, n, tol)
+            return vx, r * (1 + 1e-3), pi_x
+
+        monkeypatch.setattr(harmonic, "_unit_current_voltage", off)
+        with pytest.raises(SolverDivergence, match="shell recursion"):
+            call(TreeGenerator(2, symmetric=False))
+
+    def test_indefinite_schur_complement_diverges(self):
+        with pytest.raises(SolverDivergence, match="Schur complement of shell 0"):
+            resistance_to_infinity(NegativePath())

@@ -98,10 +98,10 @@ class TestBuildNetwork:
 
     def test_check_ids_refuses_non_integers(self):
         net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
-        for bad in ([1.7], [0, np.float64(2.0)], ["1"]):
+        for bad in ([1.7], [0, np.float64(2.0)], ["1"], [2, True], [np.True_]):
             with pytest.raises(InvalidVertex, match="not an integer"):
                 net._check_ids(bad)
-        assert net._check_ids([np.int32(2), True]).tolist() == [2, 1]
+        assert net._check_ids([np.int32(2), 1]).tolist() == [2, 1]
 
     def test_index_of_repeated_label_is_first(self):
         net = dataclasses.replace(

@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -670,6 +671,27 @@ class TestTreeSource:
         cfg = WalkConfig(seed=0, num_walks=5, start=0, absorbing=(1,), **fields)
         with pytest.raises(InvalidSpec):
             run_walks(spec, cfg)
+
+    def test_deep_tree_flags_cover_reachable_levels(self, monkeypatch):
+        # ten steps from the root stay above level 11, so the level-40 tree
+        # walks as the level-12 one; its absorbing id 2**40 is out of reach,
+        # and its flags cover levels 0..10 (3,070 ids), not 3.3e12 vertices
+        sizes = []
+        zeros = np.zeros
+
+        def recording(shape, *args, **kwargs):
+            sizes.append(shape)
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", recording)
+        cfg = WalkConfig(seed=3, num_walks=200, start=0, absorbing=(1, 5, 2**40),
+                         max_steps=10, watch_vertices=(4,), watch_edges=((0, 2),))
+        got = run_walks(TreeSpec(2, 40), cfg)
+        assert sizes[0] == tree_vertex_count(2, 10)
+        want = run_walks(TreeSpec(2, 12), replace(cfg, absorbing=(1, 5)))
+        assert got.censored > 0
+        for a, b in zip(_tallies(got)[:4], _tallies(want)[:4], strict=True):
+            assert np.array_equal(a, b)
 
     def test_step_at_the_int64_edge(self):
         # the largest binary tree whose slots fit int64: its last inner
