@@ -35,17 +35,7 @@ from .harmonic import (
     resistance_to_infinity,
     solve_dirichlet,
 )
-from .network import (
-    MarkovView,
-    Network,
-    build_network,
-    contract_vertices,
-    markov_view,
-    network_from_json,
-    network_to_json,
-    series_parallel_reduce,
-    vertex_weight,
-)
+from .network import Network, build_network, network_from_json, network_to_json
 from .tree import (
     TreeGenerator,
     TreeNetwork,

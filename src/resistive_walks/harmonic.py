@@ -20,7 +20,8 @@ Aitken's delta-squared value of the last three raw terms (Aitken 1926),
 ``v2 - d2**2 / (d2 - d1)`` with ``d1 = v1 - v0`` and ``d2 = v2 - v1``.  The
 raw ``v2`` stands in when the differences do not shrink (``d1 == 0``,
 ``d2 == d1`` or ``|d2 / d1| >= 1``), as on the half-line's ``R_n = n + 1``.
-A limit stops when two successive estimates agree within ``tol``.  The
+A limit stops when two successive estimates agree within
+``tol * min(1, |estimate|)``: absolutely above 1, relatively below it.  The
 Green function and hitting probabilities take their transience verdict
 from the same exhaustions.  Spherically symmetric generators dispatch to
 O(n) per-level ladder sums instead of linear solves; the others are
@@ -288,7 +289,7 @@ class _Estimates:
     The estimate is Aitken's delta-squared value of the last three raw
     terms, or the last raw term when their differences do not shrink
     geometrically.  ``converged`` holds once two successive estimates
-    agree within ``tol``.
+    agree within ``tol * min(1, |estimate|)``.
     """
 
     def __init__(self, tol: float):
@@ -306,7 +307,9 @@ class _Estimates:
             d1, d2 = v1 - v0, v2 - v1
             if d1 != 0 and abs(d2 / d1) < 1:  # so also d2 != d1
                 self.value, self.accelerated = v2 - d2 * d2 / (d2 - d1), True
-        self.converged = abs(self.value - prev) < self.tol  # False after NaN
+        # absolute above 1, relative below it (so a limit far below tol is
+        # not cut short); False after NaN
+        self.converged = abs(self.value - prev) < self.tol * min(1.0, abs(self.value))
         self.raw.append(v2)
 
 
@@ -317,8 +320,8 @@ def resistance_to_infinity(
 
     Declares convergence when two successive estimates (Aitken-accelerated
     where the differences shrink, see the module docstring) differ by less
-    than ``tol``; otherwise returns the last estimate with
-    ``converged=False``, also when the next ball would exceed
+    than ``tol * min(1, |estimate|)``; otherwise returns the last estimate
+    with ``converged=False``, also when the next ball would exceed
     ``EXHAUSTION_LIMIT`` vertices.  On a finite graph, once the ball covers
     it, the value is the last raw term: the exact resistance to the farthest
     vertices.  R_n is nondecreasing in n (Rayleigh monotonicity), so a

@@ -1,10 +1,11 @@
-"""Weighted-graph data model and graph surgery.
+"""Weighted-graph data model and its JSON interchange format.
 
 A :class:`Network` is a finite connected graph with symmetric positive
 conductances.  It doubles as a reversible Markov chain: the transition
 probabilities are ``p(x, y) = c(x, y) / pi(x)`` with ``pi(x)`` the sum of
-conductances incident to ``x``.  Networks are immutable after construction
-and safe to share across threads.
+conductances incident to ``x``, that is ``diag(1 / net.pi) @
+net.conductance_matrix()``.  Networks are immutable after construction and
+safe to share across threads.
 
 Vertex ids are dense integers ``0 .. V-1``; arbitrary hashable labels given
 at build time are remapped and retained in ``Network.labels``.
@@ -31,12 +32,7 @@ from .errors import (
 
 __all__ = [
     "Network",
-    "MarkovView",
     "build_network",
-    "vertex_weight",
-    "markov_view",
-    "contract_vertices",
-    "series_parallel_reduce",
     "network_to_json",
     "network_from_json",
 ]
@@ -168,18 +164,6 @@ class Network(_VertexIds):
         return sp.diags(self.pi) - c
 
 
-@dataclass(frozen=True)
-class MarkovView:
-    """Reversible Markov chain attached to a network.
-
-    ``p`` is row-stochastic with ``p[x, y] = c(x, y) / pi(x)``; ``pi`` is
-    the reversibility function ``pi(x) p(x, y) = pi(y) p(y, x)``.
-    """
-
-    pi: np.ndarray
-    p: sp.csr_matrix
-
-
 def _assemble(u: np.ndarray, v: np.ndarray, c: np.ndarray, vertex_count: int,
               labels: tuple = (), check_connected: bool = True) -> Network:
     """Build a Network from dense-id endpoint arrays.
@@ -257,12 +241,13 @@ def _assemble(u: np.ndarray, v: np.ndarray, c: np.ndarray, vertex_count: int,
     return net
 
 
-def build_network(edge_list: Iterable[tuple], check_connected: bool = True) -> Network:
+def build_network(edge_list: Iterable[tuple]) -> Network:
     """Build a Network from ``(u, v, c)`` triples.
 
     Labels may be arbitrary hashable values; they are remapped to dense ids
     (sorted order for sortable labels) and kept in ``Network.labels``.
-    Parallel edges merge by summing conductances; self-loops are dropped.
+    Parallel edges merge by summing conductances; self-loops are dropped;
+    a graph that is not connected raises DisconnectedGraph.
     """
     triples = list(edge_list)
     us = [t[0] for t in triples]
@@ -294,88 +279,7 @@ def build_network(edge_list: Iterable[tuple], check_connected: bool = True) -> N
             for i, lab in enumerate(uniq_labels)
         )
     labels = () if already_dense else tuple(uniq_labels)
-    return _assemble(u, v, cs, len(uniq_labels), labels, check_connected)
-
-
-def vertex_weight(net: Network, x: int) -> float:
-    """pi(x): sum of conductances incident to x."""
-    x = net._check_vertex(x)
-    return float(net.pi[x])
-
-
-def markov_view(net: Network) -> MarkovView:
-    """Row-stochastic transition matrix and reversibility function."""
-    c = net.conductance_matrix()
-    inv_pi = sp.diags(1.0 / net.pi)
-    return MarkovView(pi=net.pi.copy(), p=(inv_pi @ c).tocsr())
-
-
-def contract_vertices(net: Network, s: Iterable[int]) -> tuple[Network, int]:
-    """Identify all vertices of ``s`` as one new vertex ``z``.
-
-    Edges internal to ``s`` become self-loops and are thrown away; parallel
-    edges to ``z`` merge by summing conductances.  The complement keeps its
-    relative order at ids ``0..k-1``; ``z`` gets id ``k``.  Returns the new
-    network and the id of ``z``.  A disconnected complement, or an empty
-    ``s`` (``z`` without edges), raises DisconnectedGraph; an ``s`` covering
-    every vertex leaves no edge and raises EmptyInput.
-    """
-    keep = np.ones(net.vertex_count, dtype=bool)
-    keep[net._check_ids(s)] = False
-    kept = np.flatnonzero(keep)
-    z = len(kept)
-    if z > 1:
-        c = net.conductance_matrix()
-        ncomp, _ = connected_components(c[kept][:, kept], directed=False)
-        if ncomp != 1:
-            raise DisconnectedGraph("complement of contraction set is disconnected")
-    mapping = np.full(net.vertex_count, z, dtype=np.int64)
-    mapping[kept] = np.arange(z)
-    # connected as the complement is, once _assemble finds that z has an edge
-    u, v = mapping[net.edge_u], mapping[net.edge_v]
-    return _assemble(u, v, net.edge_c, z + 1, check_connected=False), z
-
-
-def series_parallel_reduce(net: Network, keep: Iterable[int]) -> Network:
-    """Collapse series chains and parallel edges until a fixed point.
-
-    Degree-2 vertices outside ``keep`` are eliminated by replacing their two
-    edges (resistances r1, r2) with one of resistance r1 + r2; duplicate
-    edges merge by summing conductances.  Non-series-parallel remainders are
-    returned as-is.  ``Network.labels`` of the result holds the surviving
-    original ids.
-    """
-    keep = frozenset(net._check_ids(keep).tolist())
-    # dict-of-dicts conductance map; parallel edges already merged at build
-    conn: dict[int, dict[int, float]] = {x: {} for x in range(net.vertex_count)}
-    for u, v, c in zip(net.edge_u, net.edge_v, net.edge_c):
-        conn[int(u)][int(v)] = float(c)
-        conn[int(v)][int(u)] = float(c)
-
-    changed = True
-    while changed:
-        changed = False
-        for x in list(conn):
-            if x in keep or len(conn[x]) != 2:
-                continue
-            (a, ca), (b, cb) = conn[x].items()
-            c_new = 1.0 / (1.0 / ca + 1.0 / cb)
-            del conn[a][x]
-            del conn[b][x]
-            del conn[x]
-            conn[a][b] = conn[a].get(b, 0.0) + c_new
-            conn[b][a] = conn[a][b]
-            changed = True
-
-    survivors = sorted(conn)
-    remap = {lab: i for i, lab in enumerate(survivors)}
-    triples = [
-        (remap[x], remap[y], c)
-        for x in survivors
-        for y, c in conn[x].items()
-        if x < y
-    ]
-    return replace(build_network(triples), labels=tuple(survivors))
+    return _assemble(u, v, cs, len(uniq_labels), labels)
 
 
 def network_to_json(net: Network) -> dict:

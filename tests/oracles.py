@@ -284,7 +284,7 @@ def assert_same_network(a, b):
             assert x == y, f.name
 
 
-def reference_build_network(edge_list: Iterable[tuple], check_connected: bool = True) -> Network:
+def reference_build_network(edge_list: Iterable[tuple]) -> Network:
     """Build a Network from ``(u, v, c)`` triples.
 
     Labels may be arbitrary hashable values; they are remapped to dense ids
@@ -314,7 +314,7 @@ def reference_build_network(edge_list: Iterable[tuple], check_connected: bool = 
         for i, lab in enumerate(uniq_labels)
     )
     labels = () if already_dense else tuple(uniq_labels)
-    return reference_assemble(u, v, cs, len(uniq_labels), labels, check_connected)
+    return reference_assemble(u, v, cs, len(uniq_labels), labels)
 
 
 def reference_network_from_json(doc: dict) -> Network:

@@ -25,11 +25,9 @@ from resistive_walks import (
     oracle_green_hitting,
     oracle_potential_current,
     run_walks,
-    series_parallel_reduce,
     solve_dirichlet,
     thomson_gap,
     tree_distance,
-    vertex_weight,
 )
 from resistive_walks.errors import (
     BudgetExceededWithoutConvergence,
@@ -103,11 +101,7 @@ REFUSED = {
     "run_walks-start-float": (InvalidVertex, lambda: run_walks(path3(), walk(start=1.7))),
     "run_walks-start-text": (InvalidVertex, lambda: run_walks(path3(), walk(start="1"))),
     "degree-float": (InvalidVertex, lambda: path3().degree(1.5)),
-    "vertex_weight-float": (InvalidVertex, lambda: vertex_weight(path3(), 1.5)),
     "tree_distance-float": (InvalidVertex, lambda: tree_distance(_tree3(), 1.5, 0)),
-    "series_parallel_reduce-float": (
-        InvalidVertex, lambda: series_parallel_reduce(path3(), {0, 2.7})
-    ),
     "estimate_escape-float": (
         InvalidVertex, lambda: estimate_escape(path3(), walk(), 0, {1.5})
     ),

@@ -39,6 +39,7 @@ from resistive_walks.errors import (
     SolverDivergence,
     VertexInTarget,
 )
+from resistive_walks.network import _assemble
 from test_network import random_connected_net
 
 
@@ -182,7 +183,8 @@ class TestSolveDirichlet:
     def test_unclamped_component_is_disconnected(self):
         # the free block of {1} + {2, 3} is singular; SuperLU says so with
         # a bare RuntimeError
-        net = build_network([(0, 1, 1.0), (2, 3, 1.0)], check_connected=False)
+        u, v = np.array([0, 2]), np.array([1, 3])
+        net = _assemble(u, v, np.ones(2), 4, check_connected=False)
         with pytest.raises(DisconnectedGraph, match="singular"):
             solve_dirichlet(net, BoundarySpec({0: 1.0}))
 
@@ -455,6 +457,21 @@ class TestEffective:
         r2 = effective(net, n - 1, {0}).resistance
         assert abs(r1 - r2) < 1e-9
 
+    @given(dirichlet_problems())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_networkx_resistance_distance(self, problem):
+        # an independent oracle: networkx works from the Laplacian's
+        # pseudo-inverse, not from a Dirichlet solve
+        nx = pytest.importorskip("networkx")
+        net, _ = problem
+        g = nx.Graph()
+        g.add_weighted_edges_from(
+            zip(net.edge_u.tolist(), net.edge_v.tolist(), net.edge_c.tolist()), weight="c"
+        )
+        a, z = 0, net.vertex_count - 1
+        want = nx.resistance_distance(g, a, z, weight="c", invert_weight=False)
+        assert abs(effective(net, a, {z}).resistance - want) <= 1e-8 * want
+
 
 class TestLimits:
     def test_tree_resistance_to_infinity(self):
@@ -527,6 +544,16 @@ class TestLimits:
         assert TreeGenerator(2).depth_of(x) == 62
         got = green_function(TreeGenerator(2), x)
         assert abs(got - oracle_green_hitting(2, 62)[0]) <= 1e-8
+
+    def test_limits_far_below_tol_stop_on_a_relative_step(self):
+        # both limits are near 4e-19, far below tol=1e-8: an absolute step
+        # stopped them 12% short of the closed form
+        x = 2**63 - 1
+        green, hitting, _ = oracle_green_hitting(2, 62)
+        got = green_function(TreeGenerator(2), x)
+        assert abs(got - green) <= 1e-12 * green
+        got = hitting_probability(TreeGenerator(2), x)
+        assert abs(got - hitting) <= 1e-12 * hitting
 
     def test_green_requires_transience(self):
         with pytest.raises(NotTransient):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,14 +20,9 @@ from resistive_walks import (
     TreeSpec,
     build_network,
     build_tree,
-    contract_vertices,
-    effective,
     exhaustion,
-    markov_view,
     network_from_json,
     network_to_json,
-    series_parallel_reduce,
-    vertex_weight,
 )
 from resistive_walks.errors import (
     DisconnectedGraph,
@@ -47,12 +43,16 @@ def random_connected_net(rng, n):
     return build_network(triples)
 
 
+def transition_matrix(net):
+    """The chain's p(x, y) = c(x, y) / pi(x), from the network's own arrays."""
+    return sp.diags(1.0 / net.pi) @ net.conductance_matrix()
+
+
 class TestBuildNetwork:
     def test_single_unit_edge(self):
         net = build_network([(0, 1, 1.0)])
         assert net.vertex_count == 2
-        assert vertex_weight(net, 0) == 1.0
-        assert vertex_weight(net, 1) == 1.0
+        assert net.pi.tolist() == [1.0, 1.0]
 
     def test_parallel_edges_merge(self):
         net = build_network([(0, 1, 1.0), (0, 1, 1.0)])
@@ -111,12 +111,12 @@ class TestBuildNetwork:
 
     def test_vertex_weight_sums_incident(self):
         net = build_network([(0, 1, 0.5), (0, 2, 1.5), (1, 2, 1.0)])
-        assert vertex_weight(net, 0) == 2.0
+        assert net.pi[0] == 2.0
 
     def test_invalid_vertex(self):
         net = build_network([(0, 1, 1.0)])
         with pytest.raises(InvalidVertex):
-            vertex_weight(net, 7)
+            net.degree(7)
 
 
 class TestConductanceMatrix:
@@ -137,32 +137,31 @@ class TestConductanceMatrix:
 
 
 class TestMarkovView:
+    """The network read as a reversible chain, through ``transition_matrix``."""
+
     def test_single_edge_sole_neighbor(self):
-        mv = markov_view(build_network([(0, 1, 3.0)]))
-        assert mv.p[0, 1] == 1.0
-        assert mv.p[1, 0] == 1.0
+        p = transition_matrix(build_network([(0, 1, 3.0)]))
+        assert p[0, 1] == 1.0
+        assert p[1, 0] == 1.0
 
     def test_star_normalization(self):
-        net = build_network([(0, 1, 1.0), (0, 2, 2.0), (0, 3, 1.0)])
-        mv = markov_view(net)
-        assert mv.p[0, 1] == 0.25
-        assert mv.p[0, 2] == 0.5
-        assert mv.p[0, 3] == 0.25
+        p = transition_matrix(build_network([(0, 1, 1.0), (0, 2, 2.0), (0, 3, 1.0)]))
+        assert p[0, 1] == 0.25
+        assert p[0, 2] == 0.5
+        assert p[0, 3] == 0.25
 
     def test_tree_uniform_rows(self):
-        t = build_tree(TreeSpec(2, 2))
-        mv = markov_view(t.net)
-        row = mv.p[0].toarray().ravel()
+        row = transition_matrix(build_tree(TreeSpec(2, 2)).net)[0].toarray().ravel()
         assert np.allclose(row[row > 0], 1.0 / 3.0)
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 12))
     @settings(max_examples=25, deadline=None)
     def test_stochastic_and_detailed_balance(self, seed, n):
         net = random_connected_net(np.random.default_rng(seed), n)
-        mv = markov_view(net)
-        rows = np.asarray(mv.p.sum(axis=1)).ravel()
+        p = transition_matrix(net)
+        rows = np.asarray(p.sum(axis=1)).ravel()
         assert np.max(np.abs(rows - 1.0)) < 1e-12
-        flux = mv.p.multiply(mv.pi[:, None])
+        flux = p.multiply(net.pi[:, None])
         assert abs(flux - flux.T).max() < 1e-12
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
@@ -170,51 +169,6 @@ class TestMarkovView:
     def test_handshake_identity(self, seed, n):
         net = random_connected_net(np.random.default_rng(seed), n)
         assert np.isclose(net.pi.sum(), 2.0 * net.edge_c.sum(), rtol=1e-14)
-
-
-class TestContraction:
-    def test_path_tail_contracts_to_single_edge(self):
-        net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
-        out, z = contract_vertices(net, {1, 2})
-        assert out.vertex_count == 2
-        assert out.edge_count == 1
-        assert out.edge_c[0] == 1.0
-
-    def test_tree_leaves_merge(self):
-        t = build_tree(TreeSpec(2, 1))
-        out, z = contract_vertices(t.net, {1, 2, 3})
-        assert out.vertex_count == 2
-        assert out.edge_c[0] == 3.0
-
-    def test_result_owns_its_conductances(self):
-        net = build_network([(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
-        out, z = contract_vertices(net, {3})
-        assert out.edge_c.tolist() == [1.0, 2.0, 3.0]
-        assert not np.shares_memory(out.edge_c, net.edge_c)
-
-    def test_contract_everything_rejected(self):
-        net = build_network([(0, 1, 1.0)])
-        with pytest.raises(EmptyInput):
-            contract_vertices(net, {0, 1})
-
-    def test_empty_set_rejected(self):
-        # z would have no edges
-        net = build_network([(0, 1, 1.0)])
-        with pytest.raises(DisconnectedGraph):
-            contract_vertices(net, set())
-
-    def test_disconnected_complement_rejected(self):
-        net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
-        with pytest.raises(DisconnectedGraph):
-            contract_vertices(net, {1})
-
-    def test_dead_end_contraction_preserves_resistance(self):
-        # hanging branch carries no current between 0 and 2
-        net = build_network([(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (3, 4, 1.0)])
-        r_before = effective(net, 0, {2}).resistance
-        out, z = contract_vertices(net, {3, 4})
-        r_after = effective(out, 0, {2}).resistance
-        assert abs(r_before - r_after) < 1e-12
 
 
 class TestExhaustion:
@@ -239,44 +193,6 @@ class TestExhaustion:
     def test_negative_radius(self):
         with pytest.raises(InvalidRadius):
             exhaustion(HalfLineGenerator(), -1)
-
-
-class TestSeriesParallelReduce:
-    def test_series_unit_resistors(self):
-        net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
-        out = series_parallel_reduce(net, {0, 2})
-        assert out.vertex_count == 2
-        assert abs(1.0 / out.edge_c[0] - 2.0) < 1e-15
-
-    def test_parallel_merge(self):
-        net = build_network([(0, 1, 1.0), (0, 1, 1.0), (0, 1, 1.0)])
-        out = series_parallel_reduce(net, {0, 1})
-        assert out.edge_count == 1
-        assert out.edge_c[0] == 3.0
-
-    def test_contracted_tree_ladder(self):
-        t = build_tree(TreeSpec(2, 1, contract_boundary=True))
-        out = series_parallel_reduce(t.net, {0, t.z})
-        assert out.vertex_count == 2
-        assert abs(1.0 / out.edge_c[0] - 0.5) < 1e-12
-
-    def test_irreducible_left_alone(self):
-        # K4 has no degree-2 vertices; fixed point is the input
-        edges = [(a, b, 1.0) for a in range(4) for b in range(a + 1, 4)]
-        net = build_network(edges)
-        out = series_parallel_reduce(net, {0, 3})
-        assert out.vertex_count == 4
-
-    @given(st.integers(0, 2**32 - 1), st.integers(4, 10))
-    @settings(max_examples=20, deadline=None)
-    def test_preserves_effective_resistance(self, seed, n):
-        net = random_connected_net(np.random.default_rng(seed), n)
-        keep = {0, n - 1}
-        out = series_parallel_reduce(net, keep)
-        a, z = out.index_of(0), out.index_of(n - 1)
-        r_full = effective(net, 0, {n - 1}).resistance
-        r_red = effective(out, a, {z}).resistance
-        assert abs(r_full - r_red) < 1e-10
 
 
 class TestJsonFormat:
@@ -377,6 +293,14 @@ class TestAssemblyReference:
         new = outcome(_assemble, u, v, c, n, check_connected=check)
         assert_same_outcome(new, ref)
 
+    def test_result_owns_its_conductances(self):
+        # a canonical list's u and v may be kept, but c may be a
+        # generator's own edge array
+        u, v, c = np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0])
+        net = _assemble(u, v, c, 4)
+        assert net.edge_c.tolist() == [1.0, 2.0, 3.0]
+        assert not np.shares_memory(net.edge_c, c)
+
     @pytest.mark.parametrize("spec", [
         TreeSpec(2, 6), TreeSpec(3, 4), TreeSpec(2, 5, contract_boundary=True),
         TreeSpec(3, 0, contract_boundary=True),
@@ -414,15 +338,14 @@ class TestBuildNetworkReference:
         st.sampled_from(["shuffled", "sorted", "canonical"]),
         st.sampled_from(sorted(_LABELS)),
         st.booleans(),
-        st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, seed, n, m, order, kind, spanning, check):
+    def test_matches_reference(self, seed, n, m, order, kind, spanning):
         u, v, c = random_multigraph(seed, n, m, order, spanning)
         label = _LABELS[kind](np.arange(n))
         triples = [(label[a], label[b], w) for a, b, w in zip(u.tolist(), v.tolist(), c.tolist())]
-        ref = outcome(reference_build_network, triples, check_connected=check)
-        new = outcome(build_network, triples, check_connected=check)
+        ref = outcome(reference_build_network, triples)
+        new = outcome(build_network, triples)
         assert_same_outcome(new, ref)
 
     def test_integer_labels_keep_their_order(self):

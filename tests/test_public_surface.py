@@ -1,0 +1,43 @@
+"""The public surface: each module's ``__all__`` and the package's
+re-exports agree, and names removed from the API stay removed."""
+
+import importlib
+import inspect
+import types
+
+import pytest
+
+import resistive_walks
+
+# the modules whose __all__ a traced benchmark run wraps, name by name
+MODULES = ("cli", "verify", "network", "tree", "generators", "harmonic", "flows", "walks")
+
+REMOVED = ("MarkovView", "markov_view", "series_parallel_reduce", "contract_vertices",
+           "vertex_weight")
+
+
+@pytest.mark.parametrize("layer", MODULES)
+def test_every_all_name_resolves(layer):
+    mod = importlib.import_module(f"resistive_walks.{layer}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+
+
+def test_reexports_are_in_their_modules_all():
+    outside = []
+    for name in dir(resistive_walks):
+        obj = getattr(resistive_walks, name)
+        if name.startswith("_") or isinstance(obj, types.ModuleType):
+            continue
+        home = importlib.import_module(obj.__module__)
+        if name not in home.__all__:
+            outside.append(f"{obj.__module__}.{name}")
+    assert not outside
+
+
+def test_removed_names_stay_removed():
+    network = importlib.import_module("resistive_walks.network")
+    for mod in (resistive_walks, network):
+        assert not set(REMOVED) & set(dir(mod))
+    assert "check_connected" not in inspect.signature(resistive_walks.build_network).parameters
+

@@ -27,7 +27,6 @@ from resistive_walks import (
     solve_dirichlet,
     tree_distance,
     tree_vertex_count,
-    vertex_weight,
 )
 from resistive_walks.errors import InvalidSpec, InvalidVertex, VertexInTarget
 
@@ -297,7 +296,7 @@ class TestEscapeCases:
         for q, n in [(2, 2), (2, 4), (3, 3)]:
             t = build_tree(TreeSpec(q, n))
             a = first_at_depth(q, n)
-            assert vertex_weight(t.net, a) == 1.0
+            assert t.net.pi[a] == 1.0
             z = outside_branch(t, a)
             esc = effective(t.net, a, z).escape_probability
             assert abs(esc - oracle_finite_escape("b", q, n=n)) < 1e-9
@@ -306,7 +305,7 @@ class TestEscapeCases:
         for q, n in [(2, 2), (2, 3), (3, 2)]:
             t = build_tree(TreeSpec(q, n + 3))
             a = first_at_depth(q, n)
-            assert vertex_weight(t.net, a) == float(q + 1)
+            assert t.net.pi[a] == float(q + 1)
             z = outside_branch(t, a)
             esc = effective(t.net, a, z).escape_probability
             assert abs(esc - oracle_finite_escape("c", q, n=n)) < 1e-9
