@@ -27,7 +27,7 @@ from .errors import (
     SolverDivergence,
 )
 from .harmonic import effective, resistance_to_infinity
-from .network import network_from_json
+from .network import _network_from_file
 from .tree import TreeGenerator, TreeSpec, build_tree, level_slice, oracle_table
 from .verify import run_battery
 from .walks import WalkConfig, run_walks
@@ -58,7 +58,7 @@ def _load_network(args, parser):
         # OverflowError, records with a missing, mistyped or huge field
         try:
             with open(args.network) as fh:
-                return network_from_json(json.load(fh)), None
+                return _network_from_file(fh), None
         except (OSError, ValueError, KeyError, TypeError, OverflowError, NetworkError) as exc:
             parser.error(f"bad --network {args.network!r}: {exc}")
     tree = build_tree(_tree_spec(args, parser))

@@ -14,7 +14,9 @@ class EmptyInput(NetworkError):
 
 
 class NonpositiveConductance(NetworkError):
-    """A conductance is zero, negative, NaN or infinite."""
+    """A conductance is zero, negative, NaN or infinite, or is not a number:
+    anything but an int or float (numpy's included), a bool or a numeric
+    string among them."""
 
 
 class DisconnectedGraph(NetworkError):

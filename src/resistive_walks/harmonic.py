@@ -8,9 +8,12 @@ path, :func:`solve_dirichlet`, back voltages, limits and (with a source
 term) the currents of :mod:`~resistive_walks.flows`.
 
 The free block of a connected network's grounded Laplacian is symmetric
-positive definite, so sparse LU factorizes it with diagonal pivots in
-SuperLU's symmetric mode, under a multiple-minimum-degree ordering of
-``A + A^T`` (Liu 1985).
+positive definite, so sparse LU factorizes it, whatever its size, with
+diagonal pivots in SuperLU's symmetric mode, under a multiple-minimum-degree
+ordering of ``A + A^T`` (Liu 1985).  No iterative solver stands in for it:
+a stop on the residual ``|r(x)| / pi(x)`` does not bound the voltage error
+at a vertex weakly tied to the boundary, and that voltage is the walk's
+hitting probability from the vertex (Doyle-Snell 1984).
 
 Limit quantities (resistance to infinity, Green function, hitting
 probabilities) are computed on exhaustions supplied by a
@@ -56,7 +59,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
@@ -85,15 +87,6 @@ __all__ = [
     "green_function",
     "hitting_probability",
 ]
-
-# free-vertex count up to which the free block is factorized by sparse LU;
-# beyond it Jacobi-preconditioned CG takes over.  Measured on a 2-vCPU host:
-# LU on the 300x300 grid (89,998 free) takes 0.46 s against CG's 2.1 s, but
-# even under the minimum-degree ordering its L + U holds 5.0M nonzeros
-# (8.9M under COLAMD), and it raised the solve benchmark's peak memory from
-# 176 to 203 MiB; on the level-16 tree (98,301 free) CG takes 0.08 s and
-# LU 0.10 s.
-DIRECT_LIMIT = 50_000
 
 # vertices up to which the ball of a non-symmetric generator is exhausted;
 # a limit that would need a larger ball takes its n_max exit instead of
@@ -158,16 +151,16 @@ def solve_dirichlet(
     Clamps the vertices of ``bc`` and solves ``(L v)(x) = source(x)`` on every
     free vertex, ``L = diag(pi) - C`` being the Laplacian (``source`` is a
     vector over all vertices, zero when omitted: the free vertices are then
-    harmonic).  The free block is factorized by sparse LU up to
-    ``DIRECT_LIMIT`` free vertices and solved by Jacobi-preconditioned CG
-    beyond.  Either way the result must satisfy
+    harmonic).  The free block, of any size, is factorized by sparse LU,
+    and the result must satisfy
     ``max |(L v)(x) - source(x)| / pi(x) <= tol * max(1, max |v|)`` over the
     free vertices, else :class:`SolverDivergence` is raised.  A clamped
     value or source entry that is NaN or infinite raises
     :class:`InvalidSpec`.  A free block that LU finds singular raises
     :class:`DisconnectedGraph` when a component has no clamped vertex, and
     :class:`SolverDivergence` otherwise (conductance ratios beyond float64
-    resolution).
+    resolution); a factor that does not fit in memory also raises
+    :class:`SolverDivergence`, naming the free-vertex count.
     """
     _check_positive("tol", tol)
     if not bc.clamped:
@@ -187,52 +180,44 @@ def solve_dirichlet(
     if len(free) == 0:
         return values
 
-    rows = net.laplacian()[free]
-    l_ff = rows[:, free]
+    # the boundary term is taken from the free rows before they are cut to
+    # the free block, and the rows are dropped before the factorization
+    l_ff = net.laplacian()[free]
+    boundary = l_ff @ values
+    l_ff = l_ff[:, free]
     source_f = np.zeros(len(free)) if source is None else source[free]
-    rhs = source_f - rows @ values
-    pi_f = net.pi[free]
-    if len(free) <= DIRECT_LIMIT:
-        # l_ff is symmetric positive definite when every component holds a
-        # clamped vertex, so diagonal pivots are stable.  Measured on a
-        # 2-vCPU host over the 79 balls of an 80x80 grid (up to 6,398 free):
-        # L + U of the largest holds 230k nonzeros against 396k under the
-        # default COLAMD, and the 79 factorizations take 0.53 s against
-        # 1.02 s; panel_size=1 accounts for 0.53 s against 0.71 s at the
-        # default panel size.
-        try:
-            lu = spla.splu(
-                l_ff.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                panel_size=1,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            _, comp = connected_components(net.conductance_matrix(), directed=False)
-            if np.setdiff1d(comp, comp[clamped]).size:
-                raise DisconnectedGraph(
-                    f"free block is singular ({exc}): a component has no clamped vertex"
-                ) from None
-            # connected, yet singular in float64: some pi(x) has absorbed a
-            # conductance below its rounding unit
-            raise SolverDivergence(f"free block is numerically singular ({exc})") from None
-        values[free] = lu.solve(rhs)
-    else:
-        # ||r||_2 <= atol bounds every |r(x)| / pi(x) by the residual target;
-        # the clamped values only bound max |v| from below, so the target
-        # used here is never looser than the one checked below
-        atol = tol * max(1.0, float(np.max(np.abs(values)))) * float(np.min(pi_f))
-        values[free], _ = spla.cg(
-            l_ff,
-            rhs,
-            rtol=0.0,
-            atol=atol,
-            maxiter=10 * len(free) + 100,
-            M=sp.diags(1.0 / l_ff.diagonal()),
+    # l_ff is symmetric positive definite when every component holds a
+    # clamped vertex, so diagonal pivots are stable, and its transpose is the
+    # CSC matrix SuperLU reads, with no copy.  Measured on a 2-vCPU host over
+    # the 79 balls of an 80x80 grid (up to 6,398 free): L + U of the largest
+    # holds 230k nonzeros against 396k under the default COLAMD, and the 79
+    # factorizations take 0.53 s against 1.02 s; panel_size=1 accounts for
+    # 0.53 s against 0.71 s at the default panel size.
+    try:
+        lu = spla.splu(
+            l_ff.T,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            panel_size=1,
+            options={"SymmetricMode": True},
         )
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        _, comp = connected_components(net.conductance_matrix(), directed=False)
+        if np.setdiff1d(comp, comp[clamped]).size:
+            raise DisconnectedGraph(
+                f"free block is singular ({exc}): a component has no clamped vertex"
+            ) from None
+        # connected, yet singular in float64: some pi(x) has absorbed a
+        # conductance below its rounding unit
+        raise SolverDivergence(f"free block is numerically singular ({exc})") from None
+    except MemoryError:  # SuperLU could not allocate the factor
+        raise SolverDivergence(
+            f"sparse LU of the free block ({len(free)} free vertices) ran out of memory"
+        ) from None
+    v_f = lu.solve(source_f - boundary)
+    values[free] = v_f
 
-    resid = float(np.max(np.abs(rows @ values - source_f) / pi_f))
+    resid = float(np.max(np.abs(l_ff @ v_f + boundary - source_f) / net.pi[free]))
     target = tol * max(1.0, float(np.max(np.abs(values))))
     if not resid <= target:  # also refuses a NaN residual
         raise SolverDivergence(f"harmonic residual {resid:.3e} exceeds tol {target:.3e}")

@@ -13,7 +13,9 @@ at build time are remapped and retained in ``Network.labels``.
 
 from __future__ import annotations
 
+import json
 import operator
+from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
@@ -252,9 +254,7 @@ def build_network(edge_list: Iterable[tuple]) -> Network:
     triples = list(edge_list)
     us = [t[0] for t in triples]
     vs = [t[1] for t in triples]
-    cs = np.asarray([float(t[2]) for t in triples])
-    if np.any(cs <= 0) or not np.all(np.isfinite(cs)):
-        raise NonpositiveConductance("conductances must be positive and finite")
+    cs = _conductances([t[2] for t in triples])
 
     raw = us + vs
     ids = None
@@ -296,10 +296,31 @@ def network_to_json(net: Network) -> dict:
     return doc
 
 
-def _endpoints(edges, key: str) -> list:
-    """``e[key]`` of every edge record; raises InvalidVertex for one that
-    is not an integer (a float, string or boolean is not an id)."""
-    ids = [e[key] for e in edges]
+# a conductance is a number: an int or float, numpy's included, and not a bool
+_NUMBERS = (int, float, np.integer, np.floating)
+
+
+def _conductances(cs) -> np.ndarray:
+    """The conductances of a sequence as a float64 array; raises
+    NonpositiveConductance naming the first that is not a number (a bool,
+    string or None is not one), or when one is not positive and finite."""
+    odd = {t for t in set(map(type, cs)) if t in _BOOLS or not issubclass(t, _NUMBERS)}
+    if odd:
+        bad = next(x for x in cs if type(x) in odd)
+        raise NonpositiveConductance(f"conductance {bad!r} is not a number")
+    try:
+        c = np.asarray(cs, dtype=np.float64)
+        ok = not np.any(c <= 0) and np.all(np.isfinite(c))
+    except OverflowError:  # an integer beyond float64 is not finite
+        ok = False
+    if not ok:
+        raise NonpositiveConductance("conductances must be positive and finite")
+    return c
+
+
+def _endpoints(ids):
+    """``ids``, a sequence of vertex ids; raises InvalidVertex naming the
+    first that is not an integer (a float, string or boolean is not an id)."""
     odd = {t for t in set(map(type, ids)) if t is not int and not issubclass(t, np.integer)}
     if odd:
         bad = next(x for x in ids if type(x) in odd)
@@ -307,25 +328,83 @@ def _endpoints(edges, key: str) -> list:
     return ids
 
 
-def network_from_json(doc: dict) -> Network:
-    """Inverse of :func:`network_to_json`; rejects c <= 0, bad ids and
-    declared vertices without edges."""
+def _from_columns(doc: dict, column) -> Network:
+    """The network of a JSON document whose edge records' fields are the
+    sequences ``column("u")``, ``column("v")`` and ``column("c")``; the one
+    check of a document's edges, which reads the columns in that order.
+    Rejects ids that are not integers in ``0 .. V-1``, conductances that
+    are not positive numbers, and declared vertices without edges."""
     n = int(doc["vertices"])
-    edges = doc["edges"]
-    us, vs = _endpoints(edges, "u"), _endpoints(edges, "v")
+    us, vs = _endpoints(column("u")), _endpoints(column("v"))
     try:
-        u = np.array(us, dtype=np.int64)
-        v = np.array(vs, dtype=np.int64)
+        u = np.asarray(us, dtype=np.int64)
+        v = np.asarray(vs, dtype=np.int64)
         bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     except OverflowError:  # an id beyond int64 is out of range too; find its edge
         bad = np.array([not (0 <= a < n and 0 <= b < n) for a, b in zip(us, vs)])
     if bad.any():
-        raise InvalidVertex(f"edge endpoint out of range: {edges[int(bad.argmax())]}")
-    c = np.fromiter((float(e["c"]) for e in edges), dtype=np.float64, count=len(edges))
-    if np.any(c <= 0) or not np.all(np.isfinite(c)):
-        raise NonpositiveConductance("conductances must be positive and finite")
-    net = _assemble(u, v, c, n)
+        k = int(bad.argmax())
+        raise InvalidVertex(f"edge {k} endpoint out of range: ({us[k]}, {vs[k]})")
+    net = _assemble(u, v, _conductances(column("c")), n)
     labels = doc.get("labels")
     if labels:
         net = replace(net, labels=tuple(labels[str(i)] for i in range(n)))
     return net
+
+
+def network_from_json(doc: dict) -> Network:
+    """Inverse of :func:`network_to_json`; rejects conductances that are
+    not positive numbers, bad ids and declared vertices without edges."""
+    return _from_columns(doc, lambda key: [e[key] for e in doc["edges"]])
+
+
+class _Irregular(Exception):
+    """An edge record whose fields do not fit the file reader's columns."""
+
+
+# what an edge record becomes once its fields are in the file reader's columns
+_EDGE = object()
+
+
+def _network_from_file(fh) -> Network:
+    """``network_from_json(json.load(fh))`` without a dict per edge.
+
+    Each JSON object with ``u``, ``v`` and ``c`` keys whose ids are ints
+    within int64 and whose conductance is an int or float within float64
+    moves its fields into three typed columns while the text is parsed, and
+    becomes one shared marker.  When the markers are exactly the list
+    ``doc["edges"]``, the columns go through the same check as
+    :func:`network_from_json`; any other document (an irregular record, or
+    an edge-like object outside ``edges``) is parsed again into dicts and
+    left to :func:`network_from_json`, so both accept the same documents
+    and raise the same errors.
+    """
+    text = fh.read()
+    columns = {"u": array("q"), "v": array("q"), "c": array("d")}
+    put_u, put_v, put_c = (col.append for col in columns.values())
+
+    def record(obj: dict):
+        try:
+            a, b, w = obj["u"], obj["v"], obj["c"]
+        except KeyError:  # not an edge record: the document, its labels or a malformed one
+            return obj
+        if type(a) is not int or type(b) is not int or type(w) is not float and type(w) is not int:
+            raise _Irregular
+        try:
+            put_u(a)
+            put_v(b)
+            put_c(w)
+        except OverflowError:  # an id beyond int64 or a conductance beyond float64
+            raise _Irregular from None
+        return _EDGE
+
+    try:
+        doc = json.loads(text, object_hook=record)
+        edges = doc.get("edges") if type(doc) is dict else None
+        n_records = len(columns["c"])
+        if type(edges) is not list or len(edges) != n_records or edges.count(_EDGE) != n_records:
+            raise _Irregular
+    except _Irregular:
+        return network_from_json(json.loads(text))
+    del text, edges
+    return _from_columns(doc, columns.__getitem__)

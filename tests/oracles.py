@@ -284,6 +284,19 @@ def assert_same_network(a, b):
             assert x == y, f.name
 
 
+def reference_conductance(c) -> float:
+    """``float(c)`` for an int or float, numpy's included, that is not a
+    bool; anything else, or an int beyond float64, is refused."""
+    if isinstance(c, (bool, np.bool_)) or not isinstance(
+        c, (int, float, np.integer, np.floating)
+    ):
+        raise NonpositiveConductance(f"conductance {c!r} is not a number")
+    try:
+        return float(c)
+    except OverflowError:
+        raise NonpositiveConductance(f"conductance {c} is not finite") from None
+
+
 def reference_build_network(edge_list: Iterable[tuple]) -> Network:
     """Build a Network from ``(u, v, c)`` triples.
 
@@ -296,7 +309,7 @@ def reference_build_network(edge_list: Iterable[tuple]) -> Network:
         raise EmptyInput("empty edge list")
     us = [t[0] for t in triples]
     vs = [t[1] for t in triples]
-    cs = np.asarray([float(t[2]) for t in triples])
+    cs = np.asarray([reference_conductance(t[2]) for t in triples])
     if np.any(cs <= 0) or not np.all(np.isfinite(cs)):
         raise NonpositiveConductance("conductances must be positive and finite")
 
@@ -318,17 +331,16 @@ def reference_build_network(edge_list: Iterable[tuple]) -> Network:
 
 
 def reference_network_from_json(doc: dict) -> Network:
-    """Inverse of :func:`network_to_json`; rejects c <= 0 and bad ids."""
+    """Inverse of :func:`network_to_json`; rejects bad ids, then
+    conductances that are not positive numbers."""
     n = int(doc["vertices"])
-    triples = []
-    for e in doc["edges"]:
+    for e in doc["edges"]:  # every id is checked before any conductance
         for x in (e["u"], e["v"]):  # a float, string or boolean is not an id
             if type(x) is not int and not isinstance(x, np.integer):
                 raise InvalidVertex(f"vertex id {x!r} is not an integer")
-        u, v, c = int(e["u"]), int(e["v"]), float(e["c"])
-        if not (0 <= u < n and 0 <= v < n):
+        if not (0 <= e["u"] < n and 0 <= e["v"] < n):
             raise InvalidVertex(f"edge endpoint out of range: {e}")
-        triples.append((u, v, c))
+    triples = [(int(e["u"]), int(e["v"]), reference_conductance(e["c"])) for e in doc["edges"]]
     net = reference_build_network(triples)
     if net.vertex_count != n:
         raise DisconnectedGraph("edge list does not cover all declared vertices")

@@ -37,8 +37,8 @@ from resistive_walks import (
     solve_dirichlet,
     thomson_gap,
 )
-from resistive_walks import harmonic
 from resistive_walks.flows import adjointness_residual
+from test_harmonic import dense_dirichlet
 from test_tree import outside_branch
 
 
@@ -226,7 +226,7 @@ def test_08_flow_calculus_properties():
     )
 
 
-def test_09_maximum_and_uniqueness(monkeypatch):
+def test_09_maximum_and_uniqueness():
     rng = np.random.default_rng(2024)
     ok = True
     tol = 1e-9
@@ -235,13 +235,10 @@ def test_09_maximum_and_uniqueness(monkeypatch):
         net = _random_net(rng, n)
         clamped = {0: float(rng.uniform(-1, 1)), n - 1: float(rng.uniform(-1, 1))}
         bc = BoundarySpec(clamped)
-        v = solve_dirichlet(net, bc, tol=tol)  # sparse LU at this size
+        v = solve_dirichlet(net, bc, tol=tol)
         lo, hi = min(clamped.values()), max(clamped.values())
         ok &= v.min() >= lo - 1e-12 and v.max() <= hi + 1e-12
-        with monkeypatch.context() as m:
-            m.setattr(harmonic, "DIRECT_LIMIT", 0)  # CG at every size
-            v_cg = solve_dirichlet(net, bc, tol=tol)
-        ok &= float(np.max(np.abs(v - v_cg))) < 2 * tol
+        ok &= float(np.max(np.abs(v - dense_dirichlet(net, bc)))) < 2 * tol
     _report("9 maximum principle and uniqueness", ok)
 
 

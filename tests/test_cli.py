@@ -145,6 +145,9 @@ BAD_NETWORK_FILES = {
     "not_a_doc": json.dumps([1, 2]),
     "uncovered": json.dumps({"vertices": 3, "edges": [{"u": 0, "v": 1, "c": 1.0}]}),
     "huge_c": '{"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 1' + "0" * 400 + "}]}",
+    "c_bool": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1, "c": True}]}),
+    "c_text": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1, "c": "1.5"}]}),
+    "c_hex_text": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1, "c": "0x10"}]}),
 }
 
 
@@ -180,6 +183,21 @@ class TestSolverDivergence:
         assert code == 1
         assert out == ""
         assert "error: residual too large" in err
+
+    def test_factor_out_of_memory_exits_1(self, capsys, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def oom(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(spla, "splu", oom)
+        code, out, err = run_cli(
+            capsys, "resist", "--tree", "2,3", "--source", "0", "--target-set", "level:3"
+        )
+        assert code == 1
+        assert out == ""
+        assert "ran out of memory" in err
+        assert "Traceback" not in err
 
     def test_verify_exits_1(self, capsys, monkeypatch):
         def diverge(*args, **kwargs):

@@ -92,6 +92,10 @@ def _json_edge(u, v):
     return {"vertices": 2, "edges": [{"u": u, "v": v, "c": 1.0}]}
 
 
+def _json_c(c):
+    return {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": c}]}
+
+
 def _tree3():
     return build_tree(TreeSpec(2, 3))
 
@@ -163,6 +167,21 @@ REFUSED = {
     "network_from_json-float-id": (InvalidVertex, lambda: network_from_json(_json_edge(0.7, 1))),
     "network_from_json-text-id": (InvalidVertex, lambda: network_from_json(_json_edge("0", 1))),
     "network_from_json-bool-id": (InvalidVertex, lambda: network_from_json(_json_edge(0, True))),
+    # conductances were read through float(): true as 1.0, text as its number,
+    # "0x10" as a bare ValueError and an int beyond float64 as an OverflowError
+    "network_from_json-bool-c": (NonpositiveConductance, lambda: network_from_json(_json_c(True))),
+    "network_from_json-text-c": (NonpositiveConductance, lambda: network_from_json(_json_c("1.5"))),
+    "network_from_json-padded-text-c": (
+        NonpositiveConductance, lambda: network_from_json(_json_c(" 2 "))
+    ),
+    "network_from_json-hex-text-c": (
+        NonpositiveConductance, lambda: network_from_json(_json_c("0x10"))
+    ),
+    "network_from_json-huge-int-c": (
+        NonpositiveConductance, lambda: network_from_json(_json_c(10**400))
+    ),
+    "build_network-text-c": (NonpositiveConductance, lambda: build_network([(0, 1, "1.5")])),
+    "build_network-numpy-bool-c": (NonpositiveConductance, lambda: build_network([(0, 1, np.True_)])),
 }
 
 

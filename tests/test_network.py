@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from resistive_walks.errors import (
     InvalidVertex,
     NonpositiveConductance,
 )
-from resistive_walks.network import Network, _assemble
+from resistive_walks.network import Network, _assemble, _network_from_file
+from test_cli import BAD_NETWORK_FILES
 
 
 def random_connected_net(rng, n):
@@ -409,7 +412,89 @@ class TestJsonReference:
         {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 1.0}], "labels": ["a", "b"]},
         {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 1.0}], "labels": {"0": "a", "1": "b"}},
         {"vertices": "2", "edges": [{"u": "0", "v": 1.0, "c": "2.5"}, {"u": True, "v": 0, "c": 1}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 3}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": np.float32(1.5)}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": True}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": "1.5"}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": " 2 "}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": "0x10"}]},
+        {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 10**400}]},
+        {"vertices": 3, "edges": [{"u": 0, "v": 1, "c": "x"}, {"u": 1, "v": 3, "c": 1.0}]},
     ])
     def test_documents_match_reference(self, doc):
         assert_same_outcome(outcome(network_from_json, doc),
                             outcome(reference_network_from_json, doc))
+
+
+def read_text(text):
+    """The file reader's network of a document's text."""
+    return _network_from_file(io.StringIO(text))
+
+
+# field values a drawn document may put in one edge record: each is either
+# refused by both readers or leaves the record to network_from_json
+_ODD_FIELDS = [True, False, None, "1", " 2 ", "0x10", 1.5, 0.0, -1, 10**30, 10**400, [0], {}]
+# labels that are JSON objects, some shaped like an edge record
+_ODD_LABELS = [{"u": 0, "v": 1, "c": 1.0}, {"u": "a"}, {"w": 1}, [1, 2], None, 3]
+
+
+class TestFileReader:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 12),
+        st.integers(0, 30),
+        st.sampled_from(["shuffled", "sorted", "canonical"]),
+        st.booleans(),
+        st.sampled_from([None, "text", "odd"]),
+        st.one_of(st.none(), st.tuples(
+            st.integers(0, 10**6), st.sampled_from("uvc"), st.sampled_from(_ODD_FIELDS + ["drop"])
+        )),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_network_from_json(self, seed, n, m, order, spanning, labelled, odd):
+        u, v, c = random_multigraph(seed, n, m, order, spanning)
+        labels = None
+        if labelled == "text":
+            labels = {str(i): f"x{i}" for i in range(n)}
+        elif labelled == "odd":
+            labels = {str(i): _ODD_LABELS[i % len(_ODD_LABELS)] for i in range(n)}
+        doc = edge_doc(u, v, c, n, labels)
+        if odd is not None and doc["edges"]:
+            k, key, value = odd
+            record = doc["edges"][k % len(doc["edges"])]
+            if value == "drop":
+                del record[key]
+            else:
+                record[key] = value
+        text = json.dumps(doc)
+        assert_same_outcome(outcome(read_text, text),
+                            outcome(network_from_json, json.loads(text)))
+
+    def test_bad_files_raise_the_same_class(self):
+        for name, text in BAD_NETWORK_FILES.items():
+            got = outcome(read_text, text)
+            want = outcome(lambda: network_from_json(json.loads(text)))
+            assert isinstance(got, type) and got is want, name
+
+    def test_peak_memory_per_edge(self, tmp_path):
+        # a dict per edge record peaks at about 430 B per edge
+        n = 100
+        idx = np.arange(n * n).reshape(n, n)
+        u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+        v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+        c = np.random.default_rng(0).uniform(0.5, 2.0, size=len(u))
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(network_to_json(_assemble(u, v, c, n * n))))
+
+        def read():
+            with open(path) as fh:
+                return _network_from_file(fh)
+
+        read()  # first-call allocations (imports, caches) are not the reader's
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(u) < 200
