@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +40,100 @@ def _default_seed() -> int:
     return int(os.environ.get("RESISTIVE_WALKS_SEED", "42"))
 
 
+# text written to stdout per write; the flat members below are formatted
+# _BATCH at a time, so no member list is held whole as text
+_WRITE_CHARS = 1 << 16
+_BATCH = 1024
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 1, 10, ..., 10**19
+
+
+@dataclass(frozen=True)
+class _IdCounts:
+    """A JSON object mapping each id, as its decimal string, to a count:
+    two int arrays of the same length, the ids non-negative and distinct."""
+
+    ids: np.ndarray
+    counts: np.ndarray
+
+
+def _decimal_order(ids: np.ndarray) -> np.ndarray:
+    """The permutation that sorts non-negative int64 ids as their decimal
+    strings sort.  Each id is padded with zeros to 19 digits, its exact digit
+    count (by searchsorted over powers of ten, not log10) breaking ties: a
+    string sorts before every longer string it is a prefix of."""
+    u = ids.astype(np.uint64)
+    digits = np.searchsorted(_POW10[1:], u, side="right") + 1
+    return np.lexsort((digits, u * _POW10[19 - digits]))
+
+
+def _members(fmt: str, columns, brackets: str, nl: str):
+    """Chunks of a JSON list or object whose members are ``fmt`` filled from
+    ``columns`` (arrays of one length), laid out as ``indent=2`` lays them."""
+    n = len(columns[0])
+    if n == 0:
+        yield brackets
+        return
+    sep = "," + nl + "  "
+    for i in range(0, n, _BATCH):
+        texts = map(fmt.format, *(col[i : i + _BATCH].tolist() for col in columns))
+        yield (brackets[0] + nl + "  " if i == 0 else sep) + sep.join(texts)
+    yield nl + brackets[1]
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):  # json.dumps would sort an int key as an int
+        raise TypeError(f"JSON object keys must be str, got {key!r}")
+    return json.dumps(key) + ": "
+
+
+def _chunks(value, nl: str):
+    """Chunks of ``json.dumps(value, sort_keys=True, indent=2)``; ``nl`` is a
+    newline and the indent of the line ``value`` starts on.  Dict keys must
+    be str; an int ndarray is a list, an :class:`_IdCounts` an object."""
+    if isinstance(value, (dict, list, tuple)):
+        if isinstance(value, dict):
+            brackets, members = "{}", ((_key(k), value[k]) for k in sorted(value))
+        else:
+            brackets, members = "[]", (("", item) for item in value)
+        if not value:
+            yield brackets
+            return
+        inner = nl + "  "
+        sep = brackets[0] + inner
+        for prefix, item in members:
+            yield sep + prefix
+            yield from _chunks(item, inner)
+            sep = "," + inner
+        yield nl + brackets[1]
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        yield from _members("{}", (value,), "[]", nl)
+    elif isinstance(value, _IdCounts):
+        order = _decimal_order(value.ids)
+        yield from _members('"{}": {}', (value.ids[order], value.counts[order]), "{}", nl)
+    else:
+        yield json.dumps(value)
+
+
+def _write_json(doc, out) -> None:
+    """Write ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline to
+    ``out``, in writes of at most ``_WRITE_CHARS`` characters."""
+    pending, size = [], 0
+    for chunk in _chunks(doc, "\n"):
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _WRITE_CHARS:
+            text = "".join(pending)
+            end = size - size % _WRITE_CHARS
+            for i in range(0, end, _WRITE_CHARS):
+                out.write(text[i : i + _WRITE_CHARS])
+            pending, size = [text[end:]], size - end
+    pending.append("\n")
+    out.write("".join(pending))
+
+
 def _emit(doc, fmt: str, csv_rows=None, csv_fields=None) -> None:
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        _write_json(doc, sys.stdout)
     else:
         out = io.StringIO()
         writer = csv.DictWriter(out, fieldnames=csv_fields, lineterminator="\n")
@@ -126,7 +218,7 @@ def _cmd_resist(args, parser) -> int:
         "command": "resist",
         "inputs": {
             "source": args.source,
-            "target_set": sorted(targets),
+            "target_set": np.sort(np.fromiter(targets, np.int64, len(targets))),
             "network": args.network or f"tree:{args.tree}",
         },
         "conductance": eq.conductance,
@@ -163,7 +255,15 @@ def _cmd_simulate(args, parser) -> int:
         max_steps=args.max_steps,
     )
     stats = run_walks(net, cfg)
-    doc = {"command": "simulate", **stats.to_json()}
+    done = stats.absorbed_at[stats.absorbed_at >= 0]
+    doc = {
+        "command": "simulate",
+        "seed": cfg.seed,
+        "num_walks": cfg.num_walks,
+        "start": cfg.start,
+        "censored": stats.censored,
+        "hits": _IdCounts(*np.unique(done, return_counts=True)),
+    }
     fields = ["seed", "num_walks", "start", "censored"]
     _emit(doc, args.format, [{k: doc[k] for k in fields}], fields)
     return 0
@@ -255,7 +355,10 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.cmd](args, parser)
+        code = handlers[args.cmd](args, parser)
+        # a reader that closed stdout fails this flush here, not at exit
+        sys.stdout.flush()
+        return code
     except (SolverDivergence, BudgetExceededWithoutConvergence, NotTransient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,8 @@ class DisconnectedGraph(NetworkError):
 
 
 class InvalidVertex(NetworkError):
-    """A vertex id is not an integer in 0 .. V-1, or a label is unknown."""
+    """A vertex id is not an integer in 0 .. V-1, a network document's vertex
+    count is not an integer, or a label is unknown."""
 
 
 class InvalidRadius(NetworkError):

@@ -332,9 +332,12 @@ def _from_columns(doc: dict, column) -> Network:
     """The network of a JSON document whose edge records' fields are the
     sequences ``column("u")``, ``column("v")`` and ``column("c")``; the one
     check of a document's edges, which reads the columns in that order.
-    Rejects ids that are not integers in ``0 .. V-1``, conductances that
-    are not positive numbers, and declared vertices without edges."""
-    n = int(doc["vertices"])
+    Rejects a vertex count or ids that are not integers (ids in
+    ``0 .. V-1``), conductances that are not positive numbers, and declared
+    vertices without edges."""
+    n = doc["vertices"]
+    if type(n) is not int and not isinstance(n, np.integer):  # as for ids
+        raise InvalidVertex(f"vertex count {n!r} is not an integer")
     us, vs = _endpoints(column("u")), _endpoints(column("v"))
     try:
         u = np.asarray(us, dtype=np.int64)
@@ -354,7 +357,8 @@ def _from_columns(doc: dict, column) -> Network:
 
 def network_from_json(doc: dict) -> Network:
     """Inverse of :func:`network_to_json`; rejects conductances that are
-    not positive numbers, bad ids and declared vertices without edges."""
+    not positive numbers, a vertex count that is not an integer, bad ids
+    and declared vertices without edges."""
     return _from_columns(doc, lambda key: [e[key] for e in doc["edges"]])
 
 

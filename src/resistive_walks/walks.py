@@ -165,15 +165,6 @@ class WalkStats:
         j = self.config.watch_edges.index((x, y))
         return self._watched_mean(self.watch_edge_counts[:, j])
 
-    def to_json(self) -> dict:
-        return {
-            "seed": self.config.seed,
-            "num_walks": self.config.num_walks,
-            "start": self.config.start,
-            "censored": self.censored,
-            "hits": {str(k): v for k, v in self.hits.items()},
-        }
-
 
 def _row_prefix_sums(net: Network) -> np.ndarray:
     """Running sums of the conductances along each CSR row, left to right.

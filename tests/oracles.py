@@ -333,7 +333,9 @@ def reference_build_network(edge_list: Iterable[tuple]) -> Network:
 def reference_network_from_json(doc: dict) -> Network:
     """Inverse of :func:`network_to_json`; rejects bad ids, then
     conductances that are not positive numbers."""
-    n = int(doc["vertices"])
+    n = doc["vertices"]
+    if type(n) is not int and not isinstance(n, np.integer):  # the id rule
+        raise InvalidVertex(f"vertex count {n!r} is not an integer")
     for e in doc["edges"]:  # every id is checked before any conductance
         for x in (e["u"], e["v"]):  # a float, string or boolean is not an id
             if type(x) is not int and not isinstance(x, np.integer):

@@ -1,11 +1,16 @@
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resistive_walks
 from resistive_walks import (
@@ -122,6 +127,15 @@ class TestResist:
         )
         assert code == 2
 
+    def test_level_target_stdout_digest(self, capsys):
+        # pins the echoed list of the 384 level-8 ids with the quantities
+        code, out, _ = run_cli(
+            capsys, "resist", "--tree", "2,8", "--source", "0", "--target-set", "level:8"
+        )
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "b2016ec383cdf90b6c7f2ffd875bed30019fa3c6ca407a5deb9db93e3d25c418"
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -148,6 +162,9 @@ BAD_NETWORK_FILES = {
     "c_bool": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1, "c": True}]}),
     "c_text": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1, "c": "1.5"}]}),
     "c_hex_text": json.dumps({"vertices": 2, "edges": [{"u": 0, "v": 1, "c": "0x10"}]}),
+    "vertices_float": json.dumps({"vertices": 2.7, "edges": [{"u": 0, "v": 1, "c": 1.0}]}),
+    "vertices_text": json.dumps({"vertices": " 2 ", "edges": [{"u": 0, "v": 1, "c": 1.0}]}),
+    "vertices_bool": json.dumps({"vertices": True, "edges": [{"u": 0, "v": 1, "c": 1.0}]}),
 }
 
 
@@ -453,17 +470,24 @@ def test_exit_code(capsys, monkeypatch, case):
         assert err.startswith("error: stubbed failure")
 
 
-def test_closed_stdout_exits_quietly():
-    # about 91 KB of output, more than a pipe holds, so a write really fails
+def _cli_env() -> dict:
+    """The environment of a ``python -m resistive_walks.cli`` subprocess,
+    its stdout block-buffered as by default."""
     src = str(Path(resistive_walks.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_closed_stdout_exits_quietly():
+    # about 91 KB of output, more than a pipe holds, so a write really fails
     proc = subprocess.Popen(
         [sys.executable, "-m", "resistive_walks.cli", "simulate", "--tree", "2,12",
          "--absorb-level", "12", "--walks", "20000", "--seed", "42"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_cli_env(),
     )
     try:
         assert len(proc.stdout.read(300)) == 300
@@ -475,3 +499,131 @@ def test_closed_stdout_exits_quietly():
         proc.wait()
         proc.stderr.close()
     assert err == ""
+
+
+def test_stdout_closed_before_output_exits_quietly():
+    # a short document waits in stdout's buffer; main flushes it, so the
+    # failed write ends in exit 1 there and not in an error at interpreter exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "resistive_walks.cli", "oracle", "--q", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=_cli_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def plain(value):
+    """``value`` with the emitter's array members as the dicts and lists
+    ``json.dumps`` takes."""
+    if isinstance(value, cli._IdCounts):
+        return {str(k): c for k, c in zip(value.ids.tolist(), value.counts.tolist())}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    return value
+
+
+def emitted(doc) -> str:
+    out = io.StringIO()
+    cli._write_json(doc, out)
+    return out.getvalue()
+
+
+def dumped(doc) -> str:
+    return json.dumps(plain(doc), sort_keys=True, indent=2) + "\n"
+
+
+# ids on both sides of every digit-count step, and the int64 extremes
+EDGE_IDS = sorted({0, 2**63 - 1, *(10**k + d for k in range(1, 19) for d in (-1, 0, 1))})
+
+ids_st = st.one_of(st.sampled_from(EDGE_IDS), st.integers(0, 2**63 - 1), st.integers(0, 2000))
+id_counts_st = st.lists(ids_st, unique=True, max_size=40).flatmap(
+    lambda ids: st.lists(
+        st.integers(0, 2**63 - 1), min_size=len(ids), max_size=len(ids)
+    ).map(lambda counts: cli._IdCounts(np.array(ids, np.int64), np.array(counts, np.int64)))
+)
+int_array_st = st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40).map(
+    lambda xs: np.array(xs, np.int64)
+)
+scalar_st = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]),
+    st.text(),
+    st.sampled_from(["é", "\u2028", "\x00", '"', "\\", "\n\t", "\U0001f600", "\ud800"]),
+)
+json_st = st.recursive(
+    st.one_of(scalar_st, id_counts_st, int_array_st),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.tuples(children, children),
+        st.dictionaries(st.text(), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonEmitter:
+    @given(json_st)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, doc):
+        assert emitted(doc) == dumped(doc)
+
+    def test_hit_ids_in_string_order(self):
+        # ids at 10^k - 1 and 10^k sort far apart as strings: "99" > "100"
+        ids = np.array(EDGE_IDS, np.int64)
+        counts = np.arange(len(ids), dtype=np.int64)
+        doc = {"hits": cli._IdCounts(ids, counts)}
+        assert emitted(doc) == dumped(doc)
+        got = list(json.loads(emitted(doc))["hits"])
+        assert got == sorted(map(str, EDGE_IDS)) and got != list(map(str, EDGE_IDS))
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, -0.0, 1e300, np.float64(0.1),
+        "é – ✓", "\u2028\x1f", 'a "quoted" \\ path\n', "\U0001f600",
+        [], {}, [[]], {"": {}}, [{}, [[], {"a": []}]], (1, (2,)),
+        np.array([], np.int64), cli._IdCounts(np.array([], np.int64), np.array([], np.int64)),
+    ])
+    def test_single_values(self, value):
+        doc = {"z": value, "a": [value, {"k": value}]}
+        assert emitted(doc) == dumped(doc)
+        assert emitted(value) == dumped(value)
+
+    def test_refuses_non_str_keys(self):
+        with pytest.raises(TypeError):
+            emitted({1: 2})
+
+    def test_writes_are_bounded(self):
+        class Sink:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        rng = np.random.default_rng(16)
+        ids = np.unique(rng.integers(0, 3_000_000, size=100_000))
+        doc = {
+            "command": "simulate",
+            "hits": cli._IdCounts(ids, rng.integers(1, 50, size=len(ids))),
+            "target_set": ids,
+            "label": "x" * 200_000,  # one scalar longer than a write
+        }
+        sink = Sink()
+        cli._write_json(doc, sink)
+        assert len(sink.writes) > 10
+        assert max(map(len, sink.writes)) <= cli._WRITE_CHARS
+        assert "".join(sink.writes) == dumped(doc)

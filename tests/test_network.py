@@ -216,6 +216,19 @@ class TestJsonFormat:
         with pytest.raises(InvalidVertex):
             network_from_json(doc)
 
+    @pytest.mark.parametrize("count", [2.7, 2.0, " 2 ", True])
+    def test_rejects_vertex_count_not_an_int(self, count):
+        # the id rule: a float, string or boolean is not a count either
+        doc = {"vertices": count, "edges": [{"u": 0, "v": 1, "c": 1.0}]}
+        with pytest.raises(InvalidVertex, match="vertex count"):
+            network_from_json(doc)
+        with pytest.raises(InvalidVertex, match="vertex count"):
+            read_text(json.dumps(doc))
+
+    def test_numpy_vertex_count(self):
+        doc = {"vertices": np.int32(2), "edges": [{"u": 0, "v": 1, "c": 1.0}]}
+        assert network_from_json(doc).vertex_count == 2
+
 
 def outcome(fn, *args, **kwargs):
     """The result of ``fn``, or the class of what it raised."""
@@ -420,6 +433,8 @@ class TestJsonReference:
         {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": "0x10"}]},
         {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": 10**400}]},
         {"vertices": 3, "edges": [{"u": 0, "v": 1, "c": "x"}, {"u": 1, "v": 3, "c": 1.0}]},
+        *({"vertices": n, "edges": [{"u": 0, "v": 1, "c": 1.0}]}
+          for n in (2.7, 2.0, " 2 ", True, np.int64(2))),
     ])
     def test_documents_match_reference(self, doc):
         assert_same_outcome(outcome(network_from_json, doc),
