@@ -16,7 +16,7 @@ import numpy as np
 from . import flows, tree
 from .harmonic import effective, green_function, hitting_probability
 from .network import build_network
-from .tree import TreeGenerator, TreeSpec, build_tree, level_slice
+from .tree import TreeGenerator, TreeSpec, build_tree, level_slice, tree_vertex_count
 from .walks import WalkConfig, run_walks
 
 __all__ = ["CheckRow", "RunReport", "run_battery"]
@@ -168,7 +168,6 @@ def run_battery(
     if walks > 0:
         L = 20 if q == 2 else 12
         big = TreeSpec(q, L)  # walked by arithmetic, never built
-        shell_ids = level_slice(big, L)
         bias = float(q) ** (-L)
 
         x1 = tree.first_at_depth(q, 1)
@@ -176,7 +175,7 @@ def run_battery(
             seed=seed,
             num_walks=walks,
             start=0,
-            absorbing=shell_ids,
+            absorbing=level_slice(big, L),
             watch_vertices=(0,),
             watch_edges=((0, x1),),
         )
@@ -187,12 +186,16 @@ def run_battery(
         _, _, s_closed = tree.oracle_green_hitting(q, 0)
         est, se = stats.transition_estimate(0, x1)
         rows.append(_row("mc/transitions_root_edge", s_closed, mc=est, se=se, bias=bias))
+        del cfg, stats  # the shell's ids go before the second batch's are made
 
+        # absorbed at the root or the shell: 0, then the ids of level L
+        root_and_shell = np.arange(tree.first_at_depth(q, L) - 1, tree_vertex_count(q, L))
+        root_and_shell[0] = 0
         cfg_hit = WalkConfig(
             seed=seed + 1,
             num_walks=walks,
             start=x1,
-            absorbing=np.concatenate([[0], shell_ids]),
+            absorbing=root_and_shell,
         )
         stats_hit = run_walks(big, cfg_hit)
         _, h_closed, _ = tree.oracle_green_hitting(q, 1)

@@ -30,6 +30,17 @@ The rows come from one of two neighbour sources, stepped by the one loop
 of :func:`_step_chunk`: a :class:`Network`'s CSR arrays, or closed forms
 of an uncontracted tree's breadth-first labels (:class:`_TreeRows`), which
 list each row in its CSR order, so both take the same neighbours bit for bit.
+The tree steps its common row, an inner vertex other than the root and
+vertex 1, by arithmetic alone, with no select over a data-dependent mask
+(whose mispredicted branches cost about ten times an add); the rare rows,
+the root, vertex 1 and the leaves, are found by one unsigned compare and
+redone through an index list.
+
+Each step's work runs in place where numpy allows: the splitmix rounds, the
+shift to 53 bits and the scaling to [0, 1) write over the two buffers of one
+call, and the walks absorbed at a step leave the chunk's arrays by having
+their entries overwritten by kept walks from past the new end, so the walks
+that stay are not copied.
 
 Tally conventions (hitting time from step 0, return time from step 1):
 visits are counted at every time ``0..T`` inclusive, where ``T`` is the
@@ -67,6 +78,8 @@ __all__ = [
 _CHUNK = 65536  # most walks stepped together; caps the per-chunk temporaries
 _FEW_ROWS = 16  # rows left over that _row_prefix_sums sums one by one
 _PHI = np.uint64(0x9E3779B97F4A7C15)
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 def _usable_cpus() -> int:
@@ -76,18 +89,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+def _mix(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer on the uint64 array ``x``, in place; ``tmp`` is
+    scratch of the same shape.  Returns ``x``."""
+    np.right_shift(x, _S30, out=tmp)
+    x ^= tmp
+    x *= _M1
+    np.right_shift(x, _S27, out=tmp)
+    x ^= tmp
+    x *= _M2
+    np.right_shift(x, _S31, out=tmp)
+    x ^= tmp
+    return x
 
 
 def _uniforms(base: np.ndarray, step: int) -> np.ndarray:
-    """One U[0, 1) per walk at the given step; base = per-walk key."""
-    ctr = np.uint64((0x9E3779B97F4A7C15 * (step + 1)) & 0xFFFFFFFFFFFFFFFF)
-    h = _mix(base ^ ctr)
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    """One U[0, 1) per walk at the given step; base = per-walk key.
+
+    The top 53 bits of the hash, scaled by 2**-53, written over the
+    scratch buffer of the rounds: two arrays per call, each pass in place.
+    """
+    h = base ^ np.uint64((0x9E3779B97F4A7C15 * (step + 1)) & 0xFFFFFFFFFFFFFFFF)
+    tmp = np.empty_like(h)
+    _mix(h, tmp)
+    h >>= _S11
+    return np.multiply(h, 2.0**-53, out=tmp.view(np.float64))
 
 
 @dataclass(frozen=True)
@@ -143,7 +169,11 @@ class WalkStats:
         return dict(zip(uniq.tolist(), counts.tolist()))
 
     def hit_count(self, target: int) -> int:
-        return self.hits.get(target, 0)
+        """Walks absorbed at ``target``; 0 for a negative one (-1 marks a
+        censored walk)."""
+        if target < 0:
+            return 0
+        return int(np.count_nonzero(self.absorbed_at == target))
 
     def hit_fraction(self, target: int) -> tuple[float, float]:
         """(estimate, std_err) of the probability of being absorbed at target."""
@@ -256,14 +286,35 @@ class _TreeRows(_VertexIds):
         raise NotAdjacent(f"{x} and {y} are not neighbors")
 
     def step(self, cur: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(slot, neighbour) of a step from each ``cur`` with variate ``u``."""
+        """(k, neighbour) of a step from each ``cur`` with variate ``u``: the
+        walk moves through slot k of its row, numbered ``(q + 1) cur + k``.
+
+        The common row, an inner vertex other than 0 and 1, is stepped by
+        arithmetic alone: ``k = floor(u (q + 1))``, the child ``q x + 2 + k``
+        blended with the parent ``(x - 2) // q`` where ``k == q``.  The rare
+        rows, the root, vertex 1 and the leaves, are those whose ``x - 2``,
+        read unsigned, is at least ``max(leaf - 2, 0)``; they are redone
+        through an index list by the general formulas.
+        """
         q = self.q
-        inner = cur < self.leaf
-        root = cur == 0
-        k = (u * np.where(inner, q + 1.0, 1.0)).astype(np.int64)  # = u * pi(cur)
-        slot = (q + 1) * cur + k
-        up = k >= np.where(inner, q + root, 0)  # past the children
-        return slot, np.where(up, _parent(q, cur), slot - cur + 2 - root)
+        # k = floor(u * pi(cur)) on inner rows, cast as it is multiplied
+        k = np.multiply(u, q + 1.0, out=np.empty_like(cur), casting="unsafe")
+        nxt = q * cur
+        nxt += k
+        nxt += 2  # the child through slot k
+        below = cur - 2
+        rare = np.flatnonzero(below.view(np.uint64) >= np.uint64(max(self.leaf - 2, 0)))
+        up = np.floor_divide(below, q, out=below)  # the parent, x >= 2
+        up -= nxt
+        up *= k == q
+        nxt += up
+        if len(rare):
+            x = cur[rare]
+            inner, root = x < self.leaf, x == 0
+            k[rare] = kr = (u[rare] * np.where(inner, q + 1.0, 1.0)).astype(np.int64)
+            past = kr >= np.where(inner, q + root, 0)  # past the children
+            nxt[rare] = np.where(past, _parent(q, x), q * x + kr + 2 - root)
+        return k, nxt
 
 
 @dataclass(frozen=True)
@@ -285,6 +336,21 @@ class _Run:
     stop: threading.Event = field(default_factory=threading.Event)
 
 
+def _drop(absorbed: np.ndarray, done: np.ndarray,
+          *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of ``arrays`` without their entries at ``done``, the ascending
+    indices of the flags ``absorbed``.  Each kept entry past the new length
+    moves into a hole, in place; the order of a chunk's walks matters to no
+    output."""
+    m = len(absorbed) - len(done)
+    movers = np.flatnonzero(~absorbed[m:])
+    movers += m
+    holes = done[: len(movers)]
+    for a in arrays:
+        a[holes] = a[movers]
+    return tuple(a[:m] for a in arrays)
+
+
 def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> None:
     """Step walks ``lo..hi-1`` in lockstep until all are absorbed or censored,
     adding their steps per CSR slot to ``slot_counts``; returns early once
@@ -294,7 +360,8 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
     if tree is None:
         indptr, nbr, pi = net.adj_indptr, net.adj_neighbor, net.pi
     seed_u = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
-    base = _mix(seed_u ^ (_PHI * (np.arange(lo, hi, dtype=np.uint64) + np.uint64(1))))
+    key = seed_u ^ (_PHI * (np.arange(lo, hi, dtype=np.uint64) + np.uint64(1)))
+    base = _mix(key, np.empty_like(key))
     cur = np.full(hi - lo, cfg.start, dtype=np.int64)
     walk = np.arange(lo, hi, dtype=np.int64)  # global walk index per row
 
@@ -302,17 +369,19 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
     for j, x in enumerate(run.watch_v):
         run.wv_counts[walk[cur == x], j] += 1
     if cfg.min_absorb_step == 0:
-        done = run.absorb_mask[cur]
+        absorbed = run.absorb_mask[cur]
+        done = np.flatnonzero(absorbed)
         run.absorbed_at[walk[done]] = cur[done]
-        keep = ~done
-        cur, base, walk = cur[keep], base[keep], walk[keep]
+        cur, base, walk = _drop(absorbed, done, cur, base, walk)
 
     t = 0
     while len(cur) > 0 and t < cfg.max_steps:
         if run.stop.is_set():
             return
         if tree is not None:
-            ptr, nxt = tree.step(cur, _uniforms(base, t))
+            k, nxt = tree.step(cur, _uniforms(base, t))
+            if run.watch_slot:
+                ptr = (tree.q + 1) * cur + k
         else:
             r = _uniforms(base, t) * pi[cur]
             first = indptr[cur]
@@ -334,12 +403,13 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
 
         cur = nxt
         if t >= cfg.min_absorb_step:
-            done = run.absorb_mask[cur]
-            if np.any(done):
-                run.absorbed_at[walk[done]] = cur[done]
-                run.steps[walk[done]] = t
-                keep = ~done
-                cur, base, walk = cur[keep], base[keep], walk[keep]
+            absorbed = run.absorb_mask[cur]
+            done = np.flatnonzero(absorbed)
+            if len(done):
+                gone = walk[done]
+                run.absorbed_at[gone] = cur[done]
+                run.steps[gone] = t
+                cur, base, walk = _drop(absorbed, done, cur, base, walk)
 
     run.steps[walk] = cfg.max_steps  # censored walks took the full budget
 
@@ -503,6 +573,6 @@ def estimate_escape(net: Network, cfg: WalkConfig, a: int, z) -> tuple[float, fl
     )
     stats = run_walks(net, cfg)
     n = cfg.num_walks
-    escaped = int(sum(c for v, c in stats.hits.items() if v in z))
+    escaped = int(np.count_nonzero(np.isin(stats.absorbed_at, list(z))))
     p = escaped / n
     return p, math.sqrt(p * (1.0 - p) / n)

@@ -5,7 +5,8 @@ absorbing-chain probabilities use dense transition-matrix algebra, and the
 star/cycle projection is computed from an explicit fundamental cycle basis
 via dense normal equations, and graph assembly is the plain sort-and-merge
 the package's own assembly must reproduce bit for bit, as must the tree's
-breadth-first labelling against its first, level-by-level form.
+breadth-first labelling against its first, level-by-level form, and the
+arithmetic tree walker against its first, one-formula step.
 """
 
 from dataclasses import fields
@@ -242,6 +243,20 @@ def reference_tree_edges(q: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
         parents.append(par)
         children.append(kids)
     return np.concatenate(parents), np.concatenate(children)
+
+
+def reference_tree_step(q: int, leaf: int, cur: np.ndarray, u: np.ndarray):
+    """(slot, neighbour) of a step of the uncontracted tree's walk from each
+    ``cur`` with variate ``u``, by one general formula for every row: slot
+    ``(q + 1) x + floor(u pi(x))``, a child below the row's child count and
+    the parent ``max((x - 2) // q, 0)`` past it; ``leaf`` is the first id of
+    the deepest level."""
+    inner = cur < leaf
+    root = cur == 0
+    k = (u * np.where(inner, q + 1.0, 1.0)).astype(np.int64)
+    slot = (q + 1) * cur + k
+    up = k >= np.where(inner, q + root, 0)
+    return slot, np.where(up, np.maximum((cur - 2) // q, 0), slot - cur + 2 - root)
 
 
 def reference_build_tree(q: int, n: int, contract_boundary: bool):

@@ -278,6 +278,19 @@ class TestSimulate:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "91ea72c0d7a1a11a83c93e3a802c08cae965a2224b1c110b3ccf56191d8200c5"
 
+    @pytest.mark.parametrize("argv, want", [
+        # the benchmark's walks: two chunks of 50,000, one per worker on two CPUs
+        (("--tree", "2,20", "--absorb-level", "20", "--walks", "100000", "--seed", "42"),
+         "fd57d6b29bada45df0c659795df54bd873130ab5610d8336eeffae2aecbf94a0"),
+        # the parent (x - 2) // q at a divisor other than 2
+        (("--tree", "3,12", "--absorb-level", "12", "--walks", "20000", "--seed", "7"),
+         "ab04469d52b6058dc2e9ddf579481a9b9ac5aa9cb0239d52f6cf6fd264b98d9c"),
+    ])
+    def test_tree_walk_stdout_digest(self, capsys, argv, want):
+        code, out, _ = run_cli(capsys, "simulate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
     def test_tree_builds_no_network(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "build_tree", _raising(AssertionError))
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@ import collections
 import functools
 import hashlib
 import itertools
+import math
 import signal
 import sys
 import threading
@@ -11,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import absorbing_hit_probability, expected_visits
+from oracles import absorbing_hit_probability, expected_visits, reference_tree_step
 from resistive_walks import (
     GraphGenerator,
     Network,
@@ -256,6 +257,21 @@ class TestAccounting:
         cfg = WalkConfig(seed=7, num_walks=400, start=0, absorbing=(13, 14), max_steps=30)
         stats = run_walks(net, cfg)
         assert sum(stats.hits.values()) + stats.censored == 400
+
+    def test_hit_count_and_escape_read_the_hits(self):
+        # 11 walks are censored (absorbed_at -1); 12, 13 and 14 are reached,
+        # 0 and 5 are not absorbing, 15 and 10**6 are not vertices
+        net = random_connected_net(np.random.default_rng(4), 15)
+        cfg = WalkConfig(seed=7, num_walks=400, start=0, absorbing=(12, 13, 14), max_steps=30)
+        stats = run_walks(net, cfg)
+        assert stats.censored > 0 and stats.hits
+        for target in (12, 13, 14, 0, 5, -1, 15, 10**6):
+            assert stats.hit_count(target) == stats.hits.get(target, 0), target
+        z = {3, 9, 14}
+        escape = replace(cfg, absorbing=(0, 3, 9, 14), min_absorb_step=1)
+        hits = run_walks(net, escape).hits
+        p = sum(hits.get(v, 0) for v in z) / cfg.num_walks
+        assert estimate_escape(net, cfg, 0, z) == (p, math.sqrt(p * (1 - p) / cfg.num_walks))
 
     def test_visits_match_steps(self):
         # total visit tally = one per walk per time 0..T
@@ -691,12 +707,31 @@ class TestTreeSource:
         for a, b in zip(_tallies(got)[:4], _tallies(want)[:4], strict=True):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("q, levels", itertools.product((2, 3, 5), (1, 2, 3, 6)))
+    def test_step_matches_reference(self, q, levels):
+        # every vertex at 0, 1 - 2**-53 and on and one ulp either side of each
+        # slot boundary j / (q + 1); the (q, 1) trees have no common row
+        # (leaf - 2 < 0), the others all three kinds of rare row
+        spec = TreeSpec(q, levels)
+        rows = walks._TreeRows.of(spec)
+        edges = np.arange(1, q + 1) / (q + 1.0)
+        u = np.concatenate([[0.0, 1 - 2.0**-53], edges,
+                            np.nextafter(edges, 0), np.nextafter(edges, 1)])
+        cur, u = (a.ravel() for a in np.meshgrid(np.arange(rows.vertex_count), u))
+        k, nxt = rows.step(cur, u)
+        slot, want = reference_tree_step(q, rows.leaf, cur, u)
+        assert np.array_equal((q + 1) * cur + k, slot)
+        assert np.array_equal(nxt, want)
+        net = build_tree(spec).net  # the reference's slots hold its CSR neighbours
+        assert np.array_equal(net.adj_neighbor[net.adj_indptr[cur] + slot - (q + 1) * cur], want)
+
     def test_step_at_the_int64_edge(self):
         # the largest binary tree whose slots fit int64: its last inner
         # vertex and its last leaf step with no overflow
         rows = walks._TreeRows.of(TreeSpec(2, 59))
         n, x = rows.vertex_count, rows.leaf - 1
         assert 3 * n > 2**62
-        slot, nxt = rows.step(np.array([x, x, x, n - 1]), np.array([0.0, 0.5, 0.99, 0.7]))
+        cur = np.array([x, x, x, n - 1])
+        k, nxt = rows.step(cur, np.array([0.0, 0.5, 0.99, 0.7]))
         assert nxt.tolist() == [n - 2, n - 1, (x - 2) // 2, (n - 3) // 2]
-        assert slot.tolist() == [3 * x, 3 * x + 1, 3 * x + 2, 3 * (n - 1)]
+        assert (3 * cur + k).tolist() == [3 * x, 3 * x + 1, 3 * x + 2, 3 * (n - 1)]
