@@ -58,9 +58,6 @@ from .walks import (
     WalkConfig,
     WalkStats,
     estimate_escape,
-    estimate_green,
-    estimate_hitting,
-    estimate_transitions,
     run_walks,
 )
 

@@ -36,10 +36,6 @@ from .walks import WalkConfig, run_walks
 __all__ = ["main"]
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("RESISTIVE_WALKS_SEED", "42"))
-
-
 # text written to stdout per write; the flat members below are formatted
 # _BATCH at a time, so no member list is held whole as text
 _WRITE_CHARS = 1 << 16
@@ -298,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=_default_seed())
+        # a string default goes through type=int, so a bad value is a usage error
+        p.add_argument("--seed", type=int, default=os.environ.get("RESISTIVE_WALKS_SEED", "42"))
 
     p = sub.add_parser("resist", help="effective conductance / resistance / escape")
     src = p.add_mutually_exclusive_group(required=True)

@@ -4,15 +4,11 @@ Walks step by the chain ``p(x, y) = c(x, y) / pi(x)`` until they enter an
 absorbing vertex (at a step count >= ``min_absorb_step``) or run out of
 ``max_steps``.  The uniform variate consumed by walk ``w`` at step ``t``
 is a pure function of ``(seed, w, t)`` via a counter-based splitmix hash,
-so tallies are bit-identical across runs and independent of any worker
-assignment.  The walks are split into balanced contiguous chunks of at most
-``_CHUNK`` walks, and each chunk steps its walks in lockstep with numpy.
-The chunks run on one worker per usable CPU, or one per chunk when there
-are fewer: the calling thread plus a thread pool created for the call (a
-run of one chunk stays on the calling thread).  numpy's gathers and ufuncs
-release the GIL, so the workers overlap.  Each worker writes per-walk
-results only at its own walk indices and keeps its own per-slot tally,
-summed exactly at the end, so no output depends on the number of cores.
+so tallies are bit-identical across runs and independent of the chunking.
+The walks are split into balanced contiguous chunks of at most ``_CHUNK``
+walks, stepped one after another on the calling thread, each stepping its
+walks in lockstep with numpy.  A chunk writes per-walk results only at its
+own walk indices and adds its steps to the one per-slot tally.
 
 A walk at ``x`` with variate ``u`` moves through the first CSR slot of row
 ``x`` whose row-local prefix sum of conductances exceeds ``r = u * pi(x)``
@@ -53,11 +49,9 @@ absorption at the start a *return*).
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -69,9 +63,6 @@ __all__ = [
     "WalkConfig",
     "WalkStats",
     "run_walks",
-    "estimate_hitting",
-    "estimate_green",
-    "estimate_transitions",
     "estimate_escape",
 ]
 
@@ -80,13 +71,6 @@ _FEW_ROWS = 16  # rows left over that _row_prefix_sums sums one by one
 _PHI = np.uint64(0x9E3779B97F4A7C15)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _mix(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -130,10 +114,18 @@ class WalkConfig:
     track_transitions: bool = False
 
     def __post_init__(self):
+        for name in ("seed", "num_walks", "max_steps", "min_absorb_step"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+            # as an int: a numpy seed would overflow the seed's 64-bit mask
+            object.__setattr__(self, name, int(value))
         if self.num_walks < 1:
             raise InvalidSpec(f"num_walks must be >= 1, got {self.num_walks}")
         if self.max_steps < 1:
             raise InvalidSpec(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.min_absorb_step < 0:
+            raise InvalidSpec(f"min_absorb_step must be >= 0, got {self.min_absorb_step}")
         if len(self.absorbing) == 0 and self.max_steps > 10_000_000:
             raise InvalidSpec("absorbing may be empty only with a finite step budget")
 
@@ -333,7 +325,6 @@ class _Run:
     steps: np.ndarray
     wv_counts: np.ndarray
     we_counts: np.ndarray
-    stop: threading.Event = field(default_factory=threading.Event)
 
 
 def _drop(absorbed: np.ndarray, done: np.ndarray,
@@ -353,8 +344,7 @@ def _drop(absorbed: np.ndarray, done: np.ndarray,
 
 def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> None:
     """Step walks ``lo..hi-1`` in lockstep until all are absorbed or censored,
-    adding their steps per CSR slot to ``slot_counts``; returns early once
-    ``run.stop`` is set."""
+    adding their steps per CSR slot to ``slot_counts``."""
     cfg, net, cum, odd = run.cfg, run.net, run.cum, run.odd
     tree = net if isinstance(net, _TreeRows) else None
     if tree is None:
@@ -376,8 +366,6 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
 
     t = 0
     while len(cur) > 0 and t < cfg.max_steps:
-        if run.stop.is_set():
-            return
         if tree is not None:
             k, nxt = tree.step(cur, _uniforms(base, t))
             if run.watch_slot:
@@ -412,22 +400,6 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
                 cur, base, walk = _drop(absorbed, done, cur, base, walk)
 
     run.steps[walk] = cfg.max_steps  # censored walks took the full budget
-
-
-def _step_chunks(run: _Run, bounds: list[int], track: bool) -> np.ndarray | None:
-    """Step the chunks between consecutive ``bounds`` one after another.
-
-    Returns their steps per CSR slot (None when ``track`` is false).  A
-    failure sets ``run.stop``, so the other workers of the call stop too.
-    """
-    slot_counts = np.zeros(len(run.net.adj_neighbor), dtype=np.int64) if track else None
-    try:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            _step_chunk(run, lo, hi, slot_counts)
-    except BaseException:
-        run.stop.set()
-        raise
-    return slot_counts
 
 
 def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
@@ -486,31 +458,15 @@ def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
     )
     # steps taken per CSR slot; visits and transitions both derive from it
     track = cfg.track_visits or cfg.track_transitions
-
-    # balanced contiguous chunks of at most _CHUNK walks, as many per worker
+    slot_counts = np.zeros(len(net.adj_neighbor), dtype=np.int64) if track else None
+    # balanced contiguous chunks of at most _CHUNK walks, one after another
     n_chunks = -(-n_walks // _CHUNK)
-    workers = min(_usable_cpus(), n_chunks)
-    n_chunks = -(-n_chunks // workers) * workers
     bounds = [i * n_walks // n_chunks for i in range(n_chunks + 1)]
-    per = n_chunks // workers
-    shares = [bounds[j * per : (j + 1) * per + 1] for j in range(workers)]
-    if workers == 1:
-        tallies = [_step_chunks(run, bounds, track)]
-    else:  # the caller steps the first share itself
-        with ThreadPoolExecutor(workers - 1) as pool:
-            try:
-                futures = [pool.submit(_step_chunks, run, s, track) for s in shares[1:]]
-                tallies = [_step_chunks(run, shares[0], track)]
-                tallies += [f.result() for f in futures]
-            except BaseException:
-                run.stop.set()  # the pool's exit then waits at most a step
-                raise
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        _step_chunk(run, lo, hi, slot_counts)
 
     visits = pairs = counts_out = None
     if track:
-        slot_counts = tallies[0]
-        for extra in tallies[1:]:
-            slot_counts += extra
         taken = np.flatnonzero(slot_counts)
         counts = slot_counts[taken]
         src = np.searchsorted(net.adj_indptr, taken, side="right") - 1
@@ -534,30 +490,6 @@ def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
         transition_pairs=pairs,
         transition_counts=counts_out,
     )
-
-
-def estimate_hitting(net: Network, cfg: WalkConfig, target: int) -> tuple[float, float]:
-    """Fraction of walks absorbed at ``target`` (hitting from step 0)."""
-    if target not in cfg.absorbing:
-        cfg = replace(cfg, absorbing=tuple(cfg.absorbing) + (target,))
-    stats = run_walks(net, cfg)
-    return stats.hit_fraction(target)
-
-
-def estimate_green(net: Network, cfg: WalkConfig, x: int) -> tuple[float, float]:
-    """Mean number of visits to ``x`` per walk, with standard error."""
-    if x not in cfg.watch_vertices:
-        cfg = replace(cfg, watch_vertices=tuple(cfg.watch_vertices) + (x,))
-    stats = run_walks(net, cfg)
-    return stats.visit_estimate(x)
-
-
-def estimate_transitions(net: Network, cfg: WalkConfig, x: int, y: int) -> tuple[float, float]:
-    """Mean count of directed steps x -> y per walk, with standard error."""
-    if (x, y) not in cfg.watch_edges:
-        cfg = replace(cfg, watch_edges=tuple(cfg.watch_edges) + ((x, y),))
-    stats = run_walks(net, cfg)
-    return stats.transition_estimate(x, y)
 
 
 def estimate_escape(net: Network, cfg: WalkConfig, a: int, z) -> tuple[float, float]:

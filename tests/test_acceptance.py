@@ -22,9 +22,6 @@ from resistive_walks import (
     decompose_star_cycle,
     effective,
     energy,
-    estimate_green,
-    estimate_hitting,
-    estimate_transitions,
     first_at_depth,
     green_function,
     inner_r,
@@ -34,6 +31,7 @@ from resistive_walks import (
     oracle_finite_escape,
     oracle_potential_current,
     oracle_resistance,
+    run_walks,
     solve_dirichlet,
     thomson_gap,
 )
@@ -169,11 +167,13 @@ def test_07_monte_carlo_concordance():
     shell = tuple(int(x) for x in level_slice(t, L))
     x1 = first_at_depth(q, 1)
 
-    cfg = WalkConfig(seed=seed, num_walks=walks, start=x1, absorbing=shell)
-    hit, hit_se = estimate_hitting(t.net, cfg, 0)
-    cfg = WalkConfig(seed=seed, num_walks=walks, start=0, absorbing=shell)
-    green, green_se = estimate_green(t.net, cfg, 0)
-    trans, trans_se = estimate_transitions(t.net, cfg, x1, 0)
+    cfg = WalkConfig(seed=seed, num_walks=walks, start=x1, absorbing=(0, *shell))
+    hit, hit_se = run_walks(t.net, cfg).hit_fraction(0)
+    cfg = WalkConfig(seed=seed, num_walks=walks, start=0, absorbing=shell,
+                     watch_vertices=(0,), watch_edges=((x1, 0),))
+    stats = run_walks(t.net, cfg)
+    green, green_se = stats.visit_estimate(0)
+    trans, trans_se = stats.transition_estimate(x1, 0)
 
     ok_hit = abs(hit - 0.5) < 3 * hit_se
     ok_green = abs(green - 2.0) < 3 * green_se

@@ -326,6 +326,11 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["seed"] == 99
 
+    def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("RESISTIVE_WALKS_SEED", "abc")
+        code, _, err = run_cli(capsys, "oracle", "--q", "2")
+        assert code == 2 and "--seed" in err and "Traceback" not in err
+
     def test_zero_walks_exits_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "simulate", "--tree", "2,2", "--walks", "0", "--absorb-level", "2"

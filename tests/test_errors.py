@@ -50,8 +50,8 @@ def path3():
     return build_network([(0, 1, 1.0), (1, 2, 1.0)])
 
 
-def walk(start=0, **fields):
-    return WalkConfig(seed=0, num_walks=1, start=start, absorbing=(2,), **fields)
+def walk(start=0, seed=0, num_walks=1, **fields):
+    return WalkConfig(seed=seed, num_walks=num_walks, start=start, absorbing=(2,), **fields)
 
 
 # one public call per class that raises it
@@ -182,6 +182,16 @@ REFUSED = {
     ),
     "build_network-text-c": (NonpositiveConductance, lambda: build_network([(0, 1, "1.5")])),
     "build_network-numpy-bool-c": (NonpositiveConductance, lambda: build_network([(0, 1, np.True_)])),
+    # WalkConfig took any value: max_steps=2.5 censored after 3 steps but
+    # recorded 2, min_absorb_step=-1 ran as 0, and a float or text seed or
+    # walk count died in a bare TypeError
+    "WalkConfig-seed-float": (InvalidSpec, lambda: walk(seed=1.5)),
+    "WalkConfig-seed-text": (InvalidSpec, lambda: walk(seed="7")),
+    "WalkConfig-num_walks-float": (InvalidSpec, lambda: walk(num_walks=2.5)),
+    "WalkConfig-num_walks-bool": (InvalidSpec, lambda: walk(num_walks=True)),
+    "WalkConfig-max_steps-float": (InvalidSpec, lambda: walk(max_steps=2.5)),
+    "WalkConfig-min_absorb_step-float": (InvalidSpec, lambda: walk(min_absorb_step=1.0)),
+    "WalkConfig-min_absorb_step-negative": (InvalidSpec, lambda: walk(min_absorb_step=-1)),
 }
 
 

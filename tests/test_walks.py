@@ -1,12 +1,8 @@
-import collections
 import functools
 import hashlib
 import itertools
 import math
-import signal
-import sys
 import threading
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -22,9 +18,6 @@ from resistive_walks import (
     build_tree,
     effective,
     estimate_escape,
-    estimate_green,
-    estimate_hitting,
-    estimate_transitions,
     level_slice,
     oracle_green_hitting,
     run_walks,
@@ -76,6 +69,15 @@ class TestDeterminism:
         assert np.array_equal(small.absorbed_at, big.absorbed_at[:100])
         assert np.array_equal(small.steps, big.steps[:100])
 
+    def test_numpy_integer_fields(self):
+        # a numpy seed used to overflow the 64-bit mask of the seed
+        fields = dict(seed=7, num_walks=50, max_steps=30, min_absorb_step=1)
+        common = dict(start=1, absorbing=(0, 2), track_visits=True, track_transitions=True)
+        want = run_walks(path3(), WalkConfig(**common, **fields))
+        cfg = WalkConfig(**common, **{k: np.int64(v) for k, v in fields.items()})
+        assert all(type(getattr(cfg, k)) is int for k in fields)
+        _assert_same_tallies(run_walks(path3(), cfg), want)
+
 
 class TestTrivialCases:
     def test_single_edge_one_step(self):
@@ -95,13 +97,13 @@ class TestTrivialCases:
     def test_start_equals_target(self):
         net = path3()
         cfg = WalkConfig(seed=0, num_walks=40, start=1, absorbing=(1,))
-        est, se = estimate_hitting(net, cfg, 1)
+        est, se = run_walks(net, cfg).hit_fraction(1)
         assert est == 1.0 and se == 0.0
 
     def test_green_absorbing_start_is_one(self):
         net = path3()
-        cfg = WalkConfig(seed=0, num_walks=40, start=1, absorbing=(1,))
-        est, se = estimate_green(net, cfg, 1)
+        cfg = WalkConfig(seed=0, num_walks=40, start=1, absorbing=(1,), watch_vertices=(1,))
+        est, se = run_walks(net, cfg).visit_estimate(1)
         assert est == 1.0 and se == 0.0
 
     def test_escape_single_edge_certain(self):
@@ -115,9 +117,8 @@ class TestTrivialCases:
         with pytest.raises(InvalidVertex):
             run_walks(net, WalkConfig(seed=0, num_walks=1, start=9, absorbing=(0,)))
         with pytest.raises(NotAdjacent):
-            estimate_transitions(
-                net, WalkConfig(seed=0, num_walks=1, start=0, absorbing=(2,)), 0, 2
-            )
+            run_walks(net, WalkConfig(seed=0, num_walks=1, start=0, absorbing=(2,),
+                                      watch_edges=((0, 2),)))
         with pytest.raises(VertexInTarget):
             estimate_escape(net, WalkConfig(seed=0, num_walks=1, start=0), 0, {0, 2})
         with pytest.raises(ValueError):
@@ -308,14 +309,15 @@ class TestStatisticalAgreement:
     def test_hitting_vs_dense_oracle(self):
         net = random_connected_net(np.random.default_rng(12), 8)
         cfg = WalkConfig(seed=42, num_walks=40_000, start=3, absorbing=(0, 7))
-        est, se = estimate_hitting(net, cfg, 0)
+        est, se = run_walks(net, cfg).hit_fraction(0)
         exact = absorbing_hit_probability(net, 0, {7})[3]
         assert abs(est - exact) < 4 * se
 
     def test_green_vs_fundamental_matrix(self):
         net = random_connected_net(np.random.default_rng(13), 8)
-        cfg = WalkConfig(seed=42, num_walks=40_000, start=0, absorbing=(7,))
-        est, se = estimate_green(net, cfg, 2)
+        cfg = WalkConfig(seed=42, num_walks=40_000, start=0, absorbing=(7,),
+                         watch_vertices=(2,))
+        est, se = run_walks(net, cfg).visit_estimate(2)
         exact = expected_visits(net, 0, {7})[2]
         assert abs(est - exact) < 4 * se
 
@@ -332,16 +334,18 @@ class TestStatisticalAgreement:
         net = random_connected_net(np.random.default_rng(14), 8)
         x = 2
         y = int(net.neighbors(x)[0])
-        cfg = WalkConfig(seed=42, num_walks=40_000, start=0, absorbing=(7,))
-        est, se = estimate_transitions(net, cfg, x, y)
+        cfg = WalkConfig(seed=42, num_walks=40_000, start=0, absorbing=(7,),
+                         watch_edges=((x, y),))
+        est, se = run_walks(net, cfg).transition_estimate(x, y)
         exact = expected_visits(net, 0, {7})[x] * transition_matrix(net)[x, y]
         assert abs(est - exact) < 4 * se
 
     def test_infinite_tree_surrogate(self):
         # deep truncation stands in for the infinite tree at the root
         t = build_tree(TreeSpec(2, 12, contract_boundary=True))
-        cfg = WalkConfig(seed=42, num_walks=20_000, start=0, absorbing=(t.z,))
-        est, se = estimate_green(t.net, cfg, 0)
+        cfg = WalkConfig(seed=42, num_walks=20_000, start=0, absorbing=(t.z,),
+                         watch_vertices=(0,))
+        est, se = run_walks(t.net, cfg).visit_estimate(0)
         exact, _, _ = oracle_green_hitting(2, 0)
         assert abs(est - exact) < 4 * se + 1e-3
 
@@ -415,9 +419,9 @@ def _golden_digest(kind: str, seed: int, walks: int) -> str:
 
 
 # sha256 of every tally.  They pin the variate stream and the map from
-# variate to neighbour; TestThreadedChunks checks those of seed 7 and 9000
-# walks on nine chunks and three workers.  A change to
-# either is a new, versioned stream and re-records these.
+# variate to neighbour; TestChunks checks those of seed 7 and 9000 walks on
+# nine chunks.  A change to either is a new, versioned stream and re-records
+# these.
 _GOLDEN = {
     ("path", 1, 1): "51bafc793efbdc51103474933127ffdf5929f696816d486b7c45e99c937da1ab",
     ("path", 1, 300): "97c2bc16940ffe86d36ebd8eca9cb42ef259da58ca10ded3a3c0dfefda8a69f9",
@@ -471,35 +475,8 @@ def _assert_same_tallies(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def _capture_stop(monkeypatch):
-    """Wrap ``walks._step_chunks`` to record its run's stop event; returns
-    the list it goes into and a per-thread tally for ``_count_after_stop``."""
-    stops, after_stop = [], collections.Counter()
-    step_chunks = walks._step_chunks
-
-    def capturing(run, bounds, track):
-        stops.append(run.stop)
-        return step_chunks(run, bounds, track)
-
-    monkeypatch.setattr(walks, "_step_chunks", capturing)
-    return stops, after_stop
-
-
-def _count_after_stop(stops, after_stop):
-    """Count a ``_uniforms`` call against its thread if the stop is set."""
-    if stops[0].is_set():
-        after_stop[threading.get_ident()] += 1
-
-
-def _assert_stopped_within_a_step(stops, after_stop):
-    # a worker checks the stop once per step, so it draws at most one more
-    # step's variates after the stop is set, however the threads are scheduled
-    assert stops and all(stop.is_set() for stop in stops)
-    assert max(after_stop.values(), default=0) <= 1, after_stop
-
-
-class TestThreadedChunks:
-    """Chunks stepped on a thread pool give the one-chunk tallies, bit for bit."""
+class TestChunks:
+    """Chunks stepped one after another give the one-chunk tallies, bit for bit."""
 
     def test_stress_matches_one_chunk(self, monkeypatch):
         cases = []
@@ -507,103 +484,44 @@ class TestThreadedChunks:
             net, fields = _golden_case(kind)
             cfg = WalkConfig(seed=seed, num_walks=1000, track_visits=True,
                              track_transitions=True, **{**fields, "max_steps": 60})
-            cases.append((net, cfg, run_walks(net, cfg)))  # one chunk, one thread
-        # 16 chunks of 62 or 63 walks on 8 workers, more than there are
-        # cores, with the GIL handed over as often as the interpreter can
+            cases.append((net, cfg, run_walks(net, cfg)))  # one chunk
+        # 16 chunks of 62 or 63 walks, every variate drawn on the calling thread
         monkeypatch.setattr(walks, "_CHUNK", 97)
-        monkeypatch.setattr(walks, "_usable_cpus", lambda: 8)
-        errors = []
+        threads = set()
+        uniforms = walks._uniforms
 
-        def stress():
-            try:
-                deadline = time.monotonic() + 1.5
-                while True:
-                    for net, cfg, want in cases:
-                        _assert_same_tallies(run_walks(net, cfg), want)
-                    if time.monotonic() > deadline:
-                        return
-            except BaseException as exc:
-                errors.append(exc)
+        def recording(base, step):
+            threads.add(threading.get_ident())
+            return uniforms(base, step)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=stress, daemon=True)
-            runner.start()
-            runner.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not runner.is_alive(), "threaded run_walks did not finish"
-        if errors:
-            raise errors[0]
+        monkeypatch.setattr(walks, "_uniforms", recording)
+        for net, cfg, want in cases:
+            _assert_same_tallies(run_walks(net, cfg), want)
+        assert threads == {threading.get_ident()}
 
     @pytest.mark.parametrize("key", [k for k in sorted(_GOLDEN) if k[1:] == (7, 9000)])
-    def test_golden_digest_on_three_workers(self, monkeypatch, key):
+    def test_golden_digest_on_nine_chunks(self, monkeypatch, key):
         monkeypatch.setattr(walks, "_CHUNK", 1000)
-        monkeypatch.setattr(walks, "_usable_cpus", lambda: 3)
         assert _golden_digest(*key) == _GOLDEN[key]
 
-    @pytest.mark.parametrize("where, exc", [
-        ("worker", RuntimeError), ("worker", KeyboardInterrupt), ("caller", KeyboardInterrupt),
-    ])
-    def test_error_stops_every_worker(self, monkeypatch, where, exc):
-        # no absorbing vertex: each of 4 workers steps 2 chunks for 20000 steps
-        cfg = WalkConfig(seed=3, num_walks=800, start=1, max_steps=20_000)
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_error_while_stepping_propagates(self, monkeypatch, exc):
+        # no absorbing vertex: 8 chunks of 100 walks, failing in the third
+        cfg = WalkConfig(seed=3, num_walks=800, start=1, max_steps=50)
         monkeypatch.setattr(walks, "_CHUNK", 100)
-        monkeypatch.setattr(walks, "_usable_cpus", lambda: 4)
-        fired = threading.Event()
         uniforms = walks._uniforms
-        stops, after_stop = _capture_stop(monkeypatch)
+        calls = []
 
         def failing(base, step):
-            _count_after_stop(stops, after_stop)
-            in_caller = threading.current_thread() is threading.main_thread()
-            if step == 20 and in_caller == (where == "caller") and not fired.is_set():
-                fired.set()
+            calls.append(step)
+            if len(calls) == 2 * cfg.max_steps + 20:
                 raise exc("stepping failed")
             return uniforms(base, step)
 
         monkeypatch.setattr(walks, "_uniforms", failing)
-        before = threading.active_count()
         with pytest.raises(exc, match="stepping failed"):
             run_walks(path3(), cfg)
-        assert threading.active_count() == before
-        _assert_stopped_within_a_step(stops, after_stop)
-
-    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
-    def test_interrupt_while_waiting_stops_every_worker(self, monkeypatch):
-        if signal.getsignal(signal.SIGINT) is not signal.default_int_handler:
-            pytest.skip("SIGINT does not raise KeyboardInterrupt here")
-        cfg = WalkConfig(seed=3, num_walks=800, start=1, max_steps=20_000)
-        monkeypatch.setattr(walks, "_CHUNK", 100)
-        monkeypatch.setattr(walks, "_usable_cpus", lambda: 4)
-        main = threading.main_thread()
-        waiting, sent = threading.Event(), threading.Event()
-        uniforms = walks._uniforms
-        stops, after_stop = _capture_stop(monkeypatch)
-        step_chunks = walks._step_chunks  # the capturing wrapper
-
-        def interrupting(base, step):
-            _count_after_stop(stops, after_stop)
-            if waiting.is_set() and not sent.is_set():
-                sent.set()
-                signal.pthread_kill(main.ident, signal.SIGINT)  # Ctrl-C
-            return uniforms(base, step)
-
-        def caller_share_done_at_once(run, bounds, track):
-            if threading.current_thread() is not main:
-                return step_chunks(run, bounds, track)
-            waiting.set()  # the caller goes on to wait for the workers
-            return None
-
-        monkeypatch.setattr(walks, "_uniforms", interrupting)
-        monkeypatch.setattr(walks, "_step_chunks", caller_share_done_at_once)
-        before = threading.active_count()
-        with pytest.raises(KeyboardInterrupt):
-            run_walks(path3(), cfg)
-        assert sent.is_set()
-        assert threading.active_count() == before
-        _assert_stopped_within_a_step(stops, after_stop)
+        assert calls[-1] == 19
 
 
 def _tree_cases(q: int, levels: int):
@@ -637,7 +555,6 @@ class TestTreeSource:
         walks_ = 150
         if chunks > 1:
             monkeypatch.setattr(walks, "_CHUNK", -(-walks_ // chunks))
-            monkeypatch.setattr(walks, "_usable_cpus", lambda: 1)  # one after another
         for net, fields in _tree_cases(q, levels):
             cfg = WalkConfig(seed=q * levels, num_walks=walks_, **fields)
             got, want = run_walks(TreeSpec(q, levels), cfg), run_walks(net, cfg)
