@@ -16,7 +16,6 @@ from .flows import (
     decompose_star_cycle,
     energy,
     inner_r,
-    strength,
     thomson_gap,
     validate_flow,
     verify_kirchhoff,

@@ -3,10 +3,10 @@
 Exit codes are a stable contract: 0 pass, 1 check or solver failure,
 2 usage or input error.  The library judges every input and raises a typed
 :class:`~resistive_walks.errors.NetworkError`; :func:`main` is the one
-place that maps an error to an exit code.  Randomized commands echo their
-seed so every published number can be replayed; the
-``RESISTIVE_WALKS_SEED`` environment variable is the fallback when
-``--seed`` is omitted.
+place that maps an error to an exit code.  The randomized commands,
+``simulate`` and ``verify``, take ``--seed`` and echo it so every published
+number can be replayed; the ``RESISTIVE_WALKS_SEED`` environment variable is
+the fallback when ``--seed`` is omitted.
 """
 
 from __future__ import annotations
@@ -266,10 +266,6 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    # run_battery reads 0 walks as "no Monte Carlo rows"; the command
-    # always runs them
-    if args.walks < 1:
-        parser.error("--walks must be >= 1")
     report = run_battery(
         q=args.q, levels=args.levels, walks=args.walks, seed=args.seed, tol=args.tol
     )
@@ -292,10 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(p):
+    def add_common(p, seeded=False):
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        # a string default goes through type=int, so a bad value is a usage error
-        p.add_argument("--seed", type=int, default=os.environ.get("RESISTIVE_WALKS_SEED", "42"))
+        if seeded:
+            # a string default goes through type=int, so a bad value is a usage error
+            p.add_argument("--seed", type=int,
+                           default=os.environ.get("RESISTIVE_WALKS_SEED", "42"))
 
     p = sub.add_parser("resist", help="effective conductance / resistance / escape")
     src = p.add_mutually_exclusive_group(required=True)
@@ -328,14 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--absorbing", help="comma-separated vertex ids")
     p.add_argument("--absorb-level", type=int, help="absorb at tree level k")
-    add_common(p)
+    add_common(p, seeded=True)
 
     p = sub.add_parser("verify", help="closed form vs solver vs Monte Carlo battery")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--walks", type=int, default=100_000)
     p.add_argument("--tol", type=float, default=1e-9)
-    add_common(p)
+    add_common(p, seeded=True)
 
     return parser
 

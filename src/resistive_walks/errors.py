@@ -59,7 +59,9 @@ class NotAFlow(NetworkError):
 class InvalidSpec(NetworkError, ValueError):
     """An argument outside its domain (a count, distance, tolerance, size,
     tree degree q or escape case); also a ValueError, so callers that catch
-    ValueError keep working."""
+    ValueError keep working.  Every count, level, depth, radius, seed and
+    ``n_max`` follows one integer rule: numpy's integers are accepted and a
+    bool is refused."""
 
 
 class NotAdjacent(NetworkError):

@@ -26,7 +26,6 @@ __all__ = [
     "chi",
     "inner_r",
     "energy",
-    "strength",
     "FlowReport",
     "validate_flow",
     "decompose_star_cycle",
@@ -68,12 +67,6 @@ def inner_r(net: Network, theta1: np.ndarray, theta2: np.ndarray) -> float:
 def energy(net: Network, theta: np.ndarray) -> float:
     """Dirichlet energy sum of theta(e)^2 r(e); zero iff theta vanishes."""
     return inner_r(net, theta, theta)
-
-
-def strength(net: Network, theta: np.ndarray, a) -> float:
-    """Total divergence over the source set; equals minus the sink total."""
-    ids = net._check_ids(a)
-    return float(apply_d_star(net, theta)[ids].sum())
 
 
 @dataclass(frozen=True)
@@ -177,17 +170,17 @@ def verify_kirchhoff(net: Network, current: np.ndarray, exempt=()) -> KirchhoffR
     return KirchhoffReport(node_residual=node, cycle_residual=float(cycle.max(initial=0.0)))
 
 
-def thomson_gap(net: Network, theta: np.ndarray, a, z, check: bool = True) -> float:
+def thomson_gap(net: Network, theta: np.ndarray, a, z) -> float:
     """Energy excess of theta over the current flow with the same divergence.
 
     Always >= 0 up to round-off: the current flow is the energy minimizer
     among flows sharing its divergence, and the gap equals the energy of
-    theta's cycle component.
+    theta's cycle component.  Raises NotAFlow unless theta is a flow from
+    ``a`` to ``z`` (:func:`validate_flow` at tolerance 1e-9).
     """
-    if check:
-        report = validate_flow(net, theta, a, z, tol=1e-9)
-        if not report.ok:
-            raise NotAFlow(f"not a flow from {sorted(a)} to {sorted(z)}: {report.violations[:5]}")
+    report = validate_flow(net, theta, a, z, tol=1e-9)
+    if not report.ok:
+        raise NotAFlow(f"not a flow from {sorted(a)} to {sorted(z)}: {report.violations[:5]}")
     i = current_flow(net, apply_d_star(net, theta))
     return energy(net, theta) - energy(net, i)
 

@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import InvalidRadius
-from .network import Network, _assemble, _VertexIds
+from .network import Network, _assemble, _check_int, _VertexIds
 
 __all__ = ["GraphGenerator", "HalfLineGenerator", "FiniteBallGenerator", "exhaustion"]
 
@@ -63,8 +63,10 @@ def exhaustion(gen: GraphGenerator, n: int) -> tuple[Network, int]:
     Returns ``(net, z)``; the generator's ids ``0 .. ball_size(n)-1`` carry
     over unchanged and ``z = ball_size(n)``.  Raises InvalidRadius for a
     negative n, and for a ball that already covers the graph
-    (``ball_size(n + 1) == ball_size(n)``), which leaves no boundary.
+    (``ball_size(n + 1) == ball_size(n)``), which leaves no boundary, and
+    InvalidSpec for an n that is not an integer.
     """
+    n = _check_int("radius", n, None)
     if n < 0:
         raise InvalidRadius(f"radius must be >= 0, got {n}")
     interior = gen.ball_size(n)
@@ -110,6 +112,7 @@ class FiniteBallGenerator(GraphGenerator):
     def __init__(self, net: Network, root: int = 0):
         from scipy.sparse.csgraph import dijkstra
 
+        root = net._check_vertex(root)
         dist = dijkstra(net.conductance_matrix() != 0, unweighted=True, indices=root)
         order = np.argsort(dist, kind="stable")
         self._new_id = np.empty(net.vertex_count, dtype=np.int64)

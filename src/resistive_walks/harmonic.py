@@ -72,7 +72,7 @@ from .errors import (
     VertexInTarget,
 )
 from .generators import GraphGenerator, exhaustion
-from .network import Network
+from .network import Network, _check_int
 
 __all__ = [
     "BoundarySpec",
@@ -312,8 +312,7 @@ def resistance_to_infinity(
     vertices.  R_n is nondecreasing in n (Rayleigh monotonicity), so a
     diverging sequence simply never converges.
     """
-    if n_max < 1:
-        raise InvalidSpec(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_int("n_max", n_max, 1)
     _check_positive("tol", tol)
     n_max = _radius_budget(gen, n_max)
     est = _Estimates(tol)
@@ -351,6 +350,7 @@ def classify_transience(
     (heuristically -- finite data cannot certify a zero limit) when C_n
     drops below ``eps``; inconclusive otherwise.
     """
+    n_max = _check_int("n_max", n_max, 1)
     _check_positive("eps", eps)
     tol = min(eps, 1e-6)
     verdict, prev, term = Transience.INCONCLUSIVE, None, None
@@ -530,13 +530,14 @@ def green_function(
     gen: GraphGenerator, x: int, n_max: int = 80, tol: float = 1e-8
 ) -> float:
     """Expected number of visits to x for the walk from the root: pi(x) v(x)."""
-    return _limit(gen, x, n_max, tol, lambda vx, va, pi_x: pi_x * vx)
+    return _limit(gen, x, _check_int("n_max", n_max, 1), tol, lambda vx, va, pi_x: pi_x * vx)
 
 
 def hitting_probability(
     gen: GraphGenerator, x: int, n_max: int = 80, tol: float = 1e-8
 ) -> float:
     """P_x(hit the root eventually) = lim v_n(x) / v_n(root); 1 when x is the root."""
+    n_max = _check_int("n_max", n_max, 1)
     if gen._check_vertex(x) == gen.root:
         return 1.0
     return _limit(gen, x, n_max, tol, lambda vx, va, pi_x: vx / va)

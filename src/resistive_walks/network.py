@@ -17,7 +17,6 @@ import json
 import operator
 from array import array
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -27,6 +26,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import (
     DisconnectedGraph,
     EmptyInput,
+    InvalidSpec,
     InvalidVertex,
     NonpositiveConductance,
     NotAdjacent,
@@ -40,8 +40,31 @@ __all__ = [
 ]
 
 
-# bool is an int subclass, and numpy's bool may index as one; no vertex id is either
+# bool is an int subclass, and numpy's bool may index as one; no vertex id,
+# count or radius is either
 _BOOLS = (bool, np.bool_)
+
+
+def _index(x) -> int:
+    """``operator.index(x)``, numpy's integers included, raising TypeError
+    for a bool too: the one test of what counts as an integer."""
+    if isinstance(x, _BOOLS):
+        raise TypeError
+    return operator.index(x)
+
+
+def _check_int(name: str, value, least: int | None = 0) -> int:
+    """``value`` as an int, or InvalidSpec naming ``name`` unless it passes
+    :func:`_index` and is at least ``least`` (None: no bound).  The one
+    check of every count, level, depth, radius, seed and ``n_max``."""
+    try:
+        n = _index(value)
+        if least is None or n >= least:
+            return n
+    except TypeError:
+        pass
+    bound = "" if least is None else f" >= {least}"
+    raise InvalidSpec(f"{name} must be an integer{bound}, got {value!r}")
 
 
 class _VertexIds:
@@ -53,9 +76,7 @@ class _VertexIds:
         in ``0 .. V-1``, a bool not counting as one.  The one check of a
         single vertex argument."""
         try:
-            if isinstance(x, _BOOLS):
-                raise TypeError
-            x = operator.index(x)
+            x = _index(x)
         except TypeError:
             raise InvalidVertex(f"vertex id {x!r} is not an integer") from None
         if not 0 <= x < self.vertex_count:
@@ -132,22 +153,6 @@ class Network(_VertexIds):
         if not hit.size:
             raise NotAdjacent(f"{x} and {y} are not neighbors")
         return int(first + hit[0])
-
-    @cached_property
-    def _label_ids(self) -> dict:
-        """Dense id of each label, the first where a label repeats."""
-        return {lab: i for i, lab in reversed(list(enumerate(self.labels)))}
-
-    def index_of(self, label) -> int:
-        """Dense id of an original label (the id itself when no labels are
-        kept); raises InvalidVertex for a label or id the network lacks."""
-        if self.labels:
-            ids = self._label_ids
-            try:
-                return ids[label]
-            except (KeyError, TypeError):  # TypeError: an unhashable label
-                raise InvalidVertex(f"no vertex labelled {label!r}") from None
-        return self._check_vertex(label)
 
     def conductance_matrix(self) -> sp.csr_matrix:
         """Symmetric sparse matrix C with C[x, y] = c(x, y), built from the

@@ -22,13 +22,12 @@ forms.  The truncation contracted beyond level ``n`` is the radius-``n``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import InvalidSpec, InvalidVertex, VertexInTarget
 from .generators import GraphGenerator, exhaustion
-from .network import Network, _assemble
+from .network import Network, _assemble, _check_int
 
 __all__ = [
     "TreeSpec",
@@ -58,7 +57,9 @@ class TreeSpec:
     contract_boundary: bool = False
 
     def __post_init__(self):
-        _check_tree_args(self.q, levels=self.levels)
+        q, levels = _check_tree_args(self.q, levels=self.levels)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "levels", levels)
         if self.levels == 0 and not self.contract_boundary:
             raise InvalidSpec("an uncontracted 0-level tree has no edges")
 
@@ -82,19 +83,17 @@ class TreeNetwork:
         return np.where(outside, -1, _parent(self.spec.q, x))
 
 
-def _check_tree_args(q: int, least: int = 0, **counts) -> None:
-    """The domain of every tree quantity: an integer q >= 2, and each count
-    or distance in ``counts`` an integer >= ``least``; raises InvalidSpec."""
-    if not isinstance(q, Integral) or q < 2:
-        raise InvalidSpec(f"q must be an integer >= 2, got {q!r}")
-    for name, value in counts.items():
-        if not isinstance(value, Integral) or value < least:
-            raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_tree_args(q: int, least: int = 0, **count) -> tuple[int, int]:
+    """The domain of every tree quantity: an integer q >= 2 and one count or
+    distance, passed by name, an integer >= ``least``.  Returns both as ints,
+    as numpy's would wrap in ``q**n``; raises InvalidSpec."""
+    ((name, value),) = count.items()
+    return _check_int("q", q, 2), _check_int(name, value, least)
 
 
 def tree_vertex_count(q: int, levels: int) -> int:
     """1 + (q+1)(q^levels - 1)/(q - 1) vertices in the uncontracted tree."""
-    _check_tree_args(q, levels=levels)
+    q, levels = _check_tree_args(q, levels=levels)
     return 1 + (q + 1) * (q**levels - 1) // (q - 1)
 
 
@@ -140,15 +139,15 @@ def build_tree(spec: TreeSpec) -> TreeNetwork:
 def level_slice(tree: TreeNetwork | TreeSpec, k: int) -> np.ndarray:
     """Vertex ids of level k of the truncation (built or not)."""
     spec = tree if isinstance(tree, TreeSpec) else tree.spec
-    starts = _level_starts(spec.q, spec.levels)
-    if not isinstance(k, Integral) or not 0 <= k <= spec.levels:
+    if _check_int("level", k) > spec.levels:
         raise InvalidSpec(f"level {k} outside 0..{spec.levels}")
+    starts = _level_starts(spec.q, spec.levels)
     return np.arange(starts[k], starts[k + 1], dtype=np.int64)
 
 
 def first_at_depth(q: int, d: int) -> int:
     """Smallest BFS id at depth d (a leftmost-branch vertex)."""
-    _check_tree_args(q, d=d)
+    q, d = _check_tree_args(q, d=d)
     return 0 if d == 0 else int(_level_starts(q, d)[d])
 
 
@@ -177,8 +176,7 @@ class TreeGenerator(GraphGenerator):
     """
 
     def __init__(self, q: int, symmetric: bool = True):
-        _check_tree_args(q)
-        self.q = q
+        self.q = _check_int("q", q, 2)
         self.spherically_symmetric = symmetric
 
     def ball_size(self, n: int) -> int:
@@ -209,9 +207,9 @@ def oracle_resistance(q: int, n=None) -> float:
     Finite n gives (1/(q+1)) (1 - q^-n)/(1 - 1/q); the limit is q/(q^2-1).
     """
     if n is None or n == float("inf"):
-        _check_tree_args(q)
+        q = _check_int("q", q, 2)
         return q / (q**2 - 1)
-    _check_tree_args(q, 1, n=n)
+    q, n = _check_tree_args(q, 1, n=n)
     return (1.0 / (q + 1)) * (1.0 - q ** (-float(n))) / (1.0 - 1.0 / q)
 
 
@@ -221,7 +219,7 @@ def oracle_potential_current(q: int, depth: int) -> tuple[float, float]:
     v(x) = (q/(q^2-1)) q^-|x|; the current toward any single child is
     (1/(q+1)) q^-|x| (toward the parent it is the negation one level up).
     """
-    _check_tree_args(q, depth=depth)
+    q, depth = _check_tree_args(q, depth=depth)
     v = q / (q**2 - 1) * q ** (-float(depth))
     i_down = 1.0 / (q + 1) * q ** (-float(depth))
     return v, i_down
@@ -234,7 +232,7 @@ def oracle_green_hitting(q: int, d: int) -> tuple[float, float, float]:
     transitions of an oriented edge (x, y) with d = d(start, x):
     (q/(q^2-1)) q^-d.
     """
-    _check_tree_args(q, d=d)
+    q, d = _check_tree_args(q, d=d)
     green = q / (q - 1) * q ** (-float(d))
     hitting = q ** (-float(d))
     transitions = q / (q**2 - 1) * q ** (-float(d))
@@ -251,9 +249,9 @@ def oracle_finite_escape(case: str, q: int, n: int | None = None, dist: int | No
     e: non-terminal a to a single vertex at distance dist: 1/(dist(q+1))
     """
     if case in ("a", "b", "c"):
-        _check_tree_args(q, 1, n=n)
+        q, n = _check_tree_args(q, 1, n=n)
     elif case in ("d", "e"):
-        _check_tree_args(q, 1, dist=dist)
+        q, dist = _check_tree_args(q, 1, dist=dist)
     else:
         raise InvalidSpec(f"case must be one of a..e, got {case!r}")
     if case == "a":
@@ -274,7 +272,7 @@ def ladder_resistance(q: int, n: int) -> float:
     q+1, q(q+1), q^2(q+1), ...; the series sum of their reciprocals is the
     resistance.  O(n) arithmetic; agrees with :func:`oracle_resistance`.
     """
-    _check_tree_args(q, 1, n=n)
+    q, n = _check_tree_args(q, 1, n=n)
     total = 0.0
     shell = float(q + 1)
     for _ in range(n):
@@ -298,7 +296,7 @@ def finite_tree_pair_resistance(tree: TreeNetwork, a: int, x: int) -> float:
 
 def oracle_table(q: int, max_depth: int) -> list[dict]:
     """Closed-form rows (depth, v, i_down, green, hitting, transitions)."""
-    _check_tree_args(q, max_depth=max_depth)
+    q, max_depth = _check_tree_args(q, max_depth=max_depth)
     rows = []
     for d in range(max_depth + 1):
         v, i_down = oracle_potential_current(q, d)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import flows, tree
 from .harmonic import effective, green_function, hitting_probability
-from .network import build_network
+from .network import _check_int, build_network
 from .tree import TreeGenerator, TreeSpec, build_tree, level_slice, tree_vertex_count
 from .walks import WalkConfig, run_walks
 
@@ -101,7 +101,7 @@ def _random_flow_rows(q_seed: int, tol: float) -> list[CheckRow]:
         worst_ortho = max(worst_ortho, abs(flows.inner_r(net, star, cyc)))
         i = flows.current_flow(net, _unit_div(net))
         perturbed = i + cyc
-        gap = flows.thomson_gap(net, perturbed, {0}, {net.vertex_count - 1}, check=False)
+        gap = flows.thomson_gap(net, perturbed, {0}, {net.vertex_count - 1})
         worst_gap = max(worst_gap, abs(gap - flows.energy(net, cyc)))
     rows.append(_row("flow/adjointness_residual", 0.0, worst_adj, tol=1e-10))
     rows.append(_row("flow/decomposition_recombine", 0.0, worst_recombine, tol=1e-10))
@@ -124,7 +124,9 @@ def run_battery(
     seed: int = 42,
     tol: float = 1e-9,
 ) -> RunReport:
-    """Full concordance battery at the given scale."""
+    """Full concordance battery at the given scale.  ``walks`` must be >= 1
+    and ``seed`` >= 0, as numpy's generators refuse a negative seed."""
+    walks, seed = _check_int("walks", walks, 1), _check_int("seed", seed)
     rows: list[CheckRow] = []
     gen = TreeGenerator(q)
     # comparisons honor the raw tol (tol=0 demonstrates the fail path);
@@ -165,42 +167,41 @@ def run_battery(
             )
 
     # Monte Carlo concordance on the shell-truncated tree
-    if walks > 0:
-        L = 20 if q == 2 else 12
-        big = TreeSpec(q, L)  # walked by arithmetic, never built
-        bias = float(q) ** (-L)
+    L = 20 if q == 2 else 12
+    big = TreeSpec(q, L)  # walked by arithmetic, never built
+    bias = float(q) ** (-L)
 
-        x1 = tree.first_at_depth(q, 1)
-        cfg = WalkConfig(
-            seed=seed,
-            num_walks=walks,
-            start=0,
-            absorbing=level_slice(big, L),
-            watch_vertices=(0,),
-            watch_edges=((0, x1),),
-        )
-        stats = run_walks(big, cfg)
-        g_closed, _, _ = tree.oracle_green_hitting(q, 0)
-        est, se = stats.visit_estimate(0)
-        rows.append(_row("mc/green_d0", g_closed, mc=est, se=se, bias=bias))
-        _, _, s_closed = tree.oracle_green_hitting(q, 0)
-        est, se = stats.transition_estimate(0, x1)
-        rows.append(_row("mc/transitions_root_edge", s_closed, mc=est, se=se, bias=bias))
-        del cfg, stats  # the shell's ids go before the second batch's are made
+    x1 = tree.first_at_depth(q, 1)
+    cfg = WalkConfig(
+        seed=seed,
+        num_walks=walks,
+        start=0,
+        absorbing=level_slice(big, L),
+        watch_vertices=(0,),
+        watch_edges=((0, x1),),
+    )
+    stats = run_walks(big, cfg)
+    g_closed, _, _ = tree.oracle_green_hitting(q, 0)
+    est, se = stats.visit_estimate(0)
+    rows.append(_row("mc/green_d0", g_closed, mc=est, se=se, bias=bias))
+    _, _, s_closed = tree.oracle_green_hitting(q, 0)
+    est, se = stats.transition_estimate(0, x1)
+    rows.append(_row("mc/transitions_root_edge", s_closed, mc=est, se=se, bias=bias))
+    del cfg, stats  # the shell's ids go before the second batch's are made
 
-        # absorbed at the root or the shell: 0, then the ids of level L
-        root_and_shell = np.arange(tree.first_at_depth(q, L) - 1, tree_vertex_count(q, L))
-        root_and_shell[0] = 0
-        cfg_hit = WalkConfig(
-            seed=seed + 1,
-            num_walks=walks,
-            start=x1,
-            absorbing=root_and_shell,
-        )
-        stats_hit = run_walks(big, cfg_hit)
-        _, h_closed, _ = tree.oracle_green_hitting(q, 1)
-        est, se = stats_hit.hit_fraction(0)
-        rows.append(_row("mc/hitting_d1", h_closed, mc=est, se=se, bias=bias))
+    # absorbed at the root or the shell: 0, then the ids of level L
+    root_and_shell = np.arange(tree.first_at_depth(q, L) - 1, tree_vertex_count(q, L))
+    root_and_shell[0] = 0
+    cfg_hit = WalkConfig(
+        seed=seed + 1,
+        num_walks=walks,
+        start=x1,
+        absorbing=root_and_shell,
+    )
+    stats_hit = run_walks(big, cfg_hit)
+    _, h_closed, _ = tree.oracle_green_hitting(q, 1)
+    est, se = stats_hit.hit_fraction(0)
+    rows.append(_row("mc/hitting_d1", h_closed, mc=est, se=se, bias=bias))
 
     rows.extend(_random_flow_rows(seed, tol))
 

@@ -51,12 +51,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
 from .errors import InvalidSpec, NotAdjacent, VertexInTarget
-from .network import Network, _VertexIds
+from .network import Network, _check_int, _VertexIds
 from .tree import TreeSpec, _depth, _parent, tree_vertex_count
 
 __all__ = [
@@ -114,18 +113,10 @@ class WalkConfig:
     track_transitions: bool = False
 
     def __post_init__(self):
-        for name in ("seed", "num_walks", "max_steps", "min_absorb_step"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
-            # as an int: a numpy seed would overflow the seed's 64-bit mask
-            object.__setattr__(self, name, int(value))
-        if self.num_walks < 1:
-            raise InvalidSpec(f"num_walks must be >= 1, got {self.num_walks}")
-        if self.max_steps < 1:
-            raise InvalidSpec(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.min_absorb_step < 0:
-            raise InvalidSpec(f"min_absorb_step must be >= 0, got {self.min_absorb_step}")
+        # stored as ints: a numpy seed would overflow the seed's 64-bit mask
+        for name, least in (("seed", None), ("num_walks", 1), ("max_steps", 1),
+                            ("min_absorb_step", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), least))
         if len(self.absorbing) == 0 and self.max_steps > 10_000_000:
             raise InvalidSpec("absorbing may be empty only with a finite step budget")
 
@@ -173,19 +164,24 @@ class WalkStats:
         p = self.hit_count(target) / n
         return p, math.sqrt(p * (1.0 - p) / n)
 
-    def _watched_mean(self, counts: np.ndarray) -> tuple[float, float]:
+    def _watched_mean(self, counts: np.ndarray, watched, key) -> tuple[float, float]:
+        """(mean, std_err) of the column of ``counts`` at ``key``'s place in
+        ``watched``; raises InvalidSpec naming ``key`` when it is not there."""
+        try:
+            counts = counts[:, list(watched).index(key)]
+        except ValueError:
+            raise InvalidSpec(f"{key!r} is not watched") from None
         n = self.config.num_walks
         mean = float(np.mean(counts))
         se = float(np.std(counts, ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
         return mean, se
 
     def visit_estimate(self, x: int) -> tuple[float, float]:
-        j = self.config.watch_vertices.index(x)
-        return self._watched_mean(self.watch_visit_counts[:, j])
+        return self._watched_mean(self.watch_visit_counts, self.config.watch_vertices, x)
 
     def transition_estimate(self, x: int, y: int) -> tuple[float, float]:
-        j = self.config.watch_edges.index((x, y))
-        return self._watched_mean(self.watch_edge_counts[:, j])
+        edges = map(tuple, self.config.watch_edges)
+        return self._watched_mean(self.watch_edge_counts, edges, (x, y))
 
 
 def _row_prefix_sums(net: Network) -> np.ndarray:

@@ -207,7 +207,7 @@ def test_08_flow_calculus_properties():
         div[0], div[-1] = 1.0, -1.0
         i = current_flow(net, div)
         _, cyc = decompose_star_cycle(net, rng.normal(size=net.edge_count))
-        gap = thomson_gap(net, i + cyc, {0}, {net.vertex_count - 1}, check=False)
+        gap = thomson_gap(net, i + cyc, {0}, {net.vertex_count - 1})
         min_gap = min(min_gap, gap)
         if energy(net, cyc) > 1e-4 and gap <= 1e-6:
             strict_ok = False

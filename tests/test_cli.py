@@ -328,7 +328,9 @@ class TestSimulate:
 
     def test_bad_env_seed_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("RESISTIVE_WALKS_SEED", "abc")
-        code, _, err = run_cli(capsys, "oracle", "--q", "2")
+        code, _, err = run_cli(
+            capsys, "simulate", "--tree", "2,2", "--absorb-level", "2", "--walks", "10"
+        )
         assert code == 2 and "--seed" in err and "Traceback" not in err
 
     def test_zero_walks_exits_2(self, capsys):
@@ -448,6 +450,17 @@ EXIT_CODES = {
     ),
     "resist-n-max-0": (["resist", "--tree", "2,4", "--to-infinity", "--n-max", "0"], None, 2),
     "oracle-negative-depth": (["oracle", "--q", "2", "--max-depth", "-1"], None, 2),
+    # only simulate and verify take a seed
+    "oracle-seed": (["oracle", "--q", "2", "--seed", "1"], None, 2),
+    "resist-seed": (
+        ["resist", "--tree", "2,2", "--source", "0", "--target-set", "level:2", "--seed", "1"],
+        None,
+        2,
+    ),
+    # numpy's generators take no negative seed: a ValueError traceback
+    "verify-negative-seed": (
+        ["verify", "--levels", "2", "--walks", "10", "--seed", "-1"], None, 2
+    ),
     **{
         f"resist-{mode}-tol-{tol}": (
             ["resist", "--tree", "2,2", "--source", "0", *flags, "--tol", tol], None, 2

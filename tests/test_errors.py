@@ -14,16 +14,22 @@ from resistive_walks import (
     build_network,
     build_tree,
     chi,
+    classify_transience,
     effective,
     estimate_escape,
     exhaustion,
     first_at_depth,
     green_function,
     hitting_probability,
+    level_slice,
     network_from_json,
     oracle_finite_escape,
     oracle_green_hitting,
     oracle_potential_current,
+    oracle_resistance,
+    oracle_table,
+    resistance_to_infinity,
+    run_battery,
     run_walks,
     solve_dirichlet,
     thomson_gap,
@@ -98,6 +104,11 @@ def _json_c(c):
 
 def _tree3():
     return build_tree(TreeSpec(2, 3))
+
+
+def _watched(**fields):
+    """The stats of three walks on the path 0-1-2 from 0, absorbed at 2."""
+    return run_walks(path3(), walk(num_walks=3, **fields))
 
 
 # inputs each rule used to let through, to a wrong value or another exception
@@ -192,6 +203,57 @@ REFUSED = {
     "WalkConfig-max_steps-float": (InvalidSpec, lambda: walk(max_steps=2.5)),
     "WalkConfig-min_absorb_step-float": (InvalidSpec, lambda: walk(min_absorb_step=1.0)),
     "WalkConfig-min_absorb_step-negative": (InvalidSpec, lambda: walk(min_absorb_step=-1)),
+    # one integer rule for every count, level, depth, radius and n_max: a
+    # bool counted as 1 (or 0), and a float ran, or died in a bare TypeError
+    "TreeSpec-levels-bool": (InvalidSpec, lambda: TreeSpec(2, True)),
+    "oracle_resistance-bool": (InvalidSpec, lambda: oracle_resistance(2, True)),
+    "oracle_table-bool": (InvalidSpec, lambda: oracle_table(2, True)),
+    "level_slice-bool": (InvalidSpec, lambda: level_slice(TreeSpec(2, 3), True)),
+    "first_at_depth-bool": (InvalidSpec, lambda: first_at_depth(2, True)),
+    "resistance_to_infinity-n_max-float": (
+        InvalidSpec, lambda: resistance_to_infinity(TreeGenerator(2), n_max=2.5)
+    ),
+    "resistance_to_infinity-non-symmetric-n_max-float": (
+        InvalidSpec,
+        lambda: resistance_to_infinity(TreeGenerator(2, symmetric=False), n_max=2.5),
+    ),
+    "classify_transience-n_max-float": (
+        InvalidSpec, lambda: classify_transience(TreeGenerator(2), n_max=2.5)
+    ),
+    # returned INCONCLUSIVE
+    "classify_transience-n_max-negative": (
+        InvalidSpec, lambda: classify_transience(TreeGenerator(2), n_max=-1)
+    ),
+    "green_function-n_max-float": (
+        InvalidSpec, lambda: green_function(TreeGenerator(2), 1, n_max=2.5)
+    ),
+    "green_function-n_max-bool": (
+        InvalidSpec, lambda: green_function(TreeGenerator(2), 1, n_max=True)
+    ),
+    "exhaustion-radius-float": (
+        InvalidSpec, lambda: exhaustion(FiniteBallGenerator(path3()), 2.5)
+    ),
+    "exhaustion-radius-bool": (
+        InvalidSpec, lambda: exhaustion(FiniteBallGenerator(path3()), True)
+    ),
+    # dropped the Monte Carlo rows and passed
+    "run_battery-zero-walks": (InvalidSpec, lambda: run_battery(levels=2, walks=0)),
+    # ended in scipy's bare ValueError, or took a float root
+    "FiniteBallGenerator-root-out-of-range": (
+        InvalidVertex, lambda: FiniteBallGenerator(path3(), 5)
+    ),
+    "FiniteBallGenerator-root-float": (InvalidVertex, lambda: FiniteBallGenerator(path3(), 1.5)),
+    # a bare ValueError from tuple.index, or an AttributeError for an array
+    "visit_estimate-unwatched": (
+        InvalidSpec, lambda: _watched(watch_vertices=(0,)).visit_estimate(1)
+    ),
+    "visit_estimate-unwatched-array": (
+        InvalidSpec,
+        lambda: _watched(watch_vertices=np.array([0], dtype=np.int64)).visit_estimate(1),
+    ),
+    "transition_estimate-unwatched": (
+        InvalidSpec, lambda: _watched(watch_edges=((0, 1),)).transition_estimate(1, 0)
+    ),
 }
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import tracemalloc
@@ -84,20 +83,6 @@ class TestBuildNetwork:
         net = build_network([("a", "c", 1.0), ("c", "b", 2.0)])
         assert net.vertex_count == 3
         assert net.labels == ("a", "b", "c")
-        assert net.index_of("c") == 2
-
-    def test_index_of_unknown_label(self):
-        net = build_network([("a", "c", 1.0), ("c", "b", 2.0)])
-        for bad in ("z", 0, ["a"]):
-            with pytest.raises(InvalidVertex):
-                net.index_of(bad)
-
-    def test_index_of_unlabelled(self):
-        net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
-        assert net.index_of(2) == 2 and net.index_of(np.int64(0)) == 0
-        for bad in (7, 3, -1, "1", 1.5):
-            with pytest.raises(InvalidVertex):
-                net.index_of(bad)
 
     def test_check_ids_refuses_non_integers(self):
         net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
@@ -105,12 +90,6 @@ class TestBuildNetwork:
             with pytest.raises(InvalidVertex, match="not an integer"):
                 net._check_ids(bad)
         assert net._check_ids([np.int32(2), 1]).tolist() == [2, 1]
-
-    def test_index_of_repeated_label_is_first(self):
-        net = dataclasses.replace(
-            build_network([(0, 1, 1.0), (1, 2, 1.0)]), labels=("a", "b", "a")
-        )
-        assert [net.index_of(lab) for lab in "ab"] == [0, 1]
 
     def test_vertex_weight_sums_incident(self):
         net = build_network([(0, 1, 0.5), (0, 2, 1.5), (1, 2, 1.0)])

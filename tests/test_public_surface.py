@@ -13,7 +13,8 @@ import resistive_walks
 MODULES = ("cli", "verify", "network", "tree", "generators", "harmonic", "flows", "walks")
 
 REMOVED = ("MarkovView", "markov_view", "series_parallel_reduce", "contract_vertices",
-           "vertex_weight", "estimate_hitting", "estimate_green", "estimate_transitions")
+           "vertex_weight", "estimate_hitting", "estimate_green", "estimate_transitions",
+           "strength", "index_of")
 
 
 @pytest.mark.parametrize("layer", MODULES)
@@ -38,7 +39,9 @@ def test_reexports_are_in_their_modules_all():
 def test_removed_names_stay_removed():
     network = importlib.import_module("resistive_walks.network")
     walks = importlib.import_module("resistive_walks.walks")
-    for mod in (resistive_walks, network, walks):
+    flows = importlib.import_module("resistive_walks.flows")
+    for mod in (resistive_walks, network, walks, flows, network.Network):
         assert not set(REMOVED) & set(dir(mod))
     assert "check_connected" not in inspect.signature(resistive_walks.build_network).parameters
+    assert "check" not in inspect.signature(resistive_walks.thomson_gap).parameters
 

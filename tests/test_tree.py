@@ -225,6 +225,14 @@ class TestClosedForms:
         with pytest.raises(InvalidSpec):
             oracle_finite_escape("f", 2, n=2)
 
+    def test_numpy_integers_do_not_wrap(self):
+        # q**70 is beyond int64: numpy's integers used to wrap to a vertex count of -2
+        two, seventy = np.int64(2), np.int64(70)
+        assert tree_vertex_count(two, seventy) == tree_vertex_count(2, 70) > 2**70
+        assert oracle_finite_escape("a", two, n=seventy) == oracle_finite_escape("a", 2, n=70)
+        spec = TreeSpec(two, np.int32(3))
+        assert spec == TreeSpec(2, 3) and type(spec.q) is int and type(spec.levels) is int
+
     def test_table_rows(self):
         rows = oracle_table(2, 3)
         assert len(rows) == 4
