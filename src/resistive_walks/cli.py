@@ -17,7 +17,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -162,11 +162,12 @@ def _tree_spec(args, parser) -> TreeSpec:
         parser.error(f"bad --tree spec {args.tree!r}: {exc}")
 
 
-def _parse_ids(text: str, flag: str, parser) -> list[int]:
+def _parse_ids(text: str, flag: str, parser) -> np.ndarray:
+    """The comma-separated ids of ``text`` as one int64 array."""
     try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        parser.error(f"bad {flag} {text!r}: expected comma-separated vertex ids")
+        return np.array([int(x) for x in text.split(",")], dtype=np.int64)
+    except (ValueError, OverflowError):  # OverflowError: an id beyond int64
+        parser.error(f"bad {flag} {text!r}: expected comma-separated int64 vertex ids")
 
 
 def _tree_level(tree, k, flag: str, parser) -> np.ndarray:
@@ -179,10 +180,11 @@ def _tree_level(tree, k, flag: str, parser) -> np.ndarray:
         parser.error(f"bad {flag} {k!r}: {exc}")
 
 
-def _parse_target_set(spec: str, tree, parser):
+def _parse_target_set(spec: str, tree, parser) -> np.ndarray:
+    """The ids of ``--target-set`` as one array, distinct and ascending."""
     if spec.startswith("level:"):
-        return set(_tree_level(tree, spec.split(":", 1)[1], "--target-set", parser).tolist())
-    return set(_parse_ids(spec, "--target-set", parser))
+        return _tree_level(tree, spec.split(":", 1)[1], "--target-set", parser)
+    return np.unique(_parse_ids(spec, "--target-set", parser))
 
 
 def _cmd_resist(args, parser) -> int:
@@ -214,7 +216,7 @@ def _cmd_resist(args, parser) -> int:
         "command": "resist",
         "inputs": {
             "source": args.source,
-            "target_set": np.sort(np.fromiter(targets, np.int64, len(targets))),
+            "target_set": targets,
             "network": args.network or f"tree:{args.tree}",
         },
         "conductance": eq.conductance,
@@ -242,7 +244,7 @@ def _cmd_simulate(args, parser) -> int:
     if args.absorb_level is not None:
         absorbing = _tree_level(tree, args.absorb_level, "--absorb-level", parser)
     elif args.absorbing:
-        absorbing = tuple(_parse_ids(args.absorbing, "--absorbing", parser))
+        absorbing = _parse_ids(args.absorbing, "--absorbing", parser)
     cfg = WalkConfig(
         seed=args.seed,
         num_walks=args.walks,
@@ -270,9 +272,9 @@ def _cmd_verify(args, parser) -> int:
         q=args.q, levels=args.levels, walks=args.walks, seed=args.seed, tol=args.tol
     )
     if args.format == "json":
-        _emit(report.to_json(), "json")
+        _emit(asdict(report), "json")
     else:
-        rows = [r.to_json() for r in report.results]
+        rows = [asdict(r) for r in report.results]
         _emit(None, "csv", rows, list(rows[0].keys()))
     for r in report.results:
         if r.verdict != "pass":

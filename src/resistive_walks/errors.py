@@ -10,7 +10,7 @@ class NetworkError(Exception):
 
 
 class EmptyInput(NetworkError):
-    """An edge list, boundary, target set or contracted network is empty."""
+    """An edge list, boundary or target set is empty."""
 
 
 class NonpositiveConductance(NetworkError):
@@ -20,12 +20,12 @@ class NonpositiveConductance(NetworkError):
 
 
 class DisconnectedGraph(NetworkError):
-    """A network, a contraction's complement or a solve's component is cut off."""
+    """A network, or a solve's component with no clamped vertex, is cut off."""
 
 
 class InvalidVertex(NetworkError):
-    """A vertex id is not an integer in 0 .. V-1, a network document's vertex
-    count is not an integer, or a label is unknown."""
+    """A vertex id is not an integer in 0 .. V-1, or a network document's
+    vertex count is not an integer."""
 
 
 class InvalidRadius(NetworkError):

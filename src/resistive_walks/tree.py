@@ -2,8 +2,7 @@
 
 Every vertex of the infinite homogeneous tree of degree ``q + 1`` carries
 unit-conductance edges; the simple random walk on it is the attached
-reversible chain.  This module builds finite truncations (optionally with
-the outside world contracted to a single vertex ``z``), provides the
+reversible chain.  This module builds finite truncations, provides the
 closed forms for resistance, voltage, current, Green function, hitting
 probabilities and escape probabilities as pure arithmetic, and the O(n)
 level-ladder reduction that exploits spherical symmetry.
@@ -15,8 +14,9 @@ k - 1)``, and since ``start[k] - 2 = q * start[k - 1]`` for ``k >= 2``,
 every ``x >= 1`` has parent ``max((x - 2) // q, 0)``.  A
 :class:`TreeNetwork` therefore keeps no per-vertex array: ``depth_of`` and
 ``parent_of`` compute depths and parents of any ids from these closed
-forms.  The truncation contracted beyond level ``n`` is the radius-``n``
-:func:`exhaustion` of :class:`TreeGenerator`.
+forms.  The truncation with everything beyond level ``n`` shorted to one
+vertex ``z`` is the radius-``n`` exhaustion of :class:`TreeGenerator`:
+``net, z = exhaustion(TreeGenerator(q), n)``.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, InvalidVertex, VertexInTarget
-from .generators import GraphGenerator, exhaustion
+from .errors import InvalidSpec, VertexInTarget
+from .generators import GraphGenerator
 from .network import Network, _assemble, _check_int
 
 __all__ = [
@@ -50,37 +50,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """Parameters of a truncated homogeneous tree of degree q + 1."""
+    """Parameters of a truncated homogeneous tree of degree q + 1; a tree
+    has at least one level, as a 0-level one has no edges."""
 
     q: int
     levels: int
-    contract_boundary: bool = False
 
     def __post_init__(self):
-        q, levels = _check_tree_args(self.q, levels=self.levels)
+        q, levels = _check_tree_args(self.q, 1, levels=self.levels)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "levels", levels)
-        if self.levels == 0 and not self.contract_boundary:
-            raise InvalidSpec("an uncontracted 0-level tree has no edges")
 
 
 @dataclass(frozen=True)
 class TreeNetwork:
-    """A truncation in breadth-first labels, with ``z`` when contracted."""
+    """A truncation in breadth-first labels."""
 
     net: Network
     spec: TreeSpec
-    z: int | None
 
     def depth_of(self, x):
-        """Depths of the ids ``x`` (an int or an array); ``z`` is at ``levels + 1``."""
+        """Depths of the ids ``x`` (an int or an array)."""
         return _depth(self.spec.q, x, self.spec.levels)
 
     def parent_of(self, x):
-        """Parents of the ids ``x`` (an int or an array); -1 at the root and at ``z``."""
+        """Parents of the ids ``x`` (an int or an array); -1 at the root."""
         x = np.asarray(x)
-        outside = (x == 0) | (self.depth_of(x) > self.spec.levels)
-        return np.where(outside, -1, _parent(self.spec.q, x))
+        return np.where(x == 0, -1, _parent(self.spec.q, x))
 
 
 def _check_tree_args(q: int, least: int = 0, **count) -> tuple[int, int]:
@@ -92,7 +88,7 @@ def _check_tree_args(q: int, least: int = 0, **count) -> tuple[int, int]:
 
 
 def tree_vertex_count(q: int, levels: int) -> int:
-    """1 + (q+1)(q^levels - 1)/(q - 1) vertices in the uncontracted tree."""
+    """1 + (q+1)(q^levels - 1)/(q - 1) vertices in the level-``levels`` tree."""
     q, levels = _check_tree_args(q, levels=levels)
     return 1 + (q + 1) * (q**levels - 1) // (q - 1)
 
@@ -113,27 +109,16 @@ def _parent(q: int, x):
 
 
 def _tree_edges(q: int, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parent, child) arrays for all edges of the uncontracted tree."""
+    """(parent, child) arrays for all edges of the level-``levels`` tree."""
     kids = np.arange(1, tree_vertex_count(q, levels), dtype=np.int64)
     return _parent(q, kids), kids
 
 
 def build_tree(spec: TreeSpec) -> TreeNetwork:
-    """Materialize the truncation described by ``spec``.
-
-    With ``contract_boundary`` the whole level-(levels+1)-and-beyond
-    structure is a single vertex ``z`` (last id): the radius-``levels``
-    exhaustion of :class:`TreeGenerator`, where each deepest explicit
-    vertex carries one merged edge of conductance q to ``z`` (the root's
-    q + 1 edges merge when levels == 0).
-    """
-    q, n = spec.q, spec.levels
-    if spec.contract_boundary:
-        net, z = exhaustion(TreeGenerator(q), n)
-        return TreeNetwork(net=net, spec=spec, z=z)
-    pu, pv = _tree_edges(q, n)
+    """Materialize the truncation described by ``spec``."""
+    pu, pv = _tree_edges(spec.q, spec.levels)
     net = _assemble(pu, pv, np.ones(len(pu)), len(pu) + 1, check_connected=False)
-    return TreeNetwork(net=net, spec=spec, z=None)
+    return TreeNetwork(net=net, spec=spec)
 
 
 def level_slice(tree: TreeNetwork | TreeSpec, k: int) -> np.ndarray:
@@ -159,8 +144,6 @@ def tree_distance(tree: TreeNetwork, a: int, x: int) -> int:
     of the geodesic.
     """
     a, x = tree.net._check_vertex(a), tree.net._check_vertex(x)
-    if tree.z in (a, x):
-        raise InvalidVertex(f"the contracted vertex {tree.z} is not a tree vertex")
     dist = 0
     while a != x:
         a, x = min(a, x), int(_parent(tree.spec.q, max(a, x)))
@@ -282,13 +265,11 @@ def ladder_resistance(q: int, n: int) -> float:
 
 
 def finite_tree_pair_resistance(tree: TreeNetwork, a: int, x: int) -> float:
-    """Effective resistance between two vertices of an uncontracted tree.
+    """Effective resistance between two vertices of a truncation.
 
     Equals the graph distance: no current leaves the geodesic, so the
     path's unit resistors add in series.
     """
-    if tree.z is not None:
-        raise InvalidSpec("pair resistance oracle needs an uncontracted tree")
     if a == x:
         raise VertexInTarget(f"identical vertices {a}")
     return float(tree_distance(tree, a, x))

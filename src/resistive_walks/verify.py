@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flows, tree
+from .generators import exhaustion
 from .harmonic import effective, green_function, hitting_probability
 from .network import _check_int, build_network
 from .tree import TreeGenerator, TreeSpec, build_tree, level_slice, tree_vertex_count
@@ -33,16 +34,6 @@ class CheckRow:
     mc_std_err: float | None
     verdict: str  # "pass" | "fail"
 
-    def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "closed_form": self.closed_form,
-            "solver_value": self.solver_value,
-            "mc_estimate": self.mc_estimate,
-            "mc_std_err": self.mc_std_err,
-            "verdict": self.verdict,
-        }
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -50,14 +41,6 @@ class RunReport:
     inputs: dict
     results: tuple
     exit_status: str  # "pass" | "fail" | "error"
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": [r.to_json() for r in self.results],
-            "exit_status": self.exit_status,
-        }
 
 
 def _row(quantity, closed, solver=None, mc=None, se=None, tol=1e-9, bias=0.0):
@@ -137,16 +120,15 @@ def run_battery(
     for n in range(1, levels + 1):
         closed = tree.oracle_resistance(q, n)
         ladder = tree.ladder_resistance(q, n)
-        t = build_tree(TreeSpec(q, n - 1, contract_boundary=True))
-        solver = effective(t.net, 0, {t.z}, tol=stol).resistance
+        net, z = exhaustion(gen, n - 1)  # z is the level-n set, shorted
+        solver = effective(net, 0, {z}, tol=stol).resistance
         rows.append(_row(f"resistance/n={n}", closed, ladder, tol=1e-12))
         rows.append(_row(f"resistance_solver/n={n}", closed, solver, tol=tol))
 
     # escape probability from the root to the deepest level
-    t = build_tree(TreeSpec(q, levels, contract_boundary=False))
-    z_set = level_slice(t, levels)
+    t = build_tree(TreeSpec(q, levels))
     closed = tree.oracle_finite_escape("a", q, n=levels)
-    solver = effective(t.net, 0, z_set.tolist(), tol=stol).escape_probability
+    solver = effective(t.net, 0, level_slice(t, levels), tol=stol).escape_probability
     rows.append(_row(f"escape/root_to_level_{levels}", closed, solver, tol=tol))
 
     # limits via exhaustion: green function and hitting probability

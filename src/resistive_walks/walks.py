@@ -24,8 +24,8 @@ tallied per slot in O(E) memory, whatever the number of walks or steps.
 
 The rows come from one of two neighbour sources, stepped by the one loop
 of :func:`_step_chunk`: a :class:`Network`'s CSR arrays, or closed forms
-of an uncontracted tree's breadth-first labels (:class:`_TreeRows`), which
-list each row in its CSR order, so both take the same neighbours bit for bit.
+of a tree's breadth-first labels (:class:`_TreeRows`), which list each row
+in its CSR order, so both take the same neighbours bit for bit.
 The tree steps its common row, an inner vertex other than the root and
 vertex 1, by arithmetic alone, with no select over a data-dependent mask
 (whose mispredicted branches cost about ten times an add); the rare rows,
@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidSpec, NotAdjacent, VertexInTarget
-from .network import Network, _check_int, _VertexIds
+from .network import Network, _check_int, _index, _VertexIds
 from .tree import TreeSpec, _depth, _parent, tree_vertex_count
 
 __all__ = [
@@ -152,11 +152,15 @@ class WalkStats:
         return dict(zip(uniq.tolist(), counts.tolist()))
 
     def hit_count(self, target: int) -> int:
-        """Walks absorbed at ``target``; 0 for a negative one (-1 marks a
-        censored walk)."""
-        if target < 0:
-            return 0
-        return int(np.count_nonzero(self.absorbed_at == target))
+        """Walks absorbed at ``target``; raises InvalidSpec naming it unless
+        it is an integer (not a bool) among ``config.absorbing``."""
+        try:
+            x = _index(target)
+            if not np.any(np.asarray(self.config.absorbing) == x):
+                raise TypeError
+        except TypeError:
+            raise InvalidSpec(f"{target!r} is not an absorbing vertex") from None
+        return int(np.count_nonzero(self.absorbed_at == x))
 
     def hit_fraction(self, target: int) -> tuple[float, float]:
         """(estimate, std_err) of the probability of being absorbed at target."""
@@ -240,7 +244,7 @@ def _unit_slots(first: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _TreeRows(_VertexIds):
-    """The CSR rows of an uncontracted tree, by arithmetic on its labels.
+    """The CSR rows of a :class:`TreeSpec`'s tree, by arithmetic on its labels.
 
     Row x lists x's children ascending, then its parent: the root's slot k is
     child ``k + 1``, an inner vertex's slot ``k < q`` child ``q x + 2 + k`` and
@@ -254,8 +258,6 @@ class _TreeRows(_VertexIds):
 
     @classmethod
     def of(cls, spec: TreeSpec) -> "_TreeRows":
-        if spec.contract_boundary:
-            raise InvalidSpec("a TreeSpec walked without a network must be uncontracted")
         n = tree_vertex_count(spec.q, spec.levels)
         if (spec.q + 1) * n > np.iinfo(np.int64).max:
             raise InvalidSpec(f"the slots of a {spec} do not fit int64")
@@ -401,14 +403,13 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
 def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
     """Simulate ``cfg.num_walks`` independent walks and tally them.
 
-    ``net`` is a Network, or the TreeSpec of an uncontracted tree, walked
-    by its arithmetic rows with no network built.  Every vertex of ``cfg``
-    must be a vertex of ``net`` (else InvalidVertex) and every watched edge
-    an edge of it (else NotAdjacent).  A TreeSpec refuses, with InvalidSpec,
-    a contracted tree, visit or transition tallies, and slots beyond int64;
-    its absorption flags cover only the levels a walk can reach, to
-    ``depth(start) + max_steps``.  Flags that cannot be allocated raise
-    InvalidSpec."""
+    ``net`` is a Network, or a TreeSpec, whose tree is walked by its
+    arithmetic rows with no network built.  Every vertex of ``cfg`` must be
+    a vertex of ``net`` (else InvalidVertex) and every watched edge an edge
+    of it (else NotAdjacent).  A TreeSpec refuses, with InvalidSpec, visit
+    or transition tallies and slots beyond int64; its absorption flags
+    cover only the levels a walk can reach, to ``depth(start) + max_steps``.
+    Flags that cannot be allocated raise InvalidSpec."""
     odd = cum = None
     spec = net if isinstance(net, TreeSpec) else None
     if spec is not None:

@@ -220,7 +220,7 @@ def reference_conductance_matrix(net) -> sp.csr_matrix:
 # The breadth-first tree labelling as it was first written, one level at a
 # time with per-vertex depth and parent arrays: the reference that
 # ``tree._tree_edges``, ``TreeNetwork.depth_of``/``parent_of`` and the
-# contracted ``build_tree`` (an exhaustion) must match.
+# contracted tree ``exhaustion(TreeGenerator(q), n)`` must match.
 
 
 def reference_level_starts(q: int, levels: int) -> np.ndarray:
@@ -259,9 +259,9 @@ def reference_tree_step(q: int, leaf: int, cur: np.ndarray, u: np.ndarray):
     return slot, np.where(up, np.maximum((cur - 2) // q, 0), slot - cur + 2 - root)
 
 
-def reference_build_tree(q: int, n: int, contract_boundary: bool):
+def reference_build_tree(q: int, n: int, contracted: bool):
     """``(net, depth, parent, z)`` of the level-n truncation; z is None
-    unless contracted."""
+    unless everything past level n is contracted to it."""
     starts = reference_level_starts(q, n)
     count = 1 + (q + 1) * (q**n - 1) // (q - 1)
     pu, pv = reference_tree_edges(q, n)
@@ -271,7 +271,7 @@ def reference_build_tree(q: int, n: int, contract_boundary: bool):
     parent = np.full(count, -1, dtype=np.int64)
     parent[pv] = pu
 
-    if contract_boundary:
+    if contracted:
         z = count
         last = np.arange(starts[n], starts[n + 1], dtype=np.int64)
         u = np.concatenate([pu, last])

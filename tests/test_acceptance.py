@@ -22,6 +22,7 @@ from resistive_walks import (
     decompose_star_cycle,
     effective,
     energy,
+    exhaustion,
     first_at_depth,
     green_function,
     inner_r,
@@ -62,8 +63,8 @@ def test_01_resistance_ladder():
     worst = 0.0
     for q in (2, 3, 4, 5):
         for n in range(1, 9):
-            t = build_tree(TreeSpec(q, n - 1, contract_boundary=True))
-            solver = effective(t.net, 0, {t.z}).resistance
+            net, z = exhaustion(TreeGenerator(q), n - 1)
+            solver = effective(net, 0, {z}).resistance
             worst = max(worst, abs(solver - oracle_resistance(q, n)))
     elapsed = time.perf_counter() - t0
     _report(

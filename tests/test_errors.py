@@ -111,6 +111,13 @@ def _watched(**fields):
     return run_walks(path3(), walk(num_walks=3, **fields))
 
 
+def _hit_fraction(target):
+    """``hit_fraction(target)`` of ten walks on the path 0-1-2 from 1,
+    absorbed at 0 and 2."""
+    cfg = WalkConfig(seed=0, num_walks=10, start=1, absorbing=(0, 2))
+    return run_walks(path3(), cfg).hit_fraction(target)
+
+
 # inputs each rule used to let through, to a wrong value or another exception
 REFUSED = {
     "run_walks-start-float": (InvalidVertex, lambda: run_walks(path3(), walk(start=1.7))),
@@ -254,6 +261,9 @@ REFUSED = {
     "transition_estimate-unwatched": (
         InvalidSpec, lambda: _watched(watch_edges=((0, 1),)).transition_estimate(1, 0)
     ),
+    # read (0.0, 0.0) for no vertex; False read the hits at vertex 0
+    "hit_fraction-not-a-vertex": (InvalidSpec, lambda: _hit_fraction(7)),
+    "hit_fraction-bool": (InvalidSpec, lambda: _hit_fraction(False)),
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import project_cycle_space, reference_kirchhoff, reference_validate_flow
 from resistive_walks import (
     BoundarySpec,
+    TreeGenerator,
     TreeSpec,
     adjointness_residual,
     apply_d,
@@ -17,6 +18,7 @@ from resistive_walks import (
     decompose_star_cycle,
     effective,
     energy,
+    exhaustion,
     inner_r,
     ladder_resistance,
     ohm_current,
@@ -42,11 +44,12 @@ def triangle_cycle_flow(net, scale=1.0):
 
 
 def unit_tree_current(q, levels):
-    """Unit current flow from the root on the boundary-contracted tree."""
-    t = build_tree(TreeSpec(q, levels, contract_boundary=True))
-    v = solve_dirichlet(t.net, BoundarySpec({0: 1.0, t.z: 0.0}))
-    i = ohm_current(t.net, v)
-    return t, i / effective(t.net, 0, {t.z}).conductance
+    """``(net, z, i)``: the unit current flow ``i`` from the root to z on the
+    tree with everything past level ``levels`` contracted to z."""
+    net, z = exhaustion(TreeGenerator(q), levels)
+    v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
+    i = ohm_current(net, v)
+    return net, z, i / effective(net, 0, {z}).conductance
 
 
 class TestOperators:
@@ -60,10 +63,10 @@ class TestOperators:
         assert np.allclose(apply_d(net, np.full(4, 3.3)), 0.0)
 
     def test_d_of_voltage_is_ir(self):
-        t, i = unit_tree_current(2, 2)
-        v = solve_dirichlet(t.net, BoundarySpec({0: 1.0, t.z: 0.0}))
-        scale = effective(t.net, 0, {t.z}).conductance
-        assert np.allclose(apply_d(t.net, v / scale), i / t.net.edge_c)
+        net, z, i = unit_tree_current(2, 2)
+        v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
+        scale = effective(net, 0, {z}).conductance
+        assert np.allclose(apply_d(net, v / scale), i / net.edge_c)
 
     def test_d_star_single_edge(self):
         net = build_network([(0, 1, 1.0)])
@@ -75,10 +78,10 @@ class TestOperators:
         assert np.allclose(apply_d_star(net, triangle_cycle_flow(net)), 0.0)
 
     def test_d_star_unit_current_is_root_indicator(self):
-        t, i = unit_tree_current(2, 3)
-        div = apply_d_star(t.net, i)
-        expected = np.zeros(t.net.vertex_count)
-        expected[0], expected[t.z] = 1.0, -1.0
+        net, z, i = unit_tree_current(2, 3)
+        div = apply_d_star(net, i)
+        expected = np.zeros(net.vertex_count)
+        expected[0], expected[z] = 1.0, -1.0
         assert np.max(np.abs(div - expected)) < 1e-9
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 10))
@@ -115,8 +118,8 @@ class TestFlows:
         assert not report.ok
 
     def test_tree_current_is_flow(self):
-        t, i = unit_tree_current(2, 3)
-        assert validate_flow(t.net, i, {0}, {t.z}, tol=1e-9).ok
+        net, z, i = unit_tree_current(2, 3)
+        assert validate_flow(net, i, {0}, {z}, tol=1e-9).ok
 
     def test_overlap_rejected(self):
         net = build_network([(0, 1, 1.0)])
@@ -180,8 +183,8 @@ class TestEnergy:
 
     def test_tree_unit_current_energy_is_resistance(self):
         for n in (1, 2, 3, 4):
-            t, i = unit_tree_current(2, n - 1)
-            assert abs(energy(t.net, i) - ladder_resistance(2, n)) < 1e-9
+            net, _, i = unit_tree_current(2, n - 1)
+            assert abs(energy(net, i) - ladder_resistance(2, n)) < 1e-9
 
     def test_quadratic_scaling(self):
         net = triangle()
@@ -227,8 +230,8 @@ class TestDecomposition:
 
 class TestKirchhoff:
     def test_solved_current_clean(self):
-        t, i = unit_tree_current(2, 3)
-        report = verify_kirchhoff(t.net, i, exempt={0, t.z})
+        net, z, i = unit_tree_current(2, 3)
+        report = verify_kirchhoff(net, i, exempt={0, z})
         assert report.node_residual < 1e-9
         assert report.cycle_residual < 1e-9
 
@@ -290,13 +293,13 @@ class TestThomson:
         assert abs(gap - energy(net, cyc)) < 1e-10
 
     def test_single_branch_routing_loses(self):
-        t = build_tree(TreeSpec(2, 2, contract_boundary=True))
+        net, z = exhaustion(TreeGenerator(2), 2)
         # push the whole unit flow down the leftmost branch: 0 -> 1 -> 4 -> z
-        theta = chi(t.net, 0, 1) + chi(t.net, 1, 4) + chi(t.net, 4, t.z)
-        i = current_flow(t.net, _ab_div(t.net, 0, t.z))
-        assert validate_flow(t.net, theta, {0}, {t.z}).ok
-        gap = thomson_gap(t.net, theta, {0}, {t.z})
-        brute = energy(t.net, theta) - energy(t.net, i)
+        theta = chi(net, 0, 1) + chi(net, 1, 4) + chi(net, 4, z)
+        i = current_flow(net, _ab_div(net, 0, z))
+        assert validate_flow(net, theta, {0}, {z}).ok
+        gap = thomson_gap(net, theta, {0}, {z})
+        brute = energy(net, theta) - energy(net, i)
         assert gap > 1e-3
         assert abs(gap - brute) < 1e-12
 

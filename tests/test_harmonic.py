@@ -19,6 +19,7 @@ from resistive_walks import (
     classify_transience,
     current_flow,
     effective,
+    exhaustion,
     first_at_depth,
     green_function,
     hitting_probability,
@@ -67,8 +68,9 @@ def grid_net(n, seed):
 
 
 def contracted_tree(q, n):
-    """Truncation whose z plays the level-n set: explicit levels 0..n-1."""
-    return build_tree(TreeSpec(q, n - 1, contract_boundary=True))
+    """``(net, z)`` of the truncation whose z plays the level-n set:
+    explicit levels 0..n-1."""
+    return exhaustion(TreeGenerator(q), n - 1)
 
 
 class TestSolveDirichlet:
@@ -84,8 +86,8 @@ class TestSolveDirichlet:
 
     def test_contracted_tree_level1_third(self):
         # 3x3 system solved by hand: v(level 1) = 1/3
-        t = contracted_tree(2, 2)
-        v = solve_dirichlet(t.net, BoundarySpec({0: 1.0, t.z: 0.0}))
+        net, z = contracted_tree(2, 2)
+        v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
         assert abs(v[1] - 1.0 / 3.0) < 1e-12
 
     def test_empty_boundary(self):
@@ -100,15 +102,15 @@ class TestSolveDirichlet:
 
     def test_unreachable_tol_diverges(self):
         # the residual reached is round-off, ~4e-17, far above this tol
-        t = contracted_tree(2, 4)
+        net, z = contracted_tree(2, 4)
         with pytest.raises(SolverDivergence, match="exceeds tol"):
-            solve_dirichlet(t.net, BoundarySpec({0: 1.0, t.z: 0.0}), tol=1e-300)
+            solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}), tol=1e-300)
 
     def test_residual_relative_to_voltage_scale(self):
         # an absolute 1e-9 residual is below round-off at 1e9 volts
-        t = build_tree(TreeSpec(2, 8, contract_boundary=True))
-        unit = solve_dirichlet(t.net, BoundarySpec({0: 1.0, t.z: 0.0}))
-        big = solve_dirichlet(t.net, BoundarySpec({0: 1e9, t.z: 0.0}))
+        net, z = contracted_tree(2, 9)
+        unit = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
+        big = solve_dirichlet(net, BoundarySpec({0: 1e9, z: 0.0}))
         assert np.allclose(big, 1e9 * unit, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("x", [-1, "V", 1.5])
@@ -173,12 +175,12 @@ class TestSolveDirichlet:
             return laplacian(net)
 
         monkeypatch.setattr(Network, "laplacian", counted)
-        t = contracted_tree(2, 4)
-        solve_dirichlet(t.net, BoundarySpec({0: 1.0, t.z: 0.0}))
+        net, z = contracted_tree(2, 4)
+        solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
         assert len(calls) == 1
-        div = np.zeros(t.net.vertex_count)
-        div[0], div[t.z] = 1.0, -1.0
-        current_flow(t.net, div)
+        div = np.zeros(net.vertex_count)
+        div[0], div[z] = 1.0, -1.0
+        current_flow(net, div)
         assert len(calls) == 2
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 10))
@@ -362,12 +364,12 @@ class TestOhmCurrent:
         assert np.allclose(ohm_current(net, np.full(3, 4.0)), 0.0)
 
     def test_tree_root_edges_third(self):
-        t = contracted_tree(2, 2)
-        v = solve_dirichlet(t.net, BoundarySpec({0: 1.0, t.z: 0.0}))
-        i = ohm_current(net=t.net, values=v)
-        strength = effective(t.net, 0, {t.z}).conductance
+        net, z = contracted_tree(2, 2)
+        v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
+        i = ohm_current(net=net, values=v)
+        strength = effective(net, 0, {z}).conductance
         unit = i / strength
-        for k in t.net.incident_edges(0):
+        for k in net.incident_edges(0):
             assert abs(abs(unit[k]) - 1.0 / 3.0) < 1e-12
 
 

@@ -105,7 +105,7 @@ class TestConductanceMatrix:
     @pytest.mark.parametrize("make", [
         lambda: random_connected_net(np.random.default_rng(5), 40),
         lambda: build_tree(TreeSpec(3, 4)).net,
-        lambda: build_tree(TreeSpec(2, 5, contract_boundary=True)).net,
+        lambda: exhaustion(TreeGenerator(2), 5)[0],
     ])
     def test_matches_reference_and_keeps_adjacency(self, make):
         net = make()
@@ -296,19 +296,24 @@ class TestAssemblyReference:
         assert net.edge_c.tolist() == [1.0, 2.0, 3.0]
         assert not np.shares_memory(net.edge_c, c)
 
-    @pytest.mark.parametrize("spec", [
-        TreeSpec(2, 6), TreeSpec(3, 4), TreeSpec(2, 5, contract_boundary=True),
-        TreeSpec(3, 0, contract_boundary=True),
-    ])
+    # (q, levels, contracted): a contracted tree is assembled by the
+    # exhaustion in generators, an uncontracted one by build_tree
+    @pytest.mark.parametrize("spec", [(2, 6, False), (3, 4, False), (2, 5, True), (3, 0, True)])
     def test_tree_matches_reference(self, spec, monkeypatch):
         import resistive_walks.generators as generators_mod
         import resistive_walks.tree as tree_mod
 
-        new = build_tree(spec).net
-        # a contracted tree is assembled by the exhaustion in generators
+        q, levels, contracted = spec
+
+        def build():
+            if contracted:
+                return exhaustion(TreeGenerator(q), levels)[0]
+            return build_tree(TreeSpec(q, levels)).net
+
+        new = build()
         monkeypatch.setattr(tree_mod, "_assemble", reference_assemble)
         monkeypatch.setattr(generators_mod, "_assemble", reference_assemble)
-        assert_same_network(new, build_tree(spec).net)
+        assert_same_network(new, build())
 
 
 # labels of vertex ids 0..n-1, by kind: the first four take build_network's

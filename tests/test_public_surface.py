@@ -1,6 +1,7 @@
 """The public surface: each module's ``__all__`` and the package's
 re-exports agree, and names removed from the API stay removed."""
 
+import dataclasses
 import importlib
 import inspect
 import types
@@ -14,7 +15,7 @@ MODULES = ("cli", "verify", "network", "tree", "generators", "harmonic", "flows"
 
 REMOVED = ("MarkovView", "markov_view", "series_parallel_reduce", "contract_vertices",
            "vertex_weight", "estimate_hitting", "estimate_green", "estimate_transitions",
-           "strength", "index_of")
+           "strength", "index_of", "to_json")
 
 
 @pytest.mark.parametrize("layer", MODULES)
@@ -40,8 +41,21 @@ def test_removed_names_stay_removed():
     network = importlib.import_module("resistive_walks.network")
     walks = importlib.import_module("resistive_walks.walks")
     flows = importlib.import_module("resistive_walks.flows")
-    for mod in (resistive_walks, network, walks, flows, network.Network):
+    verify = importlib.import_module("resistive_walks.verify")
+    for mod in (resistive_walks, network, walks, flows, network.Network, verify.CheckRow,
+                verify.RunReport):
         assert not set(REMOVED) & set(dir(mod))
     assert "check_connected" not in inspect.signature(resistive_walks.build_network).parameters
     assert "check" not in inspect.signature(resistive_walks.thomson_gap).parameters
 
+
+def test_one_contracted_tree():
+    # the tree contracted past level n is exhaustion(TreeGenerator(q), n) alone
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(resistive_walks.TreeSpec) == ("q", "levels")
+    assert names(resistive_walks.TreeNetwork) == ("net", "spec")
+    for mod in MODULES:
+        source = inspect.getsource(importlib.import_module(f"resistive_walks.{mod}"))
+        assert "contract_boundary" not in source, mod

@@ -14,6 +14,7 @@ from resistive_walks import (
     TreeSpec,
     build_tree,
     effective,
+    exhaustion,
     finite_tree_pair_resistance,
     first_at_depth,
     ladder_resistance,
@@ -66,14 +67,15 @@ class TestBuild:
         assert np.all(t.net.edge_c == 1.0)
 
     def test_contracted_zero_levels(self):
-        t = build_tree(TreeSpec(3, 0, contract_boundary=True))
-        assert t.net.vertex_count == 2
-        assert t.net.edge_c[0] == 4.0
+        # the root's q + 1 edges to z merge into one
+        net, z = exhaustion(TreeGenerator(3), 0)
+        assert (net.vertex_count, z) == (2, 1)
+        assert net.edge_c.tolist() == [4.0]
 
     def test_contracted_boundary_edges(self):
-        t = build_tree(TreeSpec(2, 2, contract_boundary=True))
-        assert t.z == 10
-        zc = t.net.edge_c[t.net.incident_edges(t.z)]
+        net, z = exhaustion(TreeGenerator(2), 2)
+        assert z == 10
+        zc = net.edge_c[net.incident_edges(z)]
         assert np.allclose(zc, 2.0)
         assert len(zc) == 6
 
@@ -96,8 +98,8 @@ class TestBuild:
             TreeSpec(1, 2)
         with pytest.raises(InvalidSpec):
             TreeSpec(2, -1)
-        with pytest.raises(InvalidSpec):
-            build_tree(TreeSpec(2, 0))
+        with pytest.raises(InvalidSpec, match="levels must be an integer >= 1"):
+            TreeSpec(2, 0)
 
     def test_peak_memory_at_most_twice_the_result(self):
         # assembly's temporaries must stay below the arrays it returns
@@ -121,10 +123,9 @@ class TestBuild:
         # leftmost depth-3 leaf to a leaf under a different level-1 branch
         far = int(t.net.vertex_count - 1)
         assert tree_distance(t, a, far) == 6
-        tc = build_tree(TreeSpec(2, 3, contract_boundary=True))
-        for tree, bad in ((t, -1), (t, t.net.vertex_count), (tc, tc.z)):
+        for bad in (-1, t.net.vertex_count):
             with pytest.raises(InvalidVertex):
-                tree_distance(tree, 0, bad)
+                tree_distance(t, 0, bad)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -141,16 +142,20 @@ class TestLabelArithmetic:
     def test_build_depth_parent(self, q, levels, contract):
         if levels == 0 and not contract:
             with pytest.raises(InvalidSpec):
-                build_tree(TreeSpec(q, 0))
+                TreeSpec(q, 0)
             return
         net, depth, parent, z = reference_build_tree(q, levels, contract)
-        t = build_tree(TreeSpec(q, levels, contract_boundary=contract))
+        if contract:  # the contracted tree is the exhaustion, bit for bit
+            new, new_z = exhaustion(TreeGenerator(q), levels)
+            assert_same_network(new, net)
+            assert new_z == z
+            return
+        t = build_tree(TreeSpec(q, levels))
         assert_same_network(t.net, net)
-        assert t.z == z
         ids = np.arange(t.net.vertex_count)
         assert np.array_equal(t.depth_of(ids), depth)
         assert np.array_equal(t.parent_of(ids), parent)
-        for x in (0, ids[-1]):  # scalars: the root and the last id (z when contracted)
+        for x in (0, ids[-1]):  # scalars: the root and the last id
             assert (t.depth_of(x), t.parent_of(x)) == (depth[x], parent[x])
 
     def test_generator_depth(self, q, levels):
@@ -244,17 +249,18 @@ class TestSolverAgreement:
     def test_resistance_vs_solver(self):
         for q in (2, 3):
             for n in (1, 2, 3, 4):
-                t = build_tree(TreeSpec(q, n - 1, contract_boundary=True))
-                r = effective(t.net, 0, {t.z}).resistance
+                net, z = exhaustion(TreeGenerator(q), n - 1)
+                r = effective(net, 0, {z}).resistance
                 assert abs(r - oracle_resistance(q, n)) < 1e-9
 
     def test_voltages_and_currents_vs_solver(self):
         q, n = 2, 6
-        t = build_tree(TreeSpec(q, n - 1, contract_boundary=True))
-        v = solve_dirichlet(t.net, BoundarySpec({0: 1.0, t.z: 0.0}), tol=1e-11)
-        eq = effective(t.net, 0, {t.z})
+        gen = TreeGenerator(q)
+        net, z = exhaustion(gen, n - 1)
+        v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}), tol=1e-11)
+        eq = effective(net, 0, {z})
         v_unit = v * eq.resistance
-        i_unit = ohm_current(t.net, v_unit)
+        i_unit = ohm_current(net, v_unit)
         rn = oracle_resistance(q, n)
         r_inf = oracle_resistance(q, None)
         # stop above the deepest level, whose boundary edges are merged
@@ -265,17 +271,17 @@ class TestSolverAgreement:
             assert abs(v_unit[x] - (v_cf - (r_inf - rn))) < 1e-9
             down = [
                 k
-                for k in t.net.incident_edges(x)
-                if t.depth_of(t.net.edge_u[k] + t.net.edge_v[k] - x) == d + 1
+                for k in net.incident_edges(x)
+                if gen.depth_of(int(net.edge_u[k] + net.edge_v[k]) - x) == d + 1
             ]
             for k in down:
                 assert abs(abs(i_unit[k]) - i_cf) < 1e-9
 
     def test_level_symmetry(self):
-        t = build_tree(TreeSpec(2, 4, contract_boundary=True))
-        v = solve_dirichlet(t.net, BoundarySpec({0: 1.0, t.z: 0.0}), tol=1e-11)
+        net, z = exhaustion(TreeGenerator(2), 4)
+        v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}), tol=1e-11)
         for k in range(1, 5):
-            lv = v[level_slice(t, k)]
+            lv = v[level_slice(TreeSpec(2, 4), k)]
             assert np.max(lv) - np.min(lv) < 1e-10
 
     def test_pair_resistance_is_distance(self):
@@ -287,9 +293,6 @@ class TestSolverAgreement:
         assert abs(effective(t.net, a, {far}).resistance - 6.0) < 1e-9
         with pytest.raises(VertexInTarget):
             finite_tree_pair_resistance(t, a, a)
-        tc = build_tree(TreeSpec(2, 2, contract_boundary=True))
-        with pytest.raises(InvalidSpec):
-            finite_tree_pair_resistance(tc, 0, 1)
 
 
 class TestEscapeCases:

@@ -12,12 +12,14 @@ from oracles import absorbing_hit_probability, expected_visits, reference_tree_s
 from resistive_walks import (
     GraphGenerator,
     Network,
+    TreeGenerator,
     TreeSpec,
     WalkConfig,
     build_network,
     build_tree,
     effective,
     estimate_escape,
+    exhaustion,
     level_slice,
     oracle_green_hitting,
     run_walks,
@@ -181,7 +183,7 @@ class TestSlotSelection:
 
     NETS = [
         _hub_net(1),
-        build_tree(TreeSpec(2, 6, contract_boundary=True)).net,
+        exhaustion(TreeGenerator(2), 6)[0],
         build_network([(0, 1, 1.0)]),
     ]
 
@@ -260,14 +262,19 @@ class TestAccounting:
         assert sum(stats.hits.values()) + stats.censored == 400
 
     def test_hit_count_and_escape_read_the_hits(self):
-        # 11 walks are censored (absorbed_at -1); 12, 13 and 14 are reached,
-        # 0 and 5 are not absorbing, 15 and 10**6 are not vertices
+        # 11 walks are censored (absorbed_at -1); 12, 13 and 14 are reached
         net = random_connected_net(np.random.default_rng(4), 15)
         cfg = WalkConfig(seed=7, num_walks=400, start=0, absorbing=(12, 13, 14), max_steps=30)
         stats = run_walks(net, cfg)
         assert stats.censored > 0 and stats.hits
-        for target in (12, 13, 14, 0, 5, -1, 15, 10**6):
-            assert stats.hit_count(target) == stats.hits.get(target, 0), target
+        for target in (12, 13, np.int64(14)):
+            assert stats.hit_count(target) == stats.hits[target], target
+        # 0 and 5 are not absorbing, 15 and 10**6 are not vertices, -1 marks
+        # a censored walk, and a bool or a float is not a vertex id
+        for target in (0, 5, -1, 15, 10**6, True, 1.5, 12.0):
+            for read in (stats.hit_count, stats.hit_fraction):
+                with pytest.raises(InvalidSpec, match="not an absorbing vertex"):
+                    read(target)
         z = {3, 9, 14}
         escape = replace(cfg, absorbing=(0, 3, 9, 14), min_absorb_step=1)
         hits = run_walks(net, escape).hits
@@ -342,10 +349,10 @@ class TestStatisticalAgreement:
 
     def test_infinite_tree_surrogate(self):
         # deep truncation stands in for the infinite tree at the root
-        t = build_tree(TreeSpec(2, 12, contract_boundary=True))
-        cfg = WalkConfig(seed=42, num_walks=20_000, start=0, absorbing=(t.z,),
+        net, z = exhaustion(TreeGenerator(2), 12)
+        cfg = WalkConfig(seed=42, num_walks=20_000, start=0, absorbing=(z,),
                          watch_vertices=(0,))
-        est, se = run_walks(t.net, cfg).visit_estimate(0)
+        est, se = run_walks(net, cfg).visit_estimate(0)
         exact, _, _ = oracle_green_hitting(2, 0)
         assert abs(est - exact) < 4 * se + 1e-3
 
@@ -365,10 +372,10 @@ def _golden_case(kind: str):
                            watch_vertices=(0, 1), watch_edges=((0, 1), (1, 0)))
     if kind == "contracted":
         # the deepest level's edges to z carry c = q, so those rows are not unit
-        t = build_tree(TreeSpec(2, 8, contract_boundary=True))
-        deep = int(t.net.neighbors(t.z)[0])
-        return t.net, dict(start=0, absorbing=(t.z,), watch_vertices=(0, deep),
-                           watch_edges=((0, 1), (deep, t.z)))
+        net, z = exhaustion(TreeGenerator(2), 8)
+        deep = int(net.neighbors(z)[0])
+        return net, dict(start=0, absorbing=(z,), watch_vertices=(0, deep),
+                         watch_edges=((0, 1), (deep, z)))
     if kind == "mixed":
         # a unit tree with about 5% of its conductances changed, plus one
         # parallel edge merged into its twin
@@ -525,10 +532,10 @@ class TestChunks:
 
 
 def _tree_cases(q: int, levels: int):
-    """(network, WalkConfig fields) of walks on the uncontracted (q, levels)
-    tree: from the root, an inner vertex and a leaf; absorbed at the deepest
-    level, at it and the root, at a few arbitrary ids, or nowhere (censored);
-    watching vertices and edges in both directions."""
+    """(network, WalkConfig fields) of walks on the (q, levels) tree: from
+    the root, an inner vertex and a leaf; absorbed at the deepest level, at
+    it and the root, at a few arbitrary ids, or nowhere (censored); watching
+    vertices and edges in both directions."""
     t = build_tree(TreeSpec(q, levels))
     shell = level_slice(t, levels)
     leaf = t.net.vertex_count - 1
@@ -587,7 +594,6 @@ class TestTreeSource:
             assert cls._check_ids is Network._check_ids
 
     @pytest.mark.parametrize("spec, fields", [
-        (TreeSpec(2, 3, contract_boundary=True), {}),
         (TreeSpec(2, 3), dict(track_visits=True)),
         (TreeSpec(2, 3), dict(track_transitions=True)),
         (TreeSpec(2, 60), {}),  # (q + 1) * vertex_count exceeds int64
