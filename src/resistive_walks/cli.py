@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -36,10 +35,7 @@ from .walks import WalkConfig, run_walks
 __all__ = ["main"]
 
 
-# text written to stdout per write; the flat members below are formatted
-# _BATCH at a time, so no member list is held whole as text
-_WRITE_CHARS = 1 << 16
-_BATCH = 1024
+_BATCH = 1024  # flat members formatted at a time, so no whole int list is held
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 1, 10, ..., 10**19
 
 
@@ -76,67 +72,46 @@ def _members(fmt: str, columns, brackets: str, nl: str):
     yield nl + brackets[1]
 
 
-def _key(key) -> str:
-    if not isinstance(key, str):  # json.dumps would sort an int key as an int
-        raise TypeError(f"JSON object keys must be str, got {key!r}")
-    return json.dumps(key) + ": "
-
-
 def _chunks(value, nl: str):
     """Chunks of ``json.dumps(value, sort_keys=True, indent=2)``; ``nl`` is a
-    newline and the indent of the line ``value`` starts on.  Dict keys must
-    be str; an int ndarray is a list, an :class:`_IdCounts` an object."""
-    if isinstance(value, (dict, list, tuple)):
-        if isinstance(value, dict):
-            brackets, members = "{}", ((_key(k), value[k]) for k in sorted(value))
-        else:
-            brackets, members = "[]", (("", item) for item in value)
-        if not value:
-            yield brackets
-            return
+    newline and the indent of the line ``value`` starts on.  Only dicts (str
+    keys) and the flat members they hold, an int ndarray as a list and an
+    :class:`_IdCounts` as an object, are laid out here; any other value is
+    ``json.dumps``' text re-indented, exact as JSON text has no raw newline."""
+    if isinstance(value, dict) and value:
         inner = nl + "  "
-        sep = brackets[0] + inner
-        for prefix, item in members:
-            yield sep + prefix
-            yield from _chunks(item, inner)
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):  # json.dumps would sort an int key as an int
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+            yield sep + json.dumps(key) + ": "
+            yield from _chunks(value[key], inner)
             sep = "," + inner
-        yield nl + brackets[1]
+        yield nl + "}"
     elif isinstance(value, np.ndarray) and value.dtype.kind in "iu":
         yield from _members("{}", (value,), "[]", nl)
     elif isinstance(value, _IdCounts):
         order = _decimal_order(value.ids)
         yield from _members('"{}": {}', (value.ids[order], value.counts[order]), "{}", nl)
     else:
-        yield json.dumps(value)
+        yield json.dumps(value, sort_keys=True, indent=2).replace("\n", nl)
 
 
 def _write_json(doc, out) -> None:
     """Write ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline to
-    ``out``, in writes of at most ``_WRITE_CHARS`` characters."""
-    pending, size = [], 0
-    for chunk in _chunks(doc, "\n"):
-        pending.append(chunk)
-        size += len(chunk)
-        if size >= _WRITE_CHARS:
-            text = "".join(pending)
-            end = size - size % _WRITE_CHARS
-            for i in range(0, end, _WRITE_CHARS):
-                out.write(text[i : i + _WRITE_CHARS])
-            pending, size = [text[end:]], size - end
-    pending.append("\n")
-    out.write("".join(pending))
+    ``out`` in one write."""
+    out.write("".join([*_chunks(doc, "\n"), "\n"]))
 
 
-def _emit(doc, fmt: str, csv_rows=None, csv_fields=None) -> None:
+def _emit(doc, fmt: str, rows) -> None:
+    """Write ``doc`` as JSON, or ``rows`` (dicts with the keys of the first,
+    in its order) as CSV with a header."""
     if fmt == "json":
         _write_json(doc, sys.stdout)
     else:
-        out = io.StringIO()
-        writer = csv.DictWriter(out, fieldnames=csv_fields, lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
-        for row in csv_rows:
-            writer.writerow(row)
-        sys.stdout.write(out.getvalue())
+        writer.writerows(rows)
 
 
 def _load_network(args, parser):
@@ -205,8 +180,8 @@ def _cmd_resist(args, parser) -> int:
             "flag": "converged" if limit.converged else "not-converged",
             "n_used": limit.n_used,
         }
-        rows = [{k: doc[k] for k in ("resistance", "conductance", "flag", "n_used")}]
-        _emit(doc, args.format, rows, ["resistance", "conductance", "flag", "n_used"])
+        row = {k: doc[k] for k in ("resistance", "conductance", "flag", "n_used")}
+        _emit(doc, args.format, [row])
         return 0 if limit.converged else 1
 
     net, tree = _load_network(args, parser)
@@ -223,15 +198,15 @@ def _cmd_resist(args, parser) -> int:
         "resistance": eq.resistance,
         "escape_probability": eq.escape_probability,
     }
-    fields = ["conductance", "resistance", "escape_probability"]
-    _emit(doc, args.format, [{k: doc[k] for k in fields}], fields)
+    row = {k: doc[k] for k in ("conductance", "resistance", "escape_probability")}
+    _emit(doc, args.format, [row])
     return 0
 
 
 def _cmd_oracle(args, parser) -> int:
     rows = oracle_table(args.q, args.max_depth)
     doc = {"command": "oracle", "inputs": {"q": args.q, "max_depth": args.max_depth}, "rows": rows}
-    _emit(doc, args.format, rows, list(rows[0].keys()))
+    _emit(doc, args.format, rows)
     return 0
 
 
@@ -262,8 +237,8 @@ def _cmd_simulate(args, parser) -> int:
         "censored": stats.censored,
         "hits": _IdCounts(*np.unique(done, return_counts=True)),
     }
-    fields = ["seed", "num_walks", "start", "censored"]
-    _emit(doc, args.format, [{k: doc[k] for k in fields}], fields)
+    row = {k: doc[k] for k in ("seed", "num_walks", "start", "censored")}
+    _emit(doc, args.format, [row])
     return 0
 
 
@@ -271,11 +246,8 @@ def _cmd_verify(args, parser) -> int:
     report = run_battery(
         q=args.q, levels=args.levels, walks=args.walks, seed=args.seed, tol=args.tol
     )
-    if args.format == "json":
-        _emit(asdict(report), "json")
-    else:
-        rows = [asdict(r) for r in report.results]
-        _emit(None, "csv", rows, list(rows[0].keys()))
+    doc = asdict(report)
+    _emit(doc, args.format, doc["results"])
     for r in report.results:
         if r.verdict != "pass":
             print(f"check failed: {r.quantity}", file=sys.stderr)

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import NotAFlow, VertexInTarget
-from .harmonic import BoundarySpec, solve_dirichlet
+from .harmonic import BoundarySpec, ohm_current, solve_dirichlet
 from .network import Network
 
 __all__ = [
@@ -106,10 +106,9 @@ def current_flow(net: Network, div: np.ndarray) -> np.ndarray:
     ``div`` must sum to zero.  The potential solves ``L f = div`` grounded at
     vertex 0 through :func:`~resistive_walks.harmonic.solve_dirichlet`, so it
     carries the same residual check as every other solve; the current is
-    ``c df``.
+    its :func:`~resistive_walks.harmonic.ohm_current`, ``c df``.
     """
-    f = solve_dirichlet(net, BoundarySpec({0: 0.0}), source=div)
-    return net.edge_c * apply_d(net, f)
+    return ohm_current(net, solve_dirichlet(net, BoundarySpec({0: 0.0}), source=div))
 
 
 def decompose_star_cycle(net: Network, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,10 +13,10 @@ arithmetic: level ``k >= 1`` starts at ``start[k] = tree_vertex_count(q,
 k - 1)``, and since ``start[k] - 2 = q * start[k - 1]`` for ``k >= 2``,
 every ``x >= 1`` has parent ``max((x - 2) // q, 0)``.  A
 :class:`TreeNetwork` therefore keeps no per-vertex array: ``depth_of`` and
-``parent_of`` compute depths and parents of any ids from these closed
-forms.  The truncation with everything beyond level ``n`` shorted to one
-vertex ``z`` is the radius-``n`` exhaustion of :class:`TreeGenerator`:
-``net, z = exhaustion(TreeGenerator(q), n)``.
+``parent_of`` check their ids and compute depths and parents from these
+closed forms.  The truncation with everything beyond level ``n`` shorted
+to one vertex ``z`` is the radius-``n`` exhaustion of
+:class:`TreeGenerator`: ``net, z = exhaustion(TreeGenerator(q), n)``.
 """
 
 from __future__ import annotations
@@ -69,14 +69,19 @@ class TreeNetwork:
     net: Network
     spec: TreeSpec
 
+    def _ids(self, x):
+        """``x`` checked as vertex ids: an int for a scalar, an int64 array
+        for a sequence; raises InvalidVertex."""
+        return self.net._check_vertex(x) if np.ndim(x) == 0 else self.net._check_ids(x)
+
     def depth_of(self, x):
         """Depths of the ids ``x`` (an int or an array)."""
-        return _depth(self.spec.q, x, self.spec.levels)
+        return _depth(self.spec.q, self._ids(x), self.spec.levels)
 
     def parent_of(self, x):
         """Parents of the ids ``x`` (an int or an array); -1 at the root."""
-        x = np.asarray(x)
-        return np.where(x == 0, -1, _parent(self.spec.q, x))
+        x = self._ids(x)
+        return np.where(x == 0, -1, _parent(self.spec.q, x))[()]  # [()]: 0-d to a scalar
 
 
 def _check_tree_args(q: int, least: int = 0, **count) -> tuple[int, int]:

@@ -188,6 +188,18 @@ class TestNetworkFileErrors:
         assert "--network" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["resist", "--source", "0", "--target-set", "level:2"], "--target-set"),
+    (["simulate", "--walks", "10", "--absorb-level", "2"], "--absorb-level"),
+])
+def test_tree_level_needs_tree(capsys, tmp_path, argv, flag):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network_to_json(build_network([(0, 1, 1.0), (1, 2, 1.0)]))))
+    code, _, err = run_cli(capsys, *argv, "--network", str(path))
+    assert code == 2
+    assert f"{flag} needs --tree" in err
+
+
 class TestSolverDivergence:
     def test_resist_exits_1(self, capsys, monkeypatch):
         def diverge(*args, **kwargs):
@@ -428,6 +440,24 @@ class TestVerify:
         assert len(lines) > 5
 
 
+@pytest.mark.parametrize("argv, want", [
+    ("verify --levels 3 --walks 2000 --seed 42",
+     "cfe5bb785147f587d6a8e92c1c6519afc405098f6018ba98df11b06f1fe840de"),
+    ("oracle --q 3", "9ef91b37b1dbe030db37adeb9c48f2f83b9a0e92df017ead33a902a232fb6d6c"),
+    ("resist --tree 2,8 --to-infinity",
+     "ba8dd4a21ccd3f99d912f6a1e02c7c8cb28218422ba604a626a17e8b46877db7"),
+    ("resist --tree 2,8 --source 0 --target-set level:8",
+     "2481a271f446dcd45c5db343f6ddd8d0a9641558a8a9bb8a875231d33b813a51"),
+    ("simulate --tree 2,6 --absorb-level 6 --walks 500 --seed 42",
+     "e3a472cc5f073b2e9f82868d10833d02ddc0d008cc5c01ff194955b2479e553f"),
+])
+def test_csv_stdout_digest(capsys, argv, want):
+    # pins every command's CSV header, column order and number formatting
+    code, out, _ = run_cli(capsys, *argv.split(), "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def _raising(exc):
     def fail(*args, **kwargs):
         raise exc("stubbed failure")
@@ -596,14 +626,21 @@ scalar_st = st.one_of(
     st.text(),
     st.sampled_from(["é", "\u2028", "\x00", '"', "\\", "\n\t", "\U0001f600", "\ud800"]),
 )
-json_st = st.recursive(
-    st.one_of(scalar_st, id_counts_st, int_array_st),
+plain_st = st.recursive(
+    scalar_st,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.tuples(children, children),
         st.dictionaries(st.text(), children, max_size=5),
     ),
     max_leaves=30,
+)
+# the flat members only on a path of dicts from the top, where the CLI's
+# documents hold them; lists and tuples hold plain JSON
+json_st = st.recursive(
+    st.one_of(plain_st, id_counts_st, int_array_st),
+    lambda children: st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=10,
 )
 
 
@@ -629,13 +666,23 @@ class TestJsonEmitter:
         np.array([], np.int64), cli._IdCounts(np.array([], np.int64), np.array([], np.int64)),
     ])
     def test_single_values(self, value):
-        doc = {"z": value, "a": [value, {"k": value}]}
+        doc = {"z": value, "a": {"k": value}}
         assert emitted(doc) == dumped(doc)
         assert emitted(value) == dumped(value)
 
     def test_refuses_non_str_keys(self):
         with pytest.raises(TypeError):
             emitted({1: 2})
+
+    @pytest.mark.parametrize("value", [
+        np.array([1, 2], np.int64),
+        cli._IdCounts(np.array([3], np.int64), np.array([1], np.int64)),
+    ])
+    def test_refuses_flat_members_in_lists(self, value):
+        # json.dumps renders lists; no CLI document holds an id array in one
+        for doc in ([value], {"a": [value]}, {"a": ({"b": value},)}):
+            with pytest.raises(TypeError):
+                emitted(doc)
 
     def test_writes_are_bounded(self):
         class Sink:
@@ -651,10 +698,10 @@ class TestJsonEmitter:
             "command": "simulate",
             "hits": cli._IdCounts(ids, rng.integers(1, 50, size=len(ids))),
             "target_set": ids,
-            "label": "x" * 200_000,  # one scalar longer than a write
+            "label": "x" * 200_000,
         }
         sink = Sink()
         cli._write_json(doc, sink)
-        assert len(sink.writes) > 10
-        assert max(map(len, sink.writes)) <= cli._WRITE_CHARS
-        assert "".join(sink.writes) == dumped(doc)
+        # a simulate-sized document goes out whole, in one write
+        assert len(sink.writes) == 1
+        assert sink.writes[0] == dumped(doc)

@@ -264,6 +264,18 @@ REFUSED = {
     # read (0.0, 0.0) for no vertex; False read the hits at vertex 0
     "hit_fraction-not-a-vertex": (InvalidSpec, lambda: _hit_fraction(7)),
     "hit_fraction-bool": (InvalidSpec, lambda: _hit_fraction(False)),
+    # the 22-vertex tree answered from its closed forms for any number:
+    # parent_of read 499999 at 10**6 and 0 at -1 and 1.5, depth_of 4 at
+    # 10**6 and -1 at -1
+    "parent_of-out-of-range": (InvalidVertex, lambda: _tree3().parent_of(10**6)),
+    "parent_of-negative": (InvalidVertex, lambda: _tree3().parent_of(-1)),
+    "parent_of-float": (InvalidVertex, lambda: _tree3().parent_of(1.5)),
+    "parent_of-bool": (InvalidVertex, lambda: _tree3().parent_of(True)),
+    "parent_of-array-one-bad": (InvalidVertex, lambda: _tree3().parent_of(np.array([0, 22]))),
+    "depth_of-out-of-range": (InvalidVertex, lambda: _tree3().depth_of(10**6)),
+    "depth_of-negative": (InvalidVertex, lambda: _tree3().depth_of(-1)),
+    "depth_of-bool": (InvalidVertex, lambda: _tree3().depth_of(True)),
+    "depth_of-array-one-bad": (InvalidVertex, lambda: _tree3().depth_of([1, -1, 2])),
 }
 
 

@@ -235,6 +235,14 @@ class TestKirchhoff:
         assert report.node_residual < 1e-9
         assert report.cycle_residual < 1e-9
 
+    def test_exempt_one_pass_iterator(self):
+        # the ids are read once: a second pass over the iterator would find
+        # it empty and leave the battery vertices' divergence in
+        net, z, i = unit_tree_current(2, 3)
+        assert verify_kirchhoff(net, i, exempt=iter([0, z])) == verify_kirchhoff(
+            net, i, exempt={0, z}
+        )
+
     def test_chi_violates_node_law(self):
         net = triangle()
         report = verify_kirchhoff(net, chi(net, 0, 1), exempt=set())

@@ -429,6 +429,14 @@ class TestEffective:
         assert abs(effective(net, a, {z}).resistance - want) <= 1e-8 * want
 
 
+class VanishingLine(HalfLineGenerator):
+    """The half-line with shell conductances 10^-k: C_n falls below
+    ``TRANSIENCE_EPS`` within a few radii."""
+
+    def shell_conductance(self, k):
+        return 10.0**-k
+
+
 class TestLimits:
     def test_tree_resistance_to_infinity(self):
         # R_n = (2/3)(1 - 2^-(n+1)) is geometric, so Aitken's value is exact
@@ -514,6 +522,10 @@ class TestLimits:
     def test_green_requires_transience(self):
         with pytest.raises(NotTransient):
             green_function(HalfLineGenerator(), 0, n_max=40)
+
+    def test_vanishing_conductance_is_recurrent(self):
+        with pytest.raises(NotTransient, match="recurrent-heuristic"):
+            green_function(VanishingLine(), 1)
 
     def test_hitting_values(self):
         gen = TreeGenerator(2)

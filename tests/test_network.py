@@ -185,6 +185,12 @@ class TestJsonFormat:
         assert back.vertex_count == net.vertex_count
         assert np.allclose(back.edge_c, net.edge_c)
 
+    def test_labels_roundtrip(self):
+        net = build_network([("a", "c", 1.0), ("c", "b", 2.0)])
+        doc = json.loads(json.dumps(network_to_json(net)))
+        assert doc["labels"] == {"0": "a", "1": "b", "2": "c"}
+        assert network_from_json(doc).labels == ("a", "b", "c")
+
     def test_rejects_bad_conductance(self):
         doc = {"vertices": 2, "edges": [{"u": 0, "v": 1, "c": -1.0}]}
         with pytest.raises(NonpositiveConductance):

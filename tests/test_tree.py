@@ -85,6 +85,8 @@ class TestBuild:
         assert list(t.depth_of([1, 2, 3])) == [1, 1, 1]
         kid = first_at_depth(2, 2)
         assert t.parent_of(kid) == 1
+        # a scalar id in, a scalar out
+        assert isinstance(t.parent_of(kid), np.integer) and isinstance(t.depth_of(kid), np.integer)
 
     def test_level_slice(self):
         t = build_tree(TreeSpec(2, 2))
