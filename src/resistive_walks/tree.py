@@ -51,13 +51,17 @@ __all__ = [
 @dataclass(frozen=True)
 class TreeSpec:
     """Parameters of a truncated homogeneous tree of degree q + 1; a tree
-    has at least one level, as a 0-level one has no edges."""
+    has at least one level, as a 0-level one has no edges, and at most
+    2**63 - 1 vertices, so every id is an int64."""
 
     q: int
     levels: int
 
     def __post_init__(self):
         q, levels = _check_tree_args(self.q, 1, levels=self.levels)
+        # past 63 levels q**levels alone exceeds int64: no bignum is formed
+        if levels > 63 or tree_vertex_count(q, levels) > np.iinfo(np.int64).max:
+            raise InvalidSpec(f"the ({q}, {levels}) tree has more than 2**63 - 1 vertices")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "levels", levels)
 
@@ -138,7 +142,7 @@ def level_slice(tree: TreeNetwork | TreeSpec, k: int) -> np.ndarray:
 def first_at_depth(q: int, d: int) -> int:
     """Smallest BFS id at depth d (a leftmost-branch vertex)."""
     q, d = _check_tree_args(q, d=d)
-    return 0 if d == 0 else int(_level_starts(q, d)[d])
+    return 0 if d == 0 else tree_vertex_count(q, d - 1)
 
 
 def tree_distance(tree: TreeNetwork, a: int, x: int) -> int:

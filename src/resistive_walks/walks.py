@@ -6,9 +6,8 @@ absorbing vertex (at a step count >= ``min_absorb_step``) or run out of
 is a pure function of ``(seed, w, t)`` via a counter-based splitmix hash,
 so tallies are bit-identical across runs and independent of the chunking.
 The walks are split into balanced contiguous chunks of at most ``_CHUNK``
-walks, stepped one after another on the calling thread, each stepping its
-walks in lockstep with numpy.  A chunk writes per-walk results only at its
-own walk indices and adds its steps to the one per-slot tally.
+walks, each stepped in lockstep with numpy, one after another, into the one
+:class:`WalkStats` that :func:`run_walks` returns.
 
 A walk at ``x`` with variate ``u`` moves through the first CSR slot of row
 ``x`` whose row-local prefix sum of conductances exceeds ``r = u * pi(x)``
@@ -307,24 +306,6 @@ class _TreeRows(_VertexIds):
         return k, nxt
 
 
-@dataclass(frozen=True)
-class _Run:
-    """One :func:`run_walks` call: what its chunks read, and the per-walk
-    arrays they write, each chunk at its own walk indices only."""
-
-    cfg: WalkConfig
-    net: Network | _TreeRows  # CSR rows, or a tree's rows by arithmetic
-    cum: np.ndarray | None  # row prefix sums; None when no row is odd
-    odd: np.ndarray | None  # per vertex: its row is odd; None when none is
-    absorb_mask: np.ndarray
-    watch_v: np.ndarray
-    watch_slot: list[int]
-    absorbed_at: np.ndarray
-    steps: np.ndarray
-    wv_counts: np.ndarray
-    we_counts: np.ndarray
-
-
 def _drop(absorbed: np.ndarray, done: np.ndarray,
           *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Views of ``arrays`` without their entries at ``done``, the ascending
@@ -340,33 +321,42 @@ def _drop(absorbed: np.ndarray, done: np.ndarray,
     return tuple(a[:m] for a in arrays)
 
 
-def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> None:
-    """Step walks ``lo..hi-1`` in lockstep until all are absorbed or censored,
-    adding their steps per CSR slot to ``slot_counts``."""
-    cfg, net, cum, odd = run.cfg, run.net, run.cum, run.odd
-    tree = net if isinstance(net, _TreeRows) else None
+def _step_chunk(stats: WalkStats, rows: Network | _TreeRows, cum: np.ndarray | None,
+                odd: np.ndarray | None, absorb_mask: np.ndarray, watch_v: np.ndarray,
+                watch_slot: list[int], lo: int, hi: int,
+                slot_counts: np.ndarray | None) -> None:
+    """Step walks ``lo..hi-1`` in lockstep, writing their entries of ``stats``
+    and adding their steps per CSR slot to ``slot_counts``.  At each time t
+    the watched vertices are tallied, then from ``min_absorb_step`` on the
+    walks on an absorbing vertex end with ``steps = t``; the rest step unless
+    t is ``max_steps``.  ``cum`` and ``odd`` are None when no row is odd."""
+    cfg = stats.config
+    tree = rows if isinstance(rows, _TreeRows) else None
     if tree is None:
-        indptr, nbr, pi = net.adj_indptr, net.adj_neighbor, net.pi
+        indptr, nbr, pi = rows.adj_indptr, rows.adj_neighbor, rows.pi
     seed_u = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     key = seed_u ^ (_PHI * (np.arange(lo, hi, dtype=np.uint64) + np.uint64(1)))
     base = _mix(key, np.empty_like(key))
     cur = np.full(hi - lo, cfg.start, dtype=np.int64)
     walk = np.arange(lo, hi, dtype=np.int64)  # global walk index per row
 
-    # time-0 tallies and possible immediate absorption
-    for j, x in enumerate(run.watch_v):
-        run.wv_counts[walk[cur == x], j] += 1
-    if cfg.min_absorb_step == 0:
-        absorbed = run.absorb_mask[cur]
-        done = np.flatnonzero(absorbed)
-        run.absorbed_at[walk[done]] = cur[done]
-        cur, base, walk = _drop(absorbed, done, cur, base, walk)
-
     t = 0
-    while len(cur) > 0 and t < cfg.max_steps:
+    while True:
+        for j, x in enumerate(watch_v):
+            stats.watch_visit_counts[walk[cur == x], j] += 1
+        if t >= cfg.min_absorb_step:
+            absorbed = absorb_mask[cur]
+            done = np.flatnonzero(absorbed)
+            if len(done):
+                gone = walk[done]
+                stats.absorbed_at[gone] = cur[done]
+                stats.steps[gone] = t
+                cur, base, walk = _drop(absorbed, done, cur, base, walk)
+        if len(cur) == 0 or t == cfg.max_steps:
+            break
         if tree is not None:
             k, nxt = tree.step(cur, _uniforms(base, t))
-            if run.watch_slot:
+            if watch_slot:
                 ptr = (tree.q + 1) * cur + k
         else:
             r = _uniforms(base, t) * pi[cur]
@@ -378,26 +368,14 @@ def _step_chunk(run: _Run, lo: int, hi: int, slot_counts: np.ndarray | None) -> 
                 ptr = _unit_slots(first, np.where(o, 0.0, r))
                 ptr[o] = _pick_slots(cum, first[o], indptr[cur[o] + 1] - 1, r[o])
             nxt = nbr[ptr]
-        t += 1
-
-        for j, s in enumerate(run.watch_slot):
-            run.we_counts[walk[ptr == s], j] += 1
+        for j, s in enumerate(watch_slot):
+            stats.watch_edge_counts[walk[ptr == s], j] += 1
         if slot_counts is not None:
             np.add.at(slot_counts, ptr, 1)
-        for j, x in enumerate(run.watch_v):
-            run.wv_counts[walk[nxt == x], j] += 1
-
         cur = nxt
-        if t >= cfg.min_absorb_step:
-            absorbed = run.absorb_mask[cur]
-            done = np.flatnonzero(absorbed)
-            if len(done):
-                gone = walk[done]
-                run.absorbed_at[gone] = cur[done]
-                run.steps[gone] = t
-                cur, base, walk = _drop(absorbed, done, cur, base, walk)
+        t += 1
 
-    run.steps[walk] = cfg.max_steps  # censored walks took the full budget
+    stats.steps[walk] = t  # censored walks took the full budget
 
 
 def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
@@ -409,7 +387,9 @@ def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
     of it (else NotAdjacent).  A TreeSpec refuses, with InvalidSpec, visit
     or transition tallies and slots beyond int64; its absorption flags
     cover only the levels a walk can reach, to ``depth(start) + max_steps``.
-    Flags that cannot be allocated raise InvalidSpec."""
+    Flags that cannot be allocated raise InvalidSpec.  The chunks of walks
+    fill the WalkStats in place; visits and transitions follow from the
+    steps they add per CSR slot."""
     odd = cum = None
     spec = net if isinstance(net, TreeSpec) else None
     if spec is not None:
@@ -440,18 +420,12 @@ def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
             odd[net.edge_u[odd_edge]] = odd[net.edge_v[odd_edge]] = True
             cum = _row_prefix_sums(net)
     n_walks = cfg.num_walks
-    run = _Run(
-        cfg=cfg,
-        net=net,
-        cum=cum,
-        odd=odd,
-        absorb_mask=absorb_mask,
-        watch_v=watch_v,
-        watch_slot=watch_slot,
+    stats = WalkStats(
+        config=cfg,
         absorbed_at=np.full(n_walks, -1, dtype=np.int64),
         steps=np.zeros(n_walks, dtype=np.int64),
-        wv_counts=np.zeros((n_walks, len(watch_v)), dtype=np.int64),
-        we_counts=np.zeros((n_walks, len(watch_slot)), dtype=np.int64),
+        watch_visit_counts=np.zeros((n_walks, len(watch_v)), dtype=np.int64),
+        watch_edge_counts=np.zeros((n_walks, len(watch_slot)), dtype=np.int64),
     )
     # steps taken per CSR slot; visits and transitions both derive from it
     track = cfg.track_visits or cfg.track_transitions
@@ -460,33 +434,22 @@ def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
     n_chunks = -(-n_walks // _CHUNK)
     bounds = [i * n_walks // n_chunks for i in range(n_chunks + 1)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        _step_chunk(run, lo, hi, slot_counts)
+        _step_chunk(stats, net, cum, odd, absorb_mask, watch_v, watch_slot, lo, hi, slot_counts)
 
-    visits = pairs = counts_out = None
     if track:
         taken = np.flatnonzero(slot_counts)
         counts = slot_counts[taken]
         src = np.searchsorted(net.adj_indptr, taken, side="right") - 1
         dst = net.adj_neighbor[taken]
         if cfg.track_visits:
-            visits = np.zeros(n_vert, dtype=np.int64)
-            visits[cfg.start] = n_walks  # every walk is there at time 0
-            np.add.at(visits, dst, counts)
+            stats.visits = np.zeros(n_vert, dtype=np.int64)
+            stats.visits[cfg.start] = n_walks  # every walk is there at time 0
+            np.add.at(stats.visits, dst, counts)
         if cfg.track_transitions:
             order = np.lexsort((dst, src))
-            pairs = np.stack([src[order], dst[order]], axis=1)
-            counts_out = counts[order]
-
-    return WalkStats(
-        config=cfg,
-        absorbed_at=run.absorbed_at,
-        steps=run.steps,
-        watch_visit_counts=run.wv_counts,
-        watch_edge_counts=run.we_counts,
-        visits=visits,
-        transition_pairs=pairs,
-        transition_counts=counts_out,
-    )
+            stats.transition_pairs = np.stack([src[order], dst[order]], axis=1)
+            stats.transition_counts = counts[order]
+    return stats
 
 
 def estimate_escape(net: Network, cfg: WalkConfig, a: int, z) -> tuple[float, float]:

@@ -257,6 +257,17 @@ class TestOracle:
         assert len(json.loads(out)["rows"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--tree", "2,62", "--absorb-level", "62", "--walks", "10"),
+    ("resist", "--tree", "2,62", "--source", "0", "--target-set", "1"),
+])
+def test_tree_ids_beyond_int64_exit_2(capsys, argv):
+    # these ended in an OverflowError and a numpy ValueError
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "bad --tree spec '2,62'" in err and "Traceback" not in err
+
+
 class TestSimulate:
     def test_tree_absorb_level(self, capsys):
         code, out, _ = run_cli(

@@ -243,6 +243,10 @@ REFUSED = {
     "exhaustion-radius-bool": (
         InvalidSpec, lambda: exhaustion(FiniteBallGenerator(path3()), True)
     ),
+    # the ball of radius 2 about 0 is the whole path: no boundary to contract
+    "exhaustion-ball-covers-graph": (
+        InvalidRadius, lambda: exhaustion(FiniteBallGenerator(path3(), 0), 2)
+    ),
     # dropped the Monte Carlo rows and passed
     "run_battery-zero-walks": (InvalidSpec, lambda: run_battery(levels=2, walks=0)),
     # ended in scipy's bare ValueError, or took a float root
@@ -285,3 +289,9 @@ def test_refused_input(case):
     with pytest.raises(cls) as info:
         call()
     assert type(info.value) is cls
+
+
+def test_exhaustion_below_covering_radius():
+    # radius 1 about 0 leaves vertex 2 outside, contracted to z
+    net, z = exhaustion(FiniteBallGenerator(path3(), 0), 1)
+    assert z == 2 and net.vertex_count == 3

@@ -103,6 +103,18 @@ class TestBuild:
         with pytest.raises(InvalidSpec, match="levels must be an integer >= 1"):
             TreeSpec(2, 0)
 
+    @pytest.mark.parametrize("q, levels", [(2, 62), (3, 40), (10**6, 4)])
+    def test_refuses_ids_beyond_int64(self, q, levels):
+        # (2, 62) ended in an OverflowError of the level starts
+        with pytest.raises(InvalidSpec, match=r"more than 2\*\*63 - 1 vertices"):
+            TreeSpec(q, levels)
+
+    def test_largest_specs(self):
+        for q, levels in ((2, 61), (3, 39)):
+            assert tree_vertex_count(q, levels) <= 2**63 - 1 < tree_vertex_count(q, levels + 1)
+            assert TreeSpec(q, levels).levels == levels
+        assert level_slice(TreeSpec(2, 61), 2).tolist() == list(range(4, 10))
+
     def test_peak_memory_at_most_twice_the_result(self):
         # assembly's temporaries must stay below the arrays it returns
         tracemalloc.start()
@@ -354,6 +366,13 @@ class TestGenerator:
         for d in range(1, 21):
             first = first_at_depth(q, d)
             assert (gen.depth_of(first - 1), gen.depth_of(first)) == (d - 1, d)
+
+    def test_first_at_depth_62(self):
+        # an int64 id, whose level starts ran one level past int64
+        first = first_at_depth(2, 62)
+        assert first == 6917529027641081854 and type(first) is int
+        gen = TreeGenerator(2)
+        assert (gen.depth_of(first - 1), gen.depth_of(first)) == (61, 62)
 
     def test_shell_conductance(self):
         gen = TreeGenerator(3)

@@ -20,6 +20,7 @@ from resistive_walks import (
     effective,
     estimate_escape,
     exhaustion,
+    first_at_depth,
     level_slice,
     oracle_green_hitting,
     run_walks,
@@ -359,7 +360,20 @@ class TestStatisticalAgreement:
 
 @functools.cache
 def _golden_case(kind: str):
-    """(network, WalkConfig fields) of one golden-stream graph kind."""
+    """(network or TreeSpec, WalkConfig fields) of one golden-stream graph
+    kind; ``kind/m/T`` is kind's case with min_absorb_step m and max_steps T."""
+    kind, *budget = kind.split("/")
+    if budget:
+        net, fields = _golden_case(kind)
+        m, t = map(int, budget)
+        return net, {**fields, "min_absorb_step": m, "max_steps": t}
+    if kind == "leaf":
+        # the tree's arithmetic rows, from an absorbing, watched level-4 leaf
+        spec = TreeSpec(2, 4)
+        leaf = first_at_depth(2, 4) + 5
+        up = (leaf - 2) // 2
+        return spec, dict(start=leaf, absorbing=level_slice(spec, 4), watch_vertices=(leaf, up),
+                          watch_edges=((leaf, up), (up, leaf)))
     if kind == "path":
         c = np.random.default_rng(3).uniform(0.5, 2.0, size=11)
         net = build_network([(i, i + 1, float(c[i])) for i in range(11)])
@@ -415,11 +429,12 @@ def _tallies(stats):
 
 def _golden_digest(kind: str, seed: int, walks: int) -> str:
     net, fields = _golden_case(kind)
-    cfg = WalkConfig(seed=seed, num_walks=walks, track_visits=True,
-                     track_transitions=True, **fields)
+    track = isinstance(net, Network)  # a TreeSpec keeps no visit or transition tallies
+    cfg = WalkConfig(seed=seed, num_walks=walks, track_visits=track,
+                     track_transitions=track, **fields)
     stats = run_walks(net, cfg)
     h = hashlib.sha256()
-    for arr in _tallies(stats):
+    for arr in _tallies(stats) if track else _tallies(stats)[:4]:
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
@@ -439,6 +454,16 @@ _GOLDEN = {
     ("path", 12345, 1): "80d35dcdecc0736bb18226e4df2728630fc9b45c8fb0783241d8d9fb29631f18",
     ("path", 12345, 300): "594aeb93fdf92c0fb4090e9089702bfe42b9a69d210cae028f3bd2d645667137",
     ("path", 12345, 9000): "712615d15313076cf2fce03880ce0cd3a80fa622a02143731c22e17a5e3fc666",
+    # a start on an absorbing vertex, absorbed at time 0 or counted as a
+    # return, and walks censored at max_steps 1 or 2, on both row sources
+    ("path/0/1", 7, 9000): "762ef8a51165e8ecfe806ecb1629a6356382143120a0c32ec4de9c38714f5ea2",
+    ("path/0/2", 7, 9000): "762ef8a51165e8ecfe806ecb1629a6356382143120a0c32ec4de9c38714f5ea2",
+    ("path/2/1", 7, 9000): "df2d8a12713dfd75a3507f3c30f6e557b3bb159b4c60eb0a7c9eec08d0471bfd",
+    ("path/2/2", 7, 9000): "d5eaf1e2066d6369dff9c9d3602407e9ff5efd0c309868272b0c14299ad9b2e4",
+    ("leaf/0/1", 7, 9000): "dff7089e2c3052fb80b21694a003e5b684782b5645df6540c36f4eb0c34ab427",
+    ("leaf/0/2", 7, 9000): "dff7089e2c3052fb80b21694a003e5b684782b5645df6540c36f4eb0c34ab427",
+    ("leaf/2/1", 7, 9000): "aabf5e9fd2d5cd320205c7d4c07cfe54d33150e10fb3566b635abc9d652ff3fb",
+    ("leaf/2/2", 7, 9000): "76a8d1bbe20a1b8309315aceffce531b154ee52c0a0360fc4faa02b949b89dc4",
     ("tree8", 1, 1): "6c158e8f0f63dcf26cfd88e6607f164bd07545bf8c99622cd7f2d9bc54aaece1",
     ("tree8", 1, 300): "604a922cb260bca64239310c062c3907bf0c11ab4e3eded65eb0b896fecd502d",
     ("tree8", 1, 9000): "5887a4bf6ec43ce1fca17a30d3ec7c24e4b5560116372b5898914262d7317e94",
@@ -597,7 +622,6 @@ class TestTreeSource:
         (TreeSpec(2, 3), dict(track_visits=True)),
         (TreeSpec(2, 3), dict(track_transitions=True)),
         (TreeSpec(2, 60), {}),  # (q + 1) * vertex_count exceeds int64
-        (TreeSpec(10**6, 4), {}),
     ])
     def test_invalid_spec(self, monkeypatch, spec, fields):
         def no_arrays(*args, **kwargs):
