@@ -115,7 +115,7 @@ def _emit(doc, fmt: str, rows) -> None:
 
 
 def _load_network(args, parser):
-    """The network of ``--network`` or ``--tree``, plus the tree (or None)."""
+    """The network of ``--network`` or ``--tree``, plus the TreeSpec (or None)."""
     if args.network:
         # ValueError covers malformed JSON; KeyError, TypeError and
         # OverflowError, records with a missing, mistyped or huge field
@@ -124,8 +124,8 @@ def _load_network(args, parser):
                 return _network_from_file(fh), None
         except (OSError, ValueError, KeyError, TypeError, OverflowError, NetworkError) as exc:
             parser.error(f"bad --network {args.network!r}: {exc}")
-    tree = build_tree(_tree_spec(args, parser))
-    return tree.net, tree
+    spec = _tree_spec(args, parser)
+    return build_tree(spec).net, spec
 
 
 def _tree_spec(args, parser) -> TreeSpec:
@@ -333,6 +333,8 @@ def main(argv=None) -> int:
         return 1
     except NetworkError as exc:
         parser.error(str(exc))
+    except MemoryError as exc:  # an input whose arrays no memory holds
+        parser.error(f"input too large for memory: {exc}")
     except BrokenPipeError:
         # the reader closed stdout (``| head``); point it at devnull so the
         # interpreter's flush at exit does not fail again

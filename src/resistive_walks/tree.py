@@ -12,11 +12,12 @@ and so on, so ids are stable as the truncation grows.  The labels are
 arithmetic: level ``k >= 1`` starts at ``start[k] = tree_vertex_count(q,
 k - 1)``, and since ``start[k] - 2 = q * start[k - 1]`` for ``k >= 2``,
 every ``x >= 1`` has parent ``max((x - 2) // q, 0)``.  A
-:class:`TreeNetwork` therefore keeps no per-vertex array: ``depth_of`` and
-``parent_of`` check their ids and compute depths and parents from these
-closed forms.  The truncation with everything beyond level ``n`` shorted
-to one vertex ``z`` is the radius-``n`` exhaustion of
-:class:`TreeGenerator`: ``net, z = exhaustion(TreeGenerator(q), n)``.
+:class:`TreeSpec` is therefore the one tree handle, with no per-vertex
+array and nothing built: it checks ids, and answers depths, parents, CSR
+slots, levels and distances from these closed forms.  The truncation with
+everything beyond level ``n`` shorted to one vertex ``z`` is the
+radius-``n`` exhaustion of :class:`TreeGenerator`:
+``net, z = exhaustion(TreeGenerator(q), n)``.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, VertexInTarget
+from .errors import InvalidSpec, NotAdjacent, VertexInTarget
 from .generators import GraphGenerator
-from .network import Network, _assemble, _check_int
+from .network import Network, _assemble, _check_int, _VertexIds
 
 __all__ = [
     "TreeSpec",
@@ -49,10 +50,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TreeSpec:
-    """Parameters of a truncated homogeneous tree of degree q + 1; a tree
-    has at least one level, as a 0-level one has no edges, and at most
-    2**63 - 1 vertices, so every id is an int64."""
+class TreeSpec(_VertexIds):
+    """A truncated homogeneous tree of degree q + 1, answered by arithmetic
+    on its breadth-first labels; a tree has at least one level, as a 0-level
+    one has no edges, and at most 2**63 - 1 vertices, so every id is an int64."""
 
     q: int
     levels: int
@@ -65,27 +66,47 @@ class TreeSpec:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "levels", levels)
 
-
-@dataclass(frozen=True)
-class TreeNetwork:
-    """A truncation in breadth-first labels."""
-
-    net: Network
-    spec: TreeSpec
+    @property
+    def vertex_count(self) -> int:
+        return tree_vertex_count(self.q, self.levels)
 
     def _ids(self, x):
         """``x`` checked as vertex ids: an int for a scalar, an int64 array
         for a sequence; raises InvalidVertex."""
-        return self.net._check_vertex(x) if np.ndim(x) == 0 else self.net._check_ids(x)
+        return self._check_vertex(x) if np.ndim(x) == 0 else self._check_ids(x)
 
     def depth_of(self, x):
         """Depths of the ids ``x`` (an int or an array)."""
-        return _depth(self.spec.q, self._ids(x), self.spec.levels)
+        return _depth(self.q, self._ids(x), self.levels)
 
     def parent_of(self, x):
         """Parents of the ids ``x`` (an int or an array); -1 at the root."""
         x = self._ids(x)
-        return np.where(x == 0, -1, _parent(self.spec.q, x))[()]  # [()]: 0-d to a scalar
+        return np.where(x == 0, -1, _parent(self.q, x))[()]  # [()]: 0-d to a scalar
+
+    def edge_slot(self, x: int, y: int) -> int:
+        """Slot of the directed edge x -> y in the tree's CSR rows, numbered
+        ``(q + 1) x + k`` for slot k of row x, as :func:`build_tree` lists
+        them: the root's slot k is child ``k + 1``, an inner vertex's slot
+        ``k < q`` child ``q x + 2 + k`` and slot q its parent, and a leaf has
+        only its parent.  Raises NotAdjacent when y is not a neighbour of x."""
+        x, y = self._check_vertex(x), self._check_vertex(y)
+        q, inner = self.q, x < first_at_depth(self.q, self.levels)
+        first = 1 if x == 0 else q * x + 2  # first child
+        if inner and first <= y <= q * x + q + 1:
+            return (q + 1) * x + y - first
+        if x > 0 and y == max((x - 2) // q, 0):
+            return (q + 1) * x + (q if inner else 0)
+        raise NotAdjacent(f"{x} and {y} are not neighbors")
+
+
+@dataclass(frozen=True)
+class TreeNetwork:
+    """A built truncation: its network, in breadth-first labels, and the
+    :class:`TreeSpec` that answers every label question."""
+
+    net: Network
+    spec: TreeSpec
 
 
 def _check_tree_args(q: int, least: int = 0, **count) -> tuple[int, int]:
@@ -130,9 +151,8 @@ def build_tree(spec: TreeSpec) -> TreeNetwork:
     return TreeNetwork(net=net, spec=spec)
 
 
-def level_slice(tree: TreeNetwork | TreeSpec, k: int) -> np.ndarray:
-    """Vertex ids of level k of the truncation (built or not)."""
-    spec = tree if isinstance(tree, TreeSpec) else tree.spec
+def level_slice(spec: TreeSpec, k: int) -> np.ndarray:
+    """Vertex ids of level k of the truncation."""
     if _check_int("level", k) > spec.levels:
         raise InvalidSpec(f"level {k} outside 0..{spec.levels}")
     starts = _level_starts(spec.q, spec.levels)
@@ -145,17 +165,17 @@ def first_at_depth(q: int, d: int) -> int:
     return 0 if d == 0 else tree_vertex_count(q, d - 1)
 
 
-def tree_distance(tree: TreeNetwork, a: int, x: int) -> int:
+def tree_distance(spec: TreeSpec, a: int, x: int) -> int:
     """Graph distance along the unique geodesic.
 
     A parent's id is below its children's, so of two distinct vertices the
     larger id is never their lowest common ancestor: lifting it is one step
     of the geodesic.
     """
-    a, x = tree.net._check_vertex(a), tree.net._check_vertex(x)
+    a, x = spec._check_vertex(a), spec._check_vertex(x)
     dist = 0
     while a != x:
-        a, x = min(a, x), int(_parent(tree.spec.q, max(a, x)))
+        a, x = min(a, x), int(_parent(spec.q, max(a, x)))
         dist += 1
     return dist
 
@@ -273,7 +293,7 @@ def ladder_resistance(q: int, n: int) -> float:
     return total
 
 
-def finite_tree_pair_resistance(tree: TreeNetwork, a: int, x: int) -> float:
+def finite_tree_pair_resistance(spec: TreeSpec, a: int, x: int) -> float:
     """Effective resistance between two vertices of a truncation.
 
     Equals the graph distance: no current leaves the geodesic, so the
@@ -281,7 +301,7 @@ def finite_tree_pair_resistance(tree: TreeNetwork, a: int, x: int) -> float:
     """
     if a == x:
         raise VertexInTarget(f"identical vertices {a}")
-    return float(tree_distance(tree, a, x))
+    return float(tree_distance(spec, a, x))
 
 
 def oracle_table(q: int, max_depth: int) -> list[dict]:

@@ -17,7 +17,7 @@ from . import flows, tree
 from .generators import exhaustion
 from .harmonic import effective, green_function, hitting_probability
 from .network import _check_int, build_network
-from .tree import TreeGenerator, TreeSpec, build_tree, level_slice, tree_vertex_count
+from .tree import TreeGenerator, TreeSpec, build_tree, level_slice
 from .walks import WalkConfig, run_walks
 
 __all__ = ["CheckRow", "RunReport", "run_battery"]
@@ -128,7 +128,7 @@ def run_battery(
     # escape probability from the root to the deepest level
     t = build_tree(TreeSpec(q, levels))
     closed = tree.oracle_finite_escape("a", q, n=levels)
-    solver = effective(t.net, 0, level_slice(t, levels), tol=stol).escape_probability
+    solver = effective(t.net, 0, level_slice(t.spec, levels), tol=stol).escape_probability
     rows.append(_row(f"escape/root_to_level_{levels}", closed, solver, tol=tol))
 
     # limits via exhaustion: green function and hitting probability
@@ -171,8 +171,9 @@ def run_battery(
     rows.append(_row("mc/transitions_root_edge", s_closed, mc=est, se=se, bias=bias))
     del cfg, stats  # the shell's ids go before the second batch's are made
 
-    # absorbed at the root or the shell: 0, then the ids of level L
-    root_and_shell = np.arange(tree.first_at_depth(q, L) - 1, tree_vertex_count(q, L))
+    # absorbed at the root or the shell: 0, then the ids of level L, made in
+    # place, as a copy of level_slice(big, L) after a 0 adds 7 MiB of peak RSS
+    root_and_shell = np.arange(tree.first_at_depth(q, L) - 1, big.vertex_count)
     root_and_shell[0] = 0
     cfg_hit = WalkConfig(
         seed=seed + 1,

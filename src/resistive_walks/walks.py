@@ -23,8 +23,8 @@ tallied per slot in O(E) memory, whatever the number of walks or steps.
 
 The rows come from one of two neighbour sources, stepped by the one loop
 of :func:`_step_chunk`: a :class:`Network`'s CSR arrays, or closed forms
-of a tree's breadth-first labels (:class:`_TreeRows`), which list each row
-in its CSR order, so both take the same neighbours bit for bit.
+of a :class:`TreeSpec`'s breadth-first labels (:func:`_tree_step`), which
+list each row in its CSR order, so both take the same neighbours bit for bit.
 The tree steps its common row, an inner vertex other than the root and
 vertex 1, by arithmetic alone, with no select over a data-dependent mask
 (whose mispredicted branches cost about ten times an add); the rare rows,
@@ -53,9 +53,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidSpec, NotAdjacent, VertexInTarget
-from .network import Network, _check_int, _index, _VertexIds
-from .tree import TreeSpec, _depth, _parent, tree_vertex_count
+from .errors import InvalidSpec, VertexInTarget
+from .network import Network, _check_int, _index
+from .tree import TreeSpec, _parent, first_at_depth, tree_vertex_count
 
 __all__ = [
     "WalkConfig",
@@ -241,69 +241,38 @@ def _unit_slots(first: np.ndarray, r: np.ndarray) -> np.ndarray:
     return first + r.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class _TreeRows(_VertexIds):
-    """The CSR rows of a :class:`TreeSpec`'s tree, by arithmetic on its labels.
+def _tree_step(q: int, leaf: int, cur: np.ndarray,
+               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, neighbour) of a step from each ``cur`` with variate ``u`` on the
+    tree of degree q + 1 whose deepest level starts at ``leaf``: the walk
+    moves through slot k of its row, numbered ``(q + 1) cur + k`` as
+    :meth:`TreeSpec.edge_slot` numbers it.  Every row is a unit row.
 
-    Row x lists x's children ascending, then its parent: the root's slot k is
-    child ``k + 1``, an inner vertex's slot ``k < q`` child ``q x + 2 + k`` and
-    slot q its parent; a leaf (``x >= leaf``) has only its parent.  All are
-    unit rows, ``pi = q + 1`` or 1.  Slot k of row x is numbered ``(q + 1) x + k``.
+    The common row, an inner vertex other than 0 and 1, is stepped by
+    arithmetic alone: ``k = floor(u (q + 1))``, the child ``q x + 2 + k``
+    blended with the parent ``(x - 2) // q`` where ``k == q``.  The rare
+    rows, the root, vertex 1 and the leaves, are those whose ``x - 2``,
+    read unsigned, is at least ``max(leaf - 2, 0)``; they are redone
+    through an index list by the general formulas.
     """
-
-    vertex_count: int
-    q: int
-    leaf: int  # first id of the deepest level
-
-    @classmethod
-    def of(cls, spec: TreeSpec) -> "_TreeRows":
-        n = tree_vertex_count(spec.q, spec.levels)
-        if (spec.q + 1) * n > np.iinfo(np.int64).max:
-            raise InvalidSpec(f"the slots of a {spec} do not fit int64")
-        return cls(n, spec.q, tree_vertex_count(spec.q, spec.levels - 1))
-
-    def edge_slot(self, x: int, y: int) -> int:
-        """Slot of the directed edge x -> y; raises NotAdjacent when y is
-        not a neighbour of x."""
-        x, y = self._check_vertex(x), self._check_vertex(y)
-        q, inner = self.q, x < self.leaf
-        first = 1 if x == 0 else q * x + 2  # first child
-        if inner and first <= y <= q * x + q + 1:
-            return (q + 1) * x + y - first
-        if x > 0 and y == max((x - 2) // q, 0):
-            return (q + 1) * x + (q if inner else 0)
-        raise NotAdjacent(f"{x} and {y} are not neighbors")
-
-    def step(self, cur: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(k, neighbour) of a step from each ``cur`` with variate ``u``: the
-        walk moves through slot k of its row, numbered ``(q + 1) cur + k``.
-
-        The common row, an inner vertex other than 0 and 1, is stepped by
-        arithmetic alone: ``k = floor(u (q + 1))``, the child ``q x + 2 + k``
-        blended with the parent ``(x - 2) // q`` where ``k == q``.  The rare
-        rows, the root, vertex 1 and the leaves, are those whose ``x - 2``,
-        read unsigned, is at least ``max(leaf - 2, 0)``; they are redone
-        through an index list by the general formulas.
-        """
-        q = self.q
-        # k = floor(u * pi(cur)) on inner rows, cast as it is multiplied
-        k = np.multiply(u, q + 1.0, out=np.empty_like(cur), casting="unsafe")
-        nxt = q * cur
-        nxt += k
-        nxt += 2  # the child through slot k
-        below = cur - 2
-        rare = np.flatnonzero(below.view(np.uint64) >= np.uint64(max(self.leaf - 2, 0)))
-        up = np.floor_divide(below, q, out=below)  # the parent, x >= 2
-        up -= nxt
-        up *= k == q
-        nxt += up
-        if len(rare):
-            x = cur[rare]
-            inner, root = x < self.leaf, x == 0
-            k[rare] = kr = (u[rare] * np.where(inner, q + 1.0, 1.0)).astype(np.int64)
-            past = kr >= np.where(inner, q + root, 0)  # past the children
-            nxt[rare] = np.where(past, _parent(q, x), q * x + kr + 2 - root)
-        return k, nxt
+    # k = floor(u * pi(cur)) on inner rows, cast as it is multiplied
+    k = np.multiply(u, q + 1.0, out=np.empty_like(cur), casting="unsafe")
+    nxt = q * cur
+    nxt += k
+    nxt += 2  # the child through slot k
+    below = cur - 2
+    rare = np.flatnonzero(below.view(np.uint64) >= np.uint64(max(leaf - 2, 0)))
+    up = np.floor_divide(below, q, out=below)  # the parent, x >= 2
+    up -= nxt
+    up *= k == q
+    nxt += up
+    if len(rare):
+        x = cur[rare]
+        inner, root = x < leaf, x == 0
+        k[rare] = kr = (u[rare] * np.where(inner, q + 1.0, 1.0)).astype(np.int64)
+        past = kr >= np.where(inner, q + root, 0)  # past the children
+        nxt[rare] = np.where(past, _parent(q, x), q * x + kr + 2 - root)
+    return k, nxt
 
 
 def _drop(absorbed: np.ndarray, done: np.ndarray,
@@ -321,7 +290,7 @@ def _drop(absorbed: np.ndarray, done: np.ndarray,
     return tuple(a[:m] for a in arrays)
 
 
-def _step_chunk(stats: WalkStats, rows: Network | _TreeRows, cum: np.ndarray | None,
+def _step_chunk(stats: WalkStats, net: Network | TreeSpec, cum: np.ndarray | None,
                 odd: np.ndarray | None, absorb_mask: np.ndarray, watch_v: np.ndarray,
                 watch_slot: list[int], lo: int, hi: int,
                 slot_counts: np.ndarray | None) -> None:
@@ -331,9 +300,11 @@ def _step_chunk(stats: WalkStats, rows: Network | _TreeRows, cum: np.ndarray | N
     walks on an absorbing vertex end with ``steps = t``; the rest step unless
     t is ``max_steps``.  ``cum`` and ``odd`` are None when no row is odd."""
     cfg = stats.config
-    tree = rows if isinstance(rows, _TreeRows) else None
-    if tree is None:
-        indptr, nbr, pi = rows.adj_indptr, rows.adj_neighbor, rows.pi
+    tree = isinstance(net, TreeSpec)
+    if tree:
+        q, leaf = net.q, first_at_depth(net.q, net.levels)
+    else:
+        indptr, nbr, pi = net.adj_indptr, net.adj_neighbor, net.pi
     seed_u = np.uint64(cfg.seed & 0xFFFFFFFFFFFFFFFF)
     key = seed_u ^ (_PHI * (np.arange(lo, hi, dtype=np.uint64) + np.uint64(1)))
     base = _mix(key, np.empty_like(key))
@@ -354,10 +325,10 @@ def _step_chunk(stats: WalkStats, rows: Network | _TreeRows, cum: np.ndarray | N
                 cur, base, walk = _drop(absorbed, done, cur, base, walk)
         if len(cur) == 0 or t == cfg.max_steps:
             break
-        if tree is not None:
-            k, nxt = tree.step(cur, _uniforms(base, t))
+        if tree:
+            k, nxt = _tree_step(q, leaf, cur, _uniforms(base, t))
             if watch_slot:
-                ptr = (tree.q + 1) * cur + k
+                ptr = (q + 1) * cur + k
         else:
             r = _uniforms(base, t) * pi[cur]
             first = indptr[cur]
@@ -391,18 +362,19 @@ def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
     fill the WalkStats in place; visits and transitions follow from the
     steps they add per CSR slot."""
     odd = cum = None
-    spec = net if isinstance(net, TreeSpec) else None
-    if spec is not None:
+    tree = isinstance(net, TreeSpec)
+    if tree:
         if cfg.track_visits or cfg.track_transitions:
             raise InvalidSpec("visit and transition tallies need a Network")
-        net = _TreeRows.of(spec)
+        if (net.q + 1) * net.vertex_count > np.iinfo(np.int64).max:
+            raise InvalidSpec(f"the slots of a {net} do not fit int64")
     n_vert = net.vertex_count
     start = net._check_vertex(cfg.start)
     absorbing = net._check_ids(cfg.absorbing)
     reach = n_vert  # flags for the ids a walk can reach
-    if spec is not None:  # no walk leaves depth(start) + max_steps
-        deepest = int(_depth(spec.q, start, spec.levels)) + cfg.max_steps
-        reach = tree_vertex_count(spec.q, min(spec.levels, deepest))
+    if tree:  # no walk leaves depth(start) + max_steps
+        deepest = int(net.depth_of(start)) + cfg.max_steps
+        reach = tree_vertex_count(net.q, min(net.levels, deepest))
     if reach < n_vert:
         absorbing = absorbing[absorbing < reach]
     try:
@@ -413,7 +385,7 @@ def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
     watch_v = net._check_ids(cfg.watch_vertices)
     watch_slot = [net.edge_slot(x, y) for x, y in cfg.watch_edges]
 
-    if isinstance(net, Network):
+    if not tree:
         odd_edge = net.edge_c != 1.0
         if odd_edge.any():
             odd = np.zeros(n_vert, dtype=bool)
@@ -452,7 +424,7 @@ def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
     return stats
 
 
-def estimate_escape(net: Network, cfg: WalkConfig, a: int, z) -> tuple[float, float]:
+def estimate_escape(net: Network | TreeSpec, cfg: WalkConfig, a: int, z) -> tuple[float, float]:
     """P(reach z strictly before returning to a), walk started at a."""
     a, z = net._check_vertex(a), frozenset(net._check_ids(z).tolist())
     if a in z:

@@ -219,7 +219,7 @@ def reference_conductance_matrix(net) -> sp.csr_matrix:
 
 # The breadth-first tree labelling as it was first written, one level at a
 # time with per-vertex depth and parent arrays: the reference that
-# ``tree._tree_edges``, ``TreeNetwork.depth_of``/``parent_of`` and the
+# ``tree._tree_edges``, ``TreeSpec.depth_of``/``parent_of`` and the
 # contracted tree ``exhaustion(TreeGenerator(q), n)`` must match.
 
 

@@ -83,11 +83,11 @@ def test_02_ladder_limits():
 def test_03_unit_currents_exact():
     q, n = 2, 6
     t = build_tree(TreeSpec(q, n))
-    z = {int(x) for x in level_slice(t, n)}
+    z = {int(x) for x in level_slice(t.spec, n)}
     bc = BoundarySpec({0: 1.0, **{x: 0.0 for x in z}})
     v = solve_dirichlet(t.net, bc, tol=1e-12)
     i = ohm_current(t.net, v) * effective(t.net, 0, z).resistance
-    depth_top = np.minimum(t.depth_of(t.net.edge_u), t.depth_of(t.net.edge_v))
+    depth_top = np.minimum(t.spec.depth_of(t.net.edge_u), t.spec.depth_of(t.net.edge_v))
     expected = np.array([oracle_potential_current(q, int(d))[1] for d in depth_top])
     worst = float(np.max(np.abs(np.abs(i) - expected)))
     _report("3 unit currents on the 6-level tree", worst < 1e-9, f"worst={worst:.2e}")
@@ -107,7 +107,7 @@ def test_04_green_function_limits():
 def test_05_hitting_vector_surrogate():
     q, L = 2, 20
     t = build_tree(TreeSpec(q, L))
-    z = {int(x) for x in level_slice(t, L)}
+    z = {int(x) for x in level_slice(t.spec, L)}
     bc = BoundarySpec({0: 1.0, **{x: 0.0 for x in z}})
     v = solve_dirichlet(t.net, bc, tol=1e-9)
     worst = 0.0
@@ -123,7 +123,7 @@ def test_06_escape_probabilities():
     # a: root against the full level-n set
     for n in (2, 3, 4):
         t = build_tree(TreeSpec(q, n))
-        z = {int(x) for x in level_slice(t, n)}
+        z = {int(x) for x in level_slice(t.spec, n)}
         got = effective(t.net, 0, z).escape_probability
         worst = max(worst, abs(got - oracle_finite_escape("a", q, n=n)))
     # b: level-n leaf against everything outside its branch
@@ -143,8 +143,8 @@ def test_06_escape_probabilities():
     leaf = int(t.net.vertex_count - 1)
     x1 = first_at_depth(q, 1)
     for target, dist in [
-        (int(t.parent_of(leaf)), 1),
-        (int(t.parent_of(t.parent_of(leaf))), 2),
+        (int(t.spec.parent_of(leaf)), 1),
+        (int(t.spec.parent_of(t.spec.parent_of(leaf))), 2),
         (3, 3),
         (0, 4),
     ]:
@@ -165,7 +165,7 @@ def test_07_monte_carlo_concordance():
     t0 = time.perf_counter()
     q, L, walks, seed = 2, 20, 100_000, 42
     t = build_tree(TreeSpec(q, L))
-    shell = tuple(int(x) for x in level_slice(t, L))
+    shell = tuple(int(x) for x in level_slice(t.spec, L))
     x1 = first_at_depth(q, 1)
 
     cfg = WalkConfig(seed=seed, num_walks=walks, start=x1, absorbing=(0, *shell))

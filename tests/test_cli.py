@@ -302,7 +302,7 @@ class TestSimulate:
         assert digest == "91ea72c0d7a1a11a83c93e3a802c08cae965a2224b1c110b3ccf56191d8200c5"
 
     @pytest.mark.parametrize("argv, want", [
-        # the benchmark's walks: two chunks of 50,000, one per worker on two CPUs
+        # the benchmark's walks: two chunks of 50,000, stepped one after the other
         (("--tree", "2,20", "--absorb-level", "20", "--walks", "100000", "--seed", "42"),
          "fd57d6b29bada45df0c659795df54bd873130ab5610d8336eeffae2aecbf94a0"),
         # the parent (x - 2) // q at a divisor other than 2
@@ -329,7 +329,7 @@ class TestSimulate:
         t = build_tree(TreeSpec(2, 12))
         path = tmp_path / "tree.json"
         path.write_text(json.dumps(network_to_json(t.net)))
-        level = ",".join(map(str, level_slice(t, 12).tolist()))
+        level = ",".join(map(str, level_slice(t.spec, 12).tolist()))
         common = ("--walks", "20000", "--seed", "42")
         _, by_file, _ = run_cli(
             capsys, "simulate", "--network", str(path), "--absorbing", level, *common
@@ -550,6 +550,32 @@ def _cli_env() -> dict:
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+# a child that caps its own address space at 1 GiB, then runs main: an
+# allocation past the cap fails at once, as one past the machine's memory
+# would, without taking the memory first
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from resistive_walks.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--tree", "2,40", "--absorb-level", "40", "--walks", "10"),  # 12 TiB of ids
+    ("resist", "--tree", "2,40", "--source", "0", "--target-set", "1"),  # a 24 TiB build
+    ("resist", "--tree", "40,8", "--source", "0", "--target-set", "level:8"),  # 50 TiB
+    ("verify", "--q", "40", "--walks", "10"),  # an 821 MiB array after a few solves
+])
+def test_input_too_large_for_memory_exits_2(argv):
+    # each ended in a numpy _ArrayMemoryError traceback and exit 1
+    env = {**_cli_env(), "OPENBLAS_NUM_THREADS": "1"}  # one thread's buffers under the cap
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "input too large for memory" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_closed_stdout_exits_quietly():

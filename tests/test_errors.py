@@ -123,7 +123,7 @@ REFUSED = {
     "run_walks-start-float": (InvalidVertex, lambda: run_walks(path3(), walk(start=1.7))),
     "run_walks-start-text": (InvalidVertex, lambda: run_walks(path3(), walk(start="1"))),
     "degree-float": (InvalidVertex, lambda: path3().degree(1.5)),
-    "tree_distance-float": (InvalidVertex, lambda: tree_distance(_tree3(), 1.5, 0)),
+    "tree_distance-float": (InvalidVertex, lambda: tree_distance(TreeSpec(2, 3), 1.5, 0)),
     "estimate_escape-float": (
         InvalidVertex, lambda: estimate_escape(path3(), walk(), 0, {1.5})
     ),
@@ -271,15 +271,15 @@ REFUSED = {
     # the 22-vertex tree answered from its closed forms for any number:
     # parent_of read 499999 at 10**6 and 0 at -1 and 1.5, depth_of 4 at
     # 10**6 and -1 at -1
-    "parent_of-out-of-range": (InvalidVertex, lambda: _tree3().parent_of(10**6)),
-    "parent_of-negative": (InvalidVertex, lambda: _tree3().parent_of(-1)),
-    "parent_of-float": (InvalidVertex, lambda: _tree3().parent_of(1.5)),
-    "parent_of-bool": (InvalidVertex, lambda: _tree3().parent_of(True)),
-    "parent_of-array-one-bad": (InvalidVertex, lambda: _tree3().parent_of(np.array([0, 22]))),
-    "depth_of-out-of-range": (InvalidVertex, lambda: _tree3().depth_of(10**6)),
-    "depth_of-negative": (InvalidVertex, lambda: _tree3().depth_of(-1)),
-    "depth_of-bool": (InvalidVertex, lambda: _tree3().depth_of(True)),
-    "depth_of-array-one-bad": (InvalidVertex, lambda: _tree3().depth_of([1, -1, 2])),
+    "parent_of-out-of-range": (InvalidVertex, lambda: TreeSpec(2, 3).parent_of(10**6)),
+    "parent_of-negative": (InvalidVertex, lambda: TreeSpec(2, 3).parent_of(-1)),
+    "parent_of-float": (InvalidVertex, lambda: TreeSpec(2, 3).parent_of(1.5)),
+    "parent_of-bool": (InvalidVertex, lambda: TreeSpec(2, 3).parent_of(True)),
+    "parent_of-array-one-bad": (InvalidVertex, lambda: TreeSpec(2, 3).parent_of(np.array([0, 22]))),
+    "depth_of-out-of-range": (InvalidVertex, lambda: TreeSpec(2, 3).depth_of(10**6)),
+    "depth_of-negative": (InvalidVertex, lambda: TreeSpec(2, 3).depth_of(-1)),
+    "depth_of-bool": (InvalidVertex, lambda: TreeSpec(2, 3).depth_of(True)),
+    "depth_of-array-one-bad": (InvalidVertex, lambda: TreeSpec(2, 3).depth_of([1, -1, 2])),
 }
 
 

@@ -391,7 +391,7 @@ class TestEffective:
         t = build_tree(TreeSpec(2, 2))
         from resistive_walks import level_slice
 
-        z = set(int(x) for x in level_slice(t, 2))
+        z = set(int(x) for x in level_slice(t.spec, 2))
         eq = effective(t.net, 0, z)
         assert abs(eq.escape_probability - 2.0 / 3.0) < 1e-12
 

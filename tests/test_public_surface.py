@@ -59,3 +59,8 @@ def test_one_contracted_tree():
     for mod in MODULES:
         source = inspect.getsource(importlib.import_module(f"resistive_walks.{mod}"))
         assert "contract_boundary" not in source, mod
+        assert "_TreeRows" not in source, mod  # the spec is the walker's tree
+    # a TreeSpec answers every label question; a TreeNetwork is a plain record
+    record = resistive_walks.TreeNetwork
+    assert not hasattr(record, "depth_of") and not hasattr(record, "parent_of")
+    assert not [k for k, v in vars(record).items() if callable(v) and not k.startswith("__")]

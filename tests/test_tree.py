@@ -34,8 +34,8 @@ from resistive_walks.errors import InvalidSpec, InvalidVertex, VertexInTarget
 
 def branch_root(tree, x):
     """Level-1 ancestor of x (x itself when at level 1)."""
-    while tree.depth_of(x) > 1:
-        x = int(tree.parent_of(x))
+    while tree.spec.depth_of(x) > 1:
+        x = int(tree.spec.parent_of(x))
     return x
 
 
@@ -44,7 +44,7 @@ def outside_branch(tree, a):
     b = branch_root(tree, a)
     out = {0}
     for x in range(tree.net.vertex_count):
-        if tree.depth_of(x) >= 1 and branch_root(tree, x) != b:
+        if tree.spec.depth_of(x) >= 1 and branch_root(tree, x) != b:
             out.add(x)
     return out
 
@@ -81,19 +81,19 @@ class TestBuild:
 
     def test_depths_and_parents(self):
         t = build_tree(TreeSpec(2, 3))
-        assert t.depth_of(0) == 0
-        assert list(t.depth_of([1, 2, 3])) == [1, 1, 1]
+        assert t.spec.depth_of(0) == 0
+        assert list(t.spec.depth_of([1, 2, 3])) == [1, 1, 1]
         kid = first_at_depth(2, 2)
-        assert t.parent_of(kid) == 1
+        assert t.spec.parent_of(kid) == 1
         # a scalar id in, a scalar out
-        assert isinstance(t.parent_of(kid), np.integer) and isinstance(t.depth_of(kid), np.integer)
+        assert isinstance(t.spec.parent_of(kid), np.integer) and isinstance(t.spec.depth_of(kid), np.integer)
 
     def test_level_slice(self):
         t = build_tree(TreeSpec(2, 2))
-        assert list(level_slice(t, 1)) == [1, 2, 3]
-        assert len(level_slice(t, 2)) == 6
+        assert list(level_slice(t.spec, 1)) == [1, 2, 3]
+        assert len(level_slice(t.spec, 2)) == 6
         with pytest.raises(InvalidSpec):
-            level_slice(t, 3)
+            level_slice(t.spec, 3)
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
@@ -115,6 +115,20 @@ class TestBuild:
             assert TreeSpec(q, levels).levels == levels
         assert level_slice(TreeSpec(2, 61), 2).tolist() == list(range(4, 10))
 
+    def test_deepest_spec_answers_with_no_build(self, monkeypatch):
+        # the (2, 61) tree has 6.9e18 vertices: every answer is arithmetic
+        monkeypatch.setattr(tree_mod, "_assemble", None)
+        spec = TreeSpec(2, 61)
+        last = spec.vertex_count - 1
+        assert spec.depth_of(2**62) == 61 and spec.depth_of(last) == 61
+        assert spec.parent_of(first_at_depth(2, 61)) == first_at_depth(2, 60)
+        assert tree_distance(spec, 0, last) == 61
+        assert tree_distance(spec, first_at_depth(2, 61), last) == 122
+        assert finite_tree_pair_resistance(spec, 1, 2) == 2.0
+        assert (spec.edge_slot(0, 3), spec.edge_slot(1, 0)) == (2, 5)
+        with pytest.raises(InvalidVertex):
+            spec.depth_of(last + 1)
+
     def test_peak_memory_at_most_twice_the_result(self):
         # assembly's temporaries must stay below the arrays it returns
         tracemalloc.start()
@@ -130,16 +144,16 @@ class TestBuild:
     def test_distance(self):
         t = build_tree(TreeSpec(2, 3))
         a = first_at_depth(2, 3)
-        assert tree_distance(t, a, 0) == 3
-        assert tree_distance(t, a, a) == 0
+        assert tree_distance(t.spec, a, 0) == 3
+        assert tree_distance(t.spec, a, a) == 0
         # siblings share a parent
-        assert tree_distance(t, 1, 2) == 2
+        assert tree_distance(t.spec, 1, 2) == 2
         # leftmost depth-3 leaf to a leaf under a different level-1 branch
         far = int(t.net.vertex_count - 1)
-        assert tree_distance(t, a, far) == 6
+        assert tree_distance(t.spec, a, far) == 6
         for bad in (-1, t.net.vertex_count):
             with pytest.raises(InvalidVertex):
-                tree_distance(t, 0, bad)
+                tree_distance(t.spec, 0, bad)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -167,10 +181,10 @@ class TestLabelArithmetic:
         t = build_tree(TreeSpec(q, levels))
         assert_same_network(t.net, net)
         ids = np.arange(t.net.vertex_count)
-        assert np.array_equal(t.depth_of(ids), depth)
-        assert np.array_equal(t.parent_of(ids), parent)
+        assert np.array_equal(t.spec.depth_of(ids), depth)
+        assert np.array_equal(t.spec.parent_of(ids), parent)
         for x in (0, ids[-1]):  # scalars: the root and the last id
-            assert (t.depth_of(x), t.parent_of(x)) == (depth[x], parent[x])
+            assert (t.spec.depth_of(x), t.spec.parent_of(x)) == (depth[x], parent[x])
 
     def test_generator_depth(self, q, levels):
         _, depth, _, _ = reference_build_tree(q, levels, True)  # z is level levels + 1
@@ -188,7 +202,7 @@ def test_distance_is_bfs_distance(q, levels):
     bfs = shortest_path(t.net.conductance_matrix(), unweighted=True, indices=sources)
     for a, row in zip(sources.tolist(), bfs):
         for x in np.unique(np.concatenate([[0, n - 1], rng.integers(0, n, 30)])).tolist():
-            assert tree_distance(t, a, x) == row[x]
+            assert tree_distance(t.spec, a, x) == row[x]
 
 
 class TestClosedForms:
@@ -302,18 +316,18 @@ class TestSolverAgreement:
         t = build_tree(TreeSpec(2, 3))
         a = first_at_depth(2, 3)
         far = int(t.net.vertex_count - 1)
-        assert finite_tree_pair_resistance(t, a, 0) == 3.0
+        assert finite_tree_pair_resistance(t.spec, a, 0) == 3.0
         assert abs(effective(t.net, a, {0}).resistance - 3.0) < 1e-9
         assert abs(effective(t.net, a, {far}).resistance - 6.0) < 1e-9
         with pytest.raises(VertexInTarget):
-            finite_tree_pair_resistance(t, a, a)
+            finite_tree_pair_resistance(t.spec, a, a)
 
 
 class TestEscapeCases:
     def test_case_a(self):
         for q, n in [(2, 2), (2, 3), (3, 2), (2, 4)]:
             t = build_tree(TreeSpec(q, n))
-            z = {int(x) for x in level_slice(t, n)}
+            z = {int(x) for x in level_slice(t.spec, n)}
             esc = effective(t.net, 0, z).escape_probability
             assert abs(esc - oracle_finite_escape("a", q, n=n)) < 1e-9
 

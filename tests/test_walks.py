@@ -154,7 +154,7 @@ class TestTrivialCases:
 
         monkeypatch.setattr(np, "fromiter", no_arrays)
         tree = build_tree(TreeSpec(2, 6))
-        cfg = WalkConfig(seed=3, num_walks=200, start=0, absorbing=level_slice(tree, 6))
+        cfg = WalkConfig(seed=3, num_walks=200, start=0, absorbing=level_slice(tree.spec, 6))
         assert sum(run_walks(tree.net, cfg).hits.values()) == 200
 
 
@@ -382,7 +382,7 @@ def _golden_case(kind: str):
                          watch_vertices=(5, 6), watch_edges=((5, 6), (6, 5)))
     if kind == "tree8":
         t = build_tree(TreeSpec(2, 8))
-        return t.net, dict(start=0, absorbing=level_slice(t, 8),
+        return t.net, dict(start=0, absorbing=level_slice(t.spec, 8),
                            watch_vertices=(0, 1), watch_edges=((0, 1), (1, 0)))
     if kind == "contracted":
         # the deepest level's edges to z carry c = q, so those rows are not unit
@@ -400,7 +400,7 @@ def _golden_case(kind: str):
         c[odd] = rng.choice([0.5, 2.0, 3.0], size=int(odd.sum()))
         u, v = t.net.edge_u.tolist(), t.net.edge_v.tolist()
         net = build_network(list(zip(u, v, c.tolist())) + [(u[3], v[3], 1.0)])
-        return net, dict(start=0, absorbing=level_slice(t, 8),
+        return net, dict(start=0, absorbing=level_slice(t.spec, 8),
                          watch_vertices=(0, u[3]), watch_edges=((u[3], v[3]), (0, 1)))
     if kind == "k200":
         iu, iv = np.triu_indices(200, 1)
@@ -562,15 +562,15 @@ def _tree_cases(q: int, levels: int):
     it and the root, at a few arbitrary ids, or nowhere (censored); watching
     vertices and edges in both directions."""
     t = build_tree(TreeSpec(q, levels))
-    shell = level_slice(t, levels)
+    shell = level_slice(t.spec, levels)
     leaf = t.net.vertex_count - 1
-    inner = int(t.parent_of(leaf))  # the root when levels == 1
+    inner = int(t.spec.parent_of(leaf))  # the root when levels == 1
     arbitrary = np.random.default_rng(levels).integers(0, leaf + 1, size=3).tolist()
     absorbing = [(shell, 10**6), (np.concatenate([[0], shell]), 10**6),
                  (tuple(arbitrary), 30), ((), 30)]
     edges = [(0, 1), (1, 0), (leaf, inner), (inner, leaf)]
     if inner:
-        edges.append((inner, int(t.parent_of(inner))))
+        edges.append((inner, int(t.spec.parent_of(inner))))
     for start in sorted({0, inner, leaf}):
         for (ids, max_steps), min_absorb_step in itertools.product(absorbing, (0, 1)):
             yield t.net, dict(start=start, absorbing=ids, max_steps=max_steps,
@@ -613,8 +613,18 @@ class TestTreeSource:
                 with pytest.raises(error):
                     run_walks(net, cfg)
 
+    @pytest.mark.parametrize("q, levels", [(2, 3), (3, 4)])
+    def test_escape_matches_csr(self, q, levels):
+        # a spec's escape walks, with no network built, equal the CSR walks
+        spec = TreeSpec(q, levels)
+        cfg = WalkConfig(seed=q + levels, num_walks=3000, start=0)
+        z = level_slice(spec, levels)
+        got = estimate_escape(spec, cfg, 0, z)
+        assert got == estimate_escape(build_tree(spec).net, cfg, 0, z)
+        assert 0 < got[0] < 1
+
     def test_one_vertex_check(self):
-        for cls in (walks._TreeRows, GraphGenerator):
+        for cls in (TreeSpec, GraphGenerator):
             assert cls._check_vertex is Network._check_vertex
             assert cls._check_ids is Network._check_ids
 
@@ -660,13 +670,13 @@ class TestTreeSource:
         # slot boundary j / (q + 1); the (q, 1) trees have no common row
         # (leaf - 2 < 0), the others all three kinds of rare row
         spec = TreeSpec(q, levels)
-        rows = walks._TreeRows.of(spec)
+        leaf = first_at_depth(q, levels)
         edges = np.arange(1, q + 1) / (q + 1.0)
         u = np.concatenate([[0.0, 1 - 2.0**-53], edges,
                             np.nextafter(edges, 0), np.nextafter(edges, 1)])
-        cur, u = (a.ravel() for a in np.meshgrid(np.arange(rows.vertex_count), u))
-        k, nxt = rows.step(cur, u)
-        slot, want = reference_tree_step(q, rows.leaf, cur, u)
+        cur, u = (a.ravel() for a in np.meshgrid(np.arange(spec.vertex_count), u))
+        k, nxt = walks._tree_step(q, leaf, cur, u)
+        slot, want = reference_tree_step(q, leaf, cur, u)
         assert np.array_equal((q + 1) * cur + k, slot)
         assert np.array_equal(nxt, want)
         net = build_tree(spec).net  # the reference's slots hold its CSR neighbours
@@ -675,10 +685,10 @@ class TestTreeSource:
     def test_step_at_the_int64_edge(self):
         # the largest binary tree whose slots fit int64: its last inner
         # vertex and its last leaf step with no overflow
-        rows = walks._TreeRows.of(TreeSpec(2, 59))
-        n, x = rows.vertex_count, rows.leaf - 1
+        n, leaf = tree_vertex_count(2, 59), first_at_depth(2, 59)
+        x = leaf - 1
         assert 3 * n > 2**62
         cur = np.array([x, x, x, n - 1])
-        k, nxt = rows.step(cur, np.array([0.0, 0.5, 0.99, 0.7]))
+        k, nxt = walks._tree_step(2, leaf, cur, np.array([0.0, 0.5, 0.99, 0.7]))
         assert nxt.tolist() == [n - 2, n - 1, (x - 2) // 2, (n - 3) // 2]
         assert (3 * cur + k).tolist() == [3 * x, 3 * x + 1, 3 * x + 2, 3 * (n - 1)]
