@@ -91,7 +91,8 @@ __all__ = [
 # vertices up to which the ball of a non-symmetric generator is exhausted;
 # a limit that would need a larger ball takes its n_max exit instead of
 # running out of memory.  The binary tree's ball fits up to radius 20
-# (3.1M vertices); the limits benchmark goes to radius 9 (1,534).
+# (3.1M vertices); the limits benchmark goes to radius 9 (1,534).  It also
+# bounds verify's trees: its --levels tree, and the deepest tree it walks.
 EXHAUSTION_LIMIT = 4_000_000
 
 # vertices per shell up to which an exhaustion limit runs the shell
@@ -139,8 +140,8 @@ class Transience(enum.Enum):
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not value > 0:  # also refuses NaN
-        raise InvalidSpec(f"{name} must be positive, got {value}")
+    if not 0 < value < np.inf:  # also refuses NaN
+        raise InvalidSpec(f"{name} must be positive and finite, got {value}")
 
 
 def solve_dirichlet(

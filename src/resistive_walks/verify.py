@@ -5,6 +5,10 @@ number and, where it makes sense, a seeded Monte Carlo estimate.
 Deterministic pairs must agree within the requested tolerance; stochastic
 pairs within four standard errors.  The battery is what ``verify`` on the
 command line runs, at a configurable scale.
+
+The Monte Carlo rows read one batch of walks from the root to level L,
+the deepest within ``EXHAUSTION_LIMIT`` vertices: the root's visits, its
+edge's transitions and, by a second root visit, the hitting from depth 1.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flows, tree
+from .errors import InvalidSpec
 from .generators import exhaustion
-from .harmonic import effective, green_function, hitting_probability
+from .harmonic import EXHAUSTION_LIMIT, effective, green_function, hitting_probability
 from .network import _check_int, build_network
-from .tree import TreeGenerator, TreeSpec, build_tree, level_slice
+from .tree import TreeGenerator, TreeSpec, build_tree, level_slice, tree_vertex_count
 from .walks import WalkConfig, run_walks
 
 __all__ = ["CheckRow", "RunReport", "run_battery"]
@@ -107,9 +112,17 @@ def run_battery(
     seed: int = 42,
     tol: float = 1e-9,
 ) -> RunReport:
-    """Full concordance battery at the given scale.  ``walks`` must be >= 1
-    and ``seed`` >= 0, as numpy's generators refuse a negative seed."""
+    """Full concordance battery at the given scale.  ``walks`` must be >= 1,
+    ``seed`` >= 0, as numpy's generators refuse a negative seed, ``tol``
+    finite and >= 0, and the level-``levels`` tree of ``q`` at most
+    ``EXHAUSTION_LIMIT`` vertices; else InvalidSpec."""
     walks, seed = _check_int("walks", walks, 1), _check_int("seed", seed)
+    if not 0 <= tol < np.inf:  # also refuses NaN
+        raise InvalidSpec(f"tol must be finite and >= 0, got {tol}")
+    size = tree_vertex_count(q, levels)
+    if size > EXHAUSTION_LIMIT:
+        raise InvalidSpec(f"the level-{levels} tree of q={q} has {size} vertices, "
+                          f"more than EXHAUSTION_LIMIT = {EXHAUSTION_LIMIT}")
     rows: list[CheckRow] = []
     gen = TreeGenerator(q)
     # comparisons honor the raw tol (tol=0 demonstrates the fail path);
@@ -148,43 +161,28 @@ def run_battery(
                 )
             )
 
-    # Monte Carlo concordance on the shell-truncated tree
-    L = 20 if q == 2 else 12
+    # Monte Carlo concordance: one batch from the root, absorbed at level L,
+    # the deepest whose tree holds at most EXHAUSTION_LIMIT vertices
+    L = levels
+    while tree_vertex_count(q, L + 1) <= EXHAUSTION_LIMIT:
+        L += 1
     big = TreeSpec(q, L)  # walked by arithmetic, never built
     bias = float(q) ** (-L)
-
     x1 = tree.first_at_depth(q, 1)
-    cfg = WalkConfig(
-        seed=seed,
-        num_walks=walks,
-        start=0,
-        absorbing=level_slice(big, L),
-        watch_vertices=(0,),
-        watch_edges=((0, x1),),
-    )
+    cfg = WalkConfig(seed=seed, num_walks=walks, start=0, absorbing=level_slice(big, L),
+                     watch_vertices=(0,), watch_edges=((0, x1),))
     stats = run_walks(big, cfg)
-    g_closed, _, _ = tree.oracle_green_hitting(q, 0)
+    g_closed, _, s_closed = tree.oracle_green_hitting(q, 0)
     est, se = stats.visit_estimate(0)
     rows.append(_row("mc/green_d0", g_closed, mc=est, se=se, bias=bias))
-    _, _, s_closed = tree.oracle_green_hitting(q, 0)
     est, se = stats.transition_estimate(0, x1)
     rows.append(_row("mc/transitions_root_edge", s_closed, mc=est, se=se, bias=bias))
-    del cfg, stats  # the shell's ids go before the second batch's are made
-
-    # absorbed at the root or the shell: 0, then the ids of level L, made in
-    # place, as a copy of level_slice(big, L) after a 0 adds 7 MiB of peak RSS
-    root_and_shell = np.arange(tree.first_at_depth(q, L) - 1, big.vertex_count)
-    root_and_shell[0] = 0
-    cfg_hit = WalkConfig(
-        seed=seed + 1,
-        num_walks=walks,
-        start=x1,
-        absorbing=root_and_shell,
-    )
-    stats_hit = run_walks(big, cfg_hit)
+    # the first step lands at depth 1, so a second root visit is x1 hitting the
+    # root before level L: (1/q - q^-L)/(1 - q^-L), within q^-L of 1/q
     _, h_closed, _ = tree.oracle_green_hitting(q, 1)
-    est, se = stats_hit.hit_fraction(0)
-    rows.append(_row("mc/hitting_d1", h_closed, mc=est, se=se, bias=bias))
+    p = np.count_nonzero(stats.watch_visit_counts[:, 0] >= 2) / walks
+    se = np.sqrt(p * (1.0 - p) / walks)
+    rows.append(_row("mc/hitting_d1", h_closed, mc=p, se=se, bias=bias))
 
     rows.extend(_random_flow_rows(seed, tol))
 

@@ -15,20 +15,23 @@ from hypothesis import strategies as st
 import resistive_walks
 from resistive_walks import (
     TreeSpec,
+    WalkConfig,
     build_network,
     build_tree,
     level_slice,
     network_to_json,
     run_battery,
+    run_walks,
     tree_vertex_count,
 )
-from resistive_walks import cli, generators, network, tree
+from resistive_walks import cli, generators, network, tree, verify
 from resistive_walks.cli import main
 from resistive_walks.errors import (
     BudgetExceededWithoutConvergence,
     NotTransient,
     SolverDivergence,
 )
+from resistive_walks.harmonic import EXHAUSTION_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -405,13 +408,13 @@ class TestVerify:
         assert all(r["verdict"] == "pass" for r in doc["results"])
 
     def test_default_stdout_digest(self, capsys):
-        # pins every row at the default scale, both Monte Carlo batches on
-        # the level-20 tree included; the hitting rows' solver values come
-        # from limits that stop on a relative step below 1
+        # pins every row at the default scale, the Monte Carlo batch on the
+        # level-20 tree included; the hitting rows' solver values come from
+        # limits that stop on a relative step below 1
         code, out, _ = run_cli(capsys, "verify", "--seed", "42")
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "7fbe7eb433681d2d2cc7299d41a0c9e9f88adb8c1def8a4d487cc5ddf329ec1b"
+        assert digest == "395dc878e0d8da5bfdcdd04bd0446c2be12157ada84c955c48ebe950ccb54538"
 
     def test_default_battery_assembles_no_big_network(self, monkeypatch):
         # the level-20 walks need no network; the largest one assembled is
@@ -427,6 +430,32 @@ class TestVerify:
             monkeypatch.setattr(module, "_assemble", recording)
         assert run_battery().exit_status == "pass"
         assert sizes and max(sizes) <= tree_vertex_count(2, 8)
+
+    @pytest.mark.parametrize("q, deepest", [(2, 20), (3, 13), (4, 10), (5, 9), (6, 8)])
+    def test_one_batch_on_the_deepest_tree_within_the_limit(self, monkeypatch, q, deepest):
+        specs = []
+
+        def recording(spec, cfg):
+            specs.append(spec)
+            return walk(spec, cfg)
+
+        walk = verify.run_walks
+        monkeypatch.setattr(verify, "run_walks", recording)
+        assert run_battery(q=q, levels=2, walks=100).exit_status == "pass"
+        assert specs == [TreeSpec(q, deepest)]
+        assert tree_vertex_count(q, deepest) <= EXHAUSTION_LIMIT
+        assert tree_vertex_count(q, deepest + 1) > EXHAUSTION_LIMIT
+
+    def test_hitting_row_reads_the_root_visits(self):
+        # a second visit to the root is the depth-1 vertex hitting the root
+        (row,) = [r for r in run_battery(levels=3, walks=2000).results
+                  if r.quantity == "mc/hitting_d1"]
+        spec = TreeSpec(2, 20)
+        cfg = WalkConfig(seed=42, num_walks=2000, start=0,
+                         absorbing=level_slice(spec, 20), watch_vertices=(0,))
+        p = np.count_nonzero(run_walks(spec, cfg).watch_visit_counts[:, 0] >= 2) / 2000
+        assert row.mc_estimate == p
+        assert row.mc_std_err == math.sqrt(p * (1 - p) / 2000)
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, err = run_cli(
@@ -453,7 +482,7 @@ class TestVerify:
 
 @pytest.mark.parametrize("argv, want", [
     ("verify --levels 3 --walks 2000 --seed 42",
-     "cfe5bb785147f587d6a8e92c1c6519afc405098f6018ba98df11b06f1fe840de"),
+     "849286737112b9e1b3b2264795ee41e1cb9b94de37d469781414c0667e8f2c5e"),
     ("oracle --q 3", "9ef91b37b1dbe030db37adeb9c48f2f83b9a0e92df017ead33a902a232fb6d6c"),
     ("resist --tree 2,8 --to-infinity",
      "ba8dd4a21ccd3f99d912f6a1e02c7c8cb28218422ba604a626a17e8b46877db7"),
@@ -507,9 +536,16 @@ EXIT_CODES = {
             ["resist", "--tree", "2,2", "--source", "0", *flags, "--tol", tol], None, 2
         )
         for mode, flags in _RESIST_MODES.items()
-        for tol in ("0", "-1", "nan")
+        for tol in ("0", "-1", "nan", "inf")
     },
-    "verify-tol-nan": (["verify", "--levels", "2", "--walks", "10", "--tol", "nan"], None, 2),
+    # an infinite tolerance would pass every check; 0 is the fail path, exit 1
+    **{
+        f"verify-tol-{tol}": (["verify", "--levels", "2", "--walks", "10", "--tol", tol], None, 2)
+        for tol in ("-1", "nan", "inf")
+    },
+    # trees past EXHAUSTION_LIMIT are refused before anything is built
+    "verify-levels-40": (["verify", "--levels", "40", "--walks", "10"], None, 2),
+    "verify-q-40": (["verify", "--q", "40", "--walks", "10"], None, 2),
     "solver-divergence": (
         ["resist", "--tree", "2,2", "--source", "0", "--target-set", "level:2"],
         ("effective", SolverDivergence),
@@ -563,19 +599,39 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
+def _run_capped(*argv):
+    env = {**_cli_env(), "OPENBLAS_NUM_THREADS": "1"}  # one thread's buffers under the cap
+    return subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--tree", "2,40", "--absorb-level", "40", "--walks", "10"),  # 12 TiB of ids
     ("resist", "--tree", "2,40", "--source", "0", "--target-set", "1"),  # a 24 TiB build
     ("resist", "--tree", "40,8", "--source", "0", "--target-set", "level:8"),  # 50 TiB
-    ("verify", "--q", "40", "--walks", "10"),  # an 821 MiB array after a few solves
 ])
 def test_input_too_large_for_memory_exits_2(argv):
     # each ended in a numpy _ArrayMemoryError traceback and exit 1
-    env = {**_cli_env(), "OPENBLAS_NUM_THREADS": "1"}  # one thread's buffers under the cap
-    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = _run_capped(*argv)
     assert proc.returncode == 2, proc.stderr
     assert "input too large for memory" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_verify_beyond_exhaustion_limit_exits_2():
+    # refused by its size before the first build; it used to build trees
+    # until an 821 MiB array failed
+    proc = _run_capped("verify", "--q", "40", "--walks", "10")
+    assert proc.returncode == 2, proc.stderr
+    assert f"EXHAUSTION_LIMIT = {EXHAUSTION_LIMIT}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("q", [5, 6])
+def test_verify_walks_within_the_limit(q):
+    # the walks' tree holds at most EXHAUSTION_LIMIT vertices; a level-12
+    # tree asked 2.18 GiB at q=5 and 18.9 GiB at q=6
+    proc = _run_capped("verify", "--q", str(q), "--levels", "4", "--walks", "2000")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_stdout_exits_quietly():

@@ -540,7 +540,7 @@ class TestLimits:
         generic = green_function(TreeGenerator(2, symmetric=False), x, tol=1e-4)
         assert abs(ladder - generic) < 1e-3
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("call", [
         lambda bad: solve_dirichlet(build_network([(0, 1, 1.0)]), BoundarySpec({0: 1.0}), tol=bad),
         lambda bad: resistance_to_infinity(TreeGenerator(2), tol=bad),
@@ -549,7 +549,8 @@ class TestLimits:
     ], ids=["solve_dirichlet", "resistance_to_infinity", "classify_transience", "green_function"])
     def test_nonpositive_tolerance_refused(self, call, bad):
         # InvalidSpec is also a ValueError, which callers may still catch
-        with pytest.raises(InvalidSpec, match="must be positive") as info:
+        # an infinite tolerance would pass every check: refused as well
+        with pytest.raises(InvalidSpec, match="must be positive and finite") as info:
             call(bad)
         assert isinstance(info.value, ValueError)
 
