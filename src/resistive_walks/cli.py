@@ -257,8 +257,9 @@ def _cmd_verify(args, parser) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resistive-walks",
-        description="Harmonic solving, flow calculus and random-walk "
-        "simulation on resistor networks.",
+        description="Harmonic solving, flow calculus and random-walk simulation on "
+        "resistor networks.  @FILE reads further arguments from FILE, one per line.",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 

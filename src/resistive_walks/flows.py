@@ -108,7 +108,7 @@ def current_flow(net: Network, div: np.ndarray) -> np.ndarray:
     carries the same residual check as every other solve; the current is
     its :func:`~resistive_walks.harmonic.ohm_current`, ``c df``.
     """
-    return ohm_current(net, solve_dirichlet(net, BoundarySpec({0: 0.0}), source=div))
+    return ohm_current(net, solve_dirichlet(net, BoundarySpec([0], [0.0]), source=div))
 
 
 def decompose_star_cycle(net: Network, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

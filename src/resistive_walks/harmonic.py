@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -112,9 +112,11 @@ TRANSIENCE_EPS = 1e-3
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Prescribed voltages; every unclamped vertex is free (harmonic)."""
+    """Voltages ``values[i]`` clamped at the ids ``clamped[i]`` (an id may
+    repeat, with one voltage); every other vertex is free (harmonic)."""
 
-    clamped: dict[int, float]
+    clamped: Iterable[int]
+    values: Sequence[float] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -149,14 +151,15 @@ def solve_dirichlet(
 ) -> np.ndarray:
     """Solve the Dirichlet problem; returns the voltage vector.
 
-    Clamps the vertices of ``bc`` and solves ``(L v)(x) = source(x)`` on every
-    free vertex, ``L = diag(pi) - C`` being the Laplacian (``source`` is a
-    vector over all vertices, zero when omitted: the free vertices are then
-    harmonic).  The free block, of any size, is factorized by sparse LU,
-    and the result must satisfy
+    Clamps the ids ``bc.clamped`` to ``bc.values`` and solves ``(L v)(x) =
+    source(x)`` on every free vertex, ``L = diag(pi) - C`` being the
+    Laplacian (``source`` is a vector over all vertices, zero when omitted:
+    the free vertices are then harmonic).  The free block, of any size, is
+    factorized by sparse LU, and the result must satisfy
     ``max |(L v)(x) - source(x)| / pi(x) <= tol * max(1, max |v|)`` over the
-    free vertices, else :class:`SolverDivergence` is raised.  A clamped
-    value or source entry that is NaN or infinite raises
+    free vertices, else :class:`SolverDivergence` is raised.  No clamped id
+    raises :class:`EmptyInput`; values not one per id, a value or source
+    entry that is NaN or infinite, or an id given two voltages raise
     :class:`InvalidSpec`.  A free block that LU finds singular raises
     :class:`DisconnectedGraph` when a component has no clamped vertex, and
     :class:`SolverDivergence` otherwise (conductance ratios beyond float64
@@ -164,13 +167,16 @@ def solve_dirichlet(
     :class:`SolverDivergence`, naming the free-vertex count.
     """
     _check_positive("tol", tol)
-    if not bc.clamped:
-        raise EmptyInput("no clamped vertices")
     clamped = net._check_ids(bc.clamped)
+    if not len(clamped):
+        raise EmptyInput("no clamped vertices")
+    given = np.asarray(bc.values, dtype=float)
+    if given.shape != clamped.shape or not np.all(np.isfinite(given)):
+        raise InvalidSpec("clamped voltages must be finite, one per clamped id")
     values = np.zeros(net.vertex_count)
-    values[clamped] = np.fromiter(bc.clamped.values(), dtype=float, count=len(clamped))
-    if not np.all(np.isfinite(values)):
-        raise InvalidSpec("clamped voltages must be finite")
+    values[clamped] = given
+    if np.any(values[clamped] != given):  # an id given two voltages keeps one
+        raise InvalidSpec("a repeated clamped id is given two voltages")
     if source is not None:
         source = np.asarray(source, dtype=float)
         if not np.all(np.isfinite(source)):
@@ -232,13 +238,14 @@ def ohm_current(net: Network, values: np.ndarray) -> np.ndarray:
 
 def _unit_voltage(net: Network, a: int, z, tol: float) -> tuple[np.ndarray, float]:
     """Voltages with v(a) = 1 and v = 0 on z, and the current leaving a."""
-    clamped = dict.fromkeys(z, 0.0)
-    if not clamped:
+    z = net._check_ids(z)
+    if not len(z):
         raise EmptyInput("empty target set")
-    if a in clamped:
+    a = net._check_vertex(a)
+    if np.any(z == a):
         raise VertexInTarget(f"source {a} lies in the target set")
-    clamped[a] = 1.0
-    values = solve_dirichlet(net, BoundarySpec(clamped), tol=tol)
+    ids = np.append(z, a)
+    values = solve_dirichlet(net, BoundarySpec(ids, ids == a), tol=tol)
     cs = net.edge_c[net.incident_edges(a)]
     return values, float(np.sum(cs * (1.0 - values[net.neighbors(a)])))
 
@@ -251,11 +258,7 @@ def effective(net: Network, a: int, z, tol: float = 1e-9) -> EffectiveQuantities
     from a reaches z before returning to a.
     """
     _, conductance = _unit_voltage(net, a, z, tol)
-    return EffectiveQuantities(
-        conductance=conductance,
-        resistance=1.0 / conductance,
-        escape_probability=conductance / float(net.pi[a]),
-    )
+    return EffectiveQuantities(conductance, 1.0 / conductance, conductance / float(net.pi[a]))
 
 
 def _radius_budget(gen: GraphGenerator, n_max: int) -> int:

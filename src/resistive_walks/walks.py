@@ -103,7 +103,7 @@ class WalkConfig:
     seed: int
     num_walks: int
     start: int
-    absorbing: tuple = ()
+    absorbing: tuple | np.ndarray = ()
     max_steps: int = 1_000_000
     min_absorb_step: int = 0
     watch_vertices: tuple = ()
@@ -425,18 +425,12 @@ def run_walks(net: Network | TreeSpec, cfg: WalkConfig) -> WalkStats:
 
 
 def estimate_escape(net: Network | TreeSpec, cfg: WalkConfig, a: int, z) -> tuple[float, float]:
-    """P(reach z strictly before returning to a), walk started at a."""
-    a, z = net._check_vertex(a), frozenset(net._check_ids(z).tolist())
-    if a in z:
+    """P(reach z strictly before returning to a), walk started at a: the
+    share of walks absorbed in ``z``, ``a`` absorbing from step 1 on.  ``z``
+    is any iterable of ids; a 1-D int64 array is checked in place."""
+    a, z = net._check_vertex(a), net._check_ids(z)
+    if np.any(z == a):
         raise VertexInTarget(f"source {a} lies in the target set")
-    cfg = replace(
-        cfg,
-        start=a,
-        absorbing=tuple(sorted(z | {a})),
-        min_absorb_step=1,
-    )
-    stats = run_walks(net, cfg)
-    n = cfg.num_walks
-    escaped = int(np.count_nonzero(np.isin(stats.absorbed_at, list(z))))
-    p = escaped / n
-    return p, math.sqrt(p * (1.0 - p) / n)
+    stats = run_walks(net, replace(cfg, start=a, absorbing=np.append(z, a), min_absorb_step=1))
+    p = int(np.count_nonzero(np.isin(stats.absorbed_at, z))) / cfg.num_walks
+    return p, math.sqrt(p * (1.0 - p) / cfg.num_walks)

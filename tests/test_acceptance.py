@@ -84,7 +84,7 @@ def test_03_unit_currents_exact():
     q, n = 2, 6
     t = build_tree(TreeSpec(q, n))
     z = {int(x) for x in level_slice(t.spec, n)}
-    bc = BoundarySpec({0: 1.0, **{x: 0.0 for x in z}})
+    bc = BoundarySpec([0, *z], [1.0] + [0.0] * len(z))
     v = solve_dirichlet(t.net, bc, tol=1e-12)
     i = ohm_current(t.net, v) * effective(t.net, 0, z).resistance
     depth_top = np.minimum(t.spec.depth_of(t.net.edge_u), t.spec.depth_of(t.net.edge_v))
@@ -108,7 +108,7 @@ def test_05_hitting_vector_surrogate():
     q, L = 2, 20
     t = build_tree(TreeSpec(q, L))
     z = {int(x) for x in level_slice(t.spec, L)}
-    bc = BoundarySpec({0: 1.0, **{x: 0.0 for x in z}})
+    bc = BoundarySpec([0, *z], [1.0] + [0.0] * len(z))
     v = solve_dirichlet(t.net, bc, tol=1e-9)
     worst = 0.0
     for d in (1, 2, 3):
@@ -234,10 +234,10 @@ def test_09_maximum_and_uniqueness():
     for _ in range(50):
         n = int(rng.integers(4, 13))
         net = _random_net(rng, n)
-        clamped = {0: float(rng.uniform(-1, 1)), n - 1: float(rng.uniform(-1, 1))}
-        bc = BoundarySpec(clamped)
+        voltages = [float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))]
+        bc = BoundarySpec([0, n - 1], voltages)
         v = solve_dirichlet(net, bc, tol=tol)
-        lo, hi = min(clamped.values()), max(clamped.values())
+        lo, hi = min(voltages), max(voltages)
         ok &= v.min() >= lo - 1e-12 and v.max() <= hi + 1e-12
         ok &= float(np.max(np.abs(v - dense_dirichlet(net, bc)))) < 2 * tol
     _report("9 maximum principle and uniqueness", ok)
@@ -251,7 +251,7 @@ def test_10_brute_force_oracle_equivalence():
         a, z = 0, {n - 1}
         if a in z:
             continue
-        bc = BoundarySpec({a: 1.0, **{x: 0.0 for x in z}})
+        bc = BoundarySpec([a, *z], [1.0] + [0.0] * len(z))
         v = solve_dirichlet(net, bc, tol=1e-11)
         h = absorbing_hit_probability(net, a, z)
         worst = max(worst, float(np.max(np.abs(v - h))))

@@ -342,6 +342,20 @@ class TestSimulate:
         )
         assert by_file == by_tree and json.loads(by_tree)["censored"] == 0
 
+    def test_arguments_from_file(self, capsys, tmp_path, monkeypatch):
+        # @FILE reads one argument per line, so an id list longer than the
+        # kernel takes as one argument reaches --absorbing from a file
+        t = build_tree(TreeSpec(2, 6))
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(network_to_json(t.net)))
+        level = ",".join(map(str, level_slice(t.spec, 6).tolist()))
+        argv = ["simulate", "--network", str(path), "--absorbing", level,
+                "--walks", "2000", "--seed", "7"]
+        (tmp_path / "args").write_text("\n".join(argv) + "\n")
+        direct = run_cli(capsys, *argv)
+        monkeypatch.chdir(tmp_path)
+        assert direct[0] == 0 and run_cli(capsys, "@args") == direct
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("RESISTIVE_WALKS_SEED", "99")
         code, out, _ = run_cli(

@@ -70,7 +70,7 @@ TRIGGERS = {
     VertexInTarget: lambda: effective(path3(), 0, {0, 2}),
     # a connected network whose pi(1) rounds away the conductance 1e-8
     SolverDivergence: lambda: solve_dirichlet(
-        build_network([(0, 1, 1e-8), (1, 2, 1e9)]), BoundarySpec({0: 1.0})
+        build_network([(0, 1, 1e-8), (1, 2, 1e9)]), BoundarySpec([0], [1.0])
     ),
     NotTransient: lambda: green_function(HalfLineGenerator(), 1),
     # the budget leaves radii 41 and 42: a verdict, but too few for a limit
@@ -171,7 +171,14 @@ REFUSED = {
                                               absorbing=np.array([False, True]))),
     ),
     "solve_dirichlet-bool-clamped": (
-        InvalidVertex, lambda: solve_dirichlet(path3(), BoundarySpec({True: 1.0}))
+        InvalidVertex, lambda: solve_dirichlet(path3(), BoundarySpec([True], [1.0]))
+    ),
+    # a voltage per clamped id, and one voltage per vertex
+    "solve_dirichlet-values-short": (
+        InvalidSpec, lambda: solve_dirichlet(path3(), BoundarySpec([0, 2], [1.0]))
+    ),
+    "solve_dirichlet-two-voltages": (
+        InvalidSpec, lambda: solve_dirichlet(path3(), BoundarySpec([0, 0, 2], [1.0, 0.5, 0.0]))
     ),
     "green_function-bool": (InvalidVertex, lambda: green_function(TreeGenerator(2), True)),
     # the flags of every vertex a walk on the level-59 tree can reach (1.7e18)

@@ -47,7 +47,7 @@ def unit_tree_current(q, levels):
     """``(net, z, i)``: the unit current flow ``i`` from the root to z on the
     tree with everything past level ``levels`` contracted to z."""
     net, z = exhaustion(TreeGenerator(q), levels)
-    v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
+    v = solve_dirichlet(net, BoundarySpec([0, z], [1.0, 0.0]))
     i = ohm_current(net, v)
     return net, z, i / effective(net, 0, {z}).conductance
 
@@ -64,7 +64,7 @@ class TestOperators:
 
     def test_d_of_voltage_is_ir(self):
         net, z, i = unit_tree_current(2, 2)
-        v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
+        v = solve_dirichlet(net, BoundarySpec([0, z], [1.0, 0.0]))
         scale = effective(net, 0, {z}).conductance
         assert np.allclose(apply_d(net, v / scale), i / net.edge_c)
 

@@ -76,41 +76,52 @@ def contracted_tree(q, n):
 class TestSolveDirichlet:
     def test_path_midpoint(self):
         net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
-        v = solve_dirichlet(net, BoundarySpec({0: 1.0, 2: 0.0}))
+        v = solve_dirichlet(net, BoundarySpec([0, 2], [1.0, 0.0]))
         assert abs(v[1] - 0.5) < 1e-12
 
     def test_constant_boundary_gives_constant(self):
         net = build_network([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0)])
-        v = solve_dirichlet(net, BoundarySpec({0: 7.0, 3: 7.0}))
+        v = solve_dirichlet(net, BoundarySpec([0, 3], [7.0, 7.0]))
         assert np.allclose(v, 7.0)
 
     def test_contracted_tree_level1_third(self):
         # 3x3 system solved by hand: v(level 1) = 1/3
         net, z = contracted_tree(2, 2)
-        v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
+        v = solve_dirichlet(net, BoundarySpec([0, z], [1.0, 0.0]))
         assert abs(v[1] - 1.0 / 3.0) < 1e-12
 
     def test_empty_boundary(self):
         net = build_network([(0, 1, 1.0)])
         with pytest.raises(EmptyInput):
-            solve_dirichlet(net, BoundarySpec({}))
+            solve_dirichlet(net, BoundarySpec([], []))
+
+    def test_repeated_id_with_one_voltage(self):
+        net = build_network([(0, 1, 1.0), (1, 2, 2.0)])
+        once = solve_dirichlet(net, BoundarySpec([0, 2], [1.0, 0.0]))
+        twice = solve_dirichlet(net, BoundarySpec([0, 0, 2], [1.0, 1.0, 0.0]))
+        assert np.array_equal(twice, once)
+
+    def test_dict_alone_is_refused(self):
+        # the ids and their voltages are two arguments; a dict of both is not
+        with pytest.raises(TypeError, match="values"):
+            BoundarySpec({0: 1.0, 2: 0.0})
 
     def test_all_clamped(self):
         net = build_network([(0, 1, 1.0)])
-        v = solve_dirichlet(net, BoundarySpec({0: 2.0, 1: 5.0}))
+        v = solve_dirichlet(net, BoundarySpec([0, 1], [2.0, 5.0]))
         assert list(v) == [2.0, 5.0]
 
     def test_unreachable_tol_diverges(self):
         # the residual reached is round-off, ~4e-17, far above this tol
         net, z = contracted_tree(2, 4)
         with pytest.raises(SolverDivergence, match="exceeds tol"):
-            solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}), tol=1e-300)
+            solve_dirichlet(net, BoundarySpec([0, z], [1.0, 0.0]), tol=1e-300)
 
     def test_residual_relative_to_voltage_scale(self):
         # an absolute 1e-9 residual is below round-off at 1e9 volts
         net, z = contracted_tree(2, 9)
-        unit = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
-        big = solve_dirichlet(net, BoundarySpec({0: 1e9, z: 0.0}))
+        unit = solve_dirichlet(net, BoundarySpec([0, z], [1.0, 0.0]))
+        big = solve_dirichlet(net, BoundarySpec([0, z], [1e9, 0.0]))
         assert np.allclose(big, 1e9 * unit, rtol=1e-9, atol=0.0)
 
     @pytest.mark.parametrize("x", [-1, "V", 1.5])
@@ -119,14 +130,14 @@ class TestSolveDirichlet:
         net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
         x = net.vertex_count if x == "V" else x
         with pytest.raises(InvalidVertex):
-            solve_dirichlet(net, BoundarySpec({0: 1.0, x: 0.0}))
+            solve_dirichlet(net, BoundarySpec([0, x], [1.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["clamped", "source"])
     def test_nonfinite_input_refused(self, where, bad):
         # a NaN boundary value used to come back as NaN voltages
         net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
-        bc = BoundarySpec({0: bad if where == "clamped" else 1.0, 2: 0.0})
+        bc = BoundarySpec([0, 2], [bad if where == "clamped" else 1.0, 0.0])
         source = np.array([0.0, bad, 0.0]) if where == "source" else None
         with pytest.raises(InvalidSpec, match="finite"):
             solve_dirichlet(net, bc, source=source)
@@ -139,7 +150,7 @@ class TestSolveDirichlet:
         monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: NanLU())
         net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(SolverDivergence):
-            solve_dirichlet(net, BoundarySpec({0: 1.0, 2: 0.0}))
+            solve_dirichlet(net, BoundarySpec([0, 2], [1.0, 0.0]))
 
     def test_factor_out_of_memory_diverges(self, monkeypatch):
         # SuperLU's exit when it cannot allocate the factor
@@ -149,7 +160,7 @@ class TestSolveDirichlet:
         monkeypatch.setattr(spla, "splu", oom)
         net = build_network([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         with pytest.raises(SolverDivergence, match="2 free vertices"):
-            solve_dirichlet(net, BoundarySpec({0: 1.0, 3: 0.0}))
+            solve_dirichlet(net, BoundarySpec([0, 3], [1.0, 0.0]))
 
     def test_unclamped_component_is_disconnected(self):
         # the free block of {1} + {2, 3} is singular; SuperLU says so with
@@ -157,14 +168,14 @@ class TestSolveDirichlet:
         u, v = np.array([0, 2]), np.array([1, 3])
         net = _assemble(u, v, np.ones(2), 4, check_connected=False)
         with pytest.raises(DisconnectedGraph, match="singular"):
-            solve_dirichlet(net, BoundarySpec({0: 1.0}))
+            solve_dirichlet(net, BoundarySpec([0], [1.0]))
 
     def test_numerically_singular_block_diverges(self):
         # pi(1) = 1e9 + 1e-8 rounds to 1e9, so the connected network's free
         # block {1, 2} is singular in float64
         net = build_network([(0, 1, 1e-8), (1, 2, 1e9)])
         with pytest.raises(SolverDivergence, match="numerically singular"):
-            solve_dirichlet(net, BoundarySpec({0: 1.0}))
+            solve_dirichlet(net, BoundarySpec([0], [1.0]))
 
     def test_one_laplacian_per_solve(self, monkeypatch):
         calls = []
@@ -176,7 +187,7 @@ class TestSolveDirichlet:
 
         monkeypatch.setattr(Network, "laplacian", counted)
         net, z = contracted_tree(2, 4)
-        solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
+        solve_dirichlet(net, BoundarySpec([0, z], [1.0, 0.0]))
         assert len(calls) == 1
         div = np.zeros(net.vertex_count)
         div[0], div[z] = 1.0, -1.0
@@ -188,9 +199,9 @@ class TestSolveDirichlet:
     def test_maximum_principle(self, seed, n):
         rng = np.random.default_rng(seed)
         net = random_connected_net(rng, n)
-        clamped = {0: float(rng.uniform(-1, 1)), n - 1: float(rng.uniform(-1, 1))}
-        v = solve_dirichlet(net, BoundarySpec(clamped))
-        lo, hi = min(clamped.values()), max(clamped.values())
+        voltages = [float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))]
+        v = solve_dirichlet(net, BoundarySpec([0, n - 1], voltages))
+        lo, hi = min(voltages), max(voltages)
         assert v.min() >= lo - 1e-12
         assert v.max() <= hi + 1e-12
 
@@ -201,7 +212,7 @@ class TestSolveDirichlet:
         n = int(rng.integers(3, 9))
         net = random_connected_net(rng, n)
         a, z = 0, {n - 1}
-        v = solve_dirichlet(net, BoundarySpec({a: 1.0, **{x: 0.0 for x in z}}))
+        v = solve_dirichlet(net, BoundarySpec([a, *z], [1.0] + [0.0] * len(z)))
         h = absorbing_hit_probability(net, a, z)
         assert np.max(np.abs(v - h)) < 1e-9
 
@@ -223,7 +234,7 @@ def dirichlet_problems(draw, decades=3):
     k = draw(st.integers(1, n - 1))
     clamped = rng.choice(n, size=k, replace=False)
     scale = 10.0 ** draw(st.floats(0, 9))
-    bc = BoundarySpec({int(x): float(scale * rng.uniform(-1, 1)) for x in clamped})
+    bc = BoundarySpec(clamped, [float(scale * rng.uniform(-1, 1)) for _ in clamped])
     return net, bc
 
 
@@ -241,8 +252,8 @@ def dense_dirichlet(net, bc):
     """The Dirichlet solution by numpy.linalg.solve on a dense Laplacian."""
     lap = dense_laplacian(net)
     values = np.zeros(net.vertex_count)
-    clamped = list(bc.clamped)
-    values[clamped] = list(bc.clamped.values())
+    values[list(bc.clamped)] = bc.values
+    clamped = np.unique(list(bc.clamped))
     free = np.setdiff1d(np.arange(net.vertex_count), clamped)
     rhs = -lap[np.ix_(free, clamped)] @ values[clamped]
     values[free] = np.linalg.solve(lap[np.ix_(free, free)], rhs)
@@ -254,7 +265,7 @@ def escape_problem(net, bc):
     z, and the boundary values v(a) = 1, v|z = 0 that give it."""
     z = sorted(bc.clamped)
     a = int(np.setdiff1d(np.arange(net.vertex_count), z)[0])
-    return a, z, BoundarySpec({a: 1.0, **dict.fromkeys(z, 0.0)})
+    return a, z, BoundarySpec([a, *z], [1.0] + [0.0] * len(z))
 
 
 def dense_escape(net, a, unit):
@@ -348,7 +359,7 @@ class TestDenseOracle:
         # has a residual of 1e-11 * pi: a stop on the residual alone would
         # return it
         net = build_network([(0, 1, 1e-3), (1, 2, 1e8)])
-        bc = BoundarySpec({0: 1.0})
+        bc = BoundarySpec([0], [1.0])
         got = solve_dirichlet(net, bc)
         assert np.max(np.abs(got - dense_dirichlet(net, bc))) <= lu_error_bound(net, bc)
 
@@ -365,7 +376,7 @@ class TestOhmCurrent:
 
     def test_tree_root_edges_third(self):
         net, z = contracted_tree(2, 2)
-        v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}))
+        v = solve_dirichlet(net, BoundarySpec([0, z], [1.0, 0.0]))
         i = ohm_current(net=net, values=v)
         strength = effective(net, 0, {z}).conductance
         unit = i / strength
@@ -399,6 +410,8 @@ class TestEffective:
         net = build_network([(0, 1, 1.0)])
         with pytest.raises(EmptyInput):
             effective(net, 0, set())
+        with pytest.raises(EmptyInput):  # the target set is checked first
+            effective(net, 5, np.array([], dtype=np.int64))
         with pytest.raises(VertexInTarget):
             effective(net, 0, {0, 1})
         for a in (-1, 2):
@@ -542,7 +555,9 @@ class TestLimits:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("call", [
-        lambda bad: solve_dirichlet(build_network([(0, 1, 1.0)]), BoundarySpec({0: 1.0}), tol=bad),
+        lambda bad: solve_dirichlet(
+            build_network([(0, 1, 1.0)]), BoundarySpec([0], [1.0]), tol=bad
+        ),
         lambda bad: resistance_to_infinity(TreeGenerator(2), tol=bad),
         lambda bad: classify_transience(TreeGenerator(2), eps=bad),
         lambda bad: green_function(TreeGenerator(2), 1, tol=bad),
@@ -672,7 +687,7 @@ class TestShellRecursion:
         gen, x = problem
         for term, solved in terms_and_solves(gen, x):
             net, z = harmonic.exhaustion(gen, term.n)
-            rel = max(1e-12, lu_error_bound(net, BoundarySpec({z: 0.0})))
+            rel = max(1e-12, lu_error_bound(net, BoundarySpec([z], [0.0])))
             self.assert_matches_solves([(term, solved)], rel)
 
     @pytest.mark.parametrize("limit", [0, 10])

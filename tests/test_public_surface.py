@@ -64,3 +64,14 @@ def test_one_contracted_tree():
     record = resistive_walks.TreeNetwork
     assert not hasattr(record, "depth_of") and not hasattr(record, "parent_of")
     assert not [k for k, v in vars(record).items() if callable(v) and not k.startswith("__")]
+
+
+def test_one_id_set_format():
+    # a boundary is an id array and its voltages; the solver and the walker
+    # make no dict, set or sorted tuple of a vertex set
+    names = tuple(f.name for f in dataclasses.fields(resistive_walks.BoundarySpec))
+    assert names == ("clamped", "values")
+    for mod in ("harmonic", "walks"):
+        source = inspect.getsource(importlib.import_module(f"resistive_walks.{mod}"))
+        for word in ("dict.fromkeys", "np.fromiter", "frozenset"):
+            assert word not in source, (mod, word)

@@ -285,7 +285,7 @@ class TestSolverAgreement:
         q, n = 2, 6
         gen = TreeGenerator(q)
         net, z = exhaustion(gen, n - 1)
-        v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}), tol=1e-11)
+        v = solve_dirichlet(net, BoundarySpec([0, z], [1.0, 0.0]), tol=1e-11)
         eq = effective(net, 0, {z})
         v_unit = v * eq.resistance
         i_unit = ohm_current(net, v_unit)
@@ -307,7 +307,7 @@ class TestSolverAgreement:
 
     def test_level_symmetry(self):
         net, z = exhaustion(TreeGenerator(2), 4)
-        v = solve_dirichlet(net, BoundarySpec({0: 1.0, z: 0.0}), tol=1e-11)
+        v = solve_dirichlet(net, BoundarySpec([0, z], [1.0, 0.0]), tol=1e-11)
         for k in range(1, 5):
             lv = v[level_slice(TreeSpec(2, 4), k)]
             assert np.max(lv) - np.min(lv) < 1e-10

@@ -26,7 +26,7 @@ from resistive_walks import (
     run_walks,
     tree_vertex_count,
 )
-from resistive_walks import walks
+from resistive_walks import network, walks
 from resistive_walks.errors import InvalidSpec, InvalidVertex, NotAdjacent, VertexInTarget
 from resistive_walks.walks import _pick_slots, _row_prefix_sums, _unit_slots
 from test_network import random_connected_net, transition_matrix
@@ -613,6 +613,15 @@ class TestTreeSource:
                 with pytest.raises(error):
                     run_walks(net, cfg)
 
+    def test_escape_ids_as_array_or_set(self):
+        # the same ids as an int64 array (reversed, one repeated) or a set
+        t = build_tree(TreeSpec(2, 5))
+        cfg = WalkConfig(seed=11, num_walks=5000, start=0)
+        z = level_slice(t.spec, 5)
+        got = estimate_escape(t.net, cfg, 0, np.append(z[::-1], z[0]))
+        assert got == estimate_escape(t.net, cfg, 0, set(z.tolist()))
+        assert 0 < got[0] < 1
+
     @pytest.mark.parametrize("q, levels", [(2, 3), (3, 4)])
     def test_escape_matches_csr(self, q, levels):
         # a spec's escape walks, with no network built, equal the CSR walks
@@ -692,3 +701,27 @@ class TestTreeSource:
         k, nxt = walks._tree_step(2, leaf, cur, np.array([0.0, 0.5, 0.99, 0.7]))
         assert nxt.tolist() == [n - 2, n - 1, (x - 2) // 2, (n - 3) // 2]
         assert (3 * cur + k).tolist() == [3 * x, 3 * x + 1, 3 * x + 2, 3 * (n - 1)]
+
+
+@pytest.mark.parametrize("call", ["effective", "estimate_escape"])
+def test_target_ids_reach_the_checks_as_int64_arrays(monkeypatch, call):
+    # a level's ids go to the solver's clamp and the walker's absorbing set
+    # as int64 arrays, each checked in place, with no dict, set or tuple
+    t = build_tree(TreeSpec(2, 6))
+    z = level_slice(t.spec, 6)
+    seen = []
+    check_ids = network._VertexIds._check_ids
+
+    def spy(self, ids):
+        seen.append(ids)
+        return check_ids(self, ids)
+
+    monkeypatch.setattr(network._VertexIds, "_check_ids", spy)
+    if call == "effective":
+        effective(t.net, 0, z)
+    else:
+        estimate_escape(t.net, WalkConfig(seed=1, num_walks=200, start=0), 0, z)
+    ids = [x for x in seen if len(x)]  # the default config's empty watch list aside
+    assert len(ids) == 2, seen
+    for x in ids:
+        assert isinstance(x, np.ndarray) and x.dtype == np.int64 and x.ndim == 1, x
