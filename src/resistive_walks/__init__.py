@@ -33,6 +33,7 @@ from .harmonic import (
     ohm_current,
     resistance_to_infinity,
     solve_dirichlet,
+    unit_voltage,
 )
 from .network import Network, build_network, network_from_json, network_to_json
 from .tree import (
@@ -42,7 +43,6 @@ from .tree import (
     build_tree,
     finite_tree_pair_resistance,
     first_at_depth,
-    ladder_resistance,
     level_slice,
     oracle_finite_escape,
     oracle_green_hitting,

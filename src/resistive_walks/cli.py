@@ -99,8 +99,20 @@ def _chunks(value, nl: str):
 
 def _write_json(doc, out) -> None:
     """Write ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline to
-    ``out`` in one write."""
-    out.write("".join([*_chunks(doc, "\n"), "\n"]))
+    ``out``: encoded, to its binary layer when it has one, sending again
+    whatever a short write left, so a reader that goes away part way fails
+    the next write.  On an unbuffered stdout (``python -u``,
+    ``PYTHONUNBUFFERED``) the text layer would drop that rest unreported."""
+    text = "".join([*_chunks(doc, "\n"), "\n"])
+    binary = getattr(out, "buffer", None)
+    if binary is None:
+        out.write(text)
+        return
+    out.flush()
+    view = memoryview(text.encode(out.encoding, out.errors))
+    while view:
+        view = view[binary.write(view) :]
+    binary.flush()
 
 
 def _emit(doc, fmt: str, rows) -> None:

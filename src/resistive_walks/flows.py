@@ -95,7 +95,8 @@ def validate_flow(net: Network, theta, a, z, tol: float = 1e-12) -> FlowReport:
     bad = np.where(kind == 0, div <= 0, np.where(kind == 1, div >= 0, np.abs(div) > tol))
     where = np.flatnonzero(bad)
     violations = [
-        (x, _VIOLATIONS[k], div[x]) for x, k in zip(where.tolist(), kind[where].tolist())
+        (x, _VIOLATIONS[k], d)
+        for x, k, d in zip(where.tolist(), kind[where].tolist(), div[where].tolist())
     ]
     return FlowReport(ok=not violations, violations=violations)
 
@@ -179,7 +180,8 @@ def thomson_gap(net: Network, theta: np.ndarray, a, z) -> float:
     """
     report = validate_flow(net, theta, a, z, tol=1e-9)
     if not report.ok:
-        raise NotAFlow(f"not a flow from {sorted(a)} to {sorted(z)}: {report.violations[:5]}")
+        a, z = (np.sort(net._check_ids(ids)).tolist() for ids in (a, z))
+        raise NotAFlow(f"not a flow from {a} to {z}: {report.violations[:5]}")
     i = current_flow(net, apply_d_star(net, theta))
     return energy(net, theta) - energy(net, i)
 

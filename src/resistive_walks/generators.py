@@ -8,9 +8,6 @@ the frontier at distance ``n + 1``.  :func:`exhaustion` contracts the
 frontier to a single vertex ``z`` (self-loops discarded, parallel edges
 merged), producing the finite network used for limits of effective
 quantities.
-
-Spherically symmetric generators additionally expose per-level totals so
-that limit computations can collapse to O(n) ladder arithmetic.
 """
 
 from __future__ import annotations
@@ -31,9 +28,11 @@ class GraphGenerator(_VertexIds, ABC):
     root: int = 0
     #: ids are int64, so an infinite graph's usable ids stop below 2**63
     vertex_count: int = 2**63
-    #: True when every vertex at the same depth is equivalent under a
-    #: root-fixing automorphism; enables the ladder fast path.
-    spherically_symmetric: bool = False
+    #: True when the graph is a tree whose vertices all carry the same
+    #: conductances, so that its automorphisms map any directed edge onto any
+    #: other: a Green function or hitting probability at a vertex too deep for
+    #: the ball budget then follows from the limits at depth 1
+    homogeneous_tree: bool = False
 
     @abstractmethod
     def ball_size(self, n: int) -> int:
@@ -46,15 +45,6 @@ class GraphGenerator(_VertexIds, ABC):
     @abstractmethod
     def depth_of(self, x: int) -> int:
         """Distance from the root to vertex x in the generator's labeling."""
-
-    # hooks used only when spherically_symmetric
-    def shell_conductance(self, k: int) -> float:
-        """Total conductance between depth k and depth k + 1."""
-        raise NotImplementedError
-
-    def depth_weight(self, d: int) -> float:
-        """pi(x) for any vertex x at depth d in the full graph."""
-        raise NotImplementedError
 
 
 def exhaustion(gen: GraphGenerator, n: int) -> tuple[Network, int]:
@@ -81,8 +71,6 @@ def exhaustion(gen: GraphGenerator, n: int) -> tuple[Network, int]:
 class HalfLineGenerator(GraphGenerator):
     """Half-line 0 - 1 - 2 - ... of unit resistors (the recurrent prototype)."""
 
-    spherically_symmetric = True
-
     def ball_size(self, n: int) -> int:
         return n + 1
 
@@ -93,12 +81,6 @@ class HalfLineGenerator(GraphGenerator):
     def depth_of(self, x: int) -> int:
         return int(x)
 
-    def shell_conductance(self, k: int) -> float:
-        return 1.0
-
-    def depth_weight(self, d: int) -> float:
-        return 1.0 if d == 0 else 2.0
-
 
 class FiniteBallGenerator(GraphGenerator):
     """Adapter presenting a finite Network as a generator.
@@ -106,7 +88,7 @@ class FiniteBallGenerator(GraphGenerator):
     Vertices are relabeled breadth-first from ``root`` so ids are dense by
     radius; for ``n`` past the eccentricity of the root the ball is the
     whole graph and exhaustions stop changing.  Mainly for exercising the
-    generic (non-symmetric) limit route on arbitrary graphs.
+    exhaustion limits on arbitrary graphs.
     """
 
     def __init__(self, net: Network, root: int = 0):

@@ -26,11 +26,14 @@ raw ``v2`` stands in when the differences do not shrink (``d1 == 0``,
 A limit stops when two successive estimates agree within
 ``tol * min(1, |estimate|)``: absolutely above 1, relatively below it.  The
 Green function and hitting probabilities take their transience verdict
-from the same exhaustions.  Spherically symmetric generators dispatch to
-O(n) per-level ladder sums instead of linear solves; the others are
-exhausted only while the ball has at most ``EXHAUSTION_LIMIT`` vertices.
+from the same exhaustions, and accelerate ``v_n(x)`` and ``R_n`` apart,
+then combine the two limits: on the tree each is a geometric partial sum,
+on which Aitken's value is exact, while their ratio is not.  A generator is
+exhausted only while the ball has at most ``EXHAUSTION_LIMIT`` vertices; a
+vertex of the homogeneous tree too deep for that takes its limits from
+those at depth 1.
 
-Such a generator gets every radius from one sweep over the shells, a
+A generator gets every radius from one sweep over the shells, a
 Schur recursion (Kron reduction, Kron 1939, applied one shell at a time).
 Shell k holds the ids ``ball_size(k-1) .. ball_size(k)-1``; with ``A_kk``
 its block of the Laplacian (the full pi(x) on the diagonal) and ``B_k`` its
@@ -82,13 +85,14 @@ __all__ = [
     "solve_dirichlet",
     "ohm_current",
     "effective",
+    "unit_voltage",
     "resistance_to_infinity",
     "classify_transience",
     "green_function",
     "hitting_probability",
 ]
 
-# vertices up to which the ball of a non-symmetric generator is exhausted;
+# vertices up to which the ball of a generator is exhausted;
 # a limit that would need a larger ball takes its n_max exit instead of
 # running out of memory.  The binary tree's ball fits up to radius 20
 # (3.1M vertices); the limits benchmark goes to radius 9 (1,534).  It also
@@ -236,8 +240,11 @@ def ohm_current(net: Network, values: np.ndarray) -> np.ndarray:
     return net.edge_c * (values[net.edge_u] - values[net.edge_v])
 
 
-def _unit_voltage(net: Network, a: int, z, tol: float) -> tuple[np.ndarray, float]:
-    """Voltages with v(a) = 1 and v = 0 on z, and the current leaving a."""
+def unit_voltage(
+    net: Network, a: int, z, tol: float = 1e-9
+) -> tuple[np.ndarray, EffectiveQuantities]:
+    """Voltages with v(a) = 1 and v = 0 on z, and the :func:`effective`
+    quantities between a and z that they give."""
     z = net._check_ids(z)
     if not len(z):
         raise EmptyInput("empty target set")
@@ -247,7 +254,8 @@ def _unit_voltage(net: Network, a: int, z, tol: float) -> tuple[np.ndarray, floa
     ids = np.append(z, a)
     values = solve_dirichlet(net, BoundarySpec(ids, ids == a), tol=tol)
     cs = net.edge_c[net.incident_edges(a)]
-    return values, float(np.sum(cs * (1.0 - values[net.neighbors(a)])))
+    c = float(np.sum(cs * (1.0 - values[net.neighbors(a)])))
+    return values, EffectiveQuantities(c, 1.0 / c, c / float(net.pi[a]))
 
 
 def effective(net: Network, a: int, z, tol: float = 1e-9) -> EffectiveQuantities:
@@ -257,15 +265,12 @@ def effective(net: Network, a: int, z, tol: float = 1e-9) -> EffectiveQuantities
     leaving a, and the escape probability C / pi(a) is the chance the walk
     from a reaches z before returning to a.
     """
-    _, conductance = _unit_voltage(net, a, z, tol)
-    return EffectiveQuantities(conductance, 1.0 / conductance, conductance / float(net.pi[a]))
+    return unit_voltage(net, a, z, tol)[1]
 
 
 def _radius_budget(gen: GraphGenerator, n_max: int) -> int:
-    """``n_max``, lowered for a non-symmetric generator to the largest
-    radius whose ball has at most ``EXHAUSTION_LIMIT`` vertices."""
-    if gen.spherically_symmetric:
-        return n_max
+    """``n_max``, lowered to the largest radius whose ball has at most
+    ``EXHAUSTION_LIMIT`` vertices."""
     n = 0
     while n < n_max and gen.ball_size(n + 1) <= EXHAUSTION_LIMIT:
         n += 1
@@ -376,14 +381,9 @@ def _unit_current_voltage(
     The flow enters at the root and leaves at the contracted boundary
     ``z_n``, so ``R_n = v_n(root)`` is the resistance R(root <-> z_n).
     """
-    if gen.spherically_symmetric:
-        rs = np.array([1.0 / gen.shell_conductance(k) for k in range(n + 1)])
-        d = gen.depth_of(x)
-        return float(rs[d:].sum()), float(rs.sum()), gen.depth_weight(d)
     net, z = exhaustion(gen, n)
-    values, conductance = _unit_voltage(net, gen.root, (z,), tol)
-    r_eff = 1.0 / conductance
-    return float(values[x]) * r_eff, r_eff, float(net.pi[x])
+    values, eq = unit_voltage(net, gen.root, (z,), tol)
+    return float(values[x]) * eq.resistance, eq.resistance, float(net.pi[x])
 
 
 class _Term(NamedTuple):
@@ -393,8 +393,7 @@ class _Term(NamedTuple):
     vx: float
     r: float
     pi_x: float
-    #: True when the shell recursion gave it, False for a ladder sum or a
-    #: residual-checked solve
+    #: True when the shell recursion gave it, False for a residual-checked solve
     by_shells: bool
 
 
@@ -428,12 +427,13 @@ def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
     ball_size(n)``, where :func:`exhaustion` has no boundary.  ``x`` must
     lie within depth ``start``.
 
-    A spherically symmetric generator gives each radius by its ladder sums.
-    Any other runs the shell recursion of the module docstring while every
-    shell so far has at most ``DENSE_SHELL_LIMIT`` vertices, and from the
-    first larger shell on solves each radius's exhaustion afresh.
+    The shell recursion of the module docstring gives each radius while
+    every shell so far has at most ``DENSE_SHELL_LIMIT`` vertices; from the
+    first larger shell on, each radius's exhaustion is solved afresh.
     """
-    dense = not gen.spherically_symmetric
+    if start > end:  # no radius to give, so no shell to sweep
+        return
+    dense = True
     prev_lo = lo = 0
     chol = y0 = yx = None
     r_sum = v_sum = 0.0
@@ -492,19 +492,33 @@ def _confirm(gen: GraphGenerator, x: int, term: _Term | None, tol: float) -> Non
 
 
 def _limit(gen, x, n_max, tol, quantity):
-    """Limit of ``quantity(v_n(x), R_n, pi(x))`` over radii from depth(x) + 1
-    to ``n_max``; the same exhaustions' R_n give the transience verdict
-    (:func:`classify_transience`'s rule at ``TRANSIENCE_EPS``), which may
-    look on to radius max(32, depth(x) + 2) when ``n_max`` is smaller.  A
+    """``quantity(v, R, pi(x))`` of the limits v of v_n(x) and R of R_n,
+    each estimated on its own, over radii from depth(x) + 1 to ``n_max``;
+    both must converge.  The same exhaustions' R_n give the transience
+    verdict (:func:`classify_transience`'s rule at ``TRANSIENCE_EPS``), which
+    may look on to radius max(32, depth(x) + 2) when ``n_max`` is smaller.  A
     verdict needs two radii; when the ball budget allows fewer, the budget
     error is raised, not :class:`NotTransient`.  ``x`` must be a vertex id
-    of ``gen`` (else InvalidVertex)."""
+    of ``gen`` (else InvalidVertex).
+
+    On a homogeneous tree, a vertex x at a depth d >= 2 whose ball of
+    radius d + 4 exceeds the budget (fewer radii than two Aitken estimates
+    need) takes its limits from a neighbour y of the root, over radii up to
+    ``n_max - d + 1``: the walk from the root reaches x through each vertex
+    between them, and each of those d steps is, up to an automorphism, the
+    step from the root to y, so ``v(x) = R (v(y) / R)^d`` and pi(x) = pi(y)."""
     _check_positive("tol", tol)
     x = gen._check_vertex(x)
-    start = gen.depth_of(x) + 1
+    depth = gen.depth_of(x)
+    if gen.homogeneous_tree and depth >= 2 and gen.ball_size(depth + 4) > EXHAUSTION_LIMIT:
+        return _limit(
+            gen, gen.ball_size(0), max(n_max - depth + 1, 1), tol,
+            lambda v, r, pi_x: quantity(r * (v / r) ** depth, r, pi_x),
+        )
+    start = depth + 1
     last = _radius_budget(gen, max(n_max, start))
-    est = _Estimates(tol)
-    verdict, prev_c, term = Transience.INCONCLUSIVE, None, None
+    est_v, est_r = _Estimates(tol), _Estimates(tol)
+    verdict, prev_c, term, converged = Transience.INCONCLUSIVE, None, None, False
     end = max(last, _radius_budget(gen, max(32, start + 1)))
     for term in _terms(gen, x, start, end, tol):
         if verdict is Transience.INCONCLUSIVE:
@@ -512,8 +526,10 @@ def _limit(gen, x, n_max, tol, quantity):
         if verdict is Transience.RECURRENT_HEURISTIC:
             break
         if term.n <= last:
-            est.push(quantity(term.vx, term.r, term.pi_x))
-        if verdict is Transience.TRANSIENT and (est.converged or term.n >= last):
+            est_v.push(term.vx)
+            est_r.push(term.r)
+            converged = est_v.converged and est_r.converged
+        if verdict is Transience.TRANSIENT and (converged or term.n >= last):
             break
     _confirm(gen, x, term, tol)
     if verdict is Transience.INCONCLUSIVE and end <= start:
@@ -523,18 +539,19 @@ def _limit(gen, x, n_max, tol, quantity):
         )
     if verdict is not Transience.TRANSIENT:
         raise NotTransient(f"transience verdict: {verdict.value}")
-    if not est.converged:
+    value = quantity(est_v.value, est_r.value, term.pi_x)
+    if not converged:
         raise BudgetExceededWithoutConvergence(
-            f"no convergence by radius {last} (n_max={n_max}, last value {est.value})"
+            f"no convergence by radius {last} (n_max={n_max}, last value {value})"
         )
-    return est.value
+    return value
 
 
 def green_function(
     gen: GraphGenerator, x: int, n_max: int = 80, tol: float = 1e-8
 ) -> float:
     """Expected number of visits to x for the walk from the root: pi(x) v(x)."""
-    return _limit(gen, x, _check_int("n_max", n_max, 1), tol, lambda vx, va, pi_x: pi_x * vx)
+    return _limit(gen, x, _check_int("n_max", n_max, 1), tol, lambda v, r, pi_x: pi_x * v)
 
 
 def hitting_probability(
@@ -544,4 +561,4 @@ def hitting_probability(
     n_max = _check_int("n_max", n_max, 1)
     if gen._check_vertex(x) == gen.root:
         return 1.0
-    return _limit(gen, x, n_max, tol, lambda vx, va, pi_x: vx / va)
+    return _limit(gen, x, n_max, tol, lambda v, r, pi_x: v / r)

@@ -4,8 +4,7 @@ Every vertex of the infinite homogeneous tree of degree ``q + 1`` carries
 unit-conductance edges; the simple random walk on it is the attached
 reversible chain.  This module builds finite truncations, provides the
 closed forms for resistance, voltage, current, Green function, hitting
-probabilities and escape probabilities as pure arithmetic, and the O(n)
-level-ladder reduction that exploits spherical symmetry.
+probabilities and escape probabilities as pure arithmetic.
 
 Vertex labeling is breadth-first: root 0, then level 1 in parent order,
 and so on, so ids are stable as the truncation grows.  The labels are
@@ -42,7 +41,6 @@ __all__ = [
     "oracle_potential_current",
     "oracle_green_hitting",
     "oracle_finite_escape",
-    "ladder_resistance",
     "finite_tree_pair_resistance",
     "tree_distance",
     "oracle_table",
@@ -183,13 +181,14 @@ def tree_distance(spec: TreeSpec, a: int, x: int) -> int:
 class TreeGenerator(GraphGenerator):
     """The infinite homogeneous tree as a level-indexed generator.
 
-    ``symmetric=False`` disables the ladder fast path so the generic
-    exhaustion-plus-solver route can be exercised on the same graph.
+    ``symmetric`` selects nothing: every generator's limits run the one
+    exhaustion path.  It is still accepted, for callers that pass it.
     """
+
+    homogeneous_tree = True
 
     def __init__(self, q: int, symmetric: bool = True):
         self.q = _check_int("q", q, 2)
-        self.spherically_symmetric = symmetric
 
     def ball_size(self, n: int) -> int:
         return tree_vertex_count(self.q, n)
@@ -205,12 +204,6 @@ class TreeGenerator(GraphGenerator):
         while tree_vertex_count(self.q, d) <= x:
             d += 1
         return d
-
-    def shell_conductance(self, k: int) -> float:
-        return float((self.q + 1) * self.q**k)
-
-    def depth_weight(self, d: int) -> float:
-        return float(self.q + 1)
 
 
 def oracle_resistance(q: int, n=None) -> float:
@@ -275,22 +268,6 @@ def oracle_finite_escape(case: str, q: int, n: int | None = None, dist: int | No
     if case == "d":
         return 1.0 / dist
     return 1.0 / (dist * (q + 1))
-
-
-def ladder_resistance(q: int, n: int) -> float:
-    """R(root <-> level-n set) by explicit level-wise series/parallel collapse.
-
-    The parallel edges between consecutive levels merge to conductances
-    q+1, q(q+1), q^2(q+1), ...; the series sum of their reciprocals is the
-    resistance.  O(n) arithmetic; agrees with :func:`oracle_resistance`.
-    """
-    q, n = _check_tree_args(q, 1, n=n)
-    total = 0.0
-    shell = float(q + 1)
-    for _ in range(n):
-        total += 1.0 / shell
-        shell *= q
-    return total
 
 
 def finite_tree_pair_resistance(spec: TreeSpec, a: int, x: int) -> float:

@@ -20,7 +20,13 @@ import numpy as np
 from . import flows, tree
 from .errors import InvalidSpec
 from .generators import exhaustion
-from .harmonic import EXHAUSTION_LIMIT, effective, green_function, hitting_probability
+from .harmonic import (
+    EXHAUSTION_LIMIT,
+    effective,
+    green_function,
+    hitting_probability,
+    unit_voltage,
+)
 from .network import _check_int, build_network
 from .tree import TreeGenerator, TreeSpec, build_tree, level_slice, tree_vertex_count
 from .walks import WalkConfig, run_walks
@@ -129,20 +135,22 @@ def run_battery(
     # the linear solver itself still needs an achievable residual target
     stol = max(tol, 1e-12)
 
-    # resistance ladder: closed form vs ladder arithmetic vs Dirichlet solver
+    # one solve on the level-L tree, the root at 1 and level L at 0, gives the
+    # escape row and, as each level carries one voltage, every resistance
+    # R(root <-> level n) = (1 - v(level n)) / C; the resistance_solver rows
+    # solve each exhaustion with the levels past n - 1 shorted instead
+    t = build_tree(TreeSpec(q, levels))
+    values, eq = unit_voltage(t.net, 0, level_slice(t.spec, levels), stol)
     for n in range(1, levels + 1):
         closed = tree.oracle_resistance(q, n)
-        ladder = tree.ladder_resistance(q, n)
+        level_n = (1.0 - values[tree.first_at_depth(q, n)]) / eq.conductance
         net, z = exhaustion(gen, n - 1)  # z is the level-n set, shorted
         solver = effective(net, 0, {z}, tol=stol).resistance
-        rows.append(_row(f"resistance/n={n}", closed, ladder, tol=1e-12))
+        rows.append(_row(f"resistance/n={n}", closed, level_n, tol=1e-12))
         rows.append(_row(f"resistance_solver/n={n}", closed, solver, tol=tol))
 
-    # escape probability from the root to the deepest level
-    t = build_tree(TreeSpec(q, levels))
     closed = tree.oracle_finite_escape("a", q, n=levels)
-    solver = effective(t.net, 0, level_slice(t.spec, levels), tol=stol).escape_probability
-    rows.append(_row(f"escape/root_to_level_{levels}", closed, solver, tol=tol))
+    rows.append(_row(f"escape/root_to_level_{levels}", closed, eq.escape_probability, tol=tol))
 
     # limits via exhaustion: green function and hitting probability
     for d in (0, 1, 2):

@@ -26,12 +26,12 @@ from resistive_walks import (
     first_at_depth,
     green_function,
     inner_r,
-    ladder_resistance,
     level_slice,
     ohm_current,
     oracle_finite_escape,
     oracle_potential_current,
     oracle_resistance,
+    resistance_to_infinity,
     run_walks,
     solve_dirichlet,
     thomson_gap,
@@ -75,8 +75,8 @@ def test_01_resistance_ladder():
 
 
 def test_02_ladder_limits():
-    e2 = abs(ladder_resistance(2, 21) - 2.0 / 3.0)
-    e3 = abs(ladder_resistance(3, 13) - 3.0 / 8.0)
+    e2 = abs(resistance_to_infinity(TreeGenerator(2)).value - 2.0 / 3.0)
+    e3 = abs(resistance_to_infinity(TreeGenerator(3)).value - 3.0 / 8.0)
     _report("2 ladder limit values", e2 < 1e-6 and e3 < 1e-6, f"{e2:.2e}, {e3:.2e}")
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -423,16 +424,17 @@ class TestVerify:
 
     def test_default_stdout_digest(self, capsys):
         # pins every row at the default scale, the Monte Carlo batch on the
-        # level-20 tree included; the hitting rows' solver values come from
-        # limits that stop on a relative step below 1
+        # level-20 tree included; the Green and hitting rows' solver values
+        # come from the exhaustions, with v_n(x) and R_n accelerated apart
         code, out, _ = run_cli(capsys, "verify", "--seed", "42")
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "395dc878e0d8da5bfdcdd04bd0446c2be12157ada84c955c48ebe950ccb54538"
+        assert digest == "443befa7885e11ab37a9f892f7db2b10b26f807a535abf0c2a413466f5d21b22"
 
     def test_default_battery_assembles_no_big_network(self, monkeypatch):
         # the level-20 walks need no network; the largest one assembled is
-        # the level-8 escape tree
+        # the radius-9 exhaustion that confirms the Green function's limit,
+        # which its transience verdict reaches
         sizes = []
 
         def recording(u, v, c, vertex_count, *args, **kwargs):
@@ -443,7 +445,7 @@ class TestVerify:
         for module in (network, tree, generators):
             monkeypatch.setattr(module, "_assemble", recording)
         assert run_battery().exit_status == "pass"
-        assert sizes and max(sizes) <= tree_vertex_count(2, 8)
+        assert sizes and max(sizes) <= tree_vertex_count(2, 9) + 1
 
     @pytest.mark.parametrize("q, deepest", [(2, 20), (3, 13), (4, 10), (5, 9), (6, 8)])
     def test_one_batch_on_the_deepest_tree_within_the_limit(self, monkeypatch, q, deepest):
@@ -496,10 +498,10 @@ class TestVerify:
 
 @pytest.mark.parametrize("argv, want", [
     ("verify --levels 3 --walks 2000 --seed 42",
-     "849286737112b9e1b3b2264795ee41e1cb9b94de37d469781414c0667e8f2c5e"),
+     "5bba9e0ce965b912381a559fc88e1a053dcd609be177e8966b9b8a9e1eeaa8e0"),
     ("oracle --q 3", "9ef91b37b1dbe030db37adeb9c48f2f83b9a0e92df017ead33a902a232fb6d6c"),
     ("resist --tree 2,8 --to-infinity",
-     "ba8dd4a21ccd3f99d912f6a1e02c7c8cb28218422ba604a626a17e8b46877db7"),
+     "f83505aa201d7ab7f45c65510e810fc5712192a5e1eaa2414970973c059e7f64"),
     ("resist --tree 2,8 --source 0 --target-set level:8",
      "2481a271f446dcd45c5db343f6ddd8d0a9641558a8a9bb8a875231d33b813a51"),
     ("simulate --tree 2,6 --absorb-level 6 --walks 500 --seed 42",
@@ -669,6 +671,41 @@ def test_closed_stdout_exits_quietly():
     assert err == ""
 
 
+@pytest.mark.parametrize("levels, walks, read", [
+    (12, 20_000, 300), (12, 20_000, 5_000), (20, 100_000, 300)
+], ids=["91KB-300", "91KB-5000", "1.7MB-300"])
+def test_reader_that_stops_early_exits_1(levels, walks, read):
+    # as ``| head -c 300``: ``read`` bytes are read, then the pipe is closed.
+    # With stdout unbuffered, a document written in one call went out in one
+    # write(2), which returned after the part the pipe took in; the text
+    # layer dropped the rest unreported, and the command exited 0.  Reading
+    # 5,000 bytes frees room in a full 64 KiB pipe, so the write(2) that
+    # ends the document is cut short too, not refused
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "resistive_walks.cli", "simulate", "--tree", f"2,{levels}",
+         "--absorb-level", str(levels), "--walks", str(walks), "--seed", "42"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**_cli_env(), "PYTHONUNBUFFERED": "1"},
+        bufsize=0,
+    )
+    try:
+        got = b""
+        while len(got) < read:
+            chunk = os.read(proc.stdout.fileno(), read - len(got))
+            assert chunk
+            got += chunk
+        time.sleep(0.5)  # so the writer waits in its next write(2) when the pipe closes
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""
+
+
 def test_stdout_closed_before_output_exits_quietly():
     # a short document waits in stdout's buffer; main flushes it, so the
     # failed write ends in exit 1 there and not in an error at interpreter exit
@@ -791,6 +828,17 @@ class TestJsonEmitter:
             with pytest.raises(TypeError):
                 emitted(doc)
 
+    @staticmethod
+    def _simulate_sized_doc():
+        rng = np.random.default_rng(16)
+        ids = np.unique(rng.integers(0, 3_000_000, size=100_000))
+        return {
+            "command": "simulate",
+            "hits": cli._IdCounts(ids, rng.integers(1, 50, size=len(ids))),
+            "target_set": ids,
+            "label": "x" * 200_000,
+        }
+
     def test_writes_are_bounded(self):
         class Sink:
             def __init__(self):
@@ -799,16 +847,31 @@ class TestJsonEmitter:
             def write(self, text):
                 self.writes.append(text)
 
-        rng = np.random.default_rng(16)
-        ids = np.unique(rng.integers(0, 3_000_000, size=100_000))
-        doc = {
-            "command": "simulate",
-            "hits": cli._IdCounts(ids, rng.integers(1, 50, size=len(ids))),
-            "target_set": ids,
-            "label": "x" * 200_000,
-        }
+        doc = self._simulate_sized_doc()
         sink = Sink()
         cli._write_json(doc, sink)
         # a simulate-sized document goes out whole, in one write
         assert len(sink.writes) == 1
         assert sink.writes[0] == dumped(doc)
+
+    def test_short_writes_are_sent_again(self):
+        # an unbuffered stdout's binary layer is the file itself, whose
+        # write(2) into a pipe may take only part of what it is given; the
+        # text layer above it drops the rest, so _write_json sends it again
+        class Pipe(io.RawIOBase):
+            def __init__(self):
+                self.got = bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                self.got += bytes(data[:4096])
+                return min(len(data), 4096)
+
+        doc = self._simulate_sized_doc()
+        pipe = Pipe()
+        out = io.TextIOWrapper(pipe, encoding="utf-8", write_through=True)
+        out.write("{")  # text already written goes out first
+        cli._write_json(doc, out)
+        assert pipe.got.decode() == "{" + dumped(doc)

@@ -73,7 +73,8 @@ TRIGGERS = {
         build_network([(0, 1, 1e-8), (1, 2, 1e9)]), BoundarySpec([0], [1.0])
     ),
     NotTransient: lambda: green_function(HalfLineGenerator(), 1),
-    # the budget leaves radii 41 and 42: a verdict, but too few for a limit
+    # n_max = 10 leaves depth 40's route through depth 1 a single radius:
+    # a verdict, but too few for a limit
     BudgetExceededWithoutConvergence: lambda: green_function(
         TreeGenerator(2), first_at_depth(2, 40), n_max=10
     ),

@@ -20,8 +20,8 @@ from resistive_walks import (
     energy,
     exhaustion,
     inner_r,
-    ladder_resistance,
     ohm_current,
+    oracle_resistance,
     solve_dirichlet,
     thomson_gap,
     validate_flow,
@@ -184,7 +184,7 @@ class TestEnergy:
     def test_tree_unit_current_energy_is_resistance(self):
         for n in (1, 2, 3, 4):
             net, _, i = unit_tree_current(2, n - 1)
-            assert abs(energy(net, i) - ladder_resistance(2, n)) < 1e-9
+            assert abs(energy(net, i) - oracle_resistance(2, n)) < 1e-9
 
     def test_quadratic_scaling(self):
         net = triangle()
@@ -315,6 +315,18 @@ class TestThomson:
         net = k4()
         with pytest.raises(NotAFlow):
             thomson_gap(net, triangle_cycle_flow_on_k4(net), {0}, {3})
+
+    def test_not_a_flow_message_shows_plain_numbers(self):
+        # int64 id arrays and the divergences printed as np.int64(0) and
+        # np.float64(0.0) under numpy 2
+        net = build_network([(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(NotAFlow) as info:
+            thomson_gap(net, np.zeros(2), np.array([0]), np.array([2]))
+        message = str(info.value)
+        assert "np." not in message
+        assert message.startswith("not a flow from [0] to [2]: [(0, ")
+        (x, _, d), _ = validate_flow(net, np.zeros(2), [0], [2]).violations
+        assert type(x) is int and type(d) is float
 
     @given(st.integers(0, 2**32 - 1), st.integers(4, 10))
     @settings(max_examples=20, deadline=None)

@@ -22,12 +22,14 @@ from resistive_walks import (
     exhaustion,
     first_at_depth,
     green_function,
+    level_slice,
     hitting_probability,
     ohm_current,
     oracle_green_hitting,
     oracle_resistance,
     resistance_to_infinity,
     solve_dirichlet,
+    unit_voltage,
 )
 from resistive_walks.errors import (
     BudgetExceededWithoutConvergence,
@@ -406,6 +408,18 @@ class TestEffective:
         eq = effective(t.net, 0, z)
         assert abs(eq.escape_probability - 2.0 / 3.0) < 1e-12
 
+    def test_unit_voltage_gives_effective(self):
+        # the level-3 tree, the root at 1 and level 3 at 0: level n carries
+        # 1 - R(root <-> level n) C, and the quantities are effective's
+        t = build_tree(TreeSpec(2, 3))
+        z = level_slice(t.spec, 3)
+        values, eq = unit_voltage(t.net, 0, z)
+        assert eq == effective(t.net, 0, z)
+        assert values[0] == 1.0 and not values[z].any()
+        for n in (1, 2):
+            level = values[first_at_depth(2, n) : first_at_depth(2, n + 1)]
+            assert np.allclose(level, 1.0 - oracle_resistance(2, n) * eq.conductance, atol=1e-12)
+
     def test_errors(self):
         net = build_network([(0, 1, 1.0)])
         with pytest.raises(EmptyInput):
@@ -443,21 +457,42 @@ class TestEffective:
 
 
 class VanishingLine(HalfLineGenerator):
-    """The half-line with shell conductances 10^-k: C_n falls below
-    ``TRANSIENCE_EPS`` within a few radii."""
+    """The half-line with conductance 10^-k between k and k + 1: C_n falls
+    below ``TRANSIENCE_EPS`` within a few radii."""
 
-    def shell_conductance(self, k):
-        return 10.0**-k
+    def ball_edges(self, n):
+        u, v, _ = super().ball_edges(n)
+        return u, v, 10.0**-u
+
+
+class ScaledTree(TreeGenerator):
+    """The tree of degree q + 1 with every conductance ``c``: its Green
+    function and hitting probabilities are the unit tree's, while ``R_n``
+    and ``v_n(x)`` scale by 1/c."""
+
+    def __init__(self, q, c):
+        super().__init__(q)
+        self.c = c
+
+    def ball_edges(self, n):
+        u, v, ones = super().ball_edges(n)
+        return u, v, self.c * ones
+
+
+class GenericTree(TreeGenerator):
+    """The tree of degree q + 1 without the homogeneous-tree route: a deep
+    vertex's limits take the ball budget's exits, as any generator's do."""
+
+    homogeneous_tree = False
 
 
 class TestLimits:
     def test_tree_resistance_to_infinity(self):
         # R_n = (2/3)(1 - 2^-(n+1)) is geometric, so Aitken's value is exact
-        for symmetric in (True, False):
-            res = resistance_to_infinity(TreeGenerator(2, symmetric=symmetric), tol=1e-6)
-            assert res.converged and res.accelerated
-            assert abs(res.value - 2.0 / 3.0) < 1e-12
-            assert res.n_used == 3
+        res = resistance_to_infinity(TreeGenerator(2), tol=1e-6)
+        assert res.converged and res.accelerated
+        assert abs(res.value - 2.0 / 3.0) < 1e-12
+        assert res.n_used == 3
 
     def test_tree_q3(self):
         res = resistance_to_infinity(TreeGenerator(3), tol=1e-6)
@@ -465,9 +500,15 @@ class TestLimits:
         assert abs(res.value - 3.0 / 8.0) < 1e-5
 
     def test_half_line_diverges(self):
-        # R_n = n + 1: equal differences, so no Aitken estimate is formed
-        res = resistance_to_infinity(HalfLineGenerator(), n_max=50, tol=1e-6)
-        assert (res.converged, res.accelerated, res.value) == (False, False, 51.0)
+        # R_n = n + 1: equal differences, so no Aitken estimate is formed and
+        # the value is the raw R_50, exact by the shell recursion and within
+        # rounding of 51 by a solve
+        gen = HalfLineGenerator()
+        res = resistance_to_infinity(gen, n_max=50, tol=1e-6)
+        raw = harmonic._unit_current_voltage(gen, gen.root, 50, 1e-6)[1]
+        assert (res.converged, res.accelerated) == (False, False)
+        assert res.value == (51.0 if harmonic.DENSE_SHELL_LIMIT else raw)
+        assert abs(raw - 51.0) <= 1e-12 * 51.0
 
     def test_finite_grid_exhausts_without_false_convergence(self):
         # the grid's R_n grows like log n; successive Aitken estimates stay
@@ -484,14 +525,14 @@ class TestLimits:
     def test_nonsymmetric_green_at_defaults(self, monkeypatch):
         # the raw sequence cannot meet tol=1e-8 within the ball budget;
         # the transience verdict sets the largest radius built
-        gen = TreeGenerator(2, symmetric=False)
+        gen = TreeGenerator(2)
         radii = record_radii(monkeypatch, gen)
         got = green_function(gen, first_at_depth(2, 1))
         assert abs(got - oracle_green_hitting(2, 1)[0]) <= 1e-12
         assert max(radii) <= 10
 
     def test_monotone_in_radius(self):
-        gen = TreeGenerator(2, symmetric=False)
+        gen = TreeGenerator(2)
         from resistive_walks.harmonic import _unit_current_voltage
 
         rs = [_unit_current_voltage(gen, gen.root, n, 1e-9)[1] for n in range(6)]
@@ -532,6 +573,32 @@ class TestLimits:
         got = hitting_probability(TreeGenerator(2), x)
         assert abs(got - hitting) <= 1e-12 * hitting
 
+    def test_scaled_limits_far_below_tol_stop_on_a_relative_step(self):
+        # with conductances 1e19, R_n and v_n(x) are near 1e-19, far below
+        # tol=1e-8: an absolute step stops the limit of R_n at its second raw
+        # term, 25% short; the Green and hitting limits, whose transience
+        # verdict takes them on to radius 9, keep their closed forms
+        gen, x = ScaledTree(2, 1e19), first_at_depth(2, 2)
+        green, hitting, _ = oracle_green_hitting(2, 2)
+        assert abs(green_function(gen, x) - green) <= 1e-12 * green
+        assert abs(hitting_probability(gen, x) - hitting) <= 1e-12 * hitting
+        res = resistance_to_infinity(gen, tol=1e-8)
+        assert res.converged and abs(res.value - 2e-19 / 3) <= 1e-12 * 2e-19 / 3
+
+    def test_deep_vertex_of_any_other_generator_stops_at_the_budget(self):
+        # without the homogeneous-tree route, the limit at depth 62 needs
+        # radius 63, past the ball budget's 20, and says so without building
+        # a ball
+        with pytest.raises(BudgetExceededWithoutConvergence, match="stops at radius 20"):
+            green_function(GenericTree(2), 2**63 - 1)
+
+    def test_hitting_is_exact_from_its_parts(self):
+        # v_n(x) and R_n are each a geometric partial sum, on which Aitken's
+        # value is exact; their ratio is not, and an estimate of the ratio
+        # erred by 7e-10 here
+        got = hitting_probability(TreeGenerator(2), first_at_depth(2, 2))
+        assert abs(got - 0.25) <= 1e-14
+
     def test_green_requires_transience(self):
         with pytest.raises(NotTransient):
             green_function(HalfLineGenerator(), 0, n_max=40)
@@ -548,10 +615,14 @@ class TestLimits:
         assert abs(hitting_probability(gen3, first_at_depth(3, 2)) - 1.0 / 9.0) < 1e-6
 
     def test_generic_route_matches_ladder(self):
+        # the ladder: levels k and k + 1 joined by (q + 1) q^k unit edges, so
+        # v(x) = sum over k >= depth(x) of 1 / ((q + 1) q^k), and G = pi(x) v(x)
         x = first_at_depth(2, 1)
-        ladder = green_function(TreeGenerator(2), x, tol=1e-4)
-        generic = green_function(TreeGenerator(2, symmetric=False), x, tol=1e-4)
+        ladder = 3 * sum(1.0 / (3 * 2**k) for k in range(1, 60))
+        generic = green_function(TreeGenerator(2), x, tol=1e-4)
         assert abs(ladder - generic) < 1e-3
+        # the keyword selects nothing
+        assert green_function(TreeGenerator(2, symmetric=False), x, tol=1e-4) == generic
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("call", [
@@ -576,11 +647,12 @@ class TestLimits:
     def test_deep_vertex_budget_is_not_a_verdict(self, monkeypatch):
         # the transience verdict needs radii depth(x) + 1 and depth(x) + 2;
         # a budget that runs out first raises the budget error, which a
-        # caller may retry with a larger budget, not NotTransient
+        # caller may retry with a larger budget, not NotTransient.  Depth 40
+        # takes the route through depth 1, whose radii n_max keeps as few
         with pytest.raises(BudgetExceededWithoutConvergence):
             green_function(TreeGenerator(2), first_at_depth(2, 40), n_max=10)
         monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", 5_000)
-        gen = TreeGenerator(2, symmetric=False)
+        gen = GenericTree(2)
         for depth in (9, 10):  # radius 10 is the last ball within the budget
             with pytest.raises(BudgetExceededWithoutConvergence, match="transience verdict"):
                 green_function(gen, first_at_depth(2, depth))
@@ -590,7 +662,7 @@ class TestLimits:
         # defaults; two Aitken estimates need four radii, so budgets that
         # allow fewer must take the n_max exit
         monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", 5_000)
-        gen = TreeGenerator(2, symmetric=False)
+        gen = GenericTree(2)
         radii = record_radii(monkeypatch, gen)
         # depth 8 leaves radii 9 and 10, enough for the transience verdict
         with pytest.raises(BudgetExceededWithoutConvergence):
@@ -602,6 +674,33 @@ class TestLimits:
         res = resistance_to_infinity(gen, tol=1e-12)
         # radius 2 (10 vertices) is the last ball within the budget
         assert (res.converged, res.n_used, gen.ball_size(max(radii))) == (False, 2, 10)
+
+
+def test_hitting_stops_early_at_q6(monkeypatch):
+    # radii 3..6 give two equal Aitken values of each part; the radius-6 ball
+    # has 65,318 vertices, the radius-8 one 2.35M.  Not a TestLimits case:
+    # with every shell dense, shell 6's block alone would take 24 GB
+    gen = TreeGenerator(6)
+    radii = record_radii(monkeypatch, gen)
+    got = hitting_probability(gen, first_at_depth(6, 2))
+    assert abs(got - 1.0 / 36.0) <= 1e-15
+    assert max(radii) <= 6
+
+
+@pytest.mark.parametrize("q, depth", [(2, 8), (3, 4)])
+def test_deep_route_matches_the_exhaustions(monkeypatch, q, depth):
+    # a budget below the ball of radius depth + 4 sends the vertex to
+    # the route through depth 1; both agree with the closed forms.  Not a
+    # TestLimits case: with every shell dense, radius 8 at q=3 takes 600 MB
+    x = first_at_depth(q, depth)
+    green, hitting, _ = oracle_green_hitting(q, depth)
+    for limit in (harmonic.EXHAUSTION_LIMIT, TreeGenerator(q).ball_size(depth + 4) - 1):
+        monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", limit)
+        gen = TreeGenerator(q)
+        radii = record_radii(monkeypatch, gen)
+        assert abs(green_function(gen, x) - green) <= 1e-13 * green
+        assert abs(hitting_probability(gen, x) - hitting) <= 1e-13 * hitting
+        assert gen.ball_size(max(radii)) <= limit
 
 
 @pytest.fixture(params=[0, 10**6], ids=["solves", "shells"])
@@ -640,10 +739,8 @@ def terms_and_solves(gen, x, end=10**6):
 
 
 class NegativePath(HalfLineGenerator):
-    """The half-line with conductance -1, off the ladder: no Schur
-    complement of it is positive definite."""
-
-    spherically_symmetric = False
+    """The half-line with conductance -1: no Schur complement of it is
+    positive definite."""
 
     def ball_edges(self, n):
         u, v, c = super().ball_edges(n)
@@ -671,7 +768,7 @@ class TestShellRecursion:
     @pytest.mark.parametrize("q, depth, end", [(2, 2, 8), (3, 1, 5)])
     def test_tree_matches_solves(self, monkeypatch, q, depth, end):
         monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", 10**6)
-        gen = TreeGenerator(q, symmetric=False)
+        gen = TreeGenerator(q)
         for x in (gen.root, first_at_depth(q, depth)):
             pairs = terms_and_solves(gen, x, end)
             assert pairs[-1][0].n == end
@@ -703,8 +800,8 @@ class TestShellRecursion:
             assert abs(t.r - r) <= 1e-12 * r and t.vx == t.r
 
     @pytest.mark.parametrize("gen", [
-        TreeGenerator(2, symmetric=False),
-        TreeGenerator(3, symmetric=False),
+        TreeGenerator(2),
+        TreeGenerator(3),
         FiniteBallGenerator(grid_net(30, 7), 15 * 30 + 15),
     ], ids=["tree2", "tree3", "grid"])
     def test_same_limit_result_either_way(self, monkeypatch, gen):
@@ -775,7 +872,7 @@ class TestShellRecursion:
 
         monkeypatch.setattr(harmonic, "_unit_current_voltage", off)
         with pytest.raises(SolverDivergence, match="shell recursion"):
-            call(TreeGenerator(2, symmetric=False))
+            call(TreeGenerator(2))
 
     def test_indefinite_schur_complement_diverges(self):
         with pytest.raises(SolverDivergence, match="Schur complement of shell 0"):

@@ -15,7 +15,9 @@ MODULES = ("cli", "verify", "network", "tree", "generators", "harmonic", "flows"
 
 REMOVED = ("MarkovView", "markov_view", "series_parallel_reduce", "contract_vertices",
            "vertex_weight", "estimate_hitting", "estimate_green", "estimate_transitions",
-           "strength", "index_of", "to_json")
+           "strength", "index_of", "to_json",
+           # the spherically symmetric ladder path: every limit runs the exhaustions
+           "ladder_resistance", "shell_conductance", "depth_weight", "spherically_symmetric")
 
 
 @pytest.mark.parametrize("layer", MODULES)
@@ -42,8 +44,12 @@ def test_removed_names_stay_removed():
     walks = importlib.import_module("resistive_walks.walks")
     flows = importlib.import_module("resistive_walks.flows")
     verify = importlib.import_module("resistive_walks.verify")
+    tree = importlib.import_module("resistive_walks.tree")
+    generators = importlib.import_module("resistive_walks.generators")
+    harmonic = importlib.import_module("resistive_walks.harmonic")
     for mod in (resistive_walks, network, walks, flows, network.Network, verify.CheckRow,
-                verify.RunReport):
+                verify.RunReport, tree, generators, harmonic, tree.TreeGenerator,
+                generators.GraphGenerator, generators.HalfLineGenerator):
         assert not set(REMOVED) & set(dir(mod))
     assert "check_connected" not in inspect.signature(resistive_walks.build_network).parameters
     assert "check" not in inspect.signature(resistive_walks.thomson_gap).parameters

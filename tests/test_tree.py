@@ -17,7 +17,6 @@ from resistive_walks import (
     exhaustion,
     finite_tree_pair_resistance,
     first_at_depth,
-    ladder_resistance,
     level_slice,
     ohm_current,
     oracle_finite_escape,
@@ -213,12 +212,21 @@ class TestClosedForms:
         assert abs(oracle_resistance(3, None) - 3.0 / 8.0) < 1e-15
 
     def test_resistance_matches_ladder(self):
+        # a solve on the tree with the levels past n - 1 shorted, each up to
+        # 30k vertices, against the ladder's series sum
         for q in (2, 3, 4, 5):
-            for n in range(1, 12):
-                assert abs(oracle_resistance(q, n) - ladder_resistance(q, n)) < 1e-12
+            n = 1
+            while tree_vertex_count(q, n - 1) <= 30_000:
+                net, z = exhaustion(TreeGenerator(q), n - 1)
+                solved = effective(net, 0, [z]).resistance
+                assert abs(oracle_resistance(q, n) - solved) < 1e-12
+                n += 1
 
     def test_ladder_q5(self):
-        assert abs(ladder_resistance(5, 2) - 1.0 / 5.0) < 1e-15
+        # 1/6 + 1/30 across the two shells of the ladder
+        net, z = exhaustion(TreeGenerator(5), 1)
+        assert abs(effective(net, 0, [z]).resistance - 1.0 / 5.0) < 1e-15
+        assert abs(oracle_resistance(5, 2) - 1.0 / 5.0) < 1e-15
 
     def test_potential_current(self):
         v0, i0 = oracle_potential_current(2, 0)
@@ -253,8 +261,6 @@ class TestClosedForms:
             oracle_resistance(1, 2)
         with pytest.raises(InvalidSpec):
             oracle_resistance(2, 0)
-        with pytest.raises(InvalidSpec):
-            ladder_resistance(2, 0)
         with pytest.raises(InvalidSpec):
             oracle_finite_escape("f", 2, n=2)
 
@@ -389,9 +395,11 @@ class TestGenerator:
         assert (gen.depth_of(first - 1), gen.depth_of(first)) == (61, 62)
 
     def test_shell_conductance(self):
-        gen = TreeGenerator(3)
-        assert gen.shell_conductance(0) == 4.0
-        assert gen.shell_conductance(2) == 36.0
+        # the (q + 1) q^k unit edges from level k to level k + 1 merge into
+        # the contracted boundary z
+        for k, want in ((0, 4.0), (2, 36.0)):
+            net, z = exhaustion(TreeGenerator(3), k)
+            assert net.pi[z] == want
 
     def test_invalid_q(self):
         with pytest.raises(InvalidSpec):
