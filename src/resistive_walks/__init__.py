@@ -25,8 +25,6 @@ from .harmonic import (
     BoundarySpec,
     EffectiveQuantities,
     LimitResult,
-    Transience,
-    classify_transience,
     effective,
     green_function,
     hitting_probability,

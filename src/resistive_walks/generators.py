@@ -40,7 +40,12 @@ class GraphGenerator(_VertexIds, ABC):
 
     @abstractmethod
     def ball_edges(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(u, v, c) arrays of all edges with an endpoint at depth <= n."""
+        """(u, v, c) arrays of all edges with an endpoint at depth <= n.
+
+        One edge from a vertex of the ball into the frontier (depth n + 1)
+        may stand for several, its conductance their sum:
+        :func:`exhaustion` contracts the frontier to one vertex, which
+        merges them in any case."""
 
     @abstractmethod
     def depth_of(self, x: int) -> int:

@@ -56,7 +56,6 @@ not positive definite.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -81,13 +80,11 @@ __all__ = [
     "BoundarySpec",
     "EffectiveQuantities",
     "LimitResult",
-    "Transience",
     "solve_dirichlet",
     "ohm_current",
     "effective",
     "unit_voltage",
     "resistance_to_infinity",
-    "classify_transience",
     "green_function",
     "hitting_probability",
 ]
@@ -135,14 +132,6 @@ class LimitResult:
     value: float
     converged: bool
     n_used: int
-    #: True when ``value`` is an Aitken estimate rather than a raw term
-    accelerated: bool
-
-
-class Transience(enum.Enum):
-    TRANSIENT = "transient"
-    RECURRENT_HEURISTIC = "recurrent-heuristic"
-    INCONCLUSIVE = "inconclusive"
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -290,17 +279,16 @@ class _Estimates:
         self.tol = tol
         self.raw: list[float] = []
         self.value = np.nan
-        self.accelerated = False
         self.converged = False
 
     def push(self, v2: float) -> None:
         prev = self.value
-        self.value, self.accelerated = v2, False
+        self.value = v2
         if len(self.raw) >= 2:
             v0, v1 = self.raw[-2:]
             d1, d2 = v1 - v0, v2 - v1
             if d1 != 0 and abs(d2 / d1) < 1:  # so also d2 != d1
-                self.value, self.accelerated = v2 - d2 * d2 / (d2 - d1), True
+                self.value = v2 - d2 * d2 / (d2 - d1)
         # absolute above 1, relative below it (so a limit far below tol is
         # not cut short); False after NaN
         self.converged = abs(self.value - prev) < self.tol * min(1.0, abs(self.value))
@@ -312,7 +300,7 @@ def resistance_to_infinity(
 ) -> LimitResult:
     """Limit of R(root <-> z_n) over exhaustions of increasing radius.
 
-    Declares convergence when two successive estimates (Aitken-accelerated
+    Declares convergence when two successive estimates (Aitken's values
     where the differences shrink, see the module docstring) differ by less
     than ``tol * min(1, |estimate|)``; otherwise returns the last estimate
     with ``converged=False``, also when the next ball would exceed
@@ -332,45 +320,25 @@ def resistance_to_infinity(
             break
     _confirm(gen, gen.root, term, tol)
     if est.converged:
-        return LimitResult(est.value, converged=True, n_used=term.n, accelerated=est.accelerated)
+        return LimitResult(est.value, converged=True, n_used=term.n)
     if term is None or term.n < n_max:
         # finite graph fully exhausted at the next radius; no further change possible
         value = term.r if term else np.nan
         n_used = term.n + 1 if term else 0
-        return LimitResult(value=value, converged=False, n_used=n_used, accelerated=False)
-    return LimitResult(est.value, converged=False, n_used=n_max, accelerated=est.accelerated)
+        return LimitResult(value=value, converged=False, n_used=n_used)
+    return LimitResult(est.value, converged=False, n_used=n_max)
 
 
-def _verdict(c: float, prev: float | None, eps: float) -> Transience:
-    """Transience verdict from successive conductances to infinity."""
-    if c < eps:
-        return Transience.RECURRENT_HEURISTIC
-    if prev is not None and abs(c - prev) < eps * c:
-        return Transience.TRANSIENT
-    return Transience.INCONCLUSIVE
-
-
-def classify_transience(
-    gen: GraphGenerator, n_max: int = 64, eps: float = TRANSIENCE_EPS
-) -> Transience:
-    """Heuristic transience verdict from the conductance-to-infinity trend.
-
-    Transient when C_n stabilizes strictly above ``eps``; recurrent
-    (heuristically -- finite data cannot certify a zero limit) when C_n
-    drops below ``eps``; inconclusive otherwise.
-    """
-    n_max = _check_int("n_max", n_max, 1)
-    _check_positive("eps", eps)
-    tol = min(eps, 1e-6)
-    verdict, prev, term = Transience.INCONCLUSIVE, None, None
-    for term in _terms(gen, gen.root, 0, _radius_budget(gen, n_max), tol):
-        c = 1.0 / term.r
-        verdict = _verdict(c, prev, eps)
-        if verdict is not Transience.INCONCLUSIVE:
-            break
-        prev = c
-    _confirm(gen, gen.root, term, tol)
-    return verdict
+def _verdict(c: float, prev: float | None) -> str:
+    """The transience verdict from successive conductances to infinity: C_n
+    below ``TRANSIENCE_EPS`` is recurrent (heuristically -- finite data
+    cannot certify a zero limit), C_n stable within ``TRANSIENCE_EPS * C_n``
+    of the previous radius transient, anything else inconclusive."""
+    if c < TRANSIENCE_EPS:
+        return "recurrent-heuristic"
+    if prev is not None and abs(c - prev) < TRANSIENCE_EPS * c:
+        return "transient"
+    return "inconclusive"
 
 
 def _unit_current_voltage(
@@ -495,7 +463,7 @@ def _limit(gen, x, n_max, tol, quantity):
     """``quantity(v, R, pi(x))`` of the limits v of v_n(x) and R of R_n,
     each estimated on its own, over radii from depth(x) + 1 to ``n_max``;
     both must converge.  The same exhaustions' R_n give the transience
-    verdict (:func:`classify_transience`'s rule at ``TRANSIENCE_EPS``), which
+    verdict (:func:`_verdict`, at ``TRANSIENCE_EPS``), which
     may look on to radius max(32, depth(x) + 2) when ``n_max`` is smaller.  A
     verdict needs two radii; when the ball budget allows fewer, the budget
     error is raised, not :class:`NotTransient`.  ``x`` must be a vertex id
@@ -518,27 +486,27 @@ def _limit(gen, x, n_max, tol, quantity):
     start = depth + 1
     last = _radius_budget(gen, max(n_max, start))
     est_v, est_r = _Estimates(tol), _Estimates(tol)
-    verdict, prev_c, term, converged = Transience.INCONCLUSIVE, None, None, False
+    verdict, prev_c, term, converged = "inconclusive", None, None, False
     end = max(last, _radius_budget(gen, max(32, start + 1)))
     for term in _terms(gen, x, start, end, tol):
-        if verdict is Transience.INCONCLUSIVE:
-            verdict, prev_c = _verdict(1.0 / term.r, prev_c, TRANSIENCE_EPS), 1.0 / term.r
-        if verdict is Transience.RECURRENT_HEURISTIC:
+        if verdict == "inconclusive":
+            verdict, prev_c = _verdict(1.0 / term.r, prev_c), 1.0 / term.r
+        if verdict == "recurrent-heuristic":
             break
         if term.n <= last:
             est_v.push(term.vx)
             est_r.push(term.r)
             converged = est_v.converged and est_r.converged
-        if verdict is Transience.TRANSIENT and (converged or term.n >= last):
+        if verdict == "transient" and (converged or term.n >= last):
             break
     _confirm(gen, x, term, tol)
-    if verdict is Transience.INCONCLUSIVE and end <= start:
+    if verdict == "inconclusive" and end <= start:
         raise BudgetExceededWithoutConvergence(
             f"no transience verdict: the ball budget stops at radius {end}, "
             f"and a verdict needs radii {start} and {start + 1}"
         )
-    if verdict is not Transience.TRANSIENT:
-        raise NotTransient(f"transience verdict: {verdict.value}")
+    if verdict != "transient":
+        raise NotTransient(f"transience verdict: {verdict}")
     value = quantity(est_v.value, est_r.value, term.pi_x)
     if not converged:
         raise BudgetExceededWithoutConvergence(

@@ -132,10 +132,6 @@ class Network(_VertexIds):
     def edge_count(self) -> int:
         return len(self.edge_c)
 
-    def degree(self, x: int) -> int:
-        x = self._check_vertex(x)
-        return int(self.adj_indptr[x + 1] - self.adj_indptr[x])
-
     def neighbors(self, x: int) -> np.ndarray:
         x = self._check_vertex(x)
         return self.adj_neighbor[self.adj_indptr[x] : self.adj_indptr[x + 1]]

@@ -194,8 +194,18 @@ class TreeGenerator(GraphGenerator):
         return tree_vertex_count(self.q, n)
 
     def ball_edges(self, n: int):
-        pu, pv = _tree_edges(self.q, n + 1)
-        return pu, pv, np.ones(len(pu))
+        """The ball's unit edges, then one edge from each level-n vertex to
+        its first child, of conductance q (q + 1 from the root): it stands for
+        all the vertex's edges into level n + 1.  The list is canonical, so
+        :func:`~resistive_walks.generators.exhaustion` merges nothing."""
+        pu, pv = _tree_edges(self.q, n)
+        lo, hi = first_at_depth(self.q, n), len(pu) + 1
+        boundary = np.arange(lo, hi, dtype=np.int64)
+        # level n + 1 starts at hi, and each level-n vertex has q children
+        first_child = hi + self.q * (boundary - lo)
+        c = np.ones(len(pu) + len(boundary))
+        c[len(pu):] = self.q + 1 if n == 0 else self.q
+        return np.concatenate([pu, boundary]), np.concatenate([pv, first_child]), c
 
     def depth_of(self, x: int) -> int:
         # level d + 1 starts at tree_vertex_count(q, d), in Python ints: the

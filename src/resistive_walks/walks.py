@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -143,28 +142,18 @@ class WalkStats:
     def censored(self) -> int:
         return int(np.sum(self.absorbed_at < 0))
 
-    @cached_property
-    def hits(self) -> dict[int, int]:
-        """Absorption counts per absorbing vertex actually reached."""
-        done = self.absorbed_at[self.absorbed_at >= 0]
-        uniq, counts = np.unique(done, return_counts=True)
-        return dict(zip(uniq.tolist(), counts.tolist()))
-
-    def hit_count(self, target: int) -> int:
-        """Walks absorbed at ``target``; raises InvalidSpec naming it unless
-        it is an integer (not a bool) among ``config.absorbing``."""
+    def hit_fraction(self, target: int) -> tuple[float, float]:
+        """(estimate, std_err) of the probability of being absorbed at
+        ``target``; raises InvalidSpec naming it unless it is an integer (not
+        a bool) among ``config.absorbing``."""
         try:
             x = _index(target)
             if not np.any(np.asarray(self.config.absorbing) == x):
                 raise TypeError
         except TypeError:
             raise InvalidSpec(f"{target!r} is not an absorbing vertex") from None
-        return int(np.count_nonzero(self.absorbed_at == x))
-
-    def hit_fraction(self, target: int) -> tuple[float, float]:
-        """(estimate, std_err) of the probability of being absorbed at target."""
         n = self.config.num_walks
-        p = self.hit_count(target) / n
+        p = np.count_nonzero(self.absorbed_at == x) / n
         return p, math.sqrt(p * (1.0 - p) / n)
 
     def _watched_mean(self, counts: np.ndarray, watched, key) -> tuple[float, float]:

@@ -14,7 +14,6 @@ from resistive_walks import (
     build_network,
     build_tree,
     chi,
-    classify_transience,
     effective,
     estimate_escape,
     exhaustion,
@@ -65,7 +64,7 @@ TRIGGERS = {
     EmptyInput: lambda: build_network([]),
     NonpositiveConductance: lambda: build_network([(0, 1, 0.0)]),
     DisconnectedGraph: lambda: build_network([(0, 1, 1.0), (2, 3, 1.0)]),
-    InvalidVertex: lambda: path3().degree(3),
+    InvalidVertex: lambda: path3().neighbors(3),
     InvalidRadius: lambda: exhaustion(HalfLineGenerator(), -1),
     VertexInTarget: lambda: effective(path3(), 0, {0, 2}),
     # a connected network whose pi(1) rounds away the conductance 1e-8
@@ -123,7 +122,7 @@ def _hit_fraction(target):
 REFUSED = {
     "run_walks-start-float": (InvalidVertex, lambda: run_walks(path3(), walk(start=1.7))),
     "run_walks-start-text": (InvalidVertex, lambda: run_walks(path3(), walk(start="1"))),
-    "degree-float": (InvalidVertex, lambda: path3().degree(1.5)),
+    "degree-float": (InvalidVertex, lambda: len(path3().neighbors(1.5))),
     "tree_distance-float": (InvalidVertex, lambda: tree_distance(TreeSpec(2, 3), 1.5, 0)),
     "estimate_escape-float": (
         InvalidVertex, lambda: estimate_escape(path3(), walk(), 0, {1.5})
@@ -159,8 +158,8 @@ REFUSED = {
         InvalidVertex, lambda: hitting_probability(FiniteBallGenerator(path3()), 3)
     ),
     # a bool passed as vertex 1 (or 0), as operator.index allows
-    "degree-bool": (InvalidVertex, lambda: path3().degree(True)),
-    "degree-numpy-bool": (InvalidVertex, lambda: path3().degree(np.True_)),
+    "degree-bool": (InvalidVertex, lambda: len(path3().neighbors(True))),
+    "degree-numpy-bool": (InvalidVertex, lambda: len(path3().neighbors(np.True_))),
     "run_walks-start-bool": (InvalidVertex, lambda: run_walks(path3(), walk(start=True))),
     "run_walks-absorbing-bool": (
         InvalidVertex,
@@ -231,13 +230,6 @@ REFUSED = {
     "resistance_to_infinity-non-symmetric-n_max-float": (
         InvalidSpec,
         lambda: resistance_to_infinity(TreeGenerator(2, symmetric=False), n_max=2.5),
-    ),
-    "classify_transience-n_max-float": (
-        InvalidSpec, lambda: classify_transience(TreeGenerator(2), n_max=2.5)
-    ),
-    # returned INCONCLUSIVE
-    "classify_transience-n_max-negative": (
-        InvalidSpec, lambda: classify_transience(TreeGenerator(2), n_max=-1)
     ),
     "green_function-n_max-float": (
         InvalidSpec, lambda: green_function(TreeGenerator(2), 1, n_max=2.5)

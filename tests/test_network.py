@@ -98,7 +98,7 @@ class TestBuildNetwork:
     def test_invalid_vertex(self):
         net = build_network([(0, 1, 1.0)])
         with pytest.raises(InvalidVertex):
-            net.degree(7)
+            net.neighbors(7)
 
 
 class TestConductanceMatrix:

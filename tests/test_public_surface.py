@@ -17,7 +17,9 @@ REMOVED = ("MarkovView", "markov_view", "series_parallel_reduce", "contract_vert
            "vertex_weight", "estimate_hitting", "estimate_green", "estimate_transitions",
            "strength", "index_of", "to_json",
            # the spherically symmetric ladder path: every limit runs the exhaustions
-           "ladder_resistance", "shell_conductance", "depth_weight", "spherically_symmetric")
+           "ladder_resistance", "shell_conductance", "depth_weight", "spherically_symmetric",
+           # outputs no caller read: the limits give the one transience verdict
+           "classify_transience", "Transience", "accelerated", "hits", "hit_count", "degree")
 
 
 @pytest.mark.parametrize("layer", MODULES)
@@ -49,8 +51,11 @@ def test_removed_names_stay_removed():
     harmonic = importlib.import_module("resistive_walks.harmonic")
     for mod in (resistive_walks, network, walks, flows, network.Network, verify.CheckRow,
                 verify.RunReport, tree, generators, harmonic, tree.TreeGenerator,
-                generators.GraphGenerator, generators.HalfLineGenerator):
+                generators.GraphGenerator, generators.HalfLineGenerator,
+                harmonic.LimitResult, walks.WalkStats):
         assert not set(REMOVED) & set(dir(mod))
+    for record in (harmonic.LimitResult, walks.WalkStats):  # fields with no default
+        assert not set(REMOVED) & {f.name for f in dataclasses.fields(record)}
     assert "check_connected" not in inspect.signature(resistive_walks.build_network).parameters
     assert "check" not in inspect.signature(resistive_walks.thomson_gap).parameters
 

@@ -59,7 +59,7 @@ class TestBuild:
     def test_root_degree(self):
         t = build_tree(TreeSpec(2, 1))
         assert t.net.vertex_count == 4
-        assert t.net.degree(0) == 3
+        assert len(t.net.neighbors(0)) == 3
 
     def test_unit_conductances(self):
         t = build_tree(TreeSpec(3, 2))
@@ -184,6 +184,19 @@ class TestLabelArithmetic:
         assert np.array_equal(t.spec.parent_of(ids), parent)
         for x in (0, ids[-1]):  # scalars: the root and the last id
             assert (t.spec.depth_of(x), t.spec.parent_of(x)) == (depth[x], parent[x])
+
+    def test_generator_ball_edges(self, q, levels):
+        # the ball's edges and one edge per boundary vertex, not the q edges
+        # from each into the next level
+        gen = TreeGenerator(q)
+        ball = gen.ball_size(levels)
+        boundary = np.arange(first_at_depth(q, levels), ball)
+        u, v, c = gen.ball_edges(levels)
+        assert len(u) == len(v) == len(c) == ball - 1 + len(boundary)
+        assert np.array_equal(u[ball - 1:], boundary)
+        assert np.all(v[ball - 1:] >= ball)
+        # the conductances of the edges they stand for
+        assert c.sum() == tree_vertex_count(q, levels + 1) - 1
 
     def test_generator_depth(self, q, levels):
         _, depth, _, _ = reference_build_tree(q, levels, True)  # z is level levels + 1

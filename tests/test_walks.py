@@ -86,7 +86,7 @@ class TestTrivialCases:
     def test_single_edge_one_step(self):
         net = build_network([(0, 1, 1.0)])
         stats = run_walks(net, WalkConfig(seed=0, num_walks=50, start=0, absorbing=(1,)))
-        assert stats.hit_count(1) == 50
+        assert np.count_nonzero(stats.absorbed_at == 1) == 50
         assert np.all(stats.steps == 1)
         assert stats.censored == 0
 
@@ -155,7 +155,7 @@ class TestTrivialCases:
         monkeypatch.setattr(np, "fromiter", no_arrays)
         tree = build_tree(TreeSpec(2, 6))
         cfg = WalkConfig(seed=3, num_walks=200, start=0, absorbing=level_slice(tree.spec, 6))
-        assert sum(run_walks(tree.net, cfg).hits.values()) == 200
+        assert np.count_nonzero(run_walks(tree.net, cfg).absorbed_at >= 0) == 200
 
 
 def _scan(c, first, last, r):
@@ -240,7 +240,7 @@ class TestSlotSelection:
         net = build_network([(0, 1, 1.0), (1, 2, 1e300), (2, 3, 1.0)])
         stats = run_walks(net, WalkConfig(seed=3, num_walks=200, start=0,
                                           absorbing=(3,), max_steps=50))
-        assert sum(stats.hits.values()) + stats.censored == 200
+        assert np.count_nonzero(stats.absorbed_at == 3) + stats.censored == 200
 
     def test_unit_network_builds_no_prefix_sums(self, monkeypatch):
         def refuse(net):
@@ -260,26 +260,27 @@ class TestAccounting:
         net = random_connected_net(np.random.default_rng(4), 15)
         cfg = WalkConfig(seed=7, num_walks=400, start=0, absorbing=(13, 14), max_steps=30)
         stats = run_walks(net, cfg)
-        assert sum(stats.hits.values()) + stats.censored == 400
+        done = stats.absorbed_at[stats.absorbed_at >= 0]
+        assert np.isin(done, cfg.absorbing).all() and len(done) + stats.censored == 400
 
-    def test_hit_count_and_escape_read_the_hits(self):
+    def test_hit_fraction_and_escape_read_the_hits(self):
         # 11 walks are censored (absorbed_at -1); 12, 13 and 14 are reached
         net = random_connected_net(np.random.default_rng(4), 15)
         cfg = WalkConfig(seed=7, num_walks=400, start=0, absorbing=(12, 13, 14), max_steps=30)
         stats = run_walks(net, cfg)
-        assert stats.censored > 0 and stats.hits
+        assert stats.censored > 0
+        n = cfg.num_walks
         for target in (12, 13, np.int64(14)):
-            assert stats.hit_count(target) == stats.hits[target], target
+            p = np.count_nonzero(stats.absorbed_at == target) / n
+            assert p > 0 and stats.hit_fraction(target) == (p, math.sqrt(p * (1 - p) / n)), target
         # 0 and 5 are not absorbing, 15 and 10**6 are not vertices, -1 marks
         # a censored walk, and a bool or a float is not a vertex id
         for target in (0, 5, -1, 15, 10**6, True, 1.5, 12.0):
-            for read in (stats.hit_count, stats.hit_fraction):
-                with pytest.raises(InvalidSpec, match="not an absorbing vertex"):
-                    read(target)
-        z = {3, 9, 14}
+            with pytest.raises(InvalidSpec, match="not an absorbing vertex"):
+                stats.hit_fraction(target)
+        z = [3, 9, 14]
         escape = replace(cfg, absorbing=(0, 3, 9, 14), min_absorb_step=1)
-        hits = run_walks(net, escape).hits
-        p = sum(hits.get(v, 0) for v in z) / cfg.num_walks
+        p = np.count_nonzero(np.isin(run_walks(net, escape).absorbed_at, z)) / cfg.num_walks
         assert estimate_escape(net, cfg, 0, z) == (p, math.sqrt(p * (1 - p) / cfg.num_walks))
 
     def test_visits_match_steps(self):
