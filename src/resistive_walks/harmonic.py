@@ -45,13 +45,25 @@ the block LDL^T factorization ``S_0 = A_00``,
 at x then give every radius by running sums,
 ``R_n = sum_{k<=n} z0_k^T S_k^-1 z0_k`` and
 ``v_n(x) = sum_{k<=n} z0_k^T S_k^-1 zx_k``; only the last shell's dense
-Cholesky factor and the two ``z`` are kept.  Once a shell has more than
-``DENSE_SHELL_LIMIT`` vertices, the remaining radii are solved one
-exhaustion at a time by :func:`solve_dirichlet`.  A limit that stops on a
-term of the recursion solves that radius once more, with the residual
-check, and raises :class:`SolverDivergence` when the two disagree by more
-than ``tol * max(1, |R_n|)``, as it does for a Schur complement that is
-not positive definite.
+Cholesky factor and the two ``z`` are kept.  Each shell's blocks are cut
+from the edges of one ball, fetched again only once the shells outgrow
+it; the factor (``potrf``), triangular solves (``trtrs``),
+``B S^-1 B^T`` (``syrk``) and ``B S^-1 z`` (``gemv``) all run on scipy's
+own LAPACK and BLAS.  numpy's ``@`` runs on the OpenBLAS bundled with
+numpy, a second library with its own thread pool: when calls alternate
+between the two, on a 2-vCPU host both pools stay awake, and the limits
+benchmark's 80x80 grid limit took 0.40 s under the default thread count,
+against 0.042 s with BLAS on one thread.  On scipy's kernels alone it
+takes 0.031 s either way.  A limit's last bits can still depend on the
+thread count: that grid's ``resistance_to_infinity`` (at seed 1) reads
+3.165535350480935 on one BLAS thread and 3.1655353504809427 on two.  Once
+a shell has more than ``DENSE_SHELL_LIMIT`` vertices, the remaining radii
+are solved one exhaustion at a time by :func:`solve_dirichlet`.  A Schur
+complement that is not finite or not positive definite raises
+:class:`SolverDivergence`, naming its shell.  A limit that stops on a term
+of the recursion solves that radius once more, with the residual check,
+and raises :class:`SolverDivergence` when the two disagree by more than
+``tol * max(1, |R_n|)``.
 """
 
 from __future__ import annotations
@@ -99,13 +111,25 @@ EXHAUSTION_LIMIT = 4_000_000
 # vertices per shell up to which an exhaustion limit runs the shell
 # recursion (dense blocks and a Cholesky factor per shell); from the first
 # larger shell on, each radius is a fresh exhaustion and sparse LU.
-# Measured on a 2-vCPU host with BLAS on one thread, over the limits
-# benchmark's two calls (the 80x80 grid's shells reach 156 vertices, the
-# binary tree's double from 3): 0.11 s and a 76 MiB process peak at 256,
-# against 0.97 s and 80 MiB with every radius solved; at 128 the grid falls
-# back to LU (0.85 s), at 512 the peak is 79 MiB, and with every tree shell
-# in the recursion 99 MiB.
+# Measured on a 2-vCPU host, in-process, as medians of 30 rounds of the
+# limits benchmark's two calls (the 80x80 grid's shells reach 156
+# vertices, the binary tree's double from 3) and of verify's five q=2 tree
+# limits, with BLAS on one thread / under the default thread count:
+#
+#   limit   limits benchmark   verify's tree limits   process peak
+#   128     0.46 / 0.48 s      18 / 19 ms             80 MiB
+#   256     34 / 36 ms         16 / 17 ms             76 MiB
+#   512     35 / 37 ms         23 / 22 ms             76 MiB
+#
+# At 128 the grid's shells fall back to LU; at 512 the tree's 512-vertex
+# shell costs more dense than by LU.  With no shell in the recursion (0)
+# the two take 0.60 s and 33 ms, with BLAS on one thread.
 DENSE_SHELL_LIMIT = 256
+
+# the shell recursion's LAPACK and BLAS kernels, all from scipy's own
+# library, so that no call of the recursion wakes numpy's BLAS threads
+_potrf, _trtrs = sla.get_lapack_funcs(("potrf", "trtrs"), dtype=np.float64)
+_syrk, _gemv = sla.get_blas_funcs(("syrk", "gemv"), dtype=np.float64)
 
 # conductance-to-infinity threshold of the transience verdict
 TRANSIENCE_EPS = 1e-3
@@ -365,21 +389,31 @@ class _Term(NamedTuple):
     by_shells: bool
 
 
-def _shell_blocks(gen: GraphGenerator, k: int, prev_lo: int, lo: int, hi: int):
+def _half_edges(gen: GraphGenerator, n: int):
+    """Each edge of ``gen.ball_edges(n)`` once from each end, as arrays
+    ``(a, b, c)`` sorted by the end ``a``; the sort is stable, so each
+    vertex's entries keep the edge order."""
+    u, v, c = gen.ball_edges(n)
+    a = np.concatenate([u, v])
+    order = np.argsort(a, kind="stable")
+    c = np.asarray(c, dtype=float)
+    return a[order], np.concatenate([v, u])[order], np.concatenate([c, c])[order]
+
+
+def _shell_blocks(half, prev_lo: int, lo: int, hi: int):
     """(A_kk, B_k) of shell k, the ids ``lo .. hi-1``, as dense arrays.
 
+    ``half`` is the :func:`_half_edges` of a ball of radius k or more; a
+    larger ball lists one by one the edges into shell k + 1 that
+    ``ball_edges(k)`` may merge, which moves pi(x) at most by rounding.
     ``A_kk`` is the shell's block of the Laplacian with the full pi(x) on
-    its diagonal (edges into shell k + 1 are in ``ball_edges(k)`` too), and
-    ``B_k`` its block against shell k - 1, the ids ``prev_lo .. lo-1``.
+    its diagonal, and ``B_k`` its block against shell k - 1, the ids
+    ``prev_lo .. lo-1``.  An edge inside the shell appears from both ends,
+    and a self-loop's diagonal entries cancel as in the Laplacian.
     """
-    u, v, c = gen.ball_edges(k)
-    c = np.asarray(c, dtype=float)
-    in_u, in_v = (u >= lo) & (u < hi), (v >= lo) & (v < hi)
-    # each edge from its end in the shell, so an edge inside it appears
-    # twice, and a self-loop's diagonal entries cancel as in the Laplacian
-    a = np.concatenate([u[in_u], v[in_v]]) - lo
-    b = np.concatenate([v[in_u], u[in_v]]) - lo
-    w = np.concatenate([c[in_u], c[in_v]])
+    a, b, w = half
+    i, j = np.searchsorted(a, (lo, hi))
+    a, b, w = a[i:j] - lo, b[i:j] - lo, w[i:j]
     m = hi - lo
     a_kk = np.diag(np.bincount(a, w, minlength=m))
     inner, back = (b >= 0) & (b < m), b < 0
@@ -403,6 +437,7 @@ def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
         return
     dense = True
     prev_lo = lo = 0
+    fetched, half = -1, None
     chol = y0 = yx = None
     r_sum = v_sum = 0.0
     pi_x = np.nan
@@ -412,28 +447,48 @@ def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
             return
         dense = dense and hi - lo <= DENSE_SHELL_LIMIT
         if dense:
-            a_kk, b_k = _shell_blocks(gen, n, prev_lo, lo, hi)
-            s_k, z0, zx = a_kk, np.zeros(hi - lo), None
-            if n == 0:
-                z0[gen.root] = 1.0
-            else:  # with S = L L^T of shell n - 1, y = L^-1 z and w = L^-1 B^T:
-                # B S^-1 B^T = w^T w and B S^-1 z = w^T y
-                w = sla.solve_triangular(chol, b_k.T, lower=True)
-                s_k = a_kk - w.T @ w
-                z0 = -(w.T @ y0)
-                zx = None if yx is None else -(w.T @ yx)
+            if n > fetched:
+                # one ball's edges serve every shell in it: take the largest
+                # ball up to radius end that still grows and has at most four
+                # times this one's vertices, so that a grid's sweep fetches
+                # a few balls, not one per radius
+                fetched = n
+                while (fetched < end
+                       and gen.ball_size(fetched) < gen.ball_size(fetched + 1) <= 4 * hi):
+                    fetched += 1
+                half = _half_edges(gen, fetched)
+            a_kk, b_k = _shell_blocks(half, prev_lo, lo, hi)
+            # a_kk is symmetric, so its transpose is the Fortran-ordered
+            # matrix that syrk overwrites with S_n and potrf with its factor
+            s_k, z0, zx = a_kk.T, np.zeros(hi - lo), None
             if lo <= x < hi:  # the first shell with a nonzero zx
                 pi_x = float(a_kk[x - lo, x - lo])
                 zx = np.zeros(hi - lo)
                 zx[x - lo] = 1.0
-            try:
-                chol = sla.cholesky(s_k, lower=True)
-            except (sla.LinAlgError, ValueError) as exc:  # not positive definite, or not finite
-                raise SolverDivergence(f"Schur complement of shell {n}: {exc}") from None
-            y0 = sla.solve_triangular(chol, z0, lower=True)
+            if n == 0:
+                z0[gen.root] = 1.0
+            else:  # with S = L L^T of shell n - 1, y = L^-1 z and w = L^-1 B^T:
+                # B S^-1 B^T = w^T w and B S^-1 z = w^T y
+                w, _ = _trtrs(chol, b_k.T, lower=1)
+                s_k = _syrk(-1.0, w, 1.0, s_k, trans=1, lower=1, overwrite_c=1)
+                z0 = _gemv(-1.0, w, y0, trans=1)
+                if yx is not None:
+                    zx = _gemv(-1.0, w, yx, trans=1)
+            # potrf reads only the lower triangle, which syrk wrote, and
+            # checks no value; a factor's diagonal is positive, so no trtrs
+            # on it fails
+            if not np.all(np.isfinite(s_k)):
+                raise SolverDivergence(f"Schur complement of shell {n}: not finite")
+            chol, info = _potrf(s_k, lower=1, clean=0, overwrite_a=1)
+            if info:
+                raise SolverDivergence(
+                    f"Schur complement of shell {n}: its leading minor of order {info} "
+                    "is not positive definite"
+                )
+            y0, _ = _trtrs(chol, z0, lower=1)
             r_sum += float(y0 @ y0)
             if zx is not None:
-                yx = sla.solve_triangular(chol, zx, lower=True)
+                yx, _ = _trtrs(chol, zx, lower=1)
                 v_sum += float(y0 @ yx)
         prev_lo, lo = lo, hi
         if n < start:

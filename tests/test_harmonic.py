@@ -736,6 +736,18 @@ class NegativePath(HalfLineGenerator):
         return u, v, -c
 
 
+class BrokenLine(HalfLineGenerator):
+    """The unit half-line with conductance ``c`` on every edge from vertex
+    ``k`` on: shell k, pi(k) = 1 + c, is the first shell it enters."""
+
+    def __init__(self, k, c):
+        self.k, self.c = k, c
+
+    def ball_edges(self, n):
+        u, v, c = super().ball_edges(n)
+        return u, v, np.where(u >= self.k, self.c, c)
+
+
 class TestShellRecursion:
     def assert_matches_solves(self, pairs, rel):
         # v_n(x) <= R_n by the maximum principle, so both compare to R_n
@@ -860,5 +872,45 @@ class TestShellRecursion:
             call(TreeGenerator(2))
 
     def test_indefinite_schur_complement_diverges(self):
-        with pytest.raises(SolverDivergence, match="Schur complement of shell 0"):
+        with pytest.raises(SolverDivergence, match="Schur complement of shell 0:"):
             resistance_to_infinity(NegativePath())
+        # S_0 = S_1 = S_2 = 1, and S_3 = pi(3) - 1 / S_2 = (1 - 1) - 1 = -1
+        with pytest.raises(SolverDivergence, match="Schur complement of shell 3:"):
+            resistance_to_infinity(BrokenLine(3, -1.0))
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nonfinite_schur_complement_diverges(self, c):
+        # neither a LAPACK error nor a NaN limit: the recursion names the
+        # first shell whose Schur complement holds the bad conductance
+        with pytest.raises(SolverDivergence, match="Schur complement of shell 2:"):
+            resistance_to_infinity(BrokenLine(2, c))
+
+    @pytest.mark.parametrize("gen", [
+        TreeGenerator(3),
+        ScaledTree(2, 0.1),
+        FiniteBallGenerator(grid_net(12, 7), 6 * 12 + 6),
+    ], ids=["tree3", "scaled_tree", "grid"])
+    def test_shell_blocks_from_a_larger_ball(self, gen):
+        # a tree's ball_edges(k) merges each level-k vertex's edges into
+        # level k + 1, which a larger ball lists one by one: both give shell
+        # k the same blocks, pi(x) on the diagonal up to its rounding
+        prev_lo = lo = 0
+        for k in range(5):
+            hi = gen.ball_size(k)
+            own = harmonic._shell_blocks(harmonic._half_edges(gen, k), prev_lo, lo, hi)
+            wide = harmonic._shell_blocks(harmonic._half_edges(gen, k + 2), prev_lo, lo, hi)
+            for a, b in zip(own, wide):
+                assert a.shape == b.shape
+                assert np.allclose(a, b, rtol=1e-15, atol=0)
+            prev_lo, lo = lo, hi
+
+    def test_few_edge_fetches(self, monkeypatch):
+        # from the centre of the 30x30 grid the ball of radius n has about
+        # 2n^2 vertices, so the 30 radii up to 29 fetch the balls of radii
+        # 0, 2, 6 and 14, then that of radius 30, which covers the grid
+        gen = FiniteBallGenerator(grid_net(30, 7), 15 * 30 + 15)
+        fetched = []
+        edges = gen.ball_edges
+        monkeypatch.setattr(gen, "ball_edges", lambda n: fetched.append(n) or edges(n))
+        assert len(list(harmonic._terms(gen, gen.root, 0, 10**6, 1e-12))) == 30
+        assert fetched == [0, 2, 6, 14, 30]
