@@ -11,7 +11,6 @@ from .flows import (
     adjointness_residual,
     apply_d,
     apply_d_star,
-    chi,
     current_flow,
     decompose_star_cycle,
     energy,

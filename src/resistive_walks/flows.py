@@ -23,7 +23,6 @@ from .network import Network
 __all__ = [
     "apply_d",
     "apply_d_star",
-    "chi",
     "inner_r",
     "energy",
     "FlowReport",
@@ -49,14 +48,6 @@ def apply_d_star(net: Network, theta: np.ndarray) -> np.ndarray:
     np.add.at(div, net.edge_u, theta)
     np.add.at(div, net.edge_v, -theta)
     return div
-
-
-def chi(net: Network, x: int, y: int) -> np.ndarray:
-    """Unit flow along the oriented edge x -> y."""
-    k = net.adj_edge[net.edge_slot(x, y)]
-    theta = np.zeros(net.edge_count)
-    theta[k] = 1.0 if net.edge_u[k] == x else -1.0
-    return theta
 
 
 def inner_r(net: Network, theta1: np.ndarray, theta2: np.ndarray) -> float:

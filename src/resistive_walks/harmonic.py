@@ -45,25 +45,25 @@ the block LDL^T factorization ``S_0 = A_00``,
 at x then give every radius by running sums,
 ``R_n = sum_{k<=n} z0_k^T S_k^-1 z0_k`` and
 ``v_n(x) = sum_{k<=n} z0_k^T S_k^-1 zx_k``; only the last shell's dense
-Cholesky factor and the two ``z`` are kept.  Each shell's blocks are cut
-from the edges of one ball, fetched again only once the shells outgrow
-it; the factor (``potrf``), triangular solves (``trtrs``),
+Cholesky factor and the two ``z`` are kept.  Every shell's blocks are
+cut from the edges of one ball, the last the sweep keeps dense, fetched
+once; the factor (``potrf``), triangular solves (``trtrs``),
 ``B S^-1 B^T`` (``syrk``) and ``B S^-1 z`` (``gemv``) all run on scipy's
 own LAPACK and BLAS.  numpy's ``@`` runs on the OpenBLAS bundled with
 numpy, a second library with its own thread pool: when calls alternate
-between the two, on a 2-vCPU host both pools stay awake, and the limits
-benchmark's 80x80 grid limit took 0.40 s under the default thread count,
-against 0.042 s with BLAS on one thread.  On scipy's kernels alone it
-takes 0.031 s either way.  A limit's last bits can still depend on the
-thread count: that grid's ``resistance_to_infinity`` (at seed 1) reads
-3.165535350480935 on one BLAS thread and 3.1655353504809427 on two.  Once
-a shell has more than ``DENSE_SHELL_LIMIT`` vertices, the remaining radii
-are solved one exhaustion at a time by :func:`solve_dirichlet`.  A Schur
-complement that is not finite or not positive definite raises
-:class:`SolverDivergence`, naming its shell.  A limit that stops on a term
-of the recursion solves that radius once more, with the residual check,
-and raises :class:`SolverDivergence` when the two disagree by more than
-``tol * max(1, |R_n|)``.
+between the two, on a 2-vCPU host both pools stay awake, which made the
+limits benchmark's 80x80 grid limit about ten times slower under the
+default thread count than with BLAS on one thread.  On scipy's kernels
+alone it takes the same time either way.  A limit's last bits can still
+depend on the thread count: that grid's ``resistance_to_infinity`` (at
+seed 1) reads 3.165535350480935 on one BLAS thread and 3.1655353504809427
+on two.  Once a shell has more than ``DENSE_SHELL_LIMIT`` vertices, the
+remaining radii are solved one exhaustion at a time by
+:func:`solve_dirichlet`.  A Schur complement that is not finite or not
+positive definite raises :class:`SolverDivergence`, naming its shell.  A
+limit that stops on a term of the recursion solves that radius once more,
+with the residual check, and raises :class:`SolverDivergence` when the two
+disagree by more than ``tol * max(1, |R_n|)``.
 """
 
 from __future__ import annotations
@@ -429,15 +429,21 @@ def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
     ball_size(n)``, where :func:`exhaustion` has no boundary.  ``x`` must
     lie within depth ``start``.
 
-    The shell recursion of the module docstring gives each radius while
-    every shell so far has at most ``DENSE_SHELL_LIMIT`` vertices; from the
-    first larger shell on, each radius's exhaustion is solved afresh.
+    The shell recursion of the module docstring gives each radius up to
+    ``top``, the last radius up to ``end`` (and up to the ball covering the
+    graph) whose shells all have at most ``DENSE_SHELL_LIMIT`` vertices;
+    every such shell is cut from the edges of the ball of radius ``top``,
+    fetched once.  Each radius past ``top`` has its exhaustion solved afresh.
     """
     if start > end:  # no radius to give, so no shell to sweep
         return
-    dense = True
+    top, size = -1, 0  # the ball of radius top has size vertices
+    # an empty next shell: the ball of radius top covers the graph
+    while top < end and 0 < gen.ball_size(top + 1) - size <= DENSE_SHELL_LIMIT:
+        top += 1
+        size = gen.ball_size(top)
+    half = _half_edges(gen, top) if top >= 0 else None
     prev_lo = lo = 0
-    fetched, half = -1, None
     chol = y0 = yx = None
     r_sum = v_sum = 0.0
     pi_x = np.nan
@@ -445,18 +451,7 @@ def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
         hi = gen.ball_size(n)
         if gen.ball_size(n + 1) == hi:
             return
-        dense = dense and hi - lo <= DENSE_SHELL_LIMIT
-        if dense:
-            if n > fetched:
-                # one ball's edges serve every shell in it: take the largest
-                # ball up to radius end that still grows and has at most four
-                # times this one's vertices, so that a grid's sweep fetches
-                # a few balls, not one per radius
-                fetched = n
-                while (fetched < end
-                       and gen.ball_size(fetched) < gen.ball_size(fetched + 1) <= 4 * hi):
-                    fetched += 1
-                half = _half_edges(gen, fetched)
+        if n <= top:
             a_kk, b_k = _shell_blocks(half, prev_lo, lo, hi)
             # a_kk is symmetric, so its transpose is the Fortran-ordered
             # matrix that syrk overwrites with S_n and potrf with its factor
@@ -493,7 +488,7 @@ def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
         prev_lo, lo = lo, hi
         if n < start:
             continue
-        if dense:
+        if n <= top:
             yield _Term(n, v_sum, r_sum, pi_x, True)
         else:
             yield _Term(n, *_unit_current_voltage(gen, x, n, tol), False)
@@ -582,6 +577,7 @@ def hitting_probability(
 ) -> float:
     """P_x(hit the root eventually) = lim v_n(x) / v_n(root); 1 when x is the root."""
     n_max = _check_int("n_max", n_max, 1)
+    _check_positive("tol", tol)
     if gen._check_vertex(x) == gen.root:
         return 1.0
     return _limit(gen, x, n_max, tol, lambda v, r, pi_x: v / r)

@@ -20,15 +20,9 @@ import numpy as np
 from . import flows, tree
 from .errors import InvalidSpec
 from .generators import exhaustion
-from .harmonic import (
-    EXHAUSTION_LIMIT,
-    effective,
-    green_function,
-    hitting_probability,
-    unit_voltage,
-)
+from .harmonic import EXHAUSTION_LIMIT, green_function, hitting_probability, unit_voltage
 from .network import _check_int, build_network
-from .tree import TreeGenerator, TreeSpec, build_tree, level_slice, tree_vertex_count
+from .tree import TreeGenerator, TreeSpec, level_slice, tree_vertex_count
 from .walks import WalkConfig, run_walks
 
 __all__ = ["CheckRow", "RunReport", "run_battery"]
@@ -118,10 +112,11 @@ def run_battery(
     seed: int = 42,
     tol: float = 1e-9,
 ) -> RunReport:
-    """Full concordance battery at the given scale.  ``walks`` must be >= 1,
-    ``seed`` >= 0, as numpy's generators refuse a negative seed, ``tol``
-    finite and >= 0, and the level-``levels`` tree of ``q`` at most
-    ``EXHAUSTION_LIMIT`` vertices; else InvalidSpec."""
+    """Full concordance battery at the given scale.  ``levels`` and
+    ``walks`` must be >= 1, ``seed`` >= 0, as numpy's generators refuse a
+    negative seed, ``tol`` finite and >= 0, and the level-``levels`` tree of
+    ``q`` at most ``EXHAUSTION_LIMIT`` vertices; else InvalidSpec."""
+    levels = _check_int("levels", levels, 1)
     walks, seed = _check_int("walks", walks, 1), _check_int("seed", seed)
     if not 0 <= tol < np.inf:  # also refuses NaN
         raise InvalidSpec(f"tol must be finite and >= 0, got {tol}")
@@ -135,19 +130,21 @@ def run_battery(
     # the linear solver itself still needs an achievable residual target
     stol = max(tol, 1e-12)
 
-    # one solve on the level-L tree, the root at 1 and level L at 0, gives the
-    # escape row and, as each level carries one voltage, every resistance
-    # R(root <-> level n) = (1 - v(level n)) / C; the resistance_solver rows
-    # solve each exhaustion with the levels past n - 1 shorted instead
-    t = build_tree(TreeSpec(q, levels))
-    values, eq = unit_voltage(t.net, 0, level_slice(t.spec, levels), stol)
-    for n in range(1, levels + 1):
+    # exhaustion n is the level-(n + 1) tree with that level shorted into z,
+    # whose id is first_at_depth(q, n + 1); a level carries one voltage, so
+    # shorting it changes none.  One solve of each, the root at 1 and z at 0,
+    # gives the resistance_solver/n+1 row; the last also gives the escape row
+    # and every R(root <-> level n) = (1 - v(level n)) / C
+    solver = []
+    for n in range(levels):
+        net, z = exhaustion(gen, n)
+        values, eq = unit_voltage(net, 0, (z,), stol)
+        solver.append(eq.resistance)
+    for n, r in enumerate(solver, 1):
         closed = tree.oracle_resistance(q, n)
         level_n = (1.0 - values[tree.first_at_depth(q, n)]) / eq.conductance
-        net, z = exhaustion(gen, n - 1)  # z is the level-n set, shorted
-        solver = effective(net, 0, {z}, tol=stol).resistance
         rows.append(_row(f"resistance/n={n}", closed, level_n, tol=1e-12))
-        rows.append(_row(f"resistance_solver/n={n}", closed, solver, tol=tol))
+        rows.append(_row(f"resistance_solver/n={n}", closed, r, tol=tol))
 
     closed = tree.oracle_finite_escape("a", q, n=levels)
     rows.append(_row(f"escape/root_to_level_{levels}", closed, eq.escape_probability, tol=tol))

@@ -431,21 +431,45 @@ class TestVerify:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "443befa7885e11ab37a9f892f7db2b10b26f807a535abf0c2a413466f5d21b22"
 
-    def test_default_battery_assembles_no_big_network(self, monkeypatch):
-        # the level-20 walks need no network; the largest one assembled is
-        # the radius-9 exhaustion that confirms the Green function's limit,
-        # which its transience verdict reaches
+    @pytest.mark.parametrize("argv, want", [
+        ("--q 3 --levels 5 --walks 2000",
+         "a823780522403601b3414e2eda48942e8473e24b4ce04ffb0b5823a2d44afbc5"),
+        ("--q 6 --walks 2000",
+         "b7d6378d668be1f46b33b2ca48882b7c2d08d9e87f91e1471b912dbd4d8f0c77"),
+        ("--levels 10 --walks 2000",
+         "272a19f9354a7dadf9ae72f7d9c0124affc37b4938ab022cdf87fa0b200fec06"),
+    ])
+    def test_stdout_digest(self, capsys, argv, want):
+        # the resistance and escape rows of other trees, at seed 42
+        code, out, _ = run_cli(capsys, "verify", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    @staticmethod
+    def _largest_assembled(monkeypatch, **kwargs):
         sizes = []
 
-        def recording(u, v, c, vertex_count, *args, **kwargs):
+        def recording(u, v, c, vertex_count, *args, **kw):
             sizes.append(vertex_count)
-            return assemble(u, v, c, vertex_count, *args, **kwargs)
+            return assemble(u, v, c, vertex_count, *args, **kw)
 
         assemble = network._assemble
         for module in (network, tree, generators):
             monkeypatch.setattr(module, "_assemble", recording)
-        assert run_battery().exit_status == "pass"
-        assert sizes and max(sizes) <= tree_vertex_count(2, 9) + 1
+        assert run_battery(**kwargs).exit_status == "pass"
+        return max(sizes)
+
+    def test_default_battery_assembles_no_big_network(self, monkeypatch):
+        # the level-20 walks need no network; the largest one assembled is
+        # the radius-9 exhaustion that confirms the Green function's limit,
+        # which its transience verdict reaches
+        assert self._largest_assembled(monkeypatch) <= tree_vertex_count(2, 9) + 1
+
+    def test_level_l_rows_come_from_the_exhaustions(self, monkeypatch):
+        # the escape and resistance rows read the exhaustion of radius L - 1,
+        # whose shorted level L is one vertex: the level-L tree is never built
+        largest = self._largest_assembled(monkeypatch, levels=10, walks=2000)
+        assert largest <= tree_vertex_count(2, 9) + 1
 
     @pytest.mark.parametrize("q, deepest", [(2, 20), (3, 13), (4, 10), (5, 9), (6, 8)])
     def test_one_batch_on_the_deepest_tree_within_the_limit(self, monkeypatch, q, deepest):

@@ -13,7 +13,6 @@ from resistive_walks import (
     WalkConfig,
     build_network,
     build_tree,
-    chi,
     effective,
     estimate_escape,
     exhaustion,
@@ -79,7 +78,7 @@ TRIGGERS = {
     ),
     NotAFlow: lambda: thomson_gap(path3(), np.zeros(2), {0}, {2}),
     InvalidSpec: lambda: TreeSpec(1, 2),
-    NotAdjacent: lambda: chi(path3(), 0, 2),
+    NotAdjacent: lambda: path3().edge_slot(0, 2),
 }
 
 

@@ -13,7 +13,6 @@ from resistive_walks import (
     apply_d_star,
     build_network,
     build_tree,
-    chi,
     current_flow,
     decompose_star_cycle,
     effective,
@@ -29,6 +28,14 @@ from resistive_walks import (
 )
 from resistive_walks.errors import InvalidVertex, NotAFlow, VertexInTarget
 from test_network import random_connected_net
+
+
+def chi(net, x, y):
+    """Unit flow along the oriented edge x -> y."""
+    k = net.adj_edge[net.edge_slot(x, y)]
+    theta = np.zeros(net.edge_count)
+    theta[k] = 1.0 if net.edge_u[k] == x else -1.0
+    return theta
 
 
 def k4():

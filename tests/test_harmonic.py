@@ -619,7 +619,9 @@ class TestLimits:
         ),
         lambda bad: resistance_to_infinity(TreeGenerator(2), tol=bad),
         lambda bad: green_function(TreeGenerator(2), 1, tol=bad),
-    ], ids=["solve_dirichlet", "resistance_to_infinity", "green_function"])
+        lambda bad: hitting_probability(TreeGenerator(2), 0, tol=bad),
+    ], ids=["solve_dirichlet", "resistance_to_infinity", "green_function",
+            "hitting_probability-root"])
     def test_nonpositive_tolerance_refused(self, call, bad):
         # InvalidSpec is also a ValueError, which callers may still catch
         # an infinite tolerance would pass every check: refused as well
@@ -905,12 +907,12 @@ class TestShellRecursion:
             prev_lo, lo = lo, hi
 
     def test_few_edge_fetches(self, monkeypatch):
-        # from the centre of the 30x30 grid the ball of radius n has about
-        # 2n^2 vertices, so the 30 radii up to 29 fetch the balls of radii
-        # 0, 2, 6 and 14, then that of radius 30, which covers the grid
+        # from the centre of the 30x30 grid no shell has more than 60
+        # vertices, so the 30 radii up to 29 are cut from one ball, that of
+        # radius 30, which covers the grid
         gen = FiniteBallGenerator(grid_net(30, 7), 15 * 30 + 15)
         fetched = []
         edges = gen.ball_edges
         monkeypatch.setattr(gen, "ball_edges", lambda n: fetched.append(n) or edges(n))
         assert len(list(harmonic._terms(gen, gen.root, 0, 10**6, 1e-12))) == 30
-        assert fetched == [0, 2, 6, 14, 30]
+        assert fetched == [30]
