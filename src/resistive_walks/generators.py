@@ -30,8 +30,8 @@ class GraphGenerator(_VertexIds, ABC):
     vertex_count: int = 2**63
     #: True when the graph is a tree whose vertices all carry the same
     #: conductances, so that its automorphisms map any directed edge onto any
-    #: other: a Green function or hitting probability at a vertex too deep for
-    #: the ball budget then follows from the limits at depth 1
+    #: other: a Green function or hitting probability at any depth of 2 or
+    #: more then follows from the limits at depth 1
     homogeneous_tree: bool = False
 
     @abstractmethod

@@ -28,10 +28,11 @@ A limit stops when two successive estimates agree within
 Green function and hitting probabilities take their transience verdict
 from the same exhaustions, and accelerate ``v_n(x)`` and ``R_n`` apart,
 then combine the two limits: on the tree each is a geometric partial sum,
-on which Aitken's value is exact, while their ratio is not.  A generator is
-exhausted only while the ball has at most ``EXHAUSTION_LIMIT`` vertices; a
-vertex of the homogeneous tree too deep for that takes its limits from
-those at depth 1.
+on which Aitken's value is exact, while their ratio is not.  One sweep
+decides how far a limit looks: a generator is exhausted only while the
+ball has at most ``EXHAUSTION_LIMIT`` vertices.  On the homogeneous tree,
+where every quantity is a function of the distance, each vertex at depth
+2 or more takes its limits from those at depth 1.
 
 A generator gets every radius from one sweep over the shells, a
 Schur recursion (Kron reduction, Kron 1939, applied one shell at a time).
@@ -46,14 +47,14 @@ at x then give every radius by running sums,
 ``R_n = sum_{k<=n} z0_k^T S_k^-1 z0_k`` and
 ``v_n(x) = sum_{k<=n} z0_k^T S_k^-1 zx_k``; only the last shell's dense
 Cholesky factor and the two ``z`` are kept.  Every shell's blocks are
-cut from the edges of one ball, the last the sweep keeps dense, fetched
-once; the factor (``potrf``), triangular solves (``trtrs``),
-``B S^-1 B^T`` (``syrk``) and ``B S^-1 z`` (``gemv``) all run on scipy's
-own LAPACK and BLAS.  numpy's ``@`` runs on the OpenBLAS bundled with
-numpy, a second library with its own thread pool: when calls alternate
-between the two, on a 2-vCPU host both pools stay awake, which made the
-limits benchmark's 80x80 grid limit about ten times slower under the
-default thread count than with BLAS on one thread.  On scipy's kernels
+cut from the edges of a ball fetched when the sweep passes the last one,
+at radius n, no further out than radius 4n + 3; the factor (``potrf``),
+triangular solves (``trtrs``), ``B S^-1 B^T`` (``syrk``) and ``B S^-1 z``
+(``gemv``) all run on scipy's own LAPACK and BLAS.  numpy's ``@`` runs on
+the OpenBLAS bundled with numpy, a second library with its own thread
+pool: when calls alternate between the two, on a 2-vCPU host both pools
+stay awake, which made the limits benchmark's 80x80 grid limit about ten
+times slower under the default thread count than with BLAS on one thread.  On scipy's kernels
 alone it takes the same time either way.  A limit's last bits can still
 depend on the thread count: that grid's ``resistance_to_infinity`` (at
 seed 1) reads 3.165535350480935 on one BLAS thread and 3.1655353504809427
@@ -281,15 +282,6 @@ def effective(net: Network, a: int, z, tol: float = 1e-9) -> EffectiveQuantities
     return unit_voltage(net, a, z, tol)[1]
 
 
-def _radius_budget(gen: GraphGenerator, n_max: int) -> int:
-    """``n_max``, lowered to the largest radius whose ball has at most
-    ``EXHAUSTION_LIMIT`` vertices."""
-    n = 0
-    while n < n_max and gen.ball_size(n + 1) <= EXHAUSTION_LIMIT:
-        n += 1
-    return n
-
-
 class _Estimates:
     """Raw terms of an exhaustion sequence and the estimate after each.
 
@@ -327,15 +319,14 @@ def resistance_to_infinity(
     Declares convergence when two successive estimates (Aitken's values
     where the differences shrink, see the module docstring) differ by less
     than ``tol * min(1, |estimate|)``; otherwise returns the last estimate
-    with ``converged=False``, also when the next ball would exceed
-    ``EXHAUSTION_LIMIT`` vertices.  On a finite graph, once the ball covers
-    it, the value is the last raw term: the exact resistance to the farthest
-    vertices.  R_n is nondecreasing in n (Rayleigh monotonicity), so a
+    with ``converged=False`` and ``n_used`` the last radius, also when the
+    next ball would exceed ``EXHAUSTION_LIMIT`` vertices.  On a finite
+    graph, once the ball covers it, the value is the last raw term: the
+    exact resistance to the farthest vertices.  R_n is nondecreasing in n (Rayleigh monotonicity), so a
     diverging sequence simply never converges.
     """
     n_max = _check_int("n_max", n_max, 1)
     _check_positive("tol", tol)
-    n_max = _radius_budget(gen, n_max)
     est = _Estimates(tol)
     term = None
     for term in _terms(gen, gen.root, 0, n_max, tol):
@@ -345,12 +336,11 @@ def resistance_to_infinity(
     _confirm(gen, gen.root, term, tol)
     if est.converged:
         return LimitResult(est.value, converged=True, n_used=term.n)
-    if term is None or term.n < n_max:
-        # finite graph fully exhausted at the next radius; no further change possible
-        value = term.r if term else np.nan
-        n_used = term.n + 1 if term else 0
-        return LimitResult(value=value, converged=False, n_used=n_used)
-    return LimitResult(est.value, converged=False, n_used=n_max)
+    n = term.n + 1 if term else 0  # the radius the terms stopped before
+    if n <= n_max and gen.ball_size(n) <= EXHAUSTION_LIMIT:
+        # finite graph fully exhausted at radius n; no further change possible
+        return LimitResult(term.r if term else np.nan, converged=False, n_used=n)
+    return LimitResult(est.value, converged=False, n_used=n - 1)
 
 
 def _verdict(c: float, prev: float | None) -> str:
@@ -425,33 +415,38 @@ def _shell_blocks(half, prev_lo: int, lo: int, hi: int):
 
 def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
     """The :class:`_Term` of each radius ``n = start .. end``, up to the
-    first radius whose ball covers the graph, ``ball_size(n + 1) ==
-    ball_size(n)``, where :func:`exhaustion` has no boundary.  ``x`` must
-    lie within depth ``start``.
+    first radius whose ball has more than ``EXHAUSTION_LIMIT`` vertices or
+    covers the graph, ``ball_size(n + 1) == ball_size(n)``, where
+    :func:`exhaustion` has no boundary.  ``x`` must lie within depth
+    ``start``.
 
-    The shell recursion of the module docstring gives each radius up to
-    ``top``, the last radius up to ``end`` (and up to the ball covering the
-    graph) whose shells all have at most ``DENSE_SHELL_LIMIT`` vertices;
-    every such shell is cut from the edges of the ball of radius ``top``,
-    fetched once.  Each radius past ``top`` has its exhaustion solved afresh.
+    The shell recursion of the module docstring gives each radius until the
+    first shell of more than ``DENSE_SHELL_LIMIT`` vertices; each radius
+    from there on has its exhaustion solved afresh.  The dense shells are
+    cut from the edges of one ball, ``top``: when the sweep first passes it,
+    at radius n, the next is the last radius up to ``min(end, 4n + 3)`` whose
+    shells all stay dense and whose ball stays within the budget, so a limit
+    that stops at radius n has fetched no ball past radius 4n + 3.
     """
-    if start > end:  # no radius to give, so no shell to sweep
-        return
-    top, size = -1, 0  # the ball of radius top has size vertices
-    # an empty next shell: the ball of radius top covers the graph
-    while top < end and 0 < gen.ball_size(top + 1) - size <= DENSE_SHELL_LIMIT:
-        top += 1
-        size = gen.ball_size(top)
-    half = _half_edges(gen, top) if top >= 0 else None
+    top, dense = -1, True  # the sweep holds the edges of the ball of radius top
     prev_lo = lo = 0
     chol = y0 = yx = None
     r_sum = v_sum = 0.0
     pi_x = np.nan
     for n in range(end + 1):
         hi = gen.ball_size(n)
-        if gen.ball_size(n + 1) == hi:
+        if hi > EXHAUSTION_LIMIT or gen.ball_size(n + 1) == hi:
             return
-        if n <= top:
+        dense = dense and hi - lo <= DENSE_SHELL_LIMIT
+        if dense and n > top:
+            top, size = n, hi
+            # an empty next shell: the ball of radius top covers the graph
+            while top < min(end, 4 * n + 3) and size < (
+                nxt := gen.ball_size(top + 1)
+            ) <= min(size + DENSE_SHELL_LIMIT, EXHAUSTION_LIMIT):
+                top, size = top + 1, nxt
+            half = _half_edges(gen, top)
+        if dense:
             a_kk, b_k = _shell_blocks(half, prev_lo, lo, hi)
             # a_kk is symmetric, so its transpose is the Fortran-ordered
             # matrix that syrk overwrites with S_n and potrf with its factor
@@ -488,7 +483,7 @@ def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
         prev_lo, lo = lo, hi
         if n < start:
             continue
-        if n <= top:
+        if dense:
             yield _Term(n, v_sum, r_sum, pi_x, True)
         else:
             yield _Term(n, *_unit_current_voltage(gen, x, n, tol), False)
@@ -514,31 +509,30 @@ def _limit(gen, x, n_max, tol, quantity):
     each estimated on its own, over radii from depth(x) + 1 to ``n_max``;
     both must converge.  The same exhaustions' R_n give the transience
     verdict (:func:`_verdict`, at ``TRANSIENCE_EPS``), which
-    may look on to radius max(32, depth(x) + 2) when ``n_max`` is smaller.  A
-    verdict needs two radii; when the ball budget allows fewer, the budget
-    error is raised, not :class:`NotTransient`.  ``x`` must be a vertex id
-    of ``gen`` (else InvalidVertex).
+    may look on to radius max(32, depth(x) + 2) when ``n_max`` is smaller.
+    :func:`_terms` alone decides how far the radii go: it stops at the ball
+    budget.  A verdict needs two radii; when the ball budget allows fewer,
+    the budget error is raised, not :class:`NotTransient`.  ``x`` must be a
+    vertex id of ``gen`` (else InvalidVertex).
 
-    On a homogeneous tree, a vertex x at a depth d >= 2 whose ball of
-    radius d + 4 exceeds the budget (fewer radii than two Aitken estimates
-    need) takes its limits from a neighbour y of the root, over radii up to
-    ``n_max - d + 1``: the walk from the root reaches x through each vertex
-    between them, and each of those d steps is, up to an automorphism, the
-    step from the root to y, so ``v(x) = R (v(y) / R)^d`` and pi(x) = pi(y)."""
+    On a homogeneous tree, every vertex x at a depth d >= 2 takes its limits
+    from a neighbour y of the root, over radii up to ``n_max - d + 1``: the
+    walk from the root reaches x through each vertex between them, and each
+    of those d steps is, up to an automorphism, the step from the root to y,
+    so ``v(x) = R (v(y) / R)^d`` and pi(x) = pi(y)."""
     _check_positive("tol", tol)
     x = gen._check_vertex(x)
     depth = gen.depth_of(x)
-    if gen.homogeneous_tree and depth >= 2 and gen.ball_size(depth + 4) > EXHAUSTION_LIMIT:
+    if gen.homogeneous_tree and depth >= 2:
         return _limit(
             gen, gen.ball_size(0), max(n_max - depth + 1, 1), tol,
             lambda v, r, pi_x: quantity(r * (v / r) ** depth, r, pi_x),
         )
     start = depth + 1
-    last = _radius_budget(gen, max(n_max, start))
+    last = max(n_max, start)
     est_v, est_r = _Estimates(tol), _Estimates(tol)
     verdict, prev_c, term, converged = "inconclusive", None, None, False
-    end = max(last, _radius_budget(gen, max(32, start + 1)))
-    for term in _terms(gen, x, start, end, tol):
+    for term in _terms(gen, x, start, max(last, 32, start + 1), tol):
         if verdict == "inconclusive":
             verdict, prev_c = _verdict(1.0 / term.r, prev_c), 1.0 / term.r
         if verdict == "recurrent-heuristic":
@@ -550,17 +544,17 @@ def _limit(gen, x, n_max, tol, quantity):
         if verdict == "transient" and (converged or term.n >= last):
             break
     _confirm(gen, x, term, tol)
-    if verdict == "inconclusive" and end <= start:
+    if verdict == "inconclusive" and gen.ball_size(start + 1) > EXHAUSTION_LIMIT:
         raise BudgetExceededWithoutConvergence(
-            f"no transience verdict: the ball budget stops at radius {end}, "
-            f"and a verdict needs radii {start} and {start + 1}"
+            f"no transience verdict: it needs radii {start} and {start + 1}, and the "
+            f"ball of radius {start + 1} exceeds EXHAUSTION_LIMIT = {EXHAUSTION_LIMIT}"
         )
     if verdict != "transient":
         raise NotTransient(f"transience verdict: {verdict}")
     value = quantity(est_v.value, est_r.value, term.pi_x)
     if not converged:
         raise BudgetExceededWithoutConvergence(
-            f"no convergence by radius {last} (n_max={n_max}, last value {value})"
+            f"no convergence by radius {min(term.n, last)} (n_max={n_max}, last value {value})"
         )
     return value
 

@@ -425,19 +425,20 @@ class TestVerify:
     def test_default_stdout_digest(self, capsys):
         # pins every row at the default scale, the Monte Carlo batch on the
         # level-20 tree included; the Green and hitting rows' solver values
-        # come from the exhaustions, with v_n(x) and R_n accelerated apart
+        # come from the exhaustions, with v_n(x) and R_n accelerated apart,
+        # those at depth 2 through the limits at depth 1
         code, out, _ = run_cli(capsys, "verify", "--seed", "42")
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "443befa7885e11ab37a9f892f7db2b10b26f807a535abf0c2a413466f5d21b22"
+        assert digest == "110729cf3b0911e1b14a8fc0d30c5f77d1c34f0ee16ea56b53fcaacd3417bc23"
 
     @pytest.mark.parametrize("argv, want", [
         ("--q 3 --levels 5 --walks 2000",
-         "a823780522403601b3414e2eda48942e8473e24b4ce04ffb0b5823a2d44afbc5"),
+         "0735537575bc740d060d16dc7f740e9cb03e495b167bcf15590f76ba03f6deba"),
         ("--q 6 --walks 2000",
-         "b7d6378d668be1f46b33b2ca48882b7c2d08d9e87f91e1471b912dbd4d8f0c77"),
+         "7cfaea6038f155f07e6de839fd0335b57ab14419a5da640344103ce798228ae5"),
         ("--levels 10 --walks 2000",
-         "272a19f9354a7dadf9ae72f7d9c0124affc37b4938ab022cdf87fa0b200fec06"),
+         "82f59e0bfd0a471227b55fddbc74b9c4238b985ffbea6a28de29c7b811a6ef80"),
     ])
     def test_stdout_digest(self, capsys, argv, want):
         # the resistance and escape rows of other trees, at seed 42
@@ -522,7 +523,7 @@ class TestVerify:
 
 @pytest.mark.parametrize("argv, want", [
     ("verify --levels 3 --walks 2000 --seed 42",
-     "5bba9e0ce965b912381a559fc88e1a053dcd609be177e8966b9b8a9e1eeaa8e0"),
+     "b43f978e0ea16420bbff7d9e79679b7d14306baf4e34a6922133bf797ae32b61"),
     ("oracle --q 3", "9ef91b37b1dbe030db37adeb9c48f2f83b9a0e92df017ead33a902a232fb6d6c"),
     ("resist --tree 2,8 --to-infinity",
      "f83505aa201d7ab7f45c65510e810fc5712192a5e1eaa2414970973c059e7f64"),

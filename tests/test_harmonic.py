@@ -478,8 +478,9 @@ class ScaledTree(TreeGenerator):
 
 
 class GenericTree(TreeGenerator):
-    """The tree of degree q + 1 without the homogeneous-tree route: a deep
-    vertex's limits take the ball budget's exits, as any generator's do."""
+    """The tree of degree q + 1 without the homogeneous-tree route: a
+    vertex's limits come from the exhaustions around it, and a deep one's
+    take the ball budget's exits, as any generator's do."""
 
     homogeneous_tree = False
 
@@ -575,9 +576,10 @@ class TestLimits:
 
     def test_deep_vertex_of_any_other_generator_stops_at_the_budget(self):
         # without the homogeneous-tree route, the limit at depth 62 needs
-        # radius 63, past the ball budget's 20, and says so without building
-        # a ball
-        with pytest.raises(BudgetExceededWithoutConvergence, match="stops at radius 20"):
+        # radii 63 and 64, past the ball budget's 20, and says so without
+        # exhausting a ball past the budget
+        with pytest.raises(BudgetExceededWithoutConvergence,
+                           match="radius 64 exceeds EXHAUSTION_LIMIT"):
             green_function(GenericTree(2), 2**63 - 1)
 
     def test_hitting_is_exact_from_its_parts(self):
@@ -676,20 +678,30 @@ def test_hitting_stops_early_at_q6(monkeypatch):
     assert max(radii) <= 6
 
 
+def test_depth_twelve_takes_the_depth_one_route(monkeypatch):
+    # the limits at depth 12 come from those at depth 1, whose radii stay
+    # small; exhausting around depth 12 itself took balls of radius 13 and
+    # more, and 0.17 s
+    x = first_at_depth(2, 12)
+    green, hitting, _ = oracle_green_hitting(2, 12)
+    gen = TreeGenerator(2)
+    radii = record_radii(monkeypatch, gen)
+    assert abs(green_function(gen, x) - green) <= 1e-13 * green
+    assert abs(hitting_probability(gen, x) - hitting) <= 1e-13 * hitting
+    assert max(radii) <= 10
+
+
 @pytest.mark.parametrize("q, depth", [(2, 8), (3, 4)])
-def test_deep_route_matches_the_exhaustions(monkeypatch, q, depth):
-    # a budget below the ball of radius depth + 4 sends the vertex to
-    # the route through depth 1; both agree with the closed forms.  Not a
-    # TestLimits case: with every shell dense, radius 8 at q=3 takes 600 MB
+def test_deep_route_matches_the_exhaustions(q, depth):
+    # the homogeneous tree's route through depth 1 and the direct sweep
+    # around the vertex, on the same tree without the route, agree with the
+    # closed forms.  Not a TestLimits case: with every shell dense, radius 8
+    # at q=3 takes 600 MB
     x = first_at_depth(q, depth)
     green, hitting, _ = oracle_green_hitting(q, depth)
-    for limit in (harmonic.EXHAUSTION_LIMIT, TreeGenerator(q).ball_size(depth + 4) - 1):
-        monkeypatch.setattr(harmonic, "EXHAUSTION_LIMIT", limit)
-        gen = TreeGenerator(q)
-        radii = record_radii(monkeypatch, gen)
+    for gen in (TreeGenerator(q), GenericTree(q)):
         assert abs(green_function(gen, x) - green) <= 1e-13 * green
         assert abs(hitting_probability(gen, x) - hitting) <= 1e-13 * hitting
-        assert gen.ball_size(max(radii)) <= limit
 
 
 @pytest.fixture(params=[0, 2_048], ids=["solves", "shells"])
@@ -750,6 +762,17 @@ class BrokenLine(HalfLineGenerator):
         return u, v, np.where(u >= self.k, self.c, c)
 
 
+class DoublingLine(HalfLineGenerator):
+    """The half-line with conductance 2**k on the edge k -> k + 1, so that
+    R_n = 2 - 2**-n; it gives no edges past radius 10."""
+
+    def ball_edges(self, n):
+        if n > 10:
+            raise AssertionError(f"ball of radius {n} fetched")
+        u, v, _ = super().ball_edges(n)
+        return u, v, 2.0**u
+
+
 class TestShellRecursion:
     def assert_matches_solves(self, pairs, rel):
         # v_n(x) <= R_n by the maximum principle, so both compare to R_n
@@ -789,6 +812,31 @@ class TestShellRecursion:
             net, z = harmonic.exhaustion(gen, term.n)
             rel = max(1e-12, lu_error_bound(net, BoundarySpec([z], [0.0])))
             self.assert_matches_solves([(term, solved)], rel)
+
+    @given(problem=ball_problems(), budget=st.integers(1, 30), end=st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_fetches_follow_the_sweep(self, problem, budget, end):
+        # by the time _terms gives radius n it has fetched no ball past radius
+        # 4n + 3, and none past the ball budget; it stops at end, at the
+        # first ball over the budget or at the ball covering the graph
+        gen, x = problem
+        start = gen.depth_of(x)
+        fetched = []
+        edges = gen.ball_edges
+        gen.ball_edges = lambda n: fetched.append(n) or edges(n)
+        stop = start
+        while stop <= end and gen.ball_size(stop) <= budget and (
+            gen.ball_size(stop + 1) > gen.ball_size(stop)
+        ):
+            stop += 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harmonic, "EXHAUSTION_LIMIT", budget)
+            radii = []
+            for term in harmonic._terms(gen, x, start, end, 1e-12):
+                assert max(fetched, default=0) <= 4 * term.n + 3
+                radii.append(term.n)
+        assert radii == list(range(start, stop))
+        assert all(gen.ball_size(n) <= budget for n in fetched)
 
     @pytest.mark.parametrize("limit", [0, 10])
     def test_recursion_is_not_resumed(self, monkeypatch, limit):
@@ -906,13 +954,22 @@ class TestShellRecursion:
                 assert np.allclose(a, b, rtol=1e-15, atol=0)
             prev_lo, lo = lo, hi
 
+    @pytest.mark.parametrize("n_max", [64, 10**4, 10**5])
+    def test_limit_fetches_no_ball_far_past_its_stop(self, n_max):
+        # R_n = 2 - 2**-n is geometric, so the limit converges at radius 3;
+        # fetching the ball at n_max overflowed 2.0**u, and took 30 ms at
+        # n_max=10**5
+        res = resistance_to_infinity(DoublingLine(), n_max=n_max, tol=1e-9)
+        assert (res.value, res.converged, res.n_used) == (2.0, True, 3)
+
     def test_few_edge_fetches(self, monkeypatch):
         # from the centre of the 30x30 grid no shell has more than 60
-        # vertices, so the 30 radii up to 29 are cut from one ball, that of
-        # radius 30, which covers the grid
+        # vertices, so the 30 radii up to 29 are cut from three balls: those
+        # of radius 3 and 19, fetched as the sweep reaches radius 0 and 4,
+        # and that of radius 30, which covers the grid
         gen = FiniteBallGenerator(grid_net(30, 7), 15 * 30 + 15)
         fetched = []
         edges = gen.ball_edges
         monkeypatch.setattr(gen, "ball_edges", lambda n: fetched.append(n) or edges(n))
         assert len(list(harmonic._terms(gen, gen.root, 0, 10**6, 1e-12))) == 30
-        assert fetched == [30]
+        assert fetched == [3, 19, 30]
