@@ -504,16 +504,17 @@ def _confirm(gen: GraphGenerator, x: int, term: _Term | None, tol: float) -> Non
         )
 
 
-def _limit(gen, x, n_max, tol, quantity):
-    """``quantity(v, R, pi(x))`` of the limits v of v_n(x) and R of R_n,
+def _limit(gen, x, n_max, tol):
+    """``(v, R, pi(x))``, the Green function being ``pi(x) v`` and the
+    hitting probability ``v / R``: the limits v of v_n(x) and R of R_n,
     each estimated on its own, over radii from depth(x) + 1 to ``n_max``;
     both must converge.  The same exhaustions' R_n give the transience
-    verdict (:func:`_verdict`, at ``TRANSIENCE_EPS``), which
-    may look on to radius max(32, depth(x) + 2) when ``n_max`` is smaller.
-    :func:`_terms` alone decides how far the radii go: it stops at the ball
-    budget.  A verdict needs two radii; when the ball budget allows fewer,
-    the budget error is raised, not :class:`NotTransient`.  ``x`` must be a
-    vertex id of ``gen`` (else InvalidVertex).
+    verdict (:func:`_verdict`, at ``TRANSIENCE_EPS``), which may look on to
+    radius max(32, depth(x) + 2) when ``n_max`` is smaller.  :func:`_terms`
+    alone decides how far the radii go: it stops at the ball budget.  A
+    verdict needs two radii; when the ball budget allows fewer, the budget
+    error is raised, not :class:`NotTransient`.  ``x`` must be a vertex id
+    of ``gen`` (else InvalidVertex).
 
     On a homogeneous tree, every vertex x at a depth d >= 2 takes its limits
     from a neighbour y of the root, over radii up to ``n_max - d + 1``: the
@@ -524,10 +525,8 @@ def _limit(gen, x, n_max, tol, quantity):
     x = gen._check_vertex(x)
     depth = gen.depth_of(x)
     if gen.homogeneous_tree and depth >= 2:
-        return _limit(
-            gen, gen.ball_size(0), max(n_max - depth + 1, 1), tol,
-            lambda v, r, pi_x: quantity(r * (v / r) ** depth, r, pi_x),
-        )
+        v, r, pi_x = _limit(gen, gen.ball_size(0), max(n_max - depth + 1, 1), tol)
+        return r * (v / r) ** depth, r, pi_x
     start = depth + 1
     last = max(n_max, start)
     est_v, est_r = _Estimates(tol), _Estimates(tol)
@@ -551,27 +550,31 @@ def _limit(gen, x, n_max, tol, quantity):
         )
     if verdict != "transient":
         raise NotTransient(f"transience verdict: {verdict}")
-    value = quantity(est_v.value, est_r.value, term.pi_x)
     if not converged:
         raise BudgetExceededWithoutConvergence(
-            f"no convergence by radius {min(term.n, last)} (n_max={n_max}, last value {value})"
+            f"no convergence by radius {min(term.n, last)} (n_max={n_max}, last "
+            f"estimates v={est_v.value!r}, R={est_r.value!r})"
         )
-    return value
+    return est_v.value, est_r.value, term.pi_x
 
 
 def green_function(
     gen: GraphGenerator, x: int, n_max: int = 80, tol: float = 1e-8
 ) -> float:
-    """Expected number of visits to x for the walk from the root: pi(x) v(x)."""
-    return _limit(gen, x, _check_int("n_max", n_max, 1), tol, lambda v, r, pi_x: pi_x * v)
+    """Expected number of visits to x for the walk from the root: pi(x) v,
+    v the limit of the unit current flow's voltage v_n(x)."""
+    v, _, pi_x = _limit(gen, x, _check_int("n_max", n_max, 1), tol)
+    return pi_x * v
 
 
 def hitting_probability(
     gen: GraphGenerator, x: int, n_max: int = 80, tol: float = 1e-8
 ) -> float:
-    """P_x(hit the root eventually) = lim v_n(x) / v_n(root); 1 when x is the root."""
+    """P_x(hit the root eventually) = v / R, the limits of v_n(x) and of
+    R_n = v_n(root); 1 when x is the root."""
     n_max = _check_int("n_max", n_max, 1)
     _check_positive("tol", tol)
     if gen._check_vertex(x) == gen.root:
         return 1.0
-    return _limit(gen, x, n_max, tol, lambda v, r, pi_x: v / r)
+    v, r, _ = _limit(gen, x, n_max, tol)
+    return v / r

@@ -20,7 +20,7 @@ import numpy as np
 from . import flows, tree
 from .errors import InvalidSpec
 from .generators import exhaustion
-from .harmonic import EXHAUSTION_LIMIT, green_function, hitting_probability, unit_voltage
+from .harmonic import EXHAUSTION_LIMIT, _limit, unit_voltage
 from .network import _check_int, build_network
 from .tree import TreeGenerator, TreeSpec, level_slice, tree_vertex_count
 from .walks import WalkConfig, run_walks
@@ -149,22 +149,14 @@ def run_battery(
     closed = tree.oracle_finite_escape("a", q, n=levels)
     rows.append(_row(f"escape/root_to_level_{levels}", closed, eq.escape_probability, tol=tol))
 
-    # limits via exhaustion: green function and hitting probability
+    # limits via exhaustion: one limit call per depth gives v, R and pi(x),
+    # so the Green function pi(x) v and the hitting probability v / R
     for d in (0, 1, 2):
         g_closed, h_closed, _ = tree.oracle_green_hitting(q, d)
-        x = tree.first_at_depth(q, d)
-        rows.append(
-            _row(f"green/d={d}", g_closed, green_function(gen, x, tol=1e-8), tol=1e-6)
-        )
+        v, r, pi_x = _limit(gen, tree.first_at_depth(q, d), 80, 1e-8)
+        rows.append(_row(f"green/d={d}", g_closed, pi_x * v, tol=1e-6))
         if d:
-            rows.append(
-                _row(
-                    f"hitting/d={d}",
-                    h_closed,
-                    hitting_probability(gen, x, tol=1e-8),
-                    tol=1e-6,
-                )
-            )
+            rows.append(_row(f"hitting/d={d}", h_closed, v / r, tol=1e-6))
 
     # Monte Carlo concordance: one batch from the root, absorbed at level L,
     # the deepest whose tree holds at most EXHAUSTION_LIMIT vertices

@@ -25,7 +25,7 @@ from resistive_walks import (
     run_walks,
     tree_vertex_count,
 )
-from resistive_walks import cli, generators, network, tree, verify
+from resistive_walks import cli, generators, harmonic, network, tree, verify
 from resistive_walks.cli import main
 from resistive_walks.errors import (
     BudgetExceededWithoutConvergence,
@@ -465,6 +465,20 @@ class TestVerify:
         # the radius-9 exhaustion that confirms the Green function's limit,
         # which its transience verdict reaches
         assert self._largest_assembled(monkeypatch) <= tree_vertex_count(2, 9) + 1
+
+    @pytest.mark.parametrize("q, sweeps, solves", [(2, 3, 6), (3, 3, 6), (6, 3, 5)])
+    def test_one_limit_sweep_per_depth(self, monkeypatch, q, sweeps, solves):
+        # depths 0, 1 and 2 each sweep the shells once, for the Green and
+        # the hitting row together; the solves are the LU radii and the
+        # confirmations of those sweeps
+        calls = {"_terms": 0, "_unit_current_voltage": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(harmonic, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(harmonic, name, counted)
+        assert run_battery(q=q, walks=2000).exit_status == "pass"
+        assert calls == {"_terms": sweeps, "_unit_current_voltage": solves}
 
     def test_level_l_rows_come_from_the_exhaustions(self, monkeypatch):
         # the escape and resistance rows read the exhaustion of radius L - 1,

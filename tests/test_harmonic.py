@@ -632,7 +632,9 @@ class TestLimits:
         assert isinstance(info.value, ValueError)
 
     def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceededWithoutConvergence):
+        # the message names the radius, n_max and both last estimates
+        with pytest.raises(BudgetExceededWithoutConvergence,
+                           match=r"radius 3 \(n_max=3, last estimates v=0\.66.*, R=0\.66"):
             green_function(TreeGenerator(2), 0, n_max=3, tol=1e-12)
 
     def test_deep_vertex_budget_is_not_a_verdict(self, monkeypatch):
