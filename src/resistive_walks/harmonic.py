@@ -31,44 +31,42 @@ then combine the two limits: on the tree each is a geometric partial sum,
 on which Aitken's value is exact, while their ratio is not.  One sweep
 decides how far a limit looks: a generator is exhausted only while the
 ball has at most ``EXHAUSTION_LIMIT`` vertices.  On the homogeneous tree,
-where every quantity is a function of the distance, each vertex at depth
-2 or more takes its limits from those at depth 1.
+where every quantity is a function of the distance, each vertex at depth 2
+or more takes its limits from those at depth 1.
 
-A generator gets every radius from one sweep over the shells, a
-Schur recursion (Kron reduction, Kron 1939, applied one shell at a time).
-Shell k holds the ids ``ball_size(k-1) .. ball_size(k)-1``; with ``A_kk``
-its block of the Laplacian (the full pi(x) on the diagonal) and ``B_k`` its
-block against shell k - 1, the exhaustion of radius n grounds everything
-past shell n, so its matrix is the leading part of the next one's and has
-the block LDL^T factorization ``S_0 = A_00``,
-``S_k = A_kk - B_k S_{k-1}^-1 B_k^T``.  The forward vectors
-``z_k = e_k - B_k S_{k-1}^-1 z_{k-1}`` of the unit vectors at the root and
-at x then give every radius by running sums,
-``R_n = sum_{k<=n} z0_k^T S_k^-1 z0_k`` and
-``v_n(x) = sum_{k<=n} z0_k^T S_k^-1 zx_k``; only the last shell's dense
-Cholesky factor and the two ``z`` are kept.  Every shell's blocks are
-cut from the edges of a ball fetched when the sweep passes the last one,
-at radius n, no further out than radius 4n + 3; the factor (``potrf``),
-triangular solves (``trtrs``), ``B S^-1 B^T`` (``syrk``) and ``B S^-1 z``
-(``gemv``) all run on scipy's own LAPACK and BLAS.  numpy's ``@`` runs on
-the OpenBLAS bundled with numpy, a second library with its own thread
-pool: when calls alternate between the two, on a 2-vCPU host both pools
-stay awake, which made the limits benchmark's 80x80 grid limit about ten
-times slower under the default thread count than with BLAS on one thread.  On scipy's kernels
-alone it takes the same time either way.  A limit's last bits can still
-depend on the thread count: that grid's ``resistance_to_infinity`` (at
-seed 1) reads 3.165535350480935 on one BLAS thread and 3.1655353504809427
-on two.  Once a shell has more than ``DENSE_SHELL_LIMIT`` vertices, the
-remaining radii are solved one exhaustion at a time by
-:func:`solve_dirichlet`.  A Schur complement that is not finite or not
-positive definite raises :class:`SolverDivergence`, naming its shell.  A
-limit that stops on a term of the recursion solves that radius once more,
-with the residual check, and raises :class:`SolverDivergence` when the two
-disagree by more than ``tol * max(1, |R_n|)``.
+One sweep over the shells gives every radius, for the root and for every
+vertex x asked about, by a Schur recursion (Kron reduction, Kron 1939,
+applied one shell at a time).  Shell k holds the ids
+``ball_size(k-1) .. ball_size(k)-1``; with ``A_kk`` its block of the
+Laplacian (the full pi(x) on the diagonal) and ``B_k`` its block against
+shell k - 1, the exhaustion of radius n grounds everything past shell n, so
+its matrix is the leading part of the next one's and has the block LDL^T
+factorization ``S_0 = A_00``, ``S_k = A_kk - B_k S_{k-1}^-1 B_k^T``.  The
+block of forward vectors ``Z_k = E_k - B_k S_{k-1}^-1 Z_{k-1}`` holds one
+column per vertex, the root's first, ``E_k`` their unit entries in shell k;
+with ``S_k = L_k L_k^T`` and ``Y_k = L_k^-1 Z_k``, running sums over the
+columns y0 of the root and yx of x give ``R_n = sum_{k<=n} y0_k^T y0_k``
+and ``v_n(x) = sum_{k<=n} y0_k^T yx_k``.  Only the last shell's dense
+Cholesky factor and ``Y`` are kept.  The factor (``potrf``), one triangular
+solve (``trtrs``) for all columns, ``B S^-1 B^T`` (``syrk``) and
+``B S^-1 Z`` (a ``gemv`` per column) run on scipy's own LAPACK and BLAS:
+alternating with numpy's bundled OpenBLAS kept both thread pools awake and
+made the limits benchmark's 80x80 grid limit ten times slower on 2 vCPUs.
+A ``gemm`` would round a column by how many columns share it, while
+``trtrs`` rounds a column alike among any two or more, so an id's limits do
+not depend on the ids swept with it.  Once a shell has more than
+``DENSE_SHELL_LIMIT`` vertices, the remaining radii are solved one
+exhaustion at a time by :func:`solve_dirichlet`.  A Schur complement that
+is not finite or not positive definite raises :class:`SolverDivergence`,
+naming its shell.  A limit that stops on a term of the recursion solves
+that radius once more, with the residual check, and raises
+:class:`SolverDivergence` when the two disagree by more than
+``tol * max(1, |R_n|)``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -322,18 +320,19 @@ def resistance_to_infinity(
     with ``converged=False`` and ``n_used`` the last radius, also when the
     next ball would exceed ``EXHAUSTION_LIMIT`` vertices.  On a finite
     graph, once the ball covers it, the value is the last raw term: the
-    exact resistance to the farthest vertices.  R_n is nondecreasing in n (Rayleigh monotonicity), so a
-    diverging sequence simply never converges.
+    exact resistance to the farthest vertices.  R_n is nondecreasing in n
+    (Rayleigh monotonicity), so a diverging sequence never converges.
     """
     n_max = _check_int("n_max", n_max, 1)
     _check_positive("tol", tol)
     est = _Estimates(tol)
     term = None
-    for term in _terms(gen, gen.root, 0, n_max, tol):
+    root_alone = np.empty(0, dtype=np.int64)  # the sweep's column 0 alone
+    for term in _terms(gen, root_alone, 0, n_max, tol):
         est.push(term.r)
         if est.converged:
             break
-    _confirm(gen, gen.root, term, tol)
+    _confirm(gen, root_alone, term, tol)
     if est.converged:
         return LimitResult(est.value, converged=True, n_used=term.n)
     n = term.n + 1 if term else 0  # the radius the terms stopped before
@@ -356,25 +355,25 @@ def _verdict(c: float, prev: float | None) -> str:
 
 
 def _unit_current_voltage(
-    gen: GraphGenerator, x: int, n: int, tol: float
-) -> tuple[float, float, float]:
-    """(v_n(x), R_n, pi(x)) for the unit current flow on exhaustion n.
-
-    The flow enters at the root and leaves at the contracted boundary
-    ``z_n``, so ``R_n = v_n(root)`` is the resistance R(root <-> z_n).
-    """
+    gen: GraphGenerator, xs: np.ndarray, n: int, tol: float
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(v_n(x), R_n, pi(x)) for the unit current flow on exhaustion n, over
+    the ids ``xs``.  The flow enters at the root and leaves at the contracted
+    boundary ``z_n``, so ``R_n = v_n(root)`` is the resistance R(root <->
+    z_n); an id past the ball reads z_n, voltage 0 as in the recursion."""
     net, z = exhaustion(gen, n)
     values, eq = unit_voltage(net, gen.root, (z,), tol)
-    return float(values[x]) * eq.resistance, eq.resistance, float(net.pi[x])
+    xs = np.minimum(xs, z)
+    return values[xs] * eq.resistance, eq.resistance, net.pi[xs]
 
 
 class _Term(NamedTuple):
     """The unit current flow on exhaustion ``n``: ``(n, v_n(x), R_n, pi(x))``."""
 
     n: int
-    vx: float
+    vx: np.ndarray
     r: float
-    pi_x: float
+    pi_x: np.ndarray
     #: True when the shell recursion gave it, False for a residual-checked solve
     by_shells: bool
 
@@ -413,12 +412,11 @@ def _shell_blocks(half, prev_lo: int, lo: int, hi: int):
     return a_kk, b_k
 
 
-def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
-    """The :class:`_Term` of each radius ``n = start .. end``, up to the
-    first radius whose ball has more than ``EXHAUSTION_LIMIT`` vertices or
-    covers the graph, ``ball_size(n + 1) == ball_size(n)``, where
-    :func:`exhaustion` has no boundary.  ``x`` must lie within depth
-    ``start``.
+def _terms(gen: GraphGenerator, xs: np.ndarray, start: int, end: int, tol: float):
+    """The :class:`_Term` of each radius ``n = start .. end`` over the ids
+    ``xs`` (each read from radius depth(id) on), up to the first radius whose
+    ball has more than ``EXHAUSTION_LIMIT`` vertices or covers the graph
+    (``ball_size(n + 1) == ball_size(n)``: :func:`exhaustion` has no z).
 
     The shell recursion of the module docstring gives each radius until the
     first shell of more than ``DENSE_SHELL_LIMIT`` vertices; each radius
@@ -426,13 +424,11 @@ def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
     cut from the edges of one ball, ``top``: when the sweep first passes it,
     at radius n, the next is the last radius up to ``min(end, 4n + 3)`` whose
     shells all stay dense and whose ball stays within the budget, so a limit
-    that stops at radius n has fetched no ball past radius 4n + 3.
-    """
+    that stops at radius n has fetched no ball past radius 4n + 3."""
     top, dense = -1, True  # the sweep holds the edges of the ball of radius top
     prev_lo = lo = 0
-    chol = y0 = yx = None
-    r_sum = v_sum = 0.0
-    pi_x = np.nan
+    cols = [gen.root, *xs]  # the root's column first
+    chol, y, sums, pi = None, None, np.zeros(len(cols)), np.full(len(cols), np.nan)
     for n in range(end + 1):
         hi = gen.ball_size(n)
         if hi > EXHAUSTION_LIMIT or gen.ball_size(n + 1) == hi:
@@ -449,21 +445,18 @@ def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
         if dense:
             a_kk, b_k = _shell_blocks(half, prev_lo, lo, hi)
             # a_kk is symmetric, so its transpose is the Fortran-ordered
-            # matrix that syrk overwrites with S_n and potrf with its factor
-            s_k, z0, zx = a_kk.T, np.zeros(hi - lo), None
-            if lo <= x < hi:  # the first shell with a nonzero zx
-                pi_x = float(a_kk[x - lo, x - lo])
-                zx = np.zeros(hi - lo)
-                zx[x - lo] = 1.0
-            if n == 0:
-                z0[gen.root] = 1.0
-            else:  # with S = L L^T of shell n - 1, y = L^-1 z and w = L^-1 B^T:
-                # B S^-1 B^T = w^T w and B S^-1 z = w^T y
+            # matrix that syrk overwrites with S_n and potrf with its factor:
+            # each id in the shell has its pi(x) read, and unit entry set, first
+            s_k, z = a_kk.T, np.zeros((hi - lo, len(cols)), order="F")
+            for j, x in enumerate(cols):
+                if lo <= x < hi:
+                    z[x - lo, j], pi[j] = 1.0, a_kk[x - lo, x - lo]
+            if n:  # with S = L L^T of shell n - 1, Y = L^-1 Z and w = L^-1 B^T:
+                # B S^-1 B^T = w^T w and B S^-1 Z = w^T Y
                 w, _ = _trtrs(chol, b_k.T, lower=1)
                 s_k = _syrk(-1.0, w, 1.0, s_k, trans=1, lower=1, overwrite_c=1)
-                z0 = _gemv(-1.0, w, y0, trans=1)
-                if yx is not None:
-                    zx = _gemv(-1.0, w, yx, trans=1)
+                for j in range(len(cols)):
+                    z[:, j] = _gemv(-1.0, w, y[:, j], 1.0, z[:, j], trans=1)
             # potrf reads only the lower triangle, which syrk wrote, and
             # checks no value; a factor's diagonal is positive, so no trtrs
             # on it fails
@@ -475,87 +468,97 @@ def _terms(gen: GraphGenerator, x: int, start: int, end: int, tol: float):
                     f"Schur complement of shell {n}: its leading minor of order {info} "
                     "is not positive definite"
                 )
-            y0, _ = _trtrs(chol, z0, lower=1)
-            r_sum += float(y0 @ y0)
-            if zx is not None:
-                yx, _ = _trtrs(chol, zx, lower=1)
-                v_sum += float(y0 @ yx)
+            y, _ = _trtrs(chol, z, lower=1)
+            sums = sums + [y[:, 0] @ y_j for y_j in y.T]
         prev_lo, lo = lo, hi
         if n < start:
             continue
         if dense:
-            yield _Term(n, v_sum, r_sum, pi_x, True)
+            yield _Term(n, sums[1:], float(sums[0]), pi[1:].copy(), True)
         else:
-            yield _Term(n, *_unit_current_voltage(gen, x, n, tol), False)
+            yield _Term(n, *_unit_current_voltage(gen, xs, n, tol), False)
 
 
-def _confirm(gen: GraphGenerator, x: int, term: _Term | None, tol: float) -> None:
+def _confirm(gen: GraphGenerator, xs: np.ndarray, term: _Term | None, tol: float) -> None:
     """Recompute a term of the shell recursion by one residual-checked
-    solve of its exhaustion; raises SolverDivergence when R_n or v_n(x)
-    differ by more than ``tol * max(1, |R_n|)``."""
+    solve of its exhaustion; raises SolverDivergence when R_n or any
+    v_n(x) differ by more than ``tol * max(1, |R_n|)``."""
     if term is None or not term.by_shells:
         return
-    vx, r, _ = _unit_current_voltage(gen, x, term.n, tol)
+    vx, r, _ = _unit_current_voltage(gen, xs, term.n, tol)
     bound = tol * max(1.0, abs(r))
-    if not (abs(r - term.r) <= bound and abs(vx - term.vx) <= bound):  # also refuses NaN
+    if not (abs(r - term.r) <= bound and np.all(abs(vx - term.vx) <= bound)):  # also refuses NaN
         raise SolverDivergence(
-            f"shell recursion at radius {term.n} gives R_n={term.r!r}, v_n(x)={term.vx!r}; "
-            f"a solve gives {r!r}, {vx!r}"
+            f"shell recursion at radius {term.n} gives R_n={term.r!r}, "
+            f"v_n(x)={term.vx.tolist()}; a solve gives {r!r}, {vx.tolist()}"
         )
 
 
-def _limit(gen, x, n_max, tol):
-    """``(v, R, pi(x))``, the Green function being ``pi(x) v`` and the
-    hitting probability ``v / R``: the limits v of v_n(x) and R of R_n,
-    each estimated on its own, over radii from depth(x) + 1 to ``n_max``;
-    both must converge.  The same exhaustions' R_n give the transience
-    verdict (:func:`_verdict`, at ``TRANSIENCE_EPS``), which may look on to
-    radius max(32, depth(x) + 2) when ``n_max`` is smaller.  :func:`_terms`
-    alone decides how far the radii go: it stops at the ball budget.  A
-    verdict needs two radii; when the ball budget allows fewer, the budget
-    error is raised, not :class:`NotTransient`.  ``x`` must be a vertex id
-    of ``gen`` (else InvalidVertex).
+def _limit(gen, xs, n_max, tol):
+    """``(v, R, pi(x))`` for each id x of ``xs``, the Green function being
+    ``pi(x) v`` and the hitting probability ``v / R``: the limits v of
+    v_n(x) and R of R_n, each estimated on its own, over the radii past
+    depth(x) up to ``n_max``; both must converge.  The same exhaustions' R_n
+    give the transience verdict (:func:`_verdict`, at ``TRANSIENCE_EPS``),
+    which may look on to radius max(32, depth(x) + 2) when ``n_max`` is
+    smaller.  :func:`_terms` alone decides how far the radii go: it stops at
+    the ball budget.  A verdict needs two radii; when the ball budget allows
+    fewer, the budget error is raised, not :class:`NotTransient`.  Each id
+    must be a vertex id of ``gen`` (else InvalidVertex).
 
-    On a homogeneous tree, every vertex x at a depth d >= 2 takes its limits
-    from a neighbour y of the root, over radii up to ``n_max - d + 1``: the
-    walk from the root reaches x through each vertex between them, and each
-    of those d steps is, up to an automorphism, the step from the root to y,
-    so ``v(x) = R (v(y) / R)^d`` and pi(x) = pi(y)."""
+    Each id reads the terms of its own sweep from its column of one sweep.
+    The first id whose limits fail raises once its last term is confirmed,
+    else the sweep's last term is.  On a homogeneous tree, a vertex x at
+    depth d >= 2 takes the column of a neighbour y of the root, over radii
+    up to ``n_max - d + 1``: each of the walk's d steps from the root to x
+    is the step to y up to an automorphism, so ``v(x) = R (v(y) / R)^d``."""
     _check_positive("tol", tol)
-    x = gen._check_vertex(x)
-    depth = gen.depth_of(x)
-    if gen.homogeneous_tree and depth >= 2:
-        v, r, pi_x = _limit(gen, gen.ball_size(0), max(n_max - depth + 1, 1), tol)
-        return r * (v / r) ** depth, r, pi_x
-    start = depth + 1
-    last = max(n_max, start)
-    est_v, est_r = _Estimates(tol), _Estimates(tol)
-    verdict, prev_c, term, converged = "inconclusive", None, None, False
-    for term in _terms(gen, x, start, max(last, 32, start + 1), tol):
-        if verdict == "inconclusive":
-            verdict, prev_c = _verdict(1.0 / term.r, prev_c), 1.0 / term.r
-        if verdict == "recurrent-heuristic":
-            break
-        if term.n <= last:
-            est_v.push(term.vx)
-            est_r.push(term.r)
-            converged = est_v.converged and est_r.converged
-        if verdict == "transient" and (converged or term.n >= last):
-            break
-    _confirm(gen, x, term, tol)
-    if verdict == "inconclusive" and gen.ball_size(start + 1) > EXHAUSTION_LIMIT:
-        raise BudgetExceededWithoutConvergence(
-            f"no transience verdict: it needs radii {start} and {start + 1}, and the "
-            f"ball of radius {start + 1} exceeds EXHAUSTION_LIMIT = {EXHAUSTION_LIMIT}"
-        )
-    if verdict != "transient":
-        raise NotTransient(f"transience verdict: {verdict}")
-    if not converged:
-        raise BudgetExceededWithoutConvergence(
-            f"no convergence by radius {min(term.n, last)} (n_max={n_max}, last "
-            f"estimates v={est_v.value!r}, R={est_r.value!r})"
-        )
-    return est_v.value, est_r.value, term.pi_x
+    columns = []  # (id of the column, depth of its route, first radius, radius budget)
+    for x in map(gen._check_vertex, xs):
+        depth = gen.depth_of(x)
+        if gen.homogeneous_tree and depth >= 2:
+            columns.append((gen.ball_size(0), depth, 2, max(n_max - depth + 1, 1)))
+        else:
+            columns.append((x, 0, depth + 1, n_max))
+    ids, _, starts, _ = zip(*columns)
+    first = min(starts)
+    ends = [max(budget, 32, start + 1) for _, _, start, budget in columns]
+    sweeps = itertools.tee(_terms(gen, ids, first, max(ends), tol), len(ids))
+    limits, terms = [], []
+    for i, ((_, depth, start, budget), end) in enumerate(zip(columns, ends)):
+        last = max(budget, start)
+        est_v, est_r = _Estimates(tol), _Estimates(tol)
+        verdict, prev_c, term, converged = "inconclusive", None, None, False
+        for term in itertools.islice(sweeps[i], start - first, end - first + 1):
+            if verdict == "inconclusive":
+                verdict, prev_c = _verdict(1.0 / term.r, prev_c), 1.0 / term.r
+            if verdict == "recurrent-heuristic":
+                break
+            if term.n <= last:
+                est_v.push(float(term.vx[i]))
+                est_r.push(term.r)
+                converged = est_v.converged and est_r.converged
+            if verdict == "transient" and (converged or term.n >= last):
+                break
+        if not (verdict == "transient" and converged):
+            _confirm(gen, ids, term, tol)
+        if verdict == "inconclusive" and gen.ball_size(start + 1) > EXHAUSTION_LIMIT:
+            raise BudgetExceededWithoutConvergence(
+                f"no transience verdict: it needs radii {start} and {start + 1}, and the "
+                f"ball of radius {start + 1} exceeds EXHAUSTION_LIMIT = {EXHAUSTION_LIMIT}"
+            )
+        if verdict != "transient":
+            raise NotTransient(f"transience verdict: {verdict}")
+        if not converged:
+            raise BudgetExceededWithoutConvergence(
+                f"no convergence by radius {min(term.n, last)} (n_max={budget}, last "
+                f"estimates v={est_v.value!r}, R={est_r.value!r})"
+            )
+        v, r = est_v.value, est_r.value
+        limits.append((r * (v / r) ** depth if depth else v, r, float(term.pi_x[i])))
+        terms.append(term)
+    _confirm(gen, ids, max(terms, key=lambda term: term.n), tol)
+    return limits
 
 
 def green_function(
@@ -563,7 +566,7 @@ def green_function(
 ) -> float:
     """Expected number of visits to x for the walk from the root: pi(x) v,
     v the limit of the unit current flow's voltage v_n(x)."""
-    v, _, pi_x = _limit(gen, x, _check_int("n_max", n_max, 1), tol)
+    ((v, _, pi_x),) = _limit(gen, [x], _check_int("n_max", n_max, 1), tol)
     return pi_x * v
 
 
@@ -576,5 +579,5 @@ def hitting_probability(
     _check_positive("tol", tol)
     if gen._check_vertex(x) == gen.root:
         return 1.0
-    v, r, _ = _limit(gen, x, n_max, tol)
+    ((v, r, _),) = _limit(gen, [x], n_max, tol)
     return v / r

@@ -23,7 +23,7 @@ from .generators import exhaustion
 from .harmonic import EXHAUSTION_LIMIT, _limit, unit_voltage
 from .network import _check_int, build_network
 from .tree import TreeGenerator, TreeSpec, level_slice, tree_vertex_count
-from .walks import WalkConfig, run_walks
+from .walks import WalkConfig, _share, run_walks
 
 __all__ = ["CheckRow", "RunReport", "run_battery"]
 
@@ -87,7 +87,9 @@ def _random_flow_rows(q_seed: int, tol: float) -> list[CheckRow]:
             worst_recombine, float(np.max(np.abs(star + cyc - theta)))
         )
         worst_ortho = max(worst_ortho, abs(flows.inner_r(net, star, cyc)))
-        i = flows.current_flow(net, _unit_div(net))
+        div = np.zeros(net.vertex_count)
+        div[[0, -1]] = 1.0, -1.0
+        i = flows.current_flow(net, div)
         perturbed = i + cyc
         gap = flows.thomson_gap(net, perturbed, {0}, {net.vertex_count - 1})
         worst_gap = max(worst_gap, abs(gap - flows.energy(net, cyc)))
@@ -96,13 +98,6 @@ def _random_flow_rows(q_seed: int, tol: float) -> list[CheckRow]:
     rows.append(_row("flow/decomposition_orthogonality", 0.0, worst_ortho, tol=1e-9))
     rows.append(_row("flow/thomson_gap_pythagoras", 0.0, worst_gap, tol=1e-9))
     return rows
-
-
-def _unit_div(net):
-    div = np.zeros(net.vertex_count)
-    div[0] = 1.0
-    div[-1] = -1.0
-    return div
 
 
 def run_battery(
@@ -149,11 +144,11 @@ def run_battery(
     closed = tree.oracle_finite_escape("a", q, n=levels)
     rows.append(_row(f"escape/root_to_level_{levels}", closed, eq.escape_probability, tol=tol))
 
-    # limits via exhaustion: one limit call per depth gives v, R and pi(x),
-    # so the Green function pi(x) v and the hitting probability v / R
-    for d in (0, 1, 2):
+    # limits via exhaustion: one limit call gives v, R and pi(x) at each
+    # depth, so the Green function pi(x) v and the hitting probability v / R
+    limits = _limit(gen, [tree.first_at_depth(q, d) for d in (0, 1, 2)], 80, 1e-8)
+    for d, (v, r, pi_x) in enumerate(limits):
         g_closed, h_closed, _ = tree.oracle_green_hitting(q, d)
-        v, r, pi_x = _limit(gen, tree.first_at_depth(q, d), 80, 1e-8)
         rows.append(_row(f"green/d={d}", g_closed, pi_x * v, tol=1e-6))
         if d:
             rows.append(_row(f"hitting/d={d}", h_closed, v / r, tol=1e-6))
@@ -177,8 +172,7 @@ def run_battery(
     # the first step lands at depth 1, so a second root visit is x1 hitting the
     # root before level L: (1/q - q^-L)/(1 - q^-L), within q^-L of 1/q
     _, h_closed, _ = tree.oracle_green_hitting(q, 1)
-    p = np.count_nonzero(stats.watch_visit_counts[:, 0] >= 2) / walks
-    se = np.sqrt(p * (1.0 - p) / walks)
+    p, se = _share(np.count_nonzero(stats.watch_visit_counts[:, 0] >= 2), walks)
     rows.append(_row("mc/hitting_d1", h_closed, mc=p, se=se, bias=bias))
 
     rows.extend(_random_flow_rows(seed, tol))

@@ -97,6 +97,12 @@ def _uniforms(base: np.ndarray, step: int) -> np.ndarray:
     return np.multiply(h, 2.0**-53, out=tmp.view(np.float64))
 
 
+def _share(hits: int, n: int) -> tuple[float, float]:
+    """(p, std_err) of the binomial share p = hits / n of n walks."""
+    p = hits / n
+    return p, math.sqrt(p * (1.0 - p) / n)
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     seed: int
@@ -152,9 +158,7 @@ class WalkStats:
                 raise TypeError
         except TypeError:
             raise InvalidSpec(f"{target!r} is not an absorbing vertex") from None
-        n = self.config.num_walks
-        p = np.count_nonzero(self.absorbed_at == x) / n
-        return p, math.sqrt(p * (1.0 - p) / n)
+        return _share(np.count_nonzero(self.absorbed_at == x), self.config.num_walks)
 
     def _watched_mean(self, counts: np.ndarray, watched, key) -> tuple[float, float]:
         """(mean, std_err) of the column of ``counts`` at ``key``'s place in
@@ -421,5 +425,4 @@ def estimate_escape(net: Network | TreeSpec, cfg: WalkConfig, a: int, z) -> tupl
     if np.any(z == a):
         raise VertexInTarget(f"source {a} lies in the target set")
     stats = run_walks(net, replace(cfg, start=a, absorbing=np.append(z, a), min_absorb_step=1))
-    p = int(np.count_nonzero(np.isin(stats.absorbed_at, z))) / cfg.num_walks
-    return p, math.sqrt(p * (1.0 - p) / cfg.num_walks)
+    return _share(int(np.count_nonzero(np.isin(stats.absorbed_at, z))), cfg.num_walks)

@@ -504,7 +504,7 @@ class TestLimits:
         # rounding of 51 by a solve
         gen = HalfLineGenerator()
         res = resistance_to_infinity(gen, n_max=50, tol=1e-6)
-        raw = harmonic._unit_current_voltage(gen, gen.root, 50, 1e-6)[1]
+        raw = harmonic._unit_current_voltage(gen, [gen.root], 50, 1e-6)[1]
         assert not res.converged
         assert res.value == (51.0 if harmonic.DENSE_SHELL_LIMIT else raw)
         assert abs(raw - 51.0) <= 1e-12 * 51.0
@@ -534,7 +534,7 @@ class TestLimits:
         gen = TreeGenerator(2)
         from resistive_walks.harmonic import _unit_current_voltage
 
-        rs = [_unit_current_voltage(gen, gen.root, n, 1e-9)[1] for n in range(6)]
+        rs = [_unit_current_voltage(gen, [gen.root], n, 1e-9)[1] for n in range(6)]
         assert all(b >= a - 1e-12 for a, b in zip(rs, rs[1:]))
 
     def test_green_values(self):
@@ -720,6 +720,54 @@ class TestLimitsEitherWay(TestLimits):
     """Every TestLimits case on both sides of ``DENSE_SHELL_LIMIT``."""
 
 
+def limit_outcome(gen, ids, n_max=80, tol=1e-8):
+    """``_limit``'s limits for ``ids``, or the type and message of its error."""
+    try:
+        return harmonic._limit(gen, ids, n_max, tol)
+    except NetworkError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.usefixtures("shell_limit")
+class TestSeveralIds:
+    """One sweep for several ids gives each id the limits of its own call."""
+
+    @pytest.mark.parametrize("gen, ids", [
+        (TreeGenerator(2), [0, 1, 4, 11]),
+        (TreeGenerator(3), [0, 1, 5]),
+        (GenericTree(2), [0, 1, 4]),
+    ], ids=["tree2", "tree3", "generic2"])
+    @pytest.mark.parametrize("n_max", [80, 5])
+    def test_limits_equal_one_id_calls(self, gen, ids, n_max):
+        # ids 4 and 11 of the binary tree take the route through depth 1,
+        # mixed with the root and id 1; at n_max=5 some ids fail alone, and
+        # the first failing id's error is the sweep's
+        alone = [limit_outcome(gen, [x], n_max) for x in ids]
+        failed = [a for a in alone if isinstance(a, tuple)]
+        want = failed[0] if failed else [a[0] for a in alone]
+        assert limit_outcome(gen, ids, n_max) == want
+
+    @pytest.mark.parametrize("gen, ids", [
+        (FiniteBallGenerator(grid_net(20, 7), 10 * 20 + 10), [0, 1, 27, 286]),
+        # shells of up to 257 vertices and random conductances, on which one
+        # gemm for all columns rounded some differently from a sweep of two
+        (FiniteBallGenerator(random_connected_net(np.random.default_rng(0), 600)),
+         [0, 1, 11, 55]),
+    ], ids=["grid", "random"])
+    def test_columns_equal_one_id_sweeps(self, gen, ids):
+        # a finite graph has no limit (NotTransient), so its terms are
+        # compared: each id's column is that of its own sweep, bit for bit
+        together = list(harmonic._terms(gen, ids, 0, 10**6, 1e-12))
+        for i, x in enumerate(ids):
+            alone = list(harmonic._terms(gen, [x], 0, 10**6, 1e-12))
+            assert len(alone) == len(together)
+            for a, t in zip(alone, together):
+                assert (a.n, a.r, a.by_shells) == (t.n, t.r, t.by_shells)
+                assert a.vx[0] == t.vx[i]
+                assert np.array_equal(a.pi_x[0], t.pi_x[i], equal_nan=True)
+        assert limit_outcome(gen, ids) == limit_outcome(gen, [gen.root])
+
+
 @st.composite
 def ball_problems(draw):
     """A FiniteBallGenerator on a connected graph of at most 30 vertices
@@ -738,9 +786,9 @@ def terms_and_solves(gen, x, end=10**6):
     """Each term of ``_terms`` from radius depth(x) on, with the
     ``(v_n(x), R_n, pi(x))`` of a fresh exhaustion solve at its radius."""
     start = gen.depth_of(x)
-    terms = list(harmonic._terms(gen, x, start, end, 1e-12))
+    terms = list(harmonic._terms(gen, [x], start, end, 1e-12))
     assert [t.n for t in terms] == list(range(start, start + len(terms)))
-    return [(t, harmonic._unit_current_voltage(gen, x, t.n, 1e-12)) for t in terms]
+    return [(t, harmonic._unit_current_voltage(gen, [x], t.n, 1e-12)) for t in terms]
 
 
 class NegativePath(HalfLineGenerator):
@@ -781,8 +829,8 @@ class TestShellRecursion:
         for term, (vx, r, pi_x) in pairs:
             assert term.by_shells
             assert abs(term.r - r) <= rel * r
-            assert abs(term.vx - vx) <= rel * r
-            assert abs(term.pi_x - pi_x) <= 1e-15 * pi_x
+            assert abs(term.vx[0] - vx[0]) <= rel * r
+            assert abs(term.pi_x[0] - pi_x[0]) <= 1e-15 * pi_x[0]
 
     def test_grid_matches_solves(self):
         net = grid_net(30, 7)
@@ -834,7 +882,7 @@ class TestShellRecursion:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harmonic, "EXHAUSTION_LIMIT", budget)
             radii = []
-            for term in harmonic._terms(gen, x, start, end, 1e-12):
+            for term in harmonic._terms(gen, [x], start, end, 1e-12):
                 assert max(fetched, default=0) <= 4 * term.n + 3
                 radii.append(term.n)
         assert radii == list(range(start, stop))
@@ -846,11 +894,11 @@ class TestShellRecursion:
         # vertices: above 10 from radius 10 to 48, then at most 10 again
         monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", limit)
         gen = FiniteBallGenerator(grid_net(30, 7), 0)
-        terms = list(harmonic._terms(gen, gen.root, 0, 10**6, 1e-12))
+        terms = list(harmonic._terms(gen, [gen.root], 0, 10**6, 1e-12))
         assert [t.by_shells for t in terms] == [n < limit for n in range(58)]
         for t in terms:
-            vx, r, _ = harmonic._unit_current_voltage(gen, gen.root, t.n, 1e-12)
-            assert abs(t.r - r) <= 1e-12 * r and t.vx == t.r
+            vx, r, _ = harmonic._unit_current_voltage(gen, [gen.root], t.n, 1e-12)
+            assert abs(t.r - r) <= 1e-12 * r and t.vx[0] == t.r
 
     @pytest.mark.parametrize("gen", [
         TreeGenerator(2),
@@ -915,13 +963,32 @@ class TestShellRecursion:
         monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", 10**6)
         unit = harmonic._unit_current_voltage
 
-        def off(gen, x, n, tol):
-            vx, r, pi_x = unit(gen, x, n, tol)
+        def off(gen, xs, n, tol):
+            vx, r, pi_x = unit(gen, xs, n, tol)
             return vx, r * (1 + 1e-3), pi_x
 
         monkeypatch.setattr(harmonic, "_unit_current_voltage", off)
         with pytest.raises(SolverDivergence, match="shell recursion"):
             call(TreeGenerator(2))
+
+    def test_disagreement_names_every_id_in_plain_numbers(self, monkeypatch):
+        # a sweep for two ids, the root and a neighbour, whose solves read
+        # each v_n(x) 0.1% high: the message lists both columns as numbers
+        monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", 10**6)
+        unit = harmonic._unit_current_voltage
+
+        def off(gen, xs, n, tol):
+            vx, r, pi_x = unit(gen, xs, n, tol)
+            return vx * (1 + 1e-3), r, pi_x
+
+        monkeypatch.setattr(harmonic, "_unit_current_voltage", off)
+        num = r"0\.6\d+"
+        pair = rf"\[{num}, 0\.3\d+\]"
+        with pytest.raises(SolverDivergence, match=(
+            rf"^shell recursion at radius \d+ gives R_n={num}, v_n\(x\)={pair}; "
+            rf"a solve gives {num}, {pair}$"
+        )):
+            harmonic._limit(TreeGenerator(2), [0, 1], 80, 1e-5)
 
     def test_indefinite_schur_complement_diverges(self):
         with pytest.raises(SolverDivergence, match="Schur complement of shell 0:"):
@@ -973,5 +1040,5 @@ class TestShellRecursion:
         fetched = []
         edges = gen.ball_edges
         monkeypatch.setattr(gen, "ball_edges", lambda n: fetched.append(n) or edges(n))
-        assert len(list(harmonic._terms(gen, gen.root, 0, 10**6, 1e-12))) == 30
+        assert len(list(harmonic._terms(gen, [gen.root], 0, 10**6, 1e-12))) == 30
         assert fetched == [3, 19, 30]

@@ -55,6 +55,19 @@ def skewed_uniforms(monkeypatch):
     monkeypatch.setattr(walks, "_uniforms", lambda base, step: uniforms(base, step) ** 1.01)
 
 
+def lazy_root(monkeypatch):
+    # 2% of the root's steps stay at the root, through a slot of no edge
+    step = walks._tree_step
+
+    def faulty(q, leaf, cur, u):
+        k, nxt = step(q, leaf, cur, u)
+        stay = (cur == 0) & (u < 0.02)
+        k[stay], nxt[stay] = -1, 0
+        return k, nxt
+
+    monkeypatch.setattr(walks, "_tree_step", faulty)
+
+
 def shifted_green_oracle(monkeypatch):
     oracle = tree.oracle_green_hitting
 
@@ -82,6 +95,10 @@ FAULTS = {
     # 1e-6; it moves v / R by 5e-7
     scaled_solver_voltage: GREEN_ROWS,
     skewed_uniforms: ["mc/green_d0", "mc/hitting_d1"],
+    # the root's visits rise; the stays are steps that went through slot
+    # 0, the watched edge, so its transitions fall; and a stay reads as a
+    # second root visit, a return from depth 1
+    lazy_root: ["mc/green_d0", "mc/transitions_root_edge", "mc/hitting_d1"],
     shifted_green_oracle: GREEN_ROWS,
 }
 
