@@ -34,34 +34,33 @@ ball has at most ``EXHAUSTION_LIMIT`` vertices.  On the homogeneous tree,
 where every quantity is a function of the distance, each vertex at depth 2
 or more takes its limits from those at depth 1.
 
-One sweep over the shells gives every radius, for the root and for every
-vertex x asked about, by a Schur recursion (Kron reduction, Kron 1939,
-applied one shell at a time).  Shell k holds the ids
-``ball_size(k-1) .. ball_size(k)-1``; with ``A_kk`` its block of the
-Laplacian (the full pi(x) on the diagonal) and ``B_k`` its block against
-shell k - 1, the exhaustion of radius n grounds everything past shell n, so
-its matrix is the leading part of the next one's and has the block LDL^T
-factorization ``S_0 = A_00``, ``S_k = A_kk - B_k S_{k-1}^-1 B_k^T``.  The
-block of forward vectors ``Z_k = E_k - B_k S_{k-1}^-1 Z_{k-1}`` holds one
-column per vertex, the root's first, ``E_k`` their unit entries in shell k;
-with ``S_k = L_k L_k^T`` and ``Y_k = L_k^-1 Z_k``, running sums over the
-columns y0 of the root and yx of x give ``R_n = sum_{k<=n} y0_k^T y0_k``
-and ``v_n(x) = sum_{k<=n} y0_k^T yx_k``.  Only the last shell's dense
-Cholesky factor and ``Y`` are kept.  The factor (``potrf``), one triangular
-solve (``trtrs``) for all columns, ``B S^-1 B^T`` (``syrk``) and
-``B S^-1 Z`` (a ``gemv`` per column) run on scipy's own LAPACK and BLAS:
-alternating with numpy's bundled OpenBLAS kept both thread pools awake and
-made the limits benchmark's 80x80 grid limit ten times slower on 2 vCPUs.
-A ``gemm`` would round a column by how many columns share it, while
-``trtrs`` rounds a column alike among any two or more, so an id's limits do
-not depend on the ids swept with it.  Once a shell has more than
-``DENSE_SHELL_LIMIT`` vertices, the remaining radii are solved one
-exhaustion at a time by :func:`solve_dirichlet`.  A Schur complement that
-is not finite or not positive definite raises :class:`SolverDivergence`,
-naming its shell.  A limit that stops on a term of the recursion solves
-that radius once more, with the residual check, and raises
-:class:`SolverDivergence` when the two disagree by more than
-``tol * max(1, |R_n|)``.
+One sweep over the shells gives every radius, for its columns, the root's
+first and one per vertex x asked about, by a Schur recursion (Kron reduction,
+Kron 1939, applied one shell at a time).  Shell k holds the ids
+``ball_size(k-1) .. ball_size(k)-1``; with ``A_kk`` its block of the Laplacian
+(the full pi(x) on the diagonal) and ``B_k`` its block against shell k - 1,
+the exhaustion of radius n grounds everything past shell n, so its matrix is
+the leading part of the next one's and has the block LDL^T factorization
+``S_0 = A_00``, ``S_k = A_kk - B_k S_{k-1}^-1 B_k^T``.  The block of forward
+vectors ``Z_k = E_k - B_k S_{k-1}^-1 Z_{k-1}`` holds the columns, ``E_k``
+their unit entries in shell k; with ``S_k = L_k L_k^T`` and
+``Y_k = L_k^-1 Z_k``, running sums over the columns y0 of the root and yx of x
+give ``v_n(x) = sum_{k<=n} y0_k^T yx_k``, so column 0 holds
+``R_n = v_n(root)``.  Only the last shell's dense Cholesky factor and ``Y`` are
+kept.  The factor (``potrf``), one triangular solve (``trtrs``) for all
+columns, ``B S^-1 B^T`` (``syrk``) and ``B S^-1 Z`` (a ``gemv`` per column)
+run on scipy's own LAPACK and BLAS: alternating with numpy's bundled OpenBLAS
+kept both thread pools awake and made the limits benchmark's 80x80 grid limit
+ten times slower on 2 vCPUs.  A ``gemm`` would round a column by how many
+columns share it, while ``trtrs`` rounds a column alike among any two or more,
+so an id's limits do not depend on the other ids swept with it (the root's,
+swept alone, may).  Once a shell has more than ``DENSE_SHELL_LIMIT`` vertices,
+the remaining radii are solved one exhaustion at a time by
+:func:`solve_dirichlet`.  A Schur complement that is not finite or not positive
+definite raises :class:`SolverDivergence`, naming its shell.  A limit that
+stops on a term of the recursion solves that radius once more, with the
+residual check, and raises :class:`SolverDivergence` when the two disagree by
+more than ``tol * max(1, |R_n|)`` in any column.
 """
 
 from __future__ import annotations
@@ -327,18 +326,18 @@ def resistance_to_infinity(
     _check_positive("tol", tol)
     est = _Estimates(tol)
     term = None
-    root_alone = np.empty(0, dtype=np.int64)  # the sweep's column 0 alone
-    for term in _terms(gen, root_alone, 0, n_max, tol):
-        est.push(term.r)
+    root = np.array([gen.root])  # R_n is the root's column
+    for term in _terms(gen, root, 0, n_max, tol):
+        est.push(float(term.v[0]))
         if est.converged:
             break
-    _confirm(gen, root_alone, term, tol)
+    _confirm(gen, root, term, tol)
     if est.converged:
         return LimitResult(est.value, converged=True, n_used=term.n)
     n = term.n + 1 if term else 0  # the radius the terms stopped before
     if n <= n_max and gen.ball_size(n) <= EXHAUSTION_LIMIT:
         # finite graph fully exhausted at radius n; no further change possible
-        return LimitResult(term.r if term else np.nan, converged=False, n_used=n)
+        return LimitResult(float(term.v[0]) if term else np.nan, converged=False, n_used=n)
     return LimitResult(est.value, converged=False, n_used=n - 1)
 
 
@@ -354,26 +353,23 @@ def _verdict(c: float, prev: float | None) -> str:
     return "inconclusive"
 
 
-def _unit_current_voltage(
-    gen: GraphGenerator, xs: np.ndarray, n: int, tol: float
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """(v_n(x), R_n, pi(x)) for the unit current flow on exhaustion n, over
-    the ids ``xs``.  The flow enters at the root and leaves at the contracted
-    boundary ``z_n``, so ``R_n = v_n(root)`` is the resistance R(root <->
-    z_n); an id past the ball reads z_n, voltage 0 as in the recursion."""
+def _unit_current_voltage(gen: GraphGenerator, cols: np.ndarray, n: int, tol: float):
+    """(v_n(x), pi(x)) over the ids ``cols`` for the unit current flow on
+    exhaustion n from the root, clamped to 1 (so v_n(root) = R_n bit for bit),
+    to ``z_n``; an id past the ball reads z_n, voltage 0 as in the recursion."""
     net, z = exhaustion(gen, n)
     values, eq = unit_voltage(net, gen.root, (z,), tol)
-    xs = np.minimum(xs, z)
-    return values[xs] * eq.resistance, eq.resistance, net.pi[xs]
+    cols = np.minimum(cols, z)
+    return values[cols] * eq.resistance, net.pi[cols]
 
 
 class _Term(NamedTuple):
-    """The unit current flow on exhaustion ``n``: ``(n, v_n(x), R_n, pi(x))``."""
+    """The unit current flow on exhaustion ``n`` over the sweep's columns,
+    the root's first: ``R_n = v[0]``."""
 
     n: int
-    vx: np.ndarray
-    r: float
-    pi_x: np.ndarray
+    v: np.ndarray
+    pi: np.ndarray
     #: True when the shell recursion gave it, False for a residual-checked solve
     by_shells: bool
 
@@ -412,11 +408,11 @@ def _shell_blocks(half, prev_lo: int, lo: int, hi: int):
     return a_kk, b_k
 
 
-def _terms(gen: GraphGenerator, xs: np.ndarray, start: int, end: int, tol: float):
+def _terms(gen: GraphGenerator, cols: np.ndarray, start: int, end: int, tol: float):
     """The :class:`_Term` of each radius ``n = start .. end`` over the ids
-    ``xs`` (each read from radius depth(id) on), up to the first radius whose
-    ball has more than ``EXHAUSTION_LIMIT`` vertices or covers the graph
-    (``ball_size(n + 1) == ball_size(n)``: :func:`exhaustion` has no z).
+    ``cols``, the root's first (each read from radius depth(id) on), up to the
+    first radius whose ball has more than ``EXHAUSTION_LIMIT`` vertices or
+    covers the graph (``ball_size(n + 1) == ball_size(n)``: no z).
 
     The shell recursion of the module docstring gives each radius until the
     first shell of more than ``DENSE_SHELL_LIMIT`` vertices; each radius
@@ -427,7 +423,6 @@ def _terms(gen: GraphGenerator, xs: np.ndarray, start: int, end: int, tol: float
     that stops at radius n has fetched no ball past radius 4n + 3."""
     top, dense = -1, True  # the sweep holds the edges of the ball of radius top
     prev_lo = lo = 0
-    cols = [gen.root, *xs]  # the root's column first
     chol, y, sums, pi = None, None, np.zeros(len(cols)), np.full(len(cols), np.nan)
     for n in range(end + 1):
         hi = gen.ball_size(n)
@@ -474,23 +469,22 @@ def _terms(gen: GraphGenerator, xs: np.ndarray, start: int, end: int, tol: float
         if n < start:
             continue
         if dense:
-            yield _Term(n, sums[1:], float(sums[0]), pi[1:].copy(), True)
+            yield _Term(n, sums, pi.copy(), True)
         else:
-            yield _Term(n, *_unit_current_voltage(gen, xs, n, tol), False)
+            yield _Term(n, *_unit_current_voltage(gen, cols, n, tol), False)
 
 
-def _confirm(gen: GraphGenerator, xs: np.ndarray, term: _Term | None, tol: float) -> None:
+def _confirm(gen: GraphGenerator, cols: np.ndarray, term: _Term | None, tol: float) -> None:
     """Recompute a term of the shell recursion by one residual-checked
-    solve of its exhaustion; raises SolverDivergence when R_n or any
-    v_n(x) differ by more than ``tol * max(1, |R_n|)``."""
+    solve of its exhaustion; raises SolverDivergence when any column's v_n(x),
+    R_n the root's, differs by more than ``tol * max(1, |R_n|)``."""
     if term is None or not term.by_shells:
         return
-    vx, r, _ = _unit_current_voltage(gen, xs, term.n, tol)
-    bound = tol * max(1.0, abs(r))
-    if not (abs(r - term.r) <= bound and np.all(abs(vx - term.vx) <= bound)):  # also refuses NaN
+    v, _ = _unit_current_voltage(gen, cols, term.n, tol)
+    if not np.all(abs(v - term.v) <= tol * max(1.0, abs(v[0]))):  # also refuses NaN
         raise SolverDivergence(
-            f"shell recursion at radius {term.n} gives R_n={term.r!r}, "
-            f"v_n(x)={term.vx.tolist()}; a solve gives {r!r}, {vx.tolist()}"
+            f"shell recursion at radius {term.n} gives v_n(x)={term.v.tolist()}, "
+            f"R_n first; a solve gives {v.tolist()}"
         )
 
 
@@ -506,9 +500,10 @@ def _limit(gen, xs, n_max, tol):
     fewer, the budget error is raised, not :class:`NotTransient`.  Each id
     must be a vertex id of ``gen`` (else InvalidVertex).
 
-    Each id reads the terms of its own sweep from its column of one sweep.
-    The first id whose limits fail raises once its last term is confirmed,
-    else the sweep's last term is.  On a homogeneous tree, a vertex x at
+    Each id reads the terms of its own sweep from its column of one sweep of
+    the distinct ids and the root, id 0 and so column 0, which gives R_n.  The
+    first id whose limits fail raises once its last term is confirmed, else
+    the sweep's last term is.  On a homogeneous tree, a vertex x at
     depth d >= 2 takes the column of a neighbour y of the root, over radii
     up to ``n_max - d + 1``: each of the walk's d steps from the root to x
     is the step to y up to an automorphism, so ``v(x) = R (v(y) / R)^d``."""
@@ -521,27 +516,30 @@ def _limit(gen, xs, n_max, tol):
         else:
             columns.append((x, 0, depth + 1, n_max))
     ids, _, starts, _ = zip(*columns)
+    cols = np.unique([gen.root, *ids])
     first = min(starts)
     ends = [max(budget, 32, start + 1) for _, _, start, budget in columns]
-    sweeps = itertools.tee(_terms(gen, ids, first, max(ends), tol), len(ids))
+    sweeps = itertools.tee(_terms(gen, cols, first, max(ends), tol), len(ids))
     limits, terms = [], []
-    for i, ((_, depth, start, budget), end) in enumerate(zip(columns, ends)):
+    for sweep, col, (_, depth, start, budget), end in zip(
+            sweeps, cols.searchsorted(ids), columns, ends):
         last = max(budget, start)
         est_v, est_r = _Estimates(tol), _Estimates(tol)
         verdict, prev_c, term, converged = "inconclusive", None, None, False
-        for term in itertools.islice(sweeps[i], start - first, end - first + 1):
+        for term in itertools.islice(sweep, start - first, end - first + 1):
+            r = float(term.v[0])
             if verdict == "inconclusive":
-                verdict, prev_c = _verdict(1.0 / term.r, prev_c), 1.0 / term.r
+                verdict, prev_c = _verdict(1.0 / r, prev_c), 1.0 / r
             if verdict == "recurrent-heuristic":
                 break
             if term.n <= last:
-                est_v.push(float(term.vx[i]))
-                est_r.push(term.r)
+                est_v.push(float(term.v[col]))
+                est_r.push(r)
                 converged = est_v.converged and est_r.converged
             if verdict == "transient" and (converged or term.n >= last):
                 break
         if not (verdict == "transient" and converged):
-            _confirm(gen, ids, term, tol)
+            _confirm(gen, cols, term, tol)
         if verdict == "inconclusive" and gen.ball_size(start + 1) > EXHAUSTION_LIMIT:
             raise BudgetExceededWithoutConvergence(
                 f"no transience verdict: it needs radii {start} and {start + 1}, and the "
@@ -555,9 +553,9 @@ def _limit(gen, xs, n_max, tol):
                 f"estimates v={est_v.value!r}, R={est_r.value!r})"
             )
         v, r = est_v.value, est_r.value
-        limits.append((r * (v / r) ** depth if depth else v, r, float(term.pi_x[i])))
+        limits.append((r * (v / r) ** depth if depth else v, r, float(term.pi[col])))
         terms.append(term)
-    _confirm(gen, ids, max(terms, key=lambda term: term.n), tol)
+    _confirm(gen, cols, max(terms, key=lambda term: term.n), tol)
     return limits
 
 

@@ -6,9 +6,13 @@ Deterministic pairs must agree within the requested tolerance; stochastic
 pairs within four standard errors.  The battery is what ``verify`` on the
 command line runs, at a configurable scale.
 
-The Monte Carlo rows read one batch of walks from the root to level L,
-the deepest within ``EXHAUSTION_LIMIT`` vertices: the root's visits, its
-edge's transitions and, by a second root visit, the hitting from depth 1.
+The resistance and escape rows read one solve of the exhaustion of radius
+``levels - 1``; the resistance_solver rows below ``levels`` read ``R_n =
+v[0]`` from one shell sweep of the root's column.  One limit sweep of the
+columns ``[0, 1]`` gives the Green and hitting rows, and one batch of walks
+from the root to level L, the deepest within ``EXHAUSTION_LIMIT`` vertices,
+the Monte Carlo rows: the root's visits, its edge's transitions and, by a
+second root visit, the hitting from depth 1.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from . import flows, tree
 from .errors import InvalidSpec
 from .generators import exhaustion
-from .harmonic import EXHAUSTION_LIMIT, _limit, unit_voltage
+from .harmonic import EXHAUSTION_LIMIT, _limit, _terms, unit_voltage
 from .network import _check_int, build_network
 from .tree import TreeGenerator, TreeSpec, level_slice, tree_vertex_count
 from .walks import WalkConfig, _share, run_walks
@@ -126,15 +130,13 @@ def run_battery(
     stol = max(tol, 1e-12)
 
     # exhaustion n is the level-(n + 1) tree with that level shorted into z,
-    # whose id is first_at_depth(q, n + 1); a level carries one voltage, so
-    # shorting it changes none.  One solve of each, the root at 1 and z at 0,
-    # gives the resistance_solver/n+1 row; the last also gives the escape row
-    # and every R(root <-> level n) = (1 - v(level n)) / C
-    solver = []
-    for n in range(levels):
-        net, z = exhaustion(gen, n)
-        values, eq = unit_voltage(net, 0, (z,), stol)
-        solver.append(eq.resistance)
+    # id first_at_depth(q, n + 1); a level carries one voltage, so shorting
+    # it changes none, and one solve, the root at 1 and z at 0, gives every
+    # R(root <-> level n) = (1 - v(level n)) / C
+    net, z = exhaustion(gen, levels - 1)
+    values, eq = unit_voltage(net, 0, (z,), stol)
+    solver = [float(t.v[0]) for t in _terms(gen, np.array([0]), 0, levels - 2, stol)]
+    solver.append(eq.resistance)
     for n, r in enumerate(solver, 1):
         closed = tree.oracle_resistance(q, n)
         level_n = (1.0 - values[tree.first_at_depth(q, n)]) / eq.conductance

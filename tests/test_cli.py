@@ -430,15 +430,15 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--seed", "42")
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == "fc675e663c7aedbd9efad89ecbad8dce8f2669f7097f84cc06ebc0e34b131cbd"
+        assert digest == "f66434f5b2b0a5f2b5ac513042071f66cede2e251213285b795c202bb1cd6441"
 
     @pytest.mark.parametrize("argv, want", [
         ("--q 3 --levels 5 --walks 2000",
-         "0735537575bc740d060d16dc7f740e9cb03e495b167bcf15590f76ba03f6deba"),
+         "5866d2c6b3b5143855099afcfc6c50da5726b030c3d1bdb4a40ec778f1e0befc"),
         ("--q 6 --walks 2000",
-         "7cfaea6038f155f07e6de839fd0335b57ab14419a5da640344103ce798228ae5"),
+         "0bbde4935820d8da4e045f4663290029f7fe6a778c6afdbee475cfd58c9739cd"),
         ("--levels 10 --walks 2000",
-         "37f6f22619cec5d462de13b880f724ab74156a33c18efdd0a53c4a661be36f63"),
+         "4c7099217c99b8c0f0609b4350373842da58624f16dc5852d8906f63f8fe0ca1"),
     ])
     def test_stdout_digest(self, capsys, argv, want):
         # the resistance and escape rows of other trees, at seed 42
@@ -468,18 +468,39 @@ class TestVerify:
 
     @pytest.mark.parametrize("q", [2, 3, 6])
     def test_one_limit_sweep_per_battery(self, monkeypatch, q):
-        # the five Green and hitting rows at depths 0, 1 and 2 come from one
-        # sweep of the shells; its two solves are the last radii, whose
-        # shells are too large for the recursion (the sweep stops on one,
-        # so no term of the recursion is confirmed)
-        calls = {"_terms": 0, "_unit_current_voltage": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(harmonic, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(harmonic, name, counted)
+        # one exhaustion, of radius L - 1, is built for the resistance and
+        # escape rows; the other resistance_solver rows read the root's
+        # column of one sweep, and the five Green and hitting rows one sweep
+        # of the columns [0, 1] (the depth-2 id routes to id 1).  Every
+        # other build is a sparse-LU solve of a radius whose shell is too
+        # large for the recursion: none of the root sweep's radii 0..6 at
+        # q = 2, 5 and 6 at q = 3, 4..6 at q = 6, and the limit sweep's last
+        # two radii
+        calls = {"exhaustion": 0, "_terms": 0, "_unit_current_voltage": 0}
+        columns = []
+        for module in (harmonic, verify):
+            for name in filter(lambda name: hasattr(module, name), calls):
+                def counted(*args, _real=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    if _name == "_terms":
+                        columns.append(list(args[1]))
+                    return _real(*args)
+                monkeypatch.setattr(module, name, counted)
         assert run_battery(q=q, walks=2000).exit_status == "pass"
-        assert calls == {"_terms": 1, "_unit_current_voltage": 2}
+        builds, solves = {2: (3, 2), 3: (5, 4), 6: (6, 5)}[q]
+        assert calls == {"exhaustion": builds, "_terms": 2, "_unit_current_voltage": solves}
+        assert columns == [[0], [0, 1]]
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_shallow_batteries_pass(self, levels):
+        # at levels=1 the root's sweep is empty, so resistance_solver/n=1 is
+        # the one solve's; at levels=2 it is the sweep's radius 0
+        report = run_battery(levels=levels, walks=2000)
+        assert report.exit_status == "pass"
+        assert [r.quantity for r in report.results][: 2 * levels + 1] == [
+            f"{name}/n={n}" for n in range(1, levels + 1)
+            for name in ("resistance", "resistance_solver")
+        ] + [f"escape/root_to_level_{levels}"]
 
     def test_level_l_rows_come_from_the_exhaustions(self, monkeypatch):
         # the escape and resistance rows read the exhaustion of radius L - 1,
@@ -538,7 +559,7 @@ class TestVerify:
 
 @pytest.mark.parametrize("argv, want", [
     ("verify --levels 3 --walks 2000 --seed 42",
-     "7339cd0c1152059daeedf5afcd039d3ad8566b59b09ea7dcfd3ad524ccd8c629"),
+     "af942f6961d4b50b39a0e1e91ee3eac741becfd3a19639da8d9077f571b45064"),
     ("oracle --q 3", "9ef91b37b1dbe030db37adeb9c48f2f83b9a0e92df017ead33a902a232fb6d6c"),
     ("resist --tree 2,8 --to-infinity",
      "f83505aa201d7ab7f45c65510e810fc5712192a5e1eaa2414970973c059e7f64"),

@@ -504,7 +504,7 @@ class TestLimits:
         # rounding of 51 by a solve
         gen = HalfLineGenerator()
         res = resistance_to_infinity(gen, n_max=50, tol=1e-6)
-        raw = harmonic._unit_current_voltage(gen, [gen.root], 50, 1e-6)[1]
+        raw = harmonic._unit_current_voltage(gen, [gen.root], 50, 1e-6)[0][0]
         assert not res.converged
         assert res.value == (51.0 if harmonic.DENSE_SHELL_LIMIT else raw)
         assert abs(raw - 51.0) <= 1e-12 * 51.0
@@ -534,7 +534,7 @@ class TestLimits:
         gen = TreeGenerator(2)
         from resistive_walks.harmonic import _unit_current_voltage
 
-        rs = [_unit_current_voltage(gen, [gen.root], n, 1e-9)[1] for n in range(6)]
+        rs = [_unit_current_voltage(gen, [gen.root], n, 1e-9)[0][0] for n in range(6)]
         assert all(b >= a - 1e-12 for a, b in zip(rs, rs[1:]))
 
     def test_green_values(self):
@@ -756,15 +756,16 @@ class TestSeveralIds:
     ], ids=["grid", "random"])
     def test_columns_equal_one_id_sweeps(self, gen, ids):
         # a finite graph has no limit (NotTransient), so its terms are
-        # compared: each id's column is that of its own sweep, bit for bit
+        # compared: each id's column, and the root's column 0, R_n, are
+        # those of a sweep of the root and that id, bit for bit
         together = list(harmonic._terms(gen, ids, 0, 10**6, 1e-12))
         for i, x in enumerate(ids):
-            alone = list(harmonic._terms(gen, [x], 0, 10**6, 1e-12))
+            alone = list(harmonic._terms(gen, [gen.root, x], 0, 10**6, 1e-12))
             assert len(alone) == len(together)
             for a, t in zip(alone, together):
-                assert (a.n, a.r, a.by_shells) == (t.n, t.r, t.by_shells)
-                assert a.vx[0] == t.vx[i]
-                assert np.array_equal(a.pi_x[0], t.pi_x[i], equal_nan=True)
+                assert (a.n, a.v[0], a.by_shells) == (t.n, t.v[0], t.by_shells)
+                assert a.v[1] == t.v[i]
+                assert np.array_equal(a.pi[1], t.pi[i], equal_nan=True)
         assert limit_outcome(gen, ids) == limit_outcome(gen, [gen.root])
 
 
@@ -783,12 +784,13 @@ def ball_problems(draw):
 
 
 def terms_and_solves(gen, x, end=10**6):
-    """Each term of ``_terms`` from radius depth(x) on, with the
-    ``(v_n(x), R_n, pi(x))`` of a fresh exhaustion solve at its radius."""
-    start = gen.depth_of(x)
-    terms = list(harmonic._terms(gen, [x], start, end, 1e-12))
+    """Each term of ``_terms`` over the columns of the root and x from radius
+    depth(x) on, with the ``(v_n, pi)`` of a fresh exhaustion solve at its
+    radius over the same columns."""
+    start, cols = gen.depth_of(x), [gen.root, x]
+    terms = list(harmonic._terms(gen, cols, start, end, 1e-12))
     assert [t.n for t in terms] == list(range(start, start + len(terms)))
-    return [(t, harmonic._unit_current_voltage(gen, [x], t.n, 1e-12)) for t in terms]
+    return [(t, harmonic._unit_current_voltage(gen, cols, t.n, 1e-12)) for t in terms]
 
 
 class NegativePath(HalfLineGenerator):
@@ -825,12 +827,14 @@ class DoublingLine(HalfLineGenerator):
 
 class TestShellRecursion:
     def assert_matches_solves(self, pairs, rel):
-        # v_n(x) <= R_n by the maximum principle, so both compare to R_n
-        for term, (vx, r, pi_x) in pairs:
+        # v_n(x) <= R_n = v_n(root) by the maximum principle, so both
+        # compare to R_n
+        for term, (v, pi) in pairs:
+            r = v[0]
             assert term.by_shells
-            assert abs(term.r - r) <= rel * r
-            assert abs(term.vx[0] - vx[0]) <= rel * r
-            assert abs(term.pi_x[0] - pi_x[0]) <= 1e-15 * pi_x[0]
+            assert abs(term.v[0] - r) <= rel * r
+            assert abs(term.v[1] - v[1]) <= rel * r
+            assert abs(term.pi[1] - pi[1]) <= 1e-15 * pi[1]
 
     def test_grid_matches_solves(self):
         net = grid_net(30, 7)
@@ -882,7 +886,7 @@ class TestShellRecursion:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harmonic, "EXHAUSTION_LIMIT", budget)
             radii = []
-            for term in harmonic._terms(gen, [x], start, end, 1e-12):
+            for term in harmonic._terms(gen, [gen.root, x], start, end, 1e-12):
                 assert max(fetched, default=0) <= 4 * term.n + 3
                 radii.append(term.n)
         assert radii == list(range(start, stop))
@@ -897,8 +901,8 @@ class TestShellRecursion:
         terms = list(harmonic._terms(gen, [gen.root], 0, 10**6, 1e-12))
         assert [t.by_shells for t in terms] == [n < limit for n in range(58)]
         for t in terms:
-            vx, r, _ = harmonic._unit_current_voltage(gen, [gen.root], t.n, 1e-12)
-            assert abs(t.r - r) <= 1e-12 * r and t.vx[0] == t.r
+            (r,), _ = harmonic._unit_current_voltage(gen, [gen.root], t.n, 1e-12)
+            assert abs(t.v[0] - r) <= 1e-12 * r
 
     @pytest.mark.parametrize("gen", [
         TreeGenerator(2),
@@ -963,9 +967,9 @@ class TestShellRecursion:
         monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", 10**6)
         unit = harmonic._unit_current_voltage
 
-        def off(gen, xs, n, tol):
-            vx, r, pi_x = unit(gen, xs, n, tol)
-            return vx, r * (1 + 1e-3), pi_x
+        def off(gen, cols, n, tol):
+            v, pi = unit(gen, cols, n, tol)
+            return np.concatenate([v[:1] * (1 + 1e-3), v[1:]]), pi
 
         monkeypatch.setattr(harmonic, "_unit_current_voltage", off)
         with pytest.raises(SolverDivergence, match="shell recursion"):
@@ -973,20 +977,20 @@ class TestShellRecursion:
 
     def test_disagreement_names_every_id_in_plain_numbers(self, monkeypatch):
         # a sweep for two ids, the root and a neighbour, whose solves read
-        # each v_n(x) 0.1% high: the message lists both columns as numbers
+        # each v_n(x) 0.1% high: the message lists both columns as numbers,
+        # R_n = v_n(root) first
         monkeypatch.setattr(harmonic, "DENSE_SHELL_LIMIT", 10**6)
         unit = harmonic._unit_current_voltage
 
-        def off(gen, xs, n, tol):
-            vx, r, pi_x = unit(gen, xs, n, tol)
-            return vx * (1 + 1e-3), r, pi_x
+        def off(gen, cols, n, tol):
+            v, pi = unit(gen, cols, n, tol)
+            return v * (1 + 1e-3), pi
 
         monkeypatch.setattr(harmonic, "_unit_current_voltage", off)
-        num = r"0\.6\d+"
-        pair = rf"\[{num}, 0\.3\d+\]"
+        pair = r"\[0\.6\d+, 0\.3\d+\]"
         with pytest.raises(SolverDivergence, match=(
-            rf"^shell recursion at radius \d+ gives R_n={num}, v_n\(x\)={pair}; "
-            rf"a solve gives {num}, {pair}$"
+            rf"^shell recursion at radius \d+ gives v_n\(x\)={pair}, R_n first; "
+            rf"a solve gives {pair}$"
         )):
             harmonic._limit(TreeGenerator(2), [0, 1], 80, 1e-5)
 

@@ -5,19 +5,14 @@ reverted by the monkeypatch fixture, and one ``run_battery()`` at its
 defaults (q = 2, levels 8, 100,000 walks, seed 42).  The battery must
 fail, on the rows named.
 
-Two faults pass today, so they are not asserted here:
-
-- ``harmonic._shell_blocks`` returning ``B_k * 1.001``.  At q = 2 the
-  transience verdict needs ``C_n`` stable to ``TRANSIENCE_EPS`` = 1e-3, so
-  every tree limit of the battery ends on radii solved by sparse LU (8 and
-  9 when clean; the faulty sweep runs on to 10 and 11).  No term of the
-  recursion reaches a row, and no radius is confirmed.
-- Every Monte Carlo standard error scaled by 1.3.  A calibration of the
-  z-scores across seeds would catch it.
+One fault passes today, so it is not asserted here: every Monte Carlo
+standard error scaled by 1.3.  A calibration of the z-scores across seeds
+would catch it.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from resistive_walks import harmonic, tree, verify, walks
@@ -41,13 +36,25 @@ def scaled_root_edge(monkeypatch):
 
 
 def scaled_solver_voltage(monkeypatch):
+    # every id's column, but not the root's column 0, R_n
     unit = harmonic._unit_current_voltage
 
-    def faulty(gen, x, n, tol):
-        vx, r, pi_x = unit(gen, x, n, tol)
-        return vx * (1 + 1e-6), r, pi_x
+    def faulty(gen, cols, n, tol):
+        v, pi = unit(gen, cols, n, tol)
+        return np.concatenate([v[:1], v[1:] * (1 + 1e-6)]), pi
 
     monkeypatch.setattr(harmonic, "_unit_current_voltage", faulty)
+
+
+def scaled_back_block(monkeypatch):
+    # the shell recursion's coupling B_k of each shell to the one before
+    blocks = harmonic._shell_blocks
+
+    def faulty(half, prev_lo, lo, hi):
+        a_kk, b_k = blocks(half, prev_lo, lo, hi)
+        return a_kk, b_k * 1.001
+
+    monkeypatch.setattr(harmonic, "_shell_blocks", faulty)
 
 
 def skewed_uniforms(monkeypatch):
@@ -78,22 +85,25 @@ def shifted_green_oracle(monkeypatch):
     monkeypatch.setattr(tree, "oracle_green_hitting", faulty)
 
 
-RESISTANCE_ROWS = [f"{name}/n={n}" for n in range(1, 9)
-                   for name in ("resistance", "resistance_solver")]
 GREEN_ROWS = ["green/d=0", "green/d=1", "green/d=2"]
 
 
 # the rows each fault fails, in the battery's order
 FAULTS = {
-    # every exhaustion is off, so are the rows read from its solves; the
-    # limits' last radii are solves of those exhaustions too
-    scaled_root_edge: RESISTANCE_ROWS + [
-        "escape/root_to_level_8", "green/d=0", "green/d=1", "hitting/d=1",
-        "green/d=2", "hitting/d=2"],
-    # v_n(x) 1e-6 high, relatively, moves G = pi(x) v by 2e-6 at d = 0 and
-    # by 1e-6 at d = 1 and 2 (the route squares v / R), just past the rows'
-    # 1e-6; it moves v / R by 5e-7
-    scaled_solver_voltage: GREEN_ROWS,
+    # every exhaustion is off, so are the rows read from the solve of the
+    # last, and the limits' last radii, solves of exhaustions too; the
+    # resistance_solver rows below n = 8 read the shell recursion, which
+    # builds no exhaustion
+    scaled_root_edge: [f"resistance/n={n}" for n in range(1, 9)] + [
+        "resistance_solver/n=8", "escape/root_to_level_8", "green/d=0",
+        "green/d=1", "hitting/d=1", "green/d=2", "hitting/d=2"],
+    # v_n(x) 1e-6 high, relatively, moves G = pi(x) v by 1e-6 at d = 1 and
+    # 2 (the route squares v / R), just past the rows' 1e-6, and v / R by
+    # 5e-7; green/d=0 reads pi(0) R, from the root's column
+    scaled_solver_voltage: GREEN_ROWS[1:],
+    # R_n of the recursion's radii 1 .. 6; radius 0 has no B_k, and the
+    # limits end on radii solved by sparse LU
+    scaled_back_block: [f"resistance_solver/n={n}" for n in range(2, 8)],
     skewed_uniforms: ["mc/green_d0", "mc/hitting_d1"],
     # the root's visits rise; the stays are steps that went through slot
     # 0, the watched edge, so its transitions fall; and a stay reads as a
