@@ -98,7 +98,10 @@ def current_flow(net: Network, div: np.ndarray) -> np.ndarray:
     ``div`` must sum to zero.  The potential solves ``L f = div`` grounded at
     vertex 0 through :func:`~resistive_walks.harmonic.solve_dirichlet`, so it
     carries the same residual check as every other solve; the current is
-    its :func:`~resistive_walks.harmonic.ohm_current`, ``c df``.
+    its :func:`~resistive_walks.harmonic.ohm_current`, ``c df``.  The
+    grounded block is the same for every ``div``, so consecutive calls on
+    one network (and :func:`decompose_star_cycle` and :func:`thomson_gap`,
+    which call this) share one sparse LU factor.
     """
     return ohm_current(net, solve_dirichlet(net, BoundarySpec([0], [0.0]), source=div))
 

@@ -15,6 +15,15 @@ a stop on the residual ``|r(x)| / pi(x)`` does not bound the voltage error
 at a vertex weakly tied to the boundary, and that voltage is the walk's
 hitting probability from the vertex (Doyle-Snell 1984).
 
+Consecutive solves on one grounded block share one factor, as the flow
+calculus's three solves on a network do.  One slot holds the last free block
+and its factor, keyed by the network, held weakly, and the set of clamped ids;
+the clamped voltages and the source enter only the right-hand side, and the
+residual check runs on every solve.  A miss empties the slot before it
+factorizes, as does the build of a network and the death of the slot's own,
+so at most one factor is alive.  A network's arrays are read-only, so a factor
+keyed by its identity cannot go stale.
+
 Limit quantities (resistance to infinity, Green function, hitting
 probabilities) are computed on exhaustions supplied by a
 :class:`~resistive_walks.generators.GraphGenerator`.  These sequences
@@ -66,11 +75,13 @@ more than ``tol * max(1, |R_n|)`` in any column.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
@@ -161,6 +172,84 @@ def _check_positive(name: str, value: float) -> None:
         raise InvalidSpec(f"{name} must be positive and finite, got {value}")
 
 
+class _Factor(NamedTuple):
+    """The free block of a network off a clamped set, cut and factorized:
+    the network, held weakly, and the sorted clamped ids ``ids`` are its key."""
+
+    net: weakref.ref
+    ids: np.ndarray
+    free: np.ndarray
+    #: the free rows' entries in the clamped columns, for the boundary term
+    l_fc: sp.csr_matrix
+    l_ff: sp.csr_matrix
+    lu: spla.SuperLU
+
+
+# the last factorized free block; a miss empties it before it factorizes, so
+# no more than one factor is alive at a time.  No lock: each solve uses the
+# entry it read, so threads racing on the slot can only cost a factorization
+_factor: _Factor | None = None
+
+
+def _drop_factor(ref: weakref.ref | None = None) -> None:
+    """Empties the slot; as the weakref callback of a dying network (``ref``
+    given), only while the slot still holds that network's entry."""
+    global _factor
+    if ref is None or (_factor is not None and _factor.net is ref):
+        _factor = None
+
+
+def _factorize(net: Network, ids: np.ndarray) -> _Factor:
+    """The :class:`_Factor` of ``net``'s free block off the sorted distinct
+    clamped ids ``ids``: the slot's when its key matches, else a new one,
+    which the slot then holds.  A factorization that raises leaves the slot
+    empty."""
+    global _factor
+    slot = _factor  # read once: another thread may replace it
+    if slot is not None and slot.net() is net and np.array_equal(slot.ids, ids):
+        return slot
+    _factor = slot = None  # frees the last factor before the next is made
+    mask = np.ones(net.vertex_count, dtype=bool)
+    mask[ids] = False
+    free = np.flatnonzero(mask)
+    # the free rows are cut to the free block and to the clamped columns, and
+    # dropped before the factorization
+    rows = net.laplacian()[free]
+    l_ff = rows[:, free]
+    l_fc = rows[:, ids]
+    del rows
+    # l_ff is symmetric positive definite when every component holds a
+    # clamped vertex, so diagonal pivots are stable, and its transpose is the
+    # CSC matrix SuperLU reads, with no copy.  Measured on a 2-vCPU host over
+    # the 79 balls of an 80x80 grid (up to 6,398 free): L + U of the largest
+    # holds 230k nonzeros against 396k under the default COLAMD, and the 79
+    # factorizations take 0.53 s against 1.02 s; panel_size=1 accounts for
+    # 0.53 s against 0.71 s at the default panel size.
+    try:
+        lu = spla.splu(
+            l_ff.T,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            panel_size=1,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        _, comp = connected_components(net.conductance_matrix(), directed=False)
+        if np.setdiff1d(comp, comp[ids]).size:
+            raise DisconnectedGraph(
+                f"free block is singular ({exc}): a component has no clamped vertex"
+            ) from None
+        # connected, yet singular in float64: some pi(x) has absorbed a
+        # conductance below its rounding unit
+        raise SolverDivergence(f"free block is numerically singular ({exc})") from None
+    except MemoryError:  # SuperLU could not allocate the factor
+        raise SolverDivergence(
+            f"sparse LU of the free block ({len(free)} free vertices) ran out of memory"
+        ) from None
+    _factor = slot = _Factor(weakref.ref(net, _drop_factor), ids, free, l_fc, l_ff, lu)
+    return slot
+
+
 def solve_dirichlet(
     net: Network, bc: BoundarySpec, tol: float = 1e-9, source: np.ndarray | None = None
 ) -> np.ndarray:
@@ -170,11 +259,13 @@ def solve_dirichlet(
     source(x)`` on every free vertex, ``L = diag(pi) - C`` being the
     Laplacian (``source`` is a vector over all vertices, zero when omitted:
     the free vertices are then harmonic).  The free block, of any size, is
-    factorized by sparse LU, and the result must satisfy
-    ``max |(L v)(x) - source(x)| / pi(x) <= tol * max(1, max |v|)`` over the
-    free vertices, else :class:`SolverDivergence` is raised.  No clamped id
-    raises :class:`EmptyInput`; values not one per id, a value or source
-    entry that is NaN or infinite, or an id given two voltages raise
+    factorized by sparse LU, and consecutive solves on one network with the
+    same set of clamped ids share that factor: the voltages and the source
+    enter only the right-hand side.  Every solve, the first or not, must
+    satisfy ``max |(L v)(x) - source(x)| / pi(x) <= tol * max(1, max |v|)``
+    over the free vertices, else :class:`SolverDivergence` is raised.  No
+    clamped id raises :class:`EmptyInput`; values not one per id, a value or
+    source entry that is NaN or infinite, or an id given two voltages raise
     :class:`InvalidSpec`.  A free block that LU finds singular raises
     :class:`DisconnectedGraph` when a component has no clamped vertex, and
     :class:`SolverDivergence` otherwise (conductance ratios beyond float64
@@ -196,47 +287,19 @@ def solve_dirichlet(
         source = np.asarray(source, dtype=float)
         if not np.all(np.isfinite(source)):
             raise InvalidSpec("source entries must be finite")
-    mask = np.ones(net.vertex_count, dtype=bool)
-    mask[clamped] = False
-    free = np.flatnonzero(mask)
-    if len(free) == 0:
+    is_clamped = np.zeros(net.vertex_count, dtype=bool)
+    is_clamped[clamped] = True
+    ids = np.flatnonzero(is_clamped)  # in O(V), where np.unique sorts
+    if len(ids) == net.vertex_count:
         return values
 
-    # the boundary term is taken from the free rows before they are cut to
-    # the free block, and the rows are dropped before the factorization
-    l_ff = net.laplacian()[free]
-    boundary = l_ff @ values
-    l_ff = l_ff[:, free]
+    factor = _factorize(net, ids)
+    free, l_ff = factor.free, factor.l_ff
+    # values is zero on the free columns, so the clamped columns alone give
+    # each free row's boundary sum, bit for bit as over the whole row
+    boundary = factor.l_fc @ values[ids]
     source_f = np.zeros(len(free)) if source is None else source[free]
-    # l_ff is symmetric positive definite when every component holds a
-    # clamped vertex, so diagonal pivots are stable, and its transpose is the
-    # CSC matrix SuperLU reads, with no copy.  Measured on a 2-vCPU host over
-    # the 79 balls of an 80x80 grid (up to 6,398 free): L + U of the largest
-    # holds 230k nonzeros against 396k under the default COLAMD, and the 79
-    # factorizations take 0.53 s against 1.02 s; panel_size=1 accounts for
-    # 0.53 s against 0.71 s at the default panel size.
-    try:
-        lu = spla.splu(
-            l_ff.T,
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            panel_size=1,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        _, comp = connected_components(net.conductance_matrix(), directed=False)
-        if np.setdiff1d(comp, comp[clamped]).size:
-            raise DisconnectedGraph(
-                f"free block is singular ({exc}): a component has no clamped vertex"
-            ) from None
-        # connected, yet singular in float64: some pi(x) has absorbed a
-        # conductance below its rounding unit
-        raise SolverDivergence(f"free block is numerically singular ({exc})") from None
-    except MemoryError:  # SuperLU could not allocate the factor
-        raise SolverDivergence(
-            f"sparse LU of the free block ({len(free)} free vertices) ran out of memory"
-        ) from None
-    v_f = lu.solve(source_f - boundary)
+    v_f = factor.lu.solve(source_f - boundary)
     values[free] = v_f
 
     resid = float(np.max(np.abs(l_ff @ v_f + boundary - source_f) / net.pi[free]))

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,3 +358,52 @@ def _ab_div(net, a, z):
 
 def triangle_cycle_flow_on_k4(net):
     return chi(net, 0, 1) + chi(net, 1, 2) + chi(net, 2, 0)
+
+
+def _grid(n, seed):
+    idx = np.arange(n * n).reshape(n, n)
+    u = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    v = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    c = np.random.default_rng(seed).uniform(0.5, 2.0, size=len(u))
+    return build_network(zip(u.tolist(), v.tolist(), c.tolist()))
+
+
+def _flow_outputs(net, theta):
+    """The bytes of the flow calculus's three solves on ``net``."""
+    star, cyc = decompose_star_cycle(net, theta)
+    i = current_flow(net, _ab_div(net, 0, net.vertex_count - 1))
+    gap = thomson_gap(net, i + cyc, [0], [net.vertex_count - 1])
+    return star.tobytes(), i.tobytes(), repr(gap)
+
+
+class TestThreads:
+    """Networks are safe to share across threads: the solver's one factor
+    slot serves concurrent flow calls as it serves one thread's."""
+
+    ROUNDS = 12
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["two networks", "one network"])
+    def test_threads_match_serial_bit_for_bit(self, shared):
+        # four workers on fewer cores, switching as often as the interpreter
+        # allows, so that one thread's calls land between another's
+        nets = [_grid(12, 1), _grid(12, 2)]
+        thetas = [np.random.default_rng(k).normal(size=net.edge_count)
+                  for k, net in enumerate(nets)]
+        jobs = [(nets[0 if shared else k % 2], thetas[k % 2]) for k in range(4)]
+        serial = [_flow_outputs(net, theta) for net, theta in jobs]
+        barrier = threading.Barrier(len(jobs))
+
+        def run(job):
+            barrier.wait(timeout=60)
+            return [_flow_outputs(*job) for _ in range(self.ROUNDS)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(run, job) for job in jobs]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, results):
+            assert got == [want] * self.ROUNDS

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -16,6 +18,7 @@ from resistive_walks import (
     build_network,
     build_tree,
     current_flow,
+    decompose_star_cycle,
     effective,
     exhaustion,
     first_at_depth,
@@ -27,6 +30,7 @@ from resistive_walks import (
     oracle_resistance,
     resistance_to_infinity,
     solve_dirichlet,
+    thomson_gap,
     unit_voltage,
 )
 from resistive_walks.errors import (
@@ -193,6 +197,8 @@ class TestSolveDirichlet:
         div[0], div[z] = 1.0, -1.0
         current_flow(net, div)
         assert len(calls) == 2
+        current_flow(net, -div)  # the same free block: no Laplacian
+        assert len(calls) == 2
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 10))
     @settings(max_examples=30, deadline=None)
@@ -215,6 +221,123 @@ class TestSolveDirichlet:
         v = solve_dirichlet(net, BoundarySpec([a, *z], [1.0] + [0.0] * len(z)))
         h = absorbing_hit_probability(net, a, z)
         assert np.max(np.abs(v - h)) < 1e-9
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The networks each ``splu`` call factorizes a free block of, in order,
+    recorded by the free-vertex count; the slot starts empty."""
+    calls = []
+    splu = spla.splu
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(harmonic.spla, "splu", counted)
+    harmonic._drop_factor()
+    yield calls
+    harmonic._drop_factor()
+
+
+def unit_div(net):
+    div = np.zeros(net.vertex_count)
+    div[0], div[-1] = 1.0, -1.0
+    return div
+
+
+class TestFactorReuse:
+    """solve_dirichlet keeps the last free block's factor, keyed by the
+    network and the set of clamped ids."""
+
+    def test_flow_calls_factorize_once(self, factorizations):
+        net = grid_net(6, 1)
+        theta = np.random.default_rng(2).normal(size=net.edge_count)
+        star, cyc = decompose_star_cycle(net, theta)
+        current = current_flow(net, unit_div(net))
+        thomson_gap(net, current + cyc, [0], [net.vertex_count - 1])
+        assert factorizations == [net.vertex_count - 1]
+
+    def test_voltages_and_source_share_the_factor(self, factorizations):
+        net = grid_net(5, 3)
+        solve_dirichlet(net, BoundarySpec([0, 24], [1.0, 0.0]))
+        solve_dirichlet(net, BoundarySpec([24, 0], [-2.0, 3.0]))
+        solve_dirichlet(net, BoundarySpec([0, 24, 0], [1.0, 0.0, 1.0]), source=unit_div(net))
+        assert factorizations == [23]
+
+    def test_new_block_factorizes_again(self, factorizations):
+        net, other = grid_net(5, 3), grid_net(5, 4)
+        solve_dirichlet(net, BoundarySpec([0], [0.0]), source=unit_div(net))
+        solve_dirichlet(net, BoundarySpec([0, 24], [1.0, 0.0]))  # another clamped set
+        solve_dirichlet(other, BoundarySpec([0, 24], [1.0, 0.0]))  # another network
+        solve_dirichlet(net, BoundarySpec([0, 24], [1.0, 0.0]))  # the slot holds one
+        assert factorizations == [24, 23, 23, 23]
+
+    def test_building_a_network_empties_the_slot(self, factorizations):
+        net = grid_net(4, 5)
+        solve_dirichlet(net, BoundarySpec([0, 15], [1.0, 0.0]))
+        assert harmonic._factor is not None
+        build_network([(0, 1, 1.0)])
+        assert harmonic._factor is None
+        solve_dirichlet(net, BoundarySpec([0, 15], [1.0, 0.0]))
+        assert factorizations == [14, 14]
+
+    def test_dead_network_empties_the_slot(self, factorizations):
+        net = grid_net(4, 5)
+        solve_dirichlet(net, BoundarySpec([0, 15], [1.0, 0.0]))
+        assert harmonic._factor.net() is net
+        del net
+        gc.collect()
+        assert harmonic._factor is None
+
+    def test_dead_network_keeps_another_entry(self, factorizations):
+        # the first network's entry outlives the slot, as in a thread still
+        # solving with it; its callback then finds the second's entry
+        net, other = grid_net(4, 5), grid_net(4, 6)
+        solve_dirichlet(net, BoundarySpec([0, 15], [1.0, 0.0]))
+        held = harmonic._factor
+        solve_dirichlet(other, BoundarySpec([0, 15], [1.0, 0.0]))
+        del net
+        gc.collect()
+        assert held.net() is None
+        assert harmonic._factor.net() is other
+
+    @pytest.mark.parametrize("case", ["disconnected", "numerically singular"])
+    def test_failed_factorization_leaves_the_slot_empty(self, factorizations, case):
+        if case == "disconnected":  # {0, 1} and {2, 3}
+            net = _assemble(np.array([0, 2]), np.array([1, 3]), np.ones(2), 4,
+                            check_connected=False)
+            good, bad, error = [0, 2], [0], DisconnectedGraph
+        else:  # pi(1) = 1e9 + 1e-8 rounds to 1e9
+            net = build_network([(0, 1, 1e-8), (1, 2, 1e9)])
+            good, bad, error = [0, 2], [0], SolverDivergence
+        solve_dirichlet(net, BoundarySpec(good, [1.0, 0.0]))
+        assert harmonic._factor is not None
+        for _ in range(2):
+            with pytest.raises(error):
+                solve_dirichlet(net, BoundarySpec(bad, [1.0]))
+            assert harmonic._factor is None
+        assert len(factorizations) == 3
+
+    def test_cached_solve_equals_a_fresh_one(self, factorizations):
+        net = grid_net(7, 8)
+        rng = np.random.default_rng(9)
+        sources = [rng.normal(size=net.vertex_count) for _ in range(3)]
+        bc = BoundarySpec([0, 10, 48], [0.5, -1.0, 2.0])
+        cached = [solve_dirichlet(net, bc, source=s) for s in sources]
+        assert len(factorizations) == 1
+        for s, got in zip(sources, cached):
+            harmonic._drop_factor()
+            assert solve_dirichlet(net, bc, source=s).tobytes() == got.tobytes()
+        assert len(factorizations) == 4
+
+    def test_cached_solve_checks_its_residual(self, factorizations):
+        net, z = contracted_tree(2, 4)
+        bc = BoundarySpec([0, z], [1.0, 0.0])
+        solve_dirichlet(net, bc)
+        with pytest.raises(SolverDivergence, match="exceeds tol"):
+            solve_dirichlet(net, bc, tol=1e-300)
+        assert len(factorizations) == 1
 
 
 @st.composite

@@ -215,6 +215,36 @@ class TestJsonFormat:
         assert network_from_json(doc).vertex_count == 2
 
 
+_ARRAYS = ("edge_u", "edge_v", "edge_c", "adj_indptr", "adj_neighbor", "adj_edge", "pi")
+
+
+class TestReadOnly:
+    """Every builder's network refuses an in-place write to its arrays, so
+    that nothing keyed by a network's identity can go stale."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_network([(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5)]),
+        lambda: build_network([("a", "b", 1.0), ("b", "c", 2.0)]),
+        lambda: build_tree(TreeSpec(2, 3)).net,
+        lambda: exhaustion(TreeGenerator(3), 2)[0],
+        lambda: network_from_json({"vertices": 3, "edges": [
+            {"u": 0, "v": 1, "c": 1.0}, {"u": 2, "v": 1, "c": 3.0}], "labels": {
+                "0": "x", "1": "y", "2": "z"}}),
+        lambda: read_text('{"vertices": 3, "edges": [{"u": 0, "v": 1, "c": 1.0}, '
+                          '{"u": 1, "v": 2, "c": 2}]}'),
+    ], ids=["build_network", "labelled", "build_tree", "exhaustion", "json", "file"])
+    @pytest.mark.parametrize("name", _ARRAYS)
+    def test_in_place_write_raises(self, build, name):
+        net = build()
+        arr = getattr(net, name)
+        before = arr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1
+        assert np.array_equal(arr, before)
+
+
 def outcome(fn, *args, **kwargs):
     """The result of ``fn``, or the class of what it raised."""
     try:
